@@ -103,7 +103,11 @@ impl PcaErrorBound {
         let d = self.config.chunk;
         let n_values = original.numel();
         let n_chunks = n_values.div_ceil(d);
-        let residual = original.sub(reconstruction);
+        // A non-finite reconstruction sample (a diverged sampler) carries no
+        // information; both sides start the correction from 0.0 there, so
+        // the bound is restored instead of the NaN spreading.
+        let mut corrected = finite_or_zero(reconstruction);
+        let residual = original.sub(&corrected);
 
         // Per-chunk ℓ2² budget and quantisation step chosen so that the
         // quantisation error alone can never exhaust the budget.
@@ -115,7 +119,6 @@ impl PcaErrorBound {
         let mut counts: Vec<u16> = Vec::with_capacity(n_chunks);
         let mut indices: Vec<i32> = Vec::new();
         let mut codes: Vec<i32> = Vec::new();
-        let mut corrected = reconstruction.clone();
         let corr_data = corrected.data_mut();
         let mut total_sq_err = 0.0f64;
 
@@ -137,7 +140,7 @@ impl PcaErrorBound {
             }
             // Greedy selection by magnitude until the chunk error fits.
             let mut order: Vec<usize> = (0..d).collect();
-            order.sort_by(|&a, &b| coeffs[b].abs().partial_cmp(&coeffs[a].abs()).unwrap());
+            order.sort_by(|&a, &b| coeffs[b].abs().total_cmp(&coeffs[a].abs()));
             let mut correction = vec![0.0f32; d];
             let mut err: f32 = r.iter().map(|v| v * v).sum();
             let mut kept = 0u16;
@@ -235,7 +238,7 @@ impl PcaErrorBound {
         };
 
         let basis = self.basis.data();
-        let mut corrected = reconstruction.clone();
+        let mut corrected = finite_or_zero(reconstruction);
         let n_values = corrected.numel();
         let corr_data = corrected.data_mut();
         let mut cursor = 0usize;
@@ -260,6 +263,11 @@ impl PcaErrorBound {
         let range = (original.max() - original.min()).max(1e-30);
         nrmse_target * range * (original.numel() as f32).sqrt()
     }
+}
+
+/// `t` with every NaN or infinite sample replaced by 0.0.
+fn finite_or_zero(t: &Tensor) -> Tensor {
+    t.map(|v| if v.is_finite() { v } else { 0.0 })
 }
 
 /// Orthonormal DCT-II basis of size `d × d` with basis vectors as columns.
@@ -342,6 +350,37 @@ mod tests {
         assert!(outcome.coefficients > 0);
         // Decoder-side reconstruction from the aux stream matches.
         let decoded = eb.apply_from_aux(&reconstruction, &aux);
+        let diff = decoded.sub(&corrected).abs().max();
+        assert!(diff < 1e-4, "aux decode mismatch {diff}");
+    }
+
+    #[test]
+    fn poisoned_reconstruction_is_corrected_not_propagated() {
+        // A diverged sampler hands over NaN and infinite samples; `apply`
+        // used to panic sorting the NaN coefficients they produce.
+        let mut rng = TensorRng::new(3);
+        let original = rng.randn(&[4, 16, 16]).scale(3.0);
+        let mut reconstruction = original.add(&rng.randn(&[4, 16, 16]).scale(0.4));
+        for (i, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, f32::NAN]
+            .into_iter()
+            .enumerate()
+        {
+            reconstruction.data_mut()[i * 257 + 5] = bad;
+        }
+        let eb = PcaErrorBound::new(ErrorBoundConfig::default());
+        let tau = 2.0;
+        let (corrected, aux, outcome) = eb.apply(&original, &reconstruction, tau);
+        assert!(corrected.data().iter().all(|v| v.is_finite()));
+        let after = original.sub(&corrected).l2_norm();
+        assert!(
+            after <= tau * 1.001,
+            "corrected error {after} exceeds tau {tau}"
+        );
+        assert!(outcome.achieved.is_finite());
+        // The decoder regenerates the same poisoned samples and must land on
+        // the same corrected block.
+        let decoded = eb.apply_from_aux(&reconstruction, &aux);
+        assert!(decoded.data().iter().all(|v| v.is_finite()));
         let diff = decoded.sub(&corrected).abs().max();
         assert!(diff < 1e-4, "aux decode mismatch {diff}");
     }

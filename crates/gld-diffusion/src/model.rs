@@ -63,16 +63,24 @@ impl FramePartition {
 /// The ⊕ operator (paper §3.3): keeps `clean` on the conditioning indices and
 /// `noisy` on the generated indices.
 pub fn splice_frames(noisy: &Tensor, clean: &Tensor, partition: &FramePartition) -> Tensor {
-    assert_eq!(noisy.dims(), clean.dims(), "splice shape mismatch");
+    let mut out = noisy.clone();
+    restore_keyframes(&mut out, clean, partition);
+    out
+}
+
+/// ⊕ in place: overwrites the conditioning frames of `block` with `clean`'s.
+fn restore_keyframes(block: &mut Tensor, clean: &Tensor, partition: &FramePartition) {
+    assert_eq!(block.dims(), clean.dims(), "splice shape mismatch");
     assert_eq!(
-        noisy.dim(0),
+        block.dim(0),
         partition.total,
         "partition does not match block"
     );
-    let mut out = noisy.clone();
-    let cond_frames = clean.index_select(0, &partition.conditioning);
-    out.index_assign(0, &partition.conditioning, &cond_frames);
-    out
+    let frame = clean.numel() / partition.total;
+    for &c in &partition.conditioning {
+        let span = c * frame..(c + 1) * frame;
+        block.data_mut()[span.clone()].copy_from_slice(&clean.data()[span]);
+    }
 }
 
 /// Conditional latent diffusion model: UNet + schedule + conditioning logic.
@@ -153,20 +161,21 @@ impl ConditionalDiffusion {
         num_steps: usize,
         rng: &mut TensorRng,
     ) -> Tensor {
-        assert_eq!(y_cond.dim(0), partition.total, "block/partition mismatch");
         let timesteps = self.schedule.respaced_timesteps(num_steps);
         // Start from pure noise on the generated frames.
-        let noise = rng.randn(y_cond.dims());
-        let mut y = splice_frames(&noise, y_cond, partition);
+        let mut y = rng.randn(y_cond.dims());
+        restore_keyframes(&mut y, y_cond, partition);
+        // Nothing differentiates through sampling: no graph, and each
+        // step's activations are freed as the network moves past them.
+        let tape = Tape::inference();
         for (i, &t) in timesteps.iter().enumerate() {
-            let tape = Tape::new();
-            let eps_hat = self
-                .unet
-                .forward(&tape, &tape.constant(y.clone()), t)
-                .value();
+            let y_t = tape.constant(y);
+            let eps_hat = self.unet.forward(&tape, &y_t, t);
             let t_prev = timesteps.get(i + 1).copied();
-            let stepped = self.schedule.ddim_step(&y, &eps_hat, t, t_prev);
-            y = splice_frames(&stepped, y_cond, partition);
+            y = self
+                .schedule
+                .ddim_step(y_t.tensor(), eps_hat.tensor(), t, t_prev);
+            restore_keyframes(&mut y, y_cond, partition);
         }
         y
     }

@@ -71,55 +71,150 @@ impl BypassCoder {
 #[derive(Debug, Clone, Default)]
 pub struct GaussianConditionalModel;
 
-struct Window {
+/// Most explicit symbols a window can hold.
+const MAX_SYMBOLS: usize = 2 * MAX_HALF_WIDTH as usize + 1;
+
+/// Discarded fractions of a window's frequencies that prove its escape bin
+/// non-empty (see [`Window::total`]).
+const PROVEN_SLACK: f64 = 0.75;
+
+/// How far below the mean [`Window::skip_lower_tail`] looks for the end of
+/// the all-ones stretch: `Φ(−4.2)·MODEL_TOTAL ≈ 0.44` of a count.
+const LOWER_TAIL_SIGMAS: f64 = 4.2;
+
+/// Below this mass of the distribution inside the window, rounding noise in
+/// the CDF is no longer negligible against it and [`Window::total`] takes no
+/// shortcut.  (Needs `σ` in the hundreds of millions.)
+const MIN_SPAN: f64 = 1e-6;
+
+/// The quantised CDF of one element: an integer window centred at the
+/// predicted mean, each symbol's frequency proportional to its Gaussian mass,
+/// then an escape bin holding what is left of [`MODEL_TOTAL`].
+///
+/// A window is up to 511 bins and every bin edge costs an `exp`, so the table
+/// is filled from the bottom only as far as a query needs: up to the coded
+/// symbol, or up to the decoder's target.
+struct Window<'a> {
+    mean: f64,
+    std: f64,
     lo: i64,
-    freqs: Vec<u32>,
-    cdf: Vec<u32>,
+    symbols: usize,
+    budget: f64,
+    span: f64,
+    /// `cum[..=filled]` are final; `cum[i]` is the cumulative frequency
+    /// below symbol `lo + i`.
+    cum: &'a mut [u32; MAX_SYMBOLS + 1],
+    filled: usize,
+    /// CDF at the upper edge of the last filled bin.
+    edge: f64,
+    /// Sum of the fractions of `p·budget` lost to truncation so far (only
+    /// read when `span ≥ MIN_SPAN`, where every share fits a `u32`).
+    slack: f64,
+}
+
+impl<'a> Window<'a> {
+    fn new(mean: f64, std: f64, cum: &'a mut [u32; MAX_SYMBOLS + 1]) -> Self {
+        let std = std.max(1e-3);
+        let centre = mean.round() as i64;
+        let half = ((std * TAIL_SIGMAS).ceil() as i64).clamp(1, MAX_HALF_WIDTH);
+        let (lo, hi) = (centre - half, centre + half);
+        let symbols = (hi - lo + 1) as usize;
+        let edge = normal_cdf(lo as f64 - 0.5, mean, std);
+        let span = (normal_cdf(hi as f64 + 0.5, mean, std) - edge).max(1e-12);
+        cum[0] = 0;
+        let mut window = Window {
+            mean,
+            std,
+            lo,
+            symbols,
+            budget: (MODEL_TOTAL - symbols as u32 - 1) as f64,
+            span,
+            cum,
+            filled: 0,
+            edge,
+            slack: 0.0,
+        };
+        window.skip_lower_tail();
+        window
+    }
+
+    /// Far enough below the mean the bins *together* hold less than one
+    /// count of the budget, so each has frequency exactly 1: one CDF
+    /// evaluation at the end of that stretch stands in for one per bin.
+    fn skip_lower_tail(&mut self) {
+        let stretch = (self.mean - LOWER_TAIL_SIGMAS * self.std - self.lo as f64).floor();
+        if !(stretch >= 1.0 && self.span >= MIN_SPAN) {
+            return;
+        }
+        let stretch = (stretch as usize).min(self.symbols);
+        let upper = normal_cdf((self.lo + stretch as i64) as f64 - 0.5, self.mean, self.std);
+        if (upper - self.edge) / self.span * self.budget < 0.99 {
+            for (i, c) in self.cum[..=stretch].iter_mut().enumerate() {
+                *c = i as u32;
+            }
+            self.filled = stretch;
+            self.edge = upper;
+        }
+    }
+
+    /// Fills bins — frequency `1 + ⌊p·budget⌋` each — while `more` says so
+    /// (and there are bins left).
+    fn fill_while(&mut self, more: impl Fn(&Self) -> bool) {
+        while self.filled < self.symbols && more(self) {
+            let upper_edge = (self.lo + self.filled as i64) as f64 + 0.5;
+            let upper = normal_cdf(upper_edge, self.mean, self.std);
+            let share = (upper - self.edge).max(0.0) / self.span * self.budget;
+            self.edge = upper;
+            let whole = share as u32;
+            self.slack += share - whole as f64;
+            self.cum[self.filled + 1] = self.cum[self.filled] + 1 + whole;
+            self.filled += 1;
+        }
+    }
+
+    /// The coder total: all symbol frequencies plus an escape bin of
+    /// `MODEL_TOTAL − allocated − 1`, at least 1.
+    ///
+    /// The shares `p·budget` sum to `budget` (up to float noise far below a
+    /// count), so once the fractions truncation has discarded sum past
+    /// [`PROVEN_SLACK`] the floors must leave a count spare: the escape bin
+    /// is non-empty and the total is `MODEL_TOTAL − 1` whatever the bins not
+    /// yet filled turn out to be.  Only a window whose mass sits in bins of
+    /// (near-)integer share — a spike narrower than a bin — gets filled to
+    /// the end, and then the total is computed outright.
+    fn total(&mut self) -> u32 {
+        let shortcut = self.span >= MIN_SPAN;
+        self.fill_while(|w| !(shortcut && w.slack >= PROVEN_SLACK));
+        if self.filled < self.symbols {
+            return MODEL_TOTAL - 1;
+        }
+        let allocated = self.cum[self.symbols];
+        allocated + (MODEL_TOTAL - allocated - 1).max(1)
+    }
+
+    /// Cumulative interval of the symbol at window index `index`;
+    /// `index == self.symbols` is the escape bin.
+    fn interval(&mut self, index: usize) -> (u32, u32) {
+        if index == self.symbols {
+            let total = self.total();
+            self.fill_while(|_| true);
+            return (self.cum[self.symbols], total);
+        }
+        self.fill_while(|w| w.filled <= index);
+        (self.cum[index], self.cum[index + 1])
+    }
+
+    /// Window index of the bin whose interval contains `target`.
+    fn find(&mut self, target: u32) -> usize {
+        self.fill_while(|w| w.cum[w.filled] <= target);
+        self.cum[..=self.filled].partition_point(|&c| c <= target) - 1
+    }
 }
 
 impl GaussianConditionalModel {
     /// Creates the model (stateless; provided for API symmetry).
     pub fn new() -> Self {
         GaussianConditionalModel
-    }
-
-    fn window(mean: f64, std: f64) -> Window {
-        let std = std.max(1e-3);
-        let centre = mean.round() as i64;
-        let half = ((std * TAIL_SIGMAS).ceil() as i64).clamp(1, MAX_HALF_WIDTH);
-        let lo = centre - half;
-        let hi = centre + half;
-        let n_bins = (hi - lo + 1) as usize + 1; // + escape
-        let budget = MODEL_TOTAL - n_bins as u32;
-        // Probability mass of each symbol in the window.
-        let span_lo = normal_cdf(lo as f64 - 0.5, mean, std);
-        let span_hi = normal_cdf(hi as f64 + 0.5, mean, std);
-        let span = (span_hi - span_lo).max(1e-12);
-        let mut freqs = Vec::with_capacity(n_bins);
-        let mut allocated = 0u32;
-        for k in lo..=hi {
-            let p = (normal_cdf(k as f64 + 0.5, mean, std) - normal_cdf(k as f64 - 0.5, mean, std))
-                .max(0.0)
-                / span;
-            let f = 1 + (p * budget as f64) as u32;
-            allocated += f;
-            freqs.push(f);
-        }
-        // Escape bin absorbs whatever is left of the budget (at least 1).
-        let escape = MODEL_TOTAL - allocated - 1;
-        freqs.push(escape.max(1));
-        let mut cdf = Vec::with_capacity(freqs.len() + 1);
-        let mut acc = 0u32;
-        cdf.push(0);
-        for &f in &freqs {
-            acc += f;
-            cdf.push(acc);
-        }
-        Window { lo, freqs, cdf }
-    }
-
-    fn total(window: &Window) -> u32 {
-        *window.cdf.last().unwrap()
     }
 
     /// Encodes `symbols[i]` under `N(means[i], scales[i]²)`.
@@ -132,16 +227,13 @@ impl GaussianConditionalModel {
     ) {
         assert_eq!(symbols.len(), means.len(), "means length mismatch");
         assert_eq!(symbols.len(), scales.len(), "scales length mismatch");
+        let mut cum = [0u32; MAX_SYMBOLS + 1];
         for ((&s, &m), &sd) in symbols.iter().zip(means).zip(scales) {
-            let w = Self::window(m as f64, sd as f64);
-            let total = Self::total(&w);
-            let idx = s as i64 - w.lo;
-            let escape_idx = w.freqs.len() - 1;
-            if idx >= 0 && (idx as usize) < escape_idx {
-                let idx = idx as usize;
-                enc.encode(w.cdf[idx], w.cdf[idx + 1], total);
-            } else {
-                enc.encode(w.cdf[escape_idx], w.cdf[escape_idx + 1], total);
+            let mut w = Window::new(m as f64, sd as f64, &mut cum);
+            let index = usize::try_from(s as i64 - w.lo).map_or(w.symbols, |i| i.min(w.symbols));
+            let (low, high) = w.interval(index);
+            enc.encode(low, high, w.total());
+            if index == w.symbols {
                 BypassCoder::encode_i32(enc, s);
             }
         }
@@ -156,17 +248,17 @@ impl GaussianConditionalModel {
     ) -> Vec<i32> {
         assert_eq!(means.len(), scales.len(), "scales length mismatch");
         let mut out = Vec::with_capacity(means.len());
+        let mut cum = [0u32; MAX_SYMBOLS + 1];
         for (&m, &sd) in means.iter().zip(scales) {
-            let w = Self::window(m as f64, sd as f64);
-            let total = Self::total(&w);
-            let target = dec.decode_target(total);
-            let bin = w.cdf.partition_point(|&c| c <= target) - 1;
-            dec.decode_update(w.cdf[bin], w.cdf[bin + 1], total);
-            let escape_idx = w.freqs.len() - 1;
-            if bin == escape_idx {
+            let mut w = Window::new(m as f64, sd as f64, &mut cum);
+            let total = w.total();
+            let index = w.find(dec.decode_target(total));
+            let (low, high) = w.interval(index);
+            dec.decode_update(low, high, total);
+            if index == w.symbols {
                 out.push(BypassCoder::decode_i32(dec));
             } else {
-                out.push((w.lo + bin as i64) as i32);
+                out.push((w.lo + index as i64) as i32);
             }
         }
         out
@@ -736,6 +828,94 @@ mod tests {
         let mut dec = RangeDecoder::new(&bytes);
         let decoded = model.decode(&mut dec, &means, &scales);
         assert_eq!(decoded, symbols);
+    }
+
+    /// The encoder this module shipped before windows were filled lazily:
+    /// every bin of every window, two CDF evaluations each.  Kept as the
+    /// byte-level reference for the lazy one.
+    fn reference_encode(enc: &mut RangeEncoder, symbols: &[i32], means: &[f32], scales: &[f32]) {
+        for ((&s, &m), &sd) in symbols.iter().zip(means).zip(scales) {
+            let (mean, std) = (m as f64, (sd as f64).max(1e-3));
+            let centre = mean.round() as i64;
+            let half = ((std * TAIL_SIGMAS).ceil() as i64).clamp(1, MAX_HALF_WIDTH);
+            let (lo, hi) = (centre - half, centre + half);
+            let n_bins = (hi - lo + 1) as usize + 1;
+            let budget = MODEL_TOTAL - n_bins as u32;
+            let span = (normal_cdf(hi as f64 + 0.5, mean, std)
+                - normal_cdf(lo as f64 - 0.5, mean, std))
+            .max(1e-12);
+            let mut cdf = vec![0u32];
+            for k in lo..=hi {
+                let p = (normal_cdf(k as f64 + 0.5, mean, std)
+                    - normal_cdf(k as f64 - 0.5, mean, std))
+                .max(0.0)
+                    / span;
+                cdf.push(cdf.last().unwrap() + 1 + (p * budget as f64) as u32);
+            }
+            let allocated = *cdf.last().unwrap();
+            cdf.push(allocated + (MODEL_TOTAL - allocated - 1).max(1));
+            let total = *cdf.last().unwrap();
+            let escape = n_bins - 1;
+            let idx = s as i64 - lo;
+            if idx >= 0 && (idx as usize) < escape {
+                enc.encode(cdf[idx as usize], cdf[idx as usize + 1], total);
+            } else {
+                enc.encode(cdf[escape], total, total);
+                BypassCoder::encode_i32(enc, s);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Byte-for-byte the stream of the full-window encoder, and decoding
+        /// it back: over ordinary latents, escapes, `σ` at and beyond both
+        /// clamps (spikes narrower than a bin — including on exact integers
+        /// and half-integers, where the frequencies leave no slack and the
+        /// coder total changes — and windows so wide they clip), and means
+        /// far from zero.
+        #[test]
+        fn prop_lazy_windows_code_the_same_bytes(seed in 0u64..100_000, n in 1usize..120) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut means = Vec::new();
+            let mut scales = Vec::new();
+            let mut symbols = Vec::new();
+            for _ in 0..n {
+                let mean: f32 = match rng.gen_range(0..6) {
+                    0 => rng.gen_range(-4..4) as f32,
+                    1 => rng.gen_range(-4..4) as f32 + 0.5,
+                    2 => rng.gen_range(-3.0e4..3.0e4),
+                    _ => rng.gen_range(-40.0..40.0),
+                };
+                let scale: f32 = match rng.gen_range(0..8) {
+                    0 => 0.0,
+                    1 => 1e-3,
+                    2 => rng.gen_range(1e-4..0.06),
+                    3 => rng.gen_range(31.0..33.0),
+                    4 => rng.gen_range(100.0..5000.0),
+                    5 => 1e10,
+                    _ => rng.gen_range(0.05..12.0),
+                };
+                let symbol = match rng.gen_range(0..10) {
+                    0 => rng.gen_range(-100_000..100_000),
+                    1 => mean.round() as i32 + rng.gen_range(-256..257),
+                    _ => (mean + rng.gen_range(-3.0..3.0) * scale.min(80.0)).round() as i32,
+                };
+                means.push(mean);
+                scales.push(scale);
+                symbols.push(symbol);
+            }
+            let mut reference = RangeEncoder::new();
+            reference_encode(&mut reference, &symbols, &means, &scales);
+            let reference = reference.finish();
+            let model = GaussianConditionalModel::new();
+            let mut enc = RangeEncoder::new();
+            model.encode(&mut enc, &symbols, &means, &scales);
+            prop_assert_eq!(enc.finish(), reference.clone());
+            let decoded = model.decode(&mut RangeDecoder::new(&reference), &means, &scales);
+            prop_assert_eq!(decoded, symbols);
+        }
     }
 
     #[test]

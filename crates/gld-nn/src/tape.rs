@@ -4,12 +4,17 @@
 //! [`Var::backward`] walks the tape in reverse, accumulating gradients into
 //! the tape nodes and depositing them into any bound [`Parameter`]s.
 //!
+//! A tape made with [`Tape::inference`] records nothing: the same `Var` ops
+//! (and therefore the same layer and network `forward` code) compute the
+//! same values, but build no backward rule, save no activation for one, and
+//! free every intermediate when its last `Var` goes away.
+//!
 //! The op set is intentionally small — exactly the operations needed by the
 //! VAE, the hyperprior and the space-time UNet — and every backward rule is
 //! checked against finite differences in this module's tests.
 
 use crate::param::Parameter;
-use gld_tensor::conv::{col2im, im2col, nchw, Conv2dGeometry};
+use gld_tensor::conv::{col2im, conv2d, conv2d_from_cols, im2col, nchw, Conv2dGeometry};
 use gld_tensor::pool::{
     avg_pool2d, avg_pool2d_backward, upsample_nearest2d, upsample_nearest2d_backward,
 };
@@ -20,11 +25,17 @@ use std::rc::Rc;
 
 type BackwardFn = Box<dyn Fn(&Tensor) -> Vec<Tensor>>;
 
+/// What `backward` needs of one recorded op.  Values live in the [`Var`]s
+/// (and in whichever backward rules captured them), not here.
 struct Node {
-    value: Tensor,
     parents: Vec<usize>,
     backward: Option<BackwardFn>,
     param: Option<Parameter>,
+}
+
+struct Graph {
+    recording: bool,
+    nodes: RefCell<Vec<Node>>,
 }
 
 /// A recording tape for reverse-mode differentiation.
@@ -33,7 +44,7 @@ struct Node {
 /// `gld-diffusion` build a fresh tape for every step.
 #[derive(Clone)]
 pub struct Tape {
-    nodes: Rc<RefCell<Vec<Node>>>,
+    graph: Rc<Graph>,
 }
 
 impl Default for Tape {
@@ -43,16 +54,30 @@ impl Default for Tape {
 }
 
 impl Tape {
-    /// Creates an empty tape.
+    /// Creates an empty recording tape.
     pub fn new() -> Self {
+        Self::with_recording(true)
+    }
+
+    /// Creates a tape that evaluates ops without recording them — for
+    /// forward passes nobody will differentiate (compression, decompression,
+    /// sampling).  [`Var::backward`] panics on such a tape.
+    pub fn inference() -> Self {
+        Self::with_recording(false)
+    }
+
+    fn with_recording(recording: bool) -> Self {
         Tape {
-            nodes: Rc::new(RefCell::new(Vec::new())),
+            graph: Rc::new(Graph {
+                recording,
+                nodes: RefCell::new(Vec::new()),
+            }),
         }
     }
 
-    /// Number of recorded nodes.
+    /// Number of recorded nodes (always zero on an inference tape).
     pub fn len(&self) -> usize {
-        self.nodes.borrow().len()
+        self.graph.nodes.borrow().len()
     }
 
     /// True when nothing has been recorded yet.
@@ -60,20 +85,27 @@ impl Tape {
         self.len() == 0
     }
 
-    fn push(&self, node: Node) -> Var {
-        let mut nodes = self.nodes.borrow_mut();
-        let id = nodes.len();
-        nodes.push(node);
+    /// Wraps `value` in a [`Var`]; on a recording tape `node` is built and
+    /// recorded, on an inference tape it is never called.
+    fn push(&self, value: Tensor, node: impl FnOnce(&Rc<Tensor>) -> Node) -> Var {
+        let value = Rc::new(value);
+        let mut id = 0;
+        if self.graph.recording {
+            let node = node(&value);
+            let mut nodes = self.graph.nodes.borrow_mut();
+            id = nodes.len();
+            nodes.push(node);
+        }
         Var {
             tape: self.clone(),
             id,
+            value,
         }
     }
 
     /// Records a constant (non-differentiable) input.
     pub fn constant(&self, value: Tensor) -> Var {
-        self.push(Node {
-            value,
+        self.push(value, |_| Node {
             parents: vec![],
             backward: None,
             param: None,
@@ -89,8 +121,7 @@ impl Tape {
     /// Records a leaf bound to a [`Parameter`]; `backward` accumulates the
     /// leaf's gradient into the parameter.
     pub fn param(&self, p: &Parameter) -> Var {
-        self.push(Node {
-            value: p.value(),
+        self.push(p.value(), |_| Node {
             parents: vec![],
             backward: None,
             param: Some(p.clone()),
@@ -100,24 +131,22 @@ impl Tape {
     /// Concatenates variables along `axis`.
     pub fn concat(&self, vars: &[&Var], axis: usize) -> Var {
         assert!(!vars.is_empty(), "concat of zero vars");
-        let values: Vec<Tensor> = vars.iter().map(|v| v.value()).collect();
-        let refs: Vec<&Tensor> = values.iter().collect();
-        let out = Tensor::concat(&refs, axis);
-        let extents: Vec<usize> = values.iter().map(|v| v.dim(axis)).collect();
-        let parents: Vec<usize> = vars.iter().map(|v| v.id).collect();
-        self.push(Node {
-            value: out,
-            parents,
-            backward: Some(Box::new(move |g: &Tensor| {
-                let mut grads = Vec::with_capacity(extents.len());
-                let mut start = 0usize;
-                for &e in &extents {
-                    grads.push(g.slice_axis(axis, start, start + e));
-                    start += e;
-                }
-                grads
-            })),
-            param: None,
+        let values: Vec<&Tensor> = vars.iter().map(|v| &*v.value).collect();
+        self.push(Tensor::concat(&values, axis), |_| {
+            let extents: Vec<usize> = values.iter().map(|v| v.dim(axis)).collect();
+            Node {
+                parents: vars.iter().map(|v| v.id).collect(),
+                backward: Some(Box::new(move |g: &Tensor| {
+                    let mut grads = Vec::with_capacity(extents.len());
+                    let mut start = 0usize;
+                    for &e in &extents {
+                        grads.push(g.slice_axis(axis, start, start + e));
+                        start += e;
+                    }
+                    grads
+                })),
+                param: None,
+            }
         })
     }
 }
@@ -127,6 +156,7 @@ impl Tape {
 pub struct Var {
     tape: Tape,
     id: usize,
+    value: Rc<Tensor>,
 }
 
 /// Sums `grad` down to `target_dims` (undoing NumPy-style broadcasting) so
@@ -158,7 +188,8 @@ pub fn reduce_to_shape(grad: &Tensor, target_dims: &[usize]) -> Tensor {
 }
 
 impl Var {
-    /// The node id on the tape (useful for debugging).
+    /// The node id on a recording tape (useful for debugging; always zero on
+    /// an inference tape).
     pub fn id(&self) -> usize {
         self.id
     }
@@ -170,51 +201,64 @@ impl Var {
 
     /// A snapshot of the value.
     pub fn value(&self) -> Tensor {
-        self.tape.nodes.borrow()[self.id].value.clone()
+        (*self.value).clone()
+    }
+
+    /// The value, borrowed.
+    pub fn tensor(&self) -> &Tensor {
+        &self.value
     }
 
     /// The dimension extents of the value.
     pub fn dims(&self) -> Vec<usize> {
-        self.tape.nodes.borrow()[self.id].value.dims().to_vec()
+        self.value.dims().to_vec()
     }
 
     /// Extent of dimension `axis`.
     pub fn dim(&self, axis: usize) -> usize {
-        self.tape.nodes.borrow()[self.id].value.dim(axis)
+        self.value.dim(axis)
     }
 
     /// Number of elements.
     pub fn numel(&self) -> usize {
-        self.tape.nodes.borrow()[self.id].value.numel()
+        self.value.numel()
     }
 
-    fn unary(&self, value: Tensor, backward: impl Fn(&Tensor) -> Tensor + 'static) -> Var {
-        self.tape.push(Node {
-            value,
-            parents: vec![self.id],
-            backward: Some(Box::new(move |g| vec![backward(g)])),
-            param: None,
+    /// A one-parent op.  `rule` builds the backward rule (and whatever it
+    /// must save) from the op's output; it only runs on a recording tape.
+    fn unary<B>(&self, value: Tensor, rule: impl FnOnce(&Rc<Tensor>) -> B) -> Var
+    where
+        B: Fn(&Tensor) -> Tensor + 'static,
+    {
+        self.tape.push(value, |out| {
+            let backward = rule(out);
+            Node {
+                parents: vec![self.id],
+                backward: Some(Box::new(move |g| vec![backward(g)])),
+                param: None,
+            }
         })
     }
 
-    fn binary(
-        &self,
-        other: &Var,
-        value: Tensor,
-        backward: impl Fn(&Tensor) -> (Tensor, Tensor) + 'static,
-    ) -> Var {
+    /// A two-parent op; `rule` as in [`Var::unary`].
+    fn binary<B>(&self, other: &Var, value: Tensor, rule: impl FnOnce() -> B) -> Var
+    where
+        B: Fn(&Tensor) -> (Tensor, Tensor) + 'static,
+    {
         assert!(
-            Rc::ptr_eq(&self.tape.nodes, &other.tape.nodes),
+            Rc::ptr_eq(&self.tape.graph, &other.tape.graph),
             "variables must live on the same tape"
         );
-        self.tape.push(Node {
-            value,
-            parents: vec![self.id, other.id],
-            backward: Some(Box::new(move |g| {
-                let (ga, gb) = backward(g);
-                vec![ga, gb]
-            })),
-            param: None,
+        self.tape.push(value, |_| {
+            let backward = rule();
+            Node {
+                parents: vec![self.id, other.id],
+                backward: Some(Box::new(move |g| {
+                    let (ga, gb) = backward(g);
+                    vec![ga, gb]
+                })),
+                param: None,
+            }
         })
     }
 
@@ -224,64 +268,65 @@ impl Var {
 
     /// Element-wise addition with broadcasting.
     pub fn add(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
-        let (da, db) = (a.dims().to_vec(), b.dims().to_vec());
-        let value = a.add(&b);
-        self.binary(other, value, move |g| {
-            (reduce_to_shape(g, &da), reduce_to_shape(g, &db))
+        let (a, b) = (&self.value, &other.value);
+        self.binary(other, a.add(b), || {
+            let (da, db) = (a.dims().to_vec(), b.dims().to_vec());
+            move |g| (reduce_to_shape(g, &da), reduce_to_shape(g, &db))
         })
     }
 
     /// Element-wise subtraction with broadcasting.
     pub fn sub(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
-        let (da, db) = (a.dims().to_vec(), b.dims().to_vec());
-        let value = a.sub(&b);
-        self.binary(other, value, move |g| {
-            (reduce_to_shape(g, &da), reduce_to_shape(&g.neg(), &db))
+        let (a, b) = (&self.value, &other.value);
+        self.binary(other, a.sub(b), || {
+            let (da, db) = (a.dims().to_vec(), b.dims().to_vec());
+            move |g| (reduce_to_shape(g, &da), reduce_to_shape(&g.neg(), &db))
         })
     }
 
     /// Element-wise multiplication with broadcasting.
     pub fn mul(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
-        let (da, db) = (a.dims().to_vec(), b.dims().to_vec());
-        let value = a.mul(&b);
-        let (ac, bc) = (a.clone(), b.clone());
-        self.binary(other, value, move |g| {
-            (
-                reduce_to_shape(&g.mul(&bc), &da),
-                reduce_to_shape(&g.mul(&ac), &db),
-            )
+        let (a, b) = (&self.value, &other.value);
+        self.binary(other, a.mul(b), || {
+            let (a, b) = (a.clone(), b.clone());
+            move |g| {
+                (
+                    reduce_to_shape(&g.mul(&b), a.dims()),
+                    reduce_to_shape(&g.mul(&a), b.dims()),
+                )
+            }
         })
     }
 
     /// Element-wise division with broadcasting.
     pub fn div(&self, other: &Var) -> Var {
-        let (a, b) = (self.value(), other.value());
-        let (da, db) = (a.dims().to_vec(), b.dims().to_vec());
-        let value = a.div(&b);
-        let (ac, bc) = (a.clone(), b.clone());
-        self.binary(other, value, move |g| {
-            let ga = g.div(&bc);
-            let gb = g.mul(&ac).div(&bc.square()).neg();
-            (reduce_to_shape(&ga, &da), reduce_to_shape(&gb, &db))
+        let (a, b) = (&self.value, &other.value);
+        self.binary(other, a.div(b), || {
+            let (a, b) = (a.clone(), b.clone());
+            move |g| {
+                let ga = g.div(&b);
+                let gb = g.mul(&a).div(&b.square()).neg();
+                (
+                    reduce_to_shape(&ga, a.dims()),
+                    reduce_to_shape(&gb, b.dims()),
+                )
+            }
         })
     }
 
     /// Negation.
     pub fn neg(&self) -> Var {
-        self.unary(self.value().neg(), |g| g.neg())
+        self.unary(self.value.neg(), |_| |g| g.neg())
     }
 
     /// Multiplication by a constant scalar.
     pub fn scale(&self, s: f32) -> Var {
-        self.unary(self.value().scale(s), move |g| g.scale(s))
+        self.unary(self.value.scale(s), |_| move |g| g.scale(s))
     }
 
     /// Addition of a constant scalar.
     pub fn add_scalar(&self, s: f32) -> Var {
-        self.unary(self.value().add_scalar(s), |g| g.clone())
+        self.unary(self.value.add_scalar(s), |_| |g| g.clone())
     }
 
     // ------------------------------------------------------------------
@@ -290,102 +335,115 @@ impl Var {
 
     /// ReLU activation.
     pub fn relu(&self) -> Var {
-        let x = self.value();
-        let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
-        self.unary(x.relu(), move |g| g.mul(&mask))
+        let x = &self.value;
+        self.unary(x.relu(), |_| {
+            let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
+            move |g| g.mul(&mask)
+        })
     }
 
     /// SiLU activation (`x · σ(x)`).
     pub fn silu(&self) -> Var {
-        let x = self.value();
-        let sig = x.sigmoid();
-        let deriv = sig.mul(&x.mul(&sig.neg().add_scalar(1.0)).add_scalar(1.0));
-        self.unary(x.silu(), move |g| g.mul(&deriv))
+        let x = &self.value;
+        self.unary(x.silu(), |_| {
+            let sig = x.sigmoid();
+            let deriv = sig.mul(&x.mul(&sig.neg().add_scalar(1.0)).add_scalar(1.0));
+            move |g| g.mul(&deriv)
+        })
     }
 
     /// GELU activation (tanh approximation).
     pub fn gelu(&self) -> Var {
-        let x = self.value();
-        let c = (2.0 / std::f32::consts::PI).sqrt();
-        let u = x.map(move |v| c * (v + 0.044715 * v * v * v));
-        let t = u.tanh();
-        let deriv = {
+        let x = &self.value;
+        self.unary(x.gelu(), |_| {
+            let c = (2.0 / std::f32::consts::PI).sqrt();
+            let t = x.map(move |v| c * (v + 0.044715 * v * v * v)).tanh();
             let one_plus_t = t.add_scalar(1.0);
             let sech2 = t.square().neg().add_scalar(1.0);
             let du = x.map(move |v| c * (1.0 + 3.0 * 0.044715 * v * v));
-            one_plus_t
+            let deriv = one_plus_t
                 .scale(0.5)
-                .add(&x.mul(&sech2).mul(&du).scale(0.5))
-        };
-        self.unary(x.gelu(), move |g| g.mul(&deriv))
+                .add(&x.mul(&sech2).mul(&du).scale(0.5));
+            move |g| g.mul(&deriv)
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Var {
-        let s = self.value().sigmoid();
-        let deriv = s.mul(&s.neg().add_scalar(1.0));
-        self.unary(s.clone(), move |g| g.mul(&deriv))
+        self.unary(self.value.sigmoid(), |s| {
+            let deriv = s.mul(&s.neg().add_scalar(1.0));
+            move |g| g.mul(&deriv)
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Var {
-        let t = self.value().tanh();
-        let deriv = t.square().neg().add_scalar(1.0);
-        self.unary(t.clone(), move |g| g.mul(&deriv))
+        self.unary(self.value.tanh(), |t| {
+            let deriv = t.square().neg().add_scalar(1.0);
+            move |g| g.mul(&deriv)
+        })
     }
 
     /// Element-wise exponential.
     pub fn exp(&self) -> Var {
-        let e = self.value().exp();
-        let ec = e.clone();
-        self.unary(e, move |g| g.mul(&ec))
+        self.unary(self.value.exp(), |e| {
+            let e = e.clone();
+            move |g| g.mul(&e)
+        })
     }
 
     /// Element-wise natural logarithm.
     pub fn ln(&self) -> Var {
-        let x = self.value();
-        let inv = x.map(|v| 1.0 / v);
-        self.unary(x.ln(), move |g| g.mul(&inv))
+        let x = &self.value;
+        self.unary(x.ln(), |_| {
+            let inv = x.map(|v| 1.0 / v);
+            move |g| g.mul(&inv)
+        })
     }
 
     /// Element-wise square.
     pub fn square(&self) -> Var {
-        let x = self.value();
-        let two_x = x.scale(2.0);
-        self.unary(x.square(), move |g| g.mul(&two_x))
+        let x = &self.value;
+        self.unary(x.square(), |_| {
+            let two_x = x.scale(2.0);
+            move |g| g.mul(&two_x)
+        })
     }
 
     /// Element-wise square root.
     pub fn sqrt(&self) -> Var {
-        let s = self.value().sqrt();
-        let deriv = s.map(|v| 0.5 / v.max(1e-12));
-        self.unary(s.clone(), move |g| g.mul(&deriv))
+        self.unary(self.value.sqrt(), |s| {
+            let deriv = s.map(|v| 0.5 / v.max(1e-12));
+            move |g| g.mul(&deriv)
+        })
     }
 
     /// Element-wise absolute value (sub-gradient 0 at zero).
     pub fn abs(&self) -> Var {
-        let x = self.value();
-        let sign = x.map(|v| {
-            if v > 0.0 {
-                1.0
-            } else if v < 0.0 {
-                -1.0
-            } else {
-                0.0
-            }
-        });
-        self.unary(x.abs(), move |g| g.mul(&sign))
+        let x = &self.value;
+        self.unary(x.abs(), |_| {
+            let sign = x.map(|v| {
+                if v > 0.0 {
+                    1.0
+                } else if v < 0.0 {
+                    -1.0
+                } else {
+                    0.0
+                }
+            });
+            move |g| g.mul(&sign)
+        })
     }
 
     /// Softmax along the last axis.
     pub fn softmax_last(&self) -> Var {
-        let s = self.value().softmax_last();
-        let sc = s.clone();
-        self.unary(s, move |g| {
-            let rank = sc.rank();
-            let weighted = g.mul(&sc);
-            let sum = weighted.sum_axis(rank - 1, true);
-            g.sub(&sum).mul(&sc)
+        self.unary(self.value.softmax_last(), |s| {
+            let s = s.clone();
+            move |g| {
+                let weighted = g.mul(&s);
+                let sum = weighted.sum_axis(s.rank() - 1, true);
+                g.sub(&sum).mul(&s)
+            }
         })
     }
 
@@ -395,29 +453,34 @@ impl Var {
 
     /// Reshape to new dimensions (same element count).
     pub fn reshape(&self, dims: &[usize]) -> Var {
-        let old = self.dims();
-        self.unary(self.value().reshape(dims), move |g| g.reshape(&old))
+        self.unary(self.value.reshape(dims), |_| {
+            let old = self.dims();
+            move |g| g.reshape(&old)
+        })
     }
 
     /// Permutes dimensions.
     pub fn permute(&self, perm: &[usize]) -> Var {
-        let perm_v = perm.to_vec();
-        let mut inverse = vec![0usize; perm.len()];
-        for (i, &p) in perm.iter().enumerate() {
-            inverse[p] = i;
-        }
-        self.unary(self.value().permute(&perm_v), move |g| g.permute(&inverse))
+        self.unary(self.value.permute(perm), |_| {
+            let mut inverse = vec![0usize; perm.len()];
+            for (i, &p) in perm.iter().enumerate() {
+                inverse[p] = i;
+            }
+            move |g| g.permute(&inverse)
+        })
     }
 
     /// Slices the half-open range `[start, end)` along `axis`.
     pub fn slice_axis(&self, axis: usize, start: usize, end: usize) -> Var {
-        let dims = self.dims();
-        self.unary(self.value().slice_axis(axis, start, end), move |g| {
-            // Embed the gradient back into a zero tensor of the input shape.
-            let mut full = Tensor::zeros(&dims);
-            let indices: Vec<usize> = (start..end).collect();
-            full.index_assign(axis, &indices, g);
-            full
+        self.unary(self.value.slice_axis(axis, start, end), |_| {
+            let dims = self.dims();
+            move |g| {
+                // Embed the gradient back into a zero tensor of the input shape.
+                let mut full = Tensor::zeros(&dims);
+                let indices: Vec<usize> = (start..end).collect();
+                full.index_assign(axis, &indices, g);
+                full
+            }
         })
     }
 
@@ -427,34 +490,36 @@ impl Var {
 
     /// Sum of all elements as a scalar variable.
     pub fn sum(&self) -> Var {
-        let dims = self.dims();
-        self.unary(Tensor::scalar(self.value().sum()), move |g| {
-            Tensor::full(&dims, g.item())
+        self.unary(Tensor::scalar(self.value.sum()), |_| {
+            let dims = self.dims();
+            move |g| Tensor::full(&dims, g.item())
         })
     }
 
     /// Mean of all elements as a scalar variable.
     pub fn mean(&self) -> Var {
-        let dims = self.dims();
-        let n: usize = dims.iter().product();
-        self.unary(Tensor::scalar(self.value().mean()), move |g| {
-            Tensor::full(&dims, g.item() / n as f32)
+        self.unary(Tensor::scalar(self.value.mean()), |_| {
+            let dims = self.dims();
+            let n = self.numel();
+            move |g| Tensor::full(&dims, g.item() / n as f32)
         })
     }
 
     /// Sum along one axis.
     pub fn sum_axis(&self, axis: usize, keepdim: bool) -> Var {
-        let dims = self.dims();
-        self.unary(self.value().sum_axis(axis, keepdim), move |g| {
-            let g = if keepdim {
-                g.clone()
-            } else {
-                // Reinsert the reduced axis so broadcasting works.
-                let mut d = g.dims().to_vec();
-                d.insert(axis, 1);
-                g.reshape(&d)
-            };
-            g.broadcast_to(&dims)
+        self.unary(self.value.sum_axis(axis, keepdim), |_| {
+            let dims = self.dims();
+            move |g| {
+                let g = if keepdim {
+                    g.clone()
+                } else {
+                    // Reinsert the reduced axis so broadcasting works.
+                    let mut d = g.dims().to_vec();
+                    d.insert(axis, 1);
+                    g.reshape(&d)
+                };
+                g.broadcast_to(&dims)
+            }
         })
     }
 
@@ -471,35 +536,30 @@ impl Var {
     /// Matrix multiplication (rank-2×2 or batched rank-3×3, with batch
     /// broadcasting of a singleton batch).
     pub fn matmul(&self, other: &Var) -> Var {
-        let a = self.value();
-        let b = other.value();
-        let value = a.matmul(&b);
-        let (ac, bc) = (a.clone(), b.clone());
-        match (a.rank(), b.rank()) {
-            (2, 2) => self.binary(other, value, move |g| {
-                let ga = g.matmul(&bc.transpose2());
-                let gb = ac.transpose2().matmul(g);
-                (ga, gb)
-            }),
-            (3, 3) => {
-                let (ba, bb) = (a.dim(0), b.dim(0));
-                self.binary(other, value, move |g| {
-                    let bt = bc.permute(&[0, 2, 1]);
-                    let at = ac.permute(&[0, 2, 1]);
-                    let mut ga = g.matmul(&bt);
-                    let mut gb = at.matmul(g);
-                    // Undo batch broadcasting.
-                    if ba == 1 && ga.dim(0) != 1 {
-                        ga = ga.sum_axis(0, true);
-                    }
-                    if bb == 1 && gb.dim(0) != 1 {
-                        gb = gb.sum_axis(0, true);
-                    }
-                    (ga, gb)
-                })
-            }
+        let (a, b) = (&self.value, &other.value);
+        let batched = match (a.rank(), b.rank()) {
+            (2, 2) => false,
+            (3, 3) => true,
             (ra, rb) => panic!("matmul supports rank 2×2 or 3×3, got {ra}×{rb}"),
-        }
+        };
+        self.binary(other, a.matmul(b), || {
+            let (a, b) = (a.clone(), b.clone());
+            move |g| {
+                if !batched {
+                    return (g.matmul(&b.transpose2()), a.transpose2().matmul(g));
+                }
+                let mut ga = g.matmul(&b.permute(&[0, 2, 1]));
+                let mut gb = a.permute(&[0, 2, 1]).matmul(g);
+                // Undo batch broadcasting.
+                if a.dim(0) == 1 && ga.dim(0) != 1 {
+                    ga = ga.sum_axis(0, true);
+                }
+                if b.dim(0) == 1 && gb.dim(0) != 1 {
+                    gb = gb.sum_axis(0, true);
+                }
+                (ga, gb)
+            }
+        })
     }
 
     // ------------------------------------------------------------------
@@ -509,47 +569,27 @@ impl Var {
     /// 2-D convolution (NCHW input, `[out_c, in_c, kh, kw]` weight, optional
     /// bias of length `out_c`).
     pub fn conv2d(&self, weight: &Var, bias: Option<&Var>, geom: Conv2dGeometry) -> Var {
-        let x = self.value();
-        let w = weight.value();
-        let (b, c, h, wd) = nchw(&x);
-        let out_c = w.dim(0);
-        let (oh, ow) = geom.output_size(h, wd);
-        let k = c * geom.kh * geom.kw;
-        let n = oh * ow;
-        let cols = im2col(&x, geom); // [b, k, n]
-        let wmat = w.reshape(&[out_c, k]);
-        let mut out = vec![0.0f32; b * out_c * n];
-        for bi in 0..b {
-            let colb = &cols.data()[bi * k * n..(bi + 1) * k * n];
-            matmul_block(
-                wmat.data(),
-                colb,
-                &mut out[bi * out_c * n..(bi + 1) * out_c * n],
-                out_c,
-                k,
-                n,
-            );
-        }
-        let mut value = Tensor::from_vec(out, &[b, out_c, oh, ow]);
-        if let Some(bias) = bias {
-            let bvec = bias.value();
-            value = value.add(&bvec.reshape(&[1, out_c, 1, 1]));
-        }
-
-        let cols_saved = cols;
-        let w_saved = w.clone();
-        let geom_saved = geom;
-        let weight_dims = w.dims().to_vec();
-        let (input_h, input_w) = (h, wd);
-        let mut parents = vec![self.id, weight.id];
-        if let Some(bv) = bias {
-            parents.push(bv.id);
-        }
-        let has_bias = bias.is_some();
-        self.tape.push(Node {
-            value,
-            parents,
-            backward: Some(Box::new(move |g: &Tensor| {
+        let (x, w) = (&self.value, &weight.value);
+        let bias_value = bias.map(|b| b.tensor());
+        let (_, _, input_h, input_w) = nchw(x);
+        // The unfolded columns are batch-sized; only a backward pass needs
+        // them kept, so only a recording tape builds them whole.
+        let cols = self.tape.graph.recording.then(|| im2col(x, geom));
+        let value = match &cols {
+            Some(cols) => {
+                let out_hw = geom.output_size(input_h, input_w);
+                conv2d_from_cols(cols, w, bias_value, out_hw)
+            }
+            None => conv2d(x, w, bias_value, geom),
+        };
+        self.tape.push(value, |_| {
+            let cols_saved = cols.expect("a recording tape unfolds the columns");
+            let w_saved = w.clone();
+            let mut parents = vec![self.id, weight.id];
+            parents.extend(bias.map(|b| b.id));
+            let has_bias = bias.is_some();
+            let backward = move |g: &Tensor| {
+                let weight_dims = w_saved.dims();
                 let gb_dims = g.dims();
                 let (bsz, oc, goh, gow) = (gb_dims[0], gb_dims[1], gb_dims[2], gb_dims[3]);
                 let n = goh * gow;
@@ -587,83 +627,81 @@ impl Var {
                     );
                 }
                 let gcols_t = Tensor::from_vec(gcols, &[bsz, k, n]);
-                let gx = col2im(&gcols_t, geom_saved, weight_dims[1], input_h, input_w);
-                let gw_t = Tensor::from_vec(gw, &weight_dims);
+                let gx = col2im(&gcols_t, geom, weight_dims[1], input_h, input_w);
+                let gw_t = Tensor::from_vec(gw, weight_dims);
                 let mut grads = vec![gx, gw_t];
                 if has_bias {
                     let gbias = g.sum_axis(3, false).sum_axis(2, false).sum_axis(0, false);
                     grads.push(gbias);
                 }
                 grads
-            })),
-            param: None,
+            };
+            Node {
+                parents,
+                backward: Some(Box::new(backward)),
+                param: None,
+            }
         })
     }
 
     /// Group normalisation over an NCHW tensor with affine parameters
     /// `gamma`/`beta` of length `C`.
     pub fn group_norm(&self, groups: usize, gamma: &Var, beta: &Var, eps: f32) -> Var {
-        let x = self.value();
-        let (b, c, h, w) = nchw(&x);
+        let x = &self.value;
+        let (b, c, h, w) = nchw(x);
         assert!(
             c % groups == 0,
             "channels {c} not divisible by groups {groups}"
         );
         let cg = c / groups;
-        let group_elems = cg * h * w;
-        let gamma_v = gamma.value();
-        let beta_v = beta.value();
+        let hw = h * w;
+        let (gamma_v, beta_v) = (&gamma.value, &beta.value);
         assert_eq!(gamma_v.numel(), c, "gamma length must equal channels");
         assert_eq!(beta_v.numel(), c, "beta length must equal channels");
 
-        // Forward: per (batch, group) statistics.
-        let mut xhat = vec![0.0f32; x.numel()];
+        // Forward: per (batch, group) statistics in f64, then normalise and
+        // apply the affine in one pass (two f32 roundings: `x̂·γ`, then `+β`).
+        // The normalised activations are kept only for a backward pass.
+        let recording = self.tape.graph.recording;
+        let mut value = vec![0.0f32; x.numel()];
+        let mut xhat = vec![0.0f32; if recording { x.numel() } else { 0 }];
         let mut inv_std = vec![0.0f32; b * groups];
-        let src = x.data();
-        for bi in 0..b {
-            for gi in 0..groups {
-                let start_c = gi * cg;
-                let mut mean = 0.0f64;
-                for ci in start_c..start_c + cg {
-                    for i in 0..h * w {
-                        mean += src[((bi * c + ci) * h * w) + i] as f64;
-                    }
+        for (bg, group) in x.data().chunks_exact(cg * hw).enumerate() {
+            let mut mean = 0.0f64;
+            for &v in group {
+                mean += v as f64;
+            }
+            mean /= group.len() as f64;
+            let mut var = 0.0f64;
+            for &v in group {
+                let d = v as f64 - mean;
+                var += d * d;
+            }
+            var /= group.len() as f64;
+            let istd = 1.0 / (var + eps as f64).sqrt();
+            inv_std[bg] = istd as f32;
+            let normalise = move |v: f32| ((v as f64 - mean) * istd) as f32;
+            let first_c = bg % groups * cg;
+            for (ci, plane) in group.chunks_exact(hw).enumerate() {
+                let start = bg * cg * hw + ci * hw;
+                let (g, bt) = (gamma_v.data()[first_c + ci], beta_v.data()[first_c + ci]);
+                for (o, &v) in value[start..start + hw].iter_mut().zip(plane) {
+                    *o = normalise(v) * g + bt;
                 }
-                mean /= group_elems as f64;
-                let mut var = 0.0f64;
-                for ci in start_c..start_c + cg {
-                    for i in 0..h * w {
-                        let d = src[((bi * c + ci) * h * w) + i] as f64 - mean;
-                        var += d * d;
-                    }
-                }
-                var /= group_elems as f64;
-                let istd = 1.0 / (var + eps as f64).sqrt();
-                inv_std[bi * groups + gi] = istd as f32;
-                for ci in start_c..start_c + cg {
-                    for i in 0..h * w {
-                        let idx = ((bi * c + ci) * h * w) + i;
-                        xhat[idx] = ((src[idx] as f64 - mean) * istd) as f32;
+                if recording {
+                    for (o, &v) in xhat[start..start + hw].iter_mut().zip(plane) {
+                        *o = normalise(v);
                     }
                 }
             }
         }
-        let xhat_t = Tensor::from_vec(xhat, &[b, c, h, w]);
-        let value = xhat_t
-            .mul(&gamma_v.reshape(&[1, c, 1, 1]))
-            .add(&beta_v.reshape(&[1, c, 1, 1]));
+        let value = Tensor::from_vec(value, &[b, c, h, w]);
 
-        let xhat_saved = xhat_t;
-        let gamma_saved = gamma_v;
-        let inv_std_saved = inv_std;
-        self.tape.push(Node {
-            value,
-            parents: vec![self.id, gamma.id, beta.id],
-            backward: Some(Box::new(move |g: &Tensor| {
-                let dims = g.dims();
-                let (b, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-                let cg = c / (inv_std_saved.len() / b);
-                let groups = c / cg;
+        self.tape.push(value, |_| {
+            let xhat_saved = Tensor::from_vec(xhat, &[b, c, h, w]);
+            let gamma_saved = gamma_v.clone();
+            let inv_std_saved = inv_std;
+            let backward = move |g: &Tensor| {
                 let group_elems = (cg * h * w) as f32;
                 // Affine parameter gradients.
                 let gxhat = g.mul(&gamma_saved.reshape(&[1, c, 1, 1]));
@@ -706,23 +744,28 @@ impl Var {
                     dgamma.reshape(gamma_saved.dims()),
                     dbeta.reshape(gamma_saved.dims()),
                 ]
-            })),
-            param: None,
+            };
+            Node {
+                parents: vec![self.id, gamma.id, beta.id],
+                backward: Some(Box::new(backward)),
+                param: None,
+            }
         })
     }
 
     /// Average pooling with a square window.
     pub fn avg_pool2d(&self, k: usize) -> Var {
-        let x = self.value();
-        let (_, _, h, w) = nchw(&x);
-        self.unary(avg_pool2d(&x, k), move |g| avg_pool2d_backward(g, k, h, w))
+        let x = &self.value;
+        let (_, _, h, w) = nchw(x);
+        self.unary(avg_pool2d(x, k), |_| {
+            move |g| avg_pool2d_backward(g, k, h, w)
+        })
     }
 
     /// Nearest-neighbour upsampling by an integer factor.
     pub fn upsample_nearest2d(&self, factor: usize) -> Var {
-        let x = self.value();
-        self.unary(upsample_nearest2d(&x, factor), move |g| {
-            upsample_nearest2d_backward(g, factor)
+        self.unary(upsample_nearest2d(&self.value, factor), |_| {
+            move |g| upsample_nearest2d_backward(g, factor)
         })
     }
 
@@ -735,10 +778,17 @@ impl Var {
     ///
     /// Returns the gradient of each tape node so callers (and tests) can
     /// inspect gradients of non-parameter leaves: `grads[var.id()]`.
+    ///
+    /// # Panics
+    /// Panics on a [`Tape::inference`] tape, which kept no graph to walk.
     pub fn backward(&self) -> Vec<Option<Tensor>> {
-        let nodes = self.tape.nodes.borrow();
+        assert!(
+            self.tape.graph.recording,
+            "backward() on a non-recording tape: Tape::inference() keeps no graph, use Tape::new()"
+        );
+        let nodes = self.tape.graph.nodes.borrow();
         let mut grads: Vec<Option<Tensor>> = vec![None; nodes.len()];
-        let seed = Tensor::full(nodes[self.id].value.dims(), 1.0);
+        let seed = Tensor::full(self.value.dims(), 1.0);
         grads[self.id] = Some(seed);
         for id in (0..=self.id).rev() {
             let Some(grad) = grads[id].clone() else {

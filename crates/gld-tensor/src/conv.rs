@@ -111,34 +111,60 @@ pub fn im2col(x: &Tensor, geom: Conv2dGeometry) -> Tensor {
     let (oh, ow) = geom.output_size(h, w);
     let cols = c * geom.kh * geom.kw;
     let mut out = vec![0.0f32; b * cols * oh * ow];
-    let src = x.data();
-    let pad = geom.pad as isize;
     out.par_chunks_mut(cols * oh * ow)
-        .enumerate()
-        .for_each(|(bi, chunk)| {
-            for ci in 0..c {
-                for khi in 0..geom.kh {
-                    for kwi in 0..geom.kw {
-                        let row = (ci * geom.kh + khi) * geom.kw + kwi;
-                        for ohi in 0..oh {
-                            let ih = (ohi * geom.stride) as isize + khi as isize - pad;
-                            for owi in 0..ow {
-                                let iw = (owi * geom.stride) as isize + kwi as isize - pad;
-                                let v =
-                                    if ih >= 0 && iw >= 0 && (ih as usize) < h && (iw as usize) < w
-                                    {
-                                        src[((bi * c + ci) * h + ih as usize) * w + iw as usize]
-                                    } else {
-                                        0.0
-                                    };
-                                chunk[row * oh * ow + ohi * ow + owi] = v;
-                            }
-                        }
-                    }
+        .zip(x.data().par_chunks(c * h * w))
+        .for_each(|(chunk, image)| im2col_image(image, (h, w), geom, chunk));
+    Tensor::from_vec(out, &[b, cols, oh * ow])
+}
+
+/// [`im2col`] of one `[c, h, w]` image into `out` (`[c*kh*kw, oh*ow]`; `c` is
+/// implied by the lengths).  Every element of `out` is written: the in-bounds
+/// block of each plane by slice copies, the padding around it with zeros.
+fn im2col_image(image: &[f32], (h, w): (usize, usize), geom: Conv2dGeometry, out: &mut [f32]) {
+    let Conv2dGeometry {
+        kh,
+        kw,
+        stride,
+        pad,
+    } = geom;
+    let (oh, ow) = geom.output_size(h, w);
+    // Output positions `o` in `0..out` whose input position `o*stride + k - pad`
+    // is in `0..extent`, as a half-open range.
+    let in_bounds = |out: usize, extent: usize, k: usize| {
+        let lo = pad.saturating_sub(k).div_ceil(stride).min(out);
+        let hi = (extent + pad).saturating_sub(k).div_ceil(stride);
+        (lo, hi.clamp(lo, out))
+    };
+    for (row, plane) in out.chunks_exact_mut(oh * ow).enumerate() {
+        let (ci, khi, kwi) = (row / (kh * kw), row / kw % kh, row % kw);
+        let (top, bottom) = in_bounds(oh, h, khi);
+        let (lo, hi) = in_bounds(ow, w, kwi);
+        if top == bottom || lo == hi {
+            plane.fill(0.0);
+            continue;
+        }
+        let src = &image[ci * h * w..][..h * w];
+        let first = (top * stride + khi - pad) * w + lo * stride + kwi - pad;
+        if stride == 1 && ow == w {
+            // The plane is the image shifted: one copy spans every in-bounds
+            // row.  What it drags across the row ends is zeroed below.
+            let (start, end) = (top * ow + lo, (bottom - 1) * ow + hi);
+            plane[start..end].copy_from_slice(&src[first..][..end - start]);
+        } else {
+            let lines = plane[top * ow..bottom * ow].chunks_exact_mut(ow);
+            for (line, from) in lines.zip(src[first..].chunks(stride * w)) {
+                for (v, &s) in line[lo..hi].iter_mut().zip(from.iter().step_by(stride)) {
+                    *v = s;
                 }
             }
-        });
-    Tensor::from_vec(out, &[b, cols, oh * ow])
+        }
+        plane[..top * ow].fill(0.0);
+        plane[bottom * ow..].fill(0.0);
+        for line in plane[top * ow..bottom * ow].chunks_exact_mut(ow) {
+            line[..lo].fill(0.0);
+            line[hi..].fill(0.0);
+        }
+    }
 }
 
 /// Folds column form back into an NCHW tensor, accumulating overlaps.
@@ -185,9 +211,9 @@ pub fn col2im(cols: &Tensor, geom: Conv2dGeometry, c: usize, h: usize, w: usize)
     Tensor::from_vec(out, &[b, c, h, w])
 }
 
-/// Reference convolution: NCHW input, `[out_c, in_c, kh, kw]` weight, bias of
-/// length `out_c`.  Implemented via im2col + matmul; this is both the
-/// production path used by `gld-nn` and the reference for its tests.
+/// Convolution: NCHW input, `[out_c, in_c, kh, kw]` weight, bias of length
+/// `out_c`.  Each image is unfolded into a cache-sized scratch and multiplied
+/// at once; nothing of batch size is materialised besides the output.
 pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, geom: Conv2dGeometry) -> Tensor {
     let (b, c, h, w) = nchw(x);
     assert_eq!(
@@ -200,26 +226,55 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, geom: Conv2dGe
     assert_eq!(weight.dim(2), geom.kh, "conv2d kernel height mismatch");
     assert_eq!(weight.dim(3), geom.kw, "conv2d kernel width mismatch");
     let (oh, ow) = geom.output_size(h, w);
-    let cols = im2col(x, geom); // [b, c*kh*kw, oh*ow]
-    let k = c * geom.kh * geom.kw;
-    let n = oh * ow;
-    let wmat = weight.reshape(&[out_c, k]);
+    let (k, n) = (c * geom.kh * geom.kw, oh * ow);
     let mut out = vec![0.0f32; b * out_c * n];
     out.par_chunks_mut(out_c * n)
-        .enumerate()
-        .for_each(|(bi, chunk)| {
-            let colb = &cols.data()[bi * k * n..(bi + 1) * k * n];
-            matmul_block(wmat.data(), colb, chunk, out_c, k, n);
-            if let Some(bias) = bias {
-                for oc in 0..out_c {
-                    let bv = bias.data()[oc];
-                    for v in chunk[oc * n..(oc + 1) * n].iter_mut() {
-                        *v += bv;
-                    }
-                }
-            }
+        .zip(x.data().par_chunks(c * h * w))
+        .for_each(|(chunk, image)| {
+            let mut cols = vec![0.0f32; k * n];
+            im2col_image(image, (h, w), geom, &mut cols);
+            matmul_bias(weight.data(), &cols, bias, chunk, (out_c, k, n));
         });
     Tensor::from_vec(out, &[b, out_c, oh, ow])
+}
+
+/// [`conv2d`] from columns already unfolded by [`im2col`] (`[b, k, n]`) —
+/// the form the autograd layer uses when it keeps the columns for the
+/// backward pass.  `out_hw` is the output's spatial size, `oh * ow == n`.
+pub fn conv2d_from_cols(
+    cols: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    out_hw: (usize, usize),
+) -> Tensor {
+    let (b, k, n) = (cols.dim(0), cols.dim(1), cols.dim(2));
+    let out_c = weight.dim(0);
+    assert_eq!(weight.numel(), out_c * k, "conv2d weight/columns mismatch");
+    assert_eq!(out_hw.0 * out_hw.1, n, "conv2d output size mismatch");
+    let mut out = vec![0.0f32; b * out_c * n];
+    out.par_chunks_mut(out_c * n)
+        .zip(cols.data().par_chunks(k * n))
+        .for_each(|(chunk, colb)| matmul_bias(weight.data(), colb, bias, chunk, (out_c, k, n)));
+    Tensor::from_vec(out, &[b, out_c, out_hw.0, out_hw.1])
+}
+
+/// `out = w · cols`, then the bias added per output row while the row is
+/// still in cache (one rounding, as a separate broadcasting add would do).
+fn matmul_bias(
+    w: &[f32],
+    cols: &[f32],
+    bias: Option<&Tensor>,
+    out: &mut [f32],
+    (m, k, n): (usize, usize, usize),
+) {
+    matmul_block(w, cols, out, m, k, n);
+    if let Some(bias) = bias {
+        for (row, &bv) in out.chunks_exact_mut(n).zip(bias.data()) {
+            for v in row {
+                *v += bv;
+            }
+        }
+    }
 }
 
 /// Splits an NCHW shape into its four extents.

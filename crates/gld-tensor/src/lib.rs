@@ -29,6 +29,8 @@
 
 pub mod conv;
 pub mod eig;
+#[cfg(test)]
+mod naive;
 pub mod ops;
 pub mod pool;
 pub mod random;

@@ -117,11 +117,18 @@ impl Tensor {
     ///
     /// The input is interpreted as a batch of rows; each row is normalised
     /// independently with the usual max-subtraction trick for stability.
+    ///
+    /// A peaked row (attention over a trained network) is mostly tail:
+    /// exponentials that underflow to zero or land among the subnormals,
+    /// where both `exp` and the multiply by `1/sum` run ~100x slower than on
+    /// normal numbers.  Both are stepped around without changing a bit: a
+    /// difference below -104 is not sent to `exp` (`e⁻¹⁰⁴ < 2⁻¹⁵⁰` rounds to
+    /// zero), and a subnormal exponential is scaled in integer units of
+    /// 2⁻¹⁴⁹ (`scale_subnormal` below).
     pub fn softmax_last(&self) -> Tensor {
         let dims = self.dims().to_vec();
         assert!(!dims.is_empty(), "softmax requires rank >= 1");
         let row = *dims.last().unwrap();
-        let rows = self.numel() / row;
         let mut out = vec![0.0f32; self.numel()];
         out.par_chunks_mut(row)
             .zip(self.data().par_chunks(row))
@@ -129,16 +136,22 @@ impl Tensor {
                 let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
                 let mut sum = 0.0f32;
                 for (oi, &xi) in o.iter_mut().zip(x.iter()) {
-                    let e = (xi - m).exp();
+                    let d = xi - m;
+                    let e = if d < -104.0 { 0.0 } else { d.exp() };
                     *oi = e;
                     sum += e;
                 }
                 let inv = 1.0 / sum;
+                // `sum ≥ e⁰ = 1`, so `inv ≤ 1`; anything else is a NaN row.
+                let by_units = inv <= 1.0;
                 for oi in o.iter_mut() {
-                    *oi *= inv;
+                    *oi = if by_units && oi.to_bits() < f32::MIN_POSITIVE.to_bits() {
+                        scale_subnormal(*oi, inv)
+                    } else {
+                        *oi * inv
+                    };
                 }
             });
-        debug_assert_eq!(rows * row, self.numel());
         Tensor::from_vec(out, &dims)
     }
 
@@ -211,6 +224,18 @@ impl Tensor {
     pub fn denormalize_mean_range(&self, mean: f32, range: f32) -> Tensor {
         self.map(move |x| x * range + mean)
     }
+}
+
+/// `e · inv` for a non-negative zero or subnormal `e` and `0 < inv ≤ 1`,
+/// rounded as the `f32` multiply rounds it, without subnormal arithmetic:
+/// the bit pattern of `e` is its value in units of 2⁻¹⁴⁹, the product of
+/// that count and `inv` is exact in `f64`, and adding then subtracting
+/// 1.5·2⁵² rounds it to a whole count, ties to even — the bit pattern of the
+/// result.
+fn scale_subnormal(e: f32, inv: f32) -> f32 {
+    const TO_INTEGER: f64 = 1.5 * (1u64 << 52) as f64;
+    let units = e.to_bits() as f64 * inv as f64;
+    f32::from_bits(((units + TO_INTEGER) - TO_INTEGER) as u32)
 }
 
 #[cfg(test)]

@@ -150,6 +150,87 @@ pub fn broadcast_shapes(a: &Shape, b: &Shape) -> Option<Shape> {
     Some(Shape(out))
 }
 
+/// Row-major strides of `src` aligned to the trailing axes of a rank
+/// `out_rank` output, with stride 0 on every axis `src` broadcasts along
+/// (extent 1, or missing on the left).
+pub(crate) fn broadcast_strides(src: &Shape, out_rank: usize) -> Vec<usize> {
+    let mut strides = vec![0usize; out_rank - src.rank()];
+    strides.extend(
+        src.strides()
+            .iter()
+            .zip(src.dims())
+            .map(|(&s, &d)| if d == 1 { 0 } else { s }),
+    );
+    strides
+}
+
+/// A walk over a contiguous row-major output and `N` strided sources, cut
+/// into runs along the innermost axis.
+///
+/// Extent-1 axes are dropped and adjacent axes every source steps through
+/// uniformly are merged, so a channel broadcast, a row broadcast and a
+/// transpose all come out as a handful of outer axes around one long inner
+/// run — no per-element index arithmetic.
+pub(crate) struct RunWalk<const N: usize> {
+    /// `(extent, stride per source)` of the outer axes, outermost first.
+    outer: Vec<(usize, [usize; N])>,
+    /// Length of one run (the innermost merged axis).
+    pub run: usize,
+    /// Stride of each source along a run.
+    pub step: [usize; N],
+}
+
+impl<const N: usize> RunWalk<N> {
+    /// Plans the walk over an output of `out_dims`; `strides[n][axis]` is
+    /// source `n`'s stride along output axis `axis`.
+    pub fn new(out_dims: &[usize], strides: [&[usize]; N]) -> Self {
+        let mut axes: Vec<(usize, [usize; N])> = Vec::with_capacity(out_dims.len());
+        for (axis, &extent) in out_dims.iter().enumerate() {
+            if extent == 1 {
+                continue;
+            }
+            let s: [usize; N] = std::array::from_fn(|n| strides[n][axis]);
+            match axes.last_mut() {
+                Some((outer_extent, outer)) if (0..N).all(|n| outer[n] == s[n] * extent) => {
+                    *outer_extent *= extent;
+                    *outer = s;
+                }
+                _ => axes.push((extent, s)),
+            }
+        }
+        let (run, step) = axes.pop().unwrap_or((1, [0; N]));
+        RunWalk {
+            outer: axes,
+            run,
+            step,
+        }
+    }
+
+    /// Calls `f(out_offset, source_offsets)` once per run, in output order.
+    pub fn for_each_run(&self, mut f: impl FnMut(usize, [usize; N])) {
+        let runs: usize = self.outer.iter().map(|&(extent, _)| extent).product();
+        let mut index = vec![0usize; self.outer.len()];
+        let mut src = [0usize; N];
+        for r in 0..runs {
+            f(r * self.run, src);
+            // Advance the odometer, keeping the source offsets in step.
+            for (i, &(extent, strides)) in index.iter_mut().zip(&self.outer).rev() {
+                *i += 1;
+                for n in 0..N {
+                    src[n] += strides[n];
+                }
+                if *i < extent {
+                    break;
+                }
+                *i = 0;
+                for n in 0..N {
+                    src[n] -= strides[n] * extent;
+                }
+            }
+        }
+    }
+}
+
 /// Iterator over all multi-dimensional indices of a shape in row-major order.
 pub struct IndexIter {
     dims: Vec<usize>,

@@ -2,7 +2,7 @@
 //! arithmetic (broadcast element-wise ops, batched matmul, reshaping,
 //! slicing and concatenation).
 
-use crate::shape::{broadcast_shapes, Shape};
+use crate::shape::{broadcast_shapes, broadcast_strides, RunWalk, Shape};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -201,24 +201,30 @@ impl Tensor {
         let old_dims = self.dims();
         let new_dims: Vec<usize> = perm.iter().map(|&p| old_dims[p]).collect();
         let old_strides = self.shape.strides();
-        let new_shape = Shape::new(&new_dims);
-        let mut out = vec![0.0f32; self.numel()];
-        let new_strides = new_shape.strides();
-        // For each output element compute the source offset.
-        out.par_iter_mut().enumerate().for_each(|(flat, v)| {
-            let mut rem = flat;
-            let mut src = 0usize;
-            for axis in 0..new_dims.len() {
-                let coord = rem / new_strides[axis];
-                rem %= new_strides[axis];
-                src += coord * old_strides[perm[axis]];
+        let strides: Vec<usize> = perm.iter().map(|&p| old_strides[p]).collect();
+        Tensor::from_vec(self.strided_copy(&new_dims, &strides), &new_dims)
+    }
+
+    /// The elements of a `dims`-shaped view of the data whose axis `i` has
+    /// stride `strides[i]` (0 to repeat), in row-major order: contiguous
+    /// runs are copied, repeated ones filled, the rest gathered.
+    fn strided_copy(&self, dims: &[usize], strides: &[usize]) -> Vec<f32> {
+        let walk = RunWalk::new(dims, [strides]);
+        let (run, step) = (walk.run, walk.step[0]);
+        let mut out = vec![0.0f32; dims.iter().product()];
+        walk.for_each_run(|o, [s]| {
+            let dst = &mut out[o..o + run];
+            match step {
+                0 => dst.fill(self.data[s]),
+                1 => dst.copy_from_slice(&self.data[s..s + run]),
+                _ => {
+                    for (j, v) in dst.iter_mut().enumerate() {
+                        *v = self.data[s + j * step];
+                    }
+                }
             }
-            *v = self.data[src];
         });
-        Tensor {
-            shape: new_shape,
-            data: out,
-        }
+        out
     }
 
     /// Transposes a rank-2 tensor.
@@ -367,29 +373,10 @@ impl Tensor {
             "broadcast_to target {target} is smaller than source {}",
             self.shape
         );
-        let src_dims = self.dims();
-        let src_strides = self.shape.strides();
-        let out_strides = target.strides();
-        let rank = target.rank();
-        let offset = rank - self.rank();
-        let mut out = vec![0.0f32; target.numel()];
-        out.par_iter_mut().enumerate().for_each(|(flat, v)| {
-            let mut rem = flat;
-            let mut src = 0usize;
-            for (axis, &stride) in out_strides.iter().enumerate().take(rank) {
-                let coord = rem / stride;
-                rem %= stride;
-                if axis >= offset {
-                    let saxis = axis - offset;
-                    let c = if src_dims[saxis] == 1 { 0 } else { coord };
-                    src += c * src_strides[saxis];
-                }
-            }
-            *v = self.data[src];
-        });
+        let strides = broadcast_strides(&self.shape, target.rank());
         Tensor {
+            data: self.strided_copy(dims, &strides),
             shape: target,
-            data: out,
         }
     }
 
@@ -431,12 +418,38 @@ impl Tensor {
                 self.shape, other.shape
             )
         });
-        let a = self.broadcast_to(out_shape.dims());
-        let b = other.broadcast_to(out_shape.dims());
+        // Neither operand is materialised at the output shape: each run of
+        // the output reads its operands in place, stepping or holding still.
+        let rank = out_shape.rank();
+        let strides_a = broadcast_strides(&self.shape, rank);
+        let strides_b = broadcast_strides(&other.shape, rank);
+        let walk = RunWalk::new(out_shape.dims(), [&strides_a, &strides_b]);
+        let run = walk.run;
+        let (a, b) = (&self.data, &other.data);
         let mut data = vec![0.0f32; out_shape.numel()];
-        data.par_iter_mut()
-            .zip(a.data.par_iter().zip(b.data.par_iter()))
-            .for_each(|(o, (&x, &y))| *o = f(x, y));
+        walk.for_each_run(|o, [ia, ib]| {
+            let out = &mut data[o..o + run];
+            match walk.step {
+                [1, 1] => {
+                    for (o, (&x, &y)) in out.iter_mut().zip(a[ia..ia + run].iter().zip(&b[ib..])) {
+                        *o = f(x, y);
+                    }
+                }
+                [1, _] => {
+                    let y = b[ib];
+                    for (o, &x) in out.iter_mut().zip(&a[ia..ia + run]) {
+                        *o = f(x, y);
+                    }
+                }
+                [_, 1] => {
+                    let x = a[ia];
+                    for (o, &y) in out.iter_mut().zip(&b[ib..ib + run]) {
+                        *o = f(x, y);
+                    }
+                }
+                _ => out.fill(f(a[ia], b[ib])),
+            }
+        });
         Tensor {
             shape: out_shape,
             data,
@@ -566,12 +579,38 @@ impl Tensor {
 
 /// Dense `m×k · k×n` matrix multiply into a pre-allocated output slice.
 ///
-/// Uses an i-k-j loop order so the inner loop is a contiguous AXPY over the
-/// output row, which the compiler auto-vectorises.
+/// Every output element is the sum over `p = 0..k` of `a[i,p] · b[p,j]` in
+/// that order, each product and each partial sum rounded to `f32`, skipping
+/// terms whose `a[i,p]` is exactly zero — whichever loop order computes it,
+/// so results do not depend on the shape class.
 pub fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
+    match n {
+        0 | 8.. => matmul_ikj(a, b, out, m, k, n),
+        _ if k == 0 || !liftable(a, b, k) => matmul_ikj(a, b, out, m, k, n),
+        1 => matmul_thin::<1>(a, b, out, k),
+        2 => matmul_thin::<2>(a, b, out, k),
+        3 => matmul_thin::<3>(a, b, out, k),
+        4 => matmul_thin::<4>(a, b, out, k),
+        5 => matmul_thin::<5>(a, b, out, k),
+        6 => matmul_thin::<6>(a, b, out, k),
+        _ => matmul_thin::<7>(a, b, out, k),
+    }
+}
+
+/// Whether [`matmul_thin`] may run: it carries `a` and every partial sum
+/// times 2⁶⁴, and those must stay finite.
+fn liftable(a: &[f32], b: &[f32], k: usize) -> bool {
+    let max_abs = |x: &[f32]| x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+    let (a_max, b_max) = (max_abs(a), max_abs(b));
+    a_max <= LIFT_HEADROOM && k as f32 * a_max * b_max <= LIFT_HEADROOM
+}
+
+/// i-k-j loop order: the inner loop is a contiguous AXPY over the output
+/// row, which the compiler auto-vectorises when `n` is wide enough.
+fn matmul_ikj(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     out.fill(0.0);
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
@@ -586,6 +625,76 @@ pub fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
             }
         }
     }
+}
+
+/// `2^e` for a normal exponent.
+const fn pow2(e: i64) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
+}
+
+/// The factor [`matmul_thin`] lifts `a` (and so every term and sum) by.
+const LIFT: f32 = pow2(64) as f32;
+/// Lifted sums stay below `f32::MAX` while `k·max|a|·max|b|` is at most this.
+const LIFT_HEADROOM: f32 = pow2(62) as f32;
+/// Lifted, the smallest normal `f32` (2⁻¹²⁶) and the spacing of the
+/// subnormals below it (2⁻¹⁴⁹).
+const LIFTED_MIN_NORMAL: f32 = pow2(64 - 126) as f32;
+const LIFTED_SPACING: f32 = pow2(64 - 149) as f32;
+/// Adding then subtracting this rounds an `f64` below [`LIFTED_MIN_NORMAL`]
+/// to a multiple of [`LIFTED_SPACING`], to nearest and ties to even.
+const LIFTED_ROUNDER: f64 = 1.5 * pow2(52 + 64 - 149);
+
+/// Thin outputs (`N` narrower than a vector, e.g. attention's `[L,L]×[L,dh]`):
+/// the output row is unrolled, and carried times 2⁶⁴.
+///
+/// Softmax tails make most of attention's non-zero terms subnormal, and
+/// subnormal arithmetic is ~100x slower than normal.  Lifted, nothing is
+/// subnormal, and scaling by a power of two commutes with `f32` rounding
+/// except in one place: a product below 2⁻¹²⁶ is rounded to a multiple of
+/// 2⁻¹⁴⁹, not to 24 bits.  That rounding is applied by hand, so each product
+/// and each partial sum is the lifted image of the one [`matmul_ikj`]
+/// computes, and the result is bit-identical.
+fn matmul_thin<const N: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize) {
+    let (brows, _) = b.as_chunks::<N>();
+    let (orows, _) = out.as_chunks_mut::<N>();
+    for (arow, orow) in a.chunks_exact(k).zip(orows) {
+        let mut sums = [0.0f32; N];
+        for (&av, brow) in arow.iter().zip(brows) {
+            if av == 0.0 {
+                continue;
+            }
+            let av = lift(av);
+            let mut terms = brow.map(|bv| av * bv);
+            if terms.iter().any(|t| t.abs() < LIFTED_MIN_NORMAL) {
+                for (term, &bv) in terms.iter_mut().zip(brow) {
+                    if term.abs() < LIFTED_MIN_NORMAL {
+                        *term = lifted_subnormal_product(av, bv);
+                    }
+                }
+            }
+            for (sum, term) in sums.iter_mut().zip(terms) {
+                *sum += term;
+            }
+        }
+        *orow = sums.map(|sum| sum * (1.0 / LIFT));
+    }
+}
+
+/// `v · 2⁶⁴`, reading a subnormal `v` through its bit pattern
+/// (`mantissa · 2⁻¹⁴⁹`) rather than through slow subnormal arithmetic.
+fn lift(v: f32) -> f32 {
+    let bits = v.to_bits();
+    if bits & 0x7f80_0000 != 0 {
+        return v * LIFT;
+    }
+    ((bits & 0x007f_ffff) as f32 * LIFTED_SPACING).copysign(v)
+}
+
+/// The lifted image of a subnormal product: the exact product (`f64` holds
+/// it) rounded once, to a multiple of the lifted subnormal spacing.
+#[cold]
+fn lifted_subnormal_product(a: f32, b: f32) -> f32 {
+    ((a as f64 * b as f64 + LIFTED_ROUNDER) - LIFTED_ROUNDER) as f32
 }
 
 #[cfg(test)]

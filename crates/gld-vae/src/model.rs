@@ -209,13 +209,13 @@ impl Vae {
     }
 
     // ------------------------------------------------------------------
-    // Inference helpers (no gradient bookkeeping needed by callers)
+    // Inference helpers (non-recording tapes: same forward code, no graph)
     // ------------------------------------------------------------------
 
     /// Encodes frames and rounds the latents to integers (the real
     /// quantiser), returning `[B, L, H/4, W/4]`.
     pub fn quantize_latent(&self, frames: &Tensor) -> Tensor {
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let x = tape.constant(frames.clone());
         let mut y = self.encode(&tape, &x).value();
         y.round_inplace();
@@ -224,14 +224,14 @@ impl Vae {
 
     /// Decodes (possibly generated) quantised latents back to frames.
     pub fn decode_latent(&self, y_quantized: &Tensor) -> Tensor {
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let y = tape.constant(y_quantized.clone());
         self.decode(&tape, &y).value()
     }
 
     /// Quantises the hyper-latent for a given quantised latent.
     pub fn quantize_hyper(&self, y_quantized: &Tensor) -> Tensor {
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let y = tape.constant(y_quantized.clone());
         let mut z = self.hyper_encode(&tape, &y).value();
         z.round_inplace();
@@ -240,7 +240,7 @@ impl Vae {
 
     /// Predicts `(μ, σ)` for the latent from a quantised hyper-latent.
     pub fn predict_gaussian(&self, z_quantized: &Tensor) -> (Tensor, Tensor) {
-        let tape = Tape::new();
+        let tape = Tape::inference();
         let z = tape.constant(z_quantized.clone());
         let (mu, sigma) = self.hyper_decode(&tape, &z);
         (mu.value(), sigma.value())
