@@ -185,9 +185,15 @@ pub struct StreamConfig {
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
-            // Twice the worker count keeps every worker claimable while the
-            // collector drains, without letting memory balloon.
-            queue_depth: 2 * rayon::current_num_threads(),
+            // Two tickets per thread that compresses — the pool's workers
+            // *and* the helping collector — without letting memory balloon.
+            // Counting only the workers stalls a one-thread pool: whenever
+            // the collector finished block 0 before the worker finished
+            // block 1, the worker's next job found the window full and
+            // exited, and the collector compressed three blocks of four.
+            // Which way that race went changed an encode's wall time by a
+            // third from one call to the next.
+            queue_depth: 2 * (rayon::current_num_threads() + 1),
             workers: 0,
         }
     }

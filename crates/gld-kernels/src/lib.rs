@@ -3,8 +3,10 @@
 //! Runtime-dispatched CPU kernels for the per-block inner loops of the GLD
 //! compression stack: the SZ Lorenzo predict/quantise walk, the ZFP-like
 //! DCT tile transform and coefficient quantiser, the histogram model's
-//! decode-side bin search, and the `gld-lz` match finder's prefix scan and
-//! hash precomputation.
+//! decode-side bin search, the `gld-lz` match finder's prefix scan and
+//! hash precomputation, and the `f32` GEMM ([`KernelBackend::gemm_f32`])
+//! under every `gld-tensor` matrix product — `Linear`, `conv2d`, attention
+//! and the backward rules of the learned codec's networks.
 //!
 //! The design follows the device/backend split used by tensor frameworks:
 //! consumers call through the [`KernelBackend`] trait (or the convenience
@@ -31,6 +33,11 @@
 //!   without double rounding);
 //! * accumulation order in the DCT matches the scalar loop term by term,
 //!   including the leading `0.0 +` step (signed-zero behaviour);
+//! * the GEMM puts output columns (or, for outputs narrower than a vector,
+//!   output rows) in the lanes, so each lane runs the scalar loop over
+//!   `p = 0..k` in order, skips a zero `a[i,p]` as scalar does, and carries
+//!   thin outputs times 2⁶⁴ with the same hand rounding of products below
+//!   2⁻¹²⁶ (see `scalar::matmul_thin`);
 //! * comparisons use ordered (quiet) predicates so NaN propagates to the
 //!   same escape decisions as scalar.
 //!
@@ -143,6 +150,37 @@ pub trait KernelBackend: Send + Sync {
     fn hash4_batch(&self, input: &[u8], bits: u32, out: &mut [u32]) {
         scalar::hash4_batch(input, bits, out);
     }
+
+    /// Dense row-major `[m,k] · [k,n]` product into `out` (`[m,n]`): each
+    /// element is the sum over `p = 0..k`, in that order, of the products
+    /// `a[i,p] · b[p,j]` whose `a[i,p]` is not zero, every product and
+    /// partial sum rounded to `f32`.  `a_max`, when the caller has one, is
+    /// a bound on the magnitude of every finite element of `a` (it saves
+    /// the thin-output kernels a scan; the result does not depend on it).
+    ///
+    /// # Panics
+    /// Panics if a slice length does not match `dims`.
+    fn gemm_f32(
+        &self,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        dims: (usize, usize, usize),
+        a_max: Option<f32>,
+    ) {
+        check_gemm_dims(a, b, out, dims);
+        scalar::gemm_f32(a, b, out, dims, a_max);
+    }
+}
+
+fn check_gemm_dims(a: &[f32], b: &[f32], out: &[f32], (m, k, n): (usize, usize, usize)) {
+    assert!(
+        a.len() == m * k && b.len() == k * n && out.len() == m * n,
+        "gemm_f32: slices of {}, {} and {} elements are not [{m},{k}] x [{k},{n}] -> [{m},{n}]",
+        a.len(),
+        b.len(),
+        out.len()
+    );
 }
 
 /// Backend selector.  `Sse2`/`Avx2` exist on every platform so selection

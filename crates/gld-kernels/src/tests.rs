@@ -277,6 +277,127 @@ fn round_edge_cases_survive_quantisation() {
     }
 }
 
+/// GEMM operands by `class`: ordinary values; softmax-like rows (zeros,
+/// subnormals, tiny normals and probabilities, all within `[0, 1]`); both
+/// signs through the subnormal range; magnitudes that break the lifted
+/// kernels' headroom; and non-finite values.  Every class mixes in `±0`.
+fn gemm_operand(rng: &mut Rng, len: usize, class: u64) -> Vec<f32> {
+    (0..len)
+        .map(|_| {
+            let v = rng.f32();
+            let pick = rng.next_u64() % 16;
+            match (class, pick) {
+                (_, 0) => 0.0,
+                (_, 1) => -0.0,
+                (1, 2..=5) => f32::from_bits((rng.next_u64() % 0x0080_0000) as u32),
+                (1, 6..=8) => v.abs() * 1e-36,
+                (1, _) => v.abs(),
+                (2, _) => v * 2f32.powi(-(120 + (rng.next_u64() % 30) as i32)),
+                (3, 2..=4) => v * 1e30,
+                (3, 5) => v * 3e38,
+                (4, 2) => f32::INFINITY,
+                (4, 3) => f32::NEG_INFINITY,
+                (4, 4) => f32::NAN,
+                _ => v * 4.0,
+            }
+        })
+        .collect()
+}
+
+/// Bit patterns with every NaN mapped to one: which NaN an operation
+/// returns is not specified, that it is one is.
+fn nan_bits(values: &[f32]) -> Vec<u32> {
+    let canonical = |v: &f32| if v.is_nan() { f32::NAN } else { *v }.to_bits();
+    values.iter().map(canonical).collect()
+}
+
+/// The definition: `p` in order, zero `a[i,p]` skipped, nothing else.
+fn gemm_by_definition(a: &[f32], b: &[f32], (m, k, n): (usize, usize, usize)) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    for i in 0..m {
+        for p in (0..k).filter(|&p| a[i * k + p] != 0.0) {
+            for j in 0..n {
+                out[i * n + j] += a[i * k + p] * b[p * n + j];
+            }
+        }
+    }
+    out
+}
+
+/// Every backend, with and without a bound on `a`, against the definition.
+fn assert_gemm_backends_agree(dims: (usize, usize, usize), a_class: u64, b_class: u64, seed: u64) {
+    let (m, k, n) = dims;
+    let mut rng = Rng::new(seed);
+    let a = gemm_operand(&mut rng, m * k, a_class);
+    let b = gemm_operand(&mut rng, k * n, b_class);
+    let expected = nan_bits(&gemm_by_definition(&a, &b, dims));
+    // Class 1 keeps `a` within [0, 1], as attention's probabilities are.
+    let bounds = [None, Some(1.0)];
+    for a_max in &bounds[..if a_class == 1 { 2 } else { 1 }] {
+        for backend in available_backends() {
+            let mut out = vec![f32::NAN; m * n];
+            kernels_for(backend).gemm_f32(&a, &b, &mut out, dims, *a_max);
+            assert_eq!(
+                nan_bits(&out),
+                expected,
+                "{backend}: {dims:?}, classes {a_class}/{b_class}, seed {seed}, a_max {a_max:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn gemm_backends_are_bit_identical_on_every_small_shape() {
+    let mut seed = 0;
+    for m in 0..=20 {
+        for k in 0..=20 {
+            for n in 0..=20 {
+                for (a_class, b_class) in [
+                    (0, 0),
+                    (1, 0),
+                    (2, 2),
+                    (1, 2),
+                    (3, 0),
+                    (0, 3),
+                    (4, 0),
+                    (0, 4),
+                ] {
+                    seed += 1;
+                    assert_gemm_backends_agree((m, k, n), a_class, b_class, seed);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gemm_backends_are_bit_identical_on_the_network_shapes() {
+    // Bench UNet: q/k/v/o projections, 3x3 conv, q·kᵀ and attn·v of the
+    // temporal and spatial passes.
+    let shapes = [
+        (1024, 12, 12),
+        (12, 108, 64),
+        (16, 6, 16),
+        (64, 6, 64),
+        (16, 16, 6),
+        (64, 64, 6),
+    ];
+    for (s, dims) in shapes.into_iter().enumerate() {
+        for seed in 0..4 {
+            for (a_class, b_class) in [(0, 0), (1, 0), (1, 2), (2, 0), (3, 0), (4, 4)] {
+                assert_gemm_backends_agree(dims, a_class, b_class, 1000 * s as u64 + seed);
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "gemm_f32: slices of")]
+fn gemm_rejects_mismatched_lengths() {
+    let mut out = [0.0f32; 4];
+    kernels().gemm_f32(&[0.0; 4], &[0.0; 3], &mut out, (2, 2, 2), None);
+}
+
 #[test]
 fn selection_parsing_and_forcing() {
     assert_eq!(Backend::parse_selection("scalar"), Some(Backend::Scalar));

@@ -24,6 +24,7 @@
 //!   them into FMA without fast-math, so lane arithmetic matches scalar
 //!   IEEE ops exactly, in the same association order.
 
+use crate::scalar::{LIFT, LIFTED_MIN_NORMAL, LIFTED_ROUNDER, LIFTED_SPACING};
 use crate::{
     scalar, Backend, KernelBackend, SzPlane, SZ_MAX_CODE, SZ_UNPREDICTABLE, ZFP_ESCAPE,
     ZFP_MAX_CODE,
@@ -119,6 +120,37 @@ impl KernelBackend for Avx2Kernels {
     fn hash4_batch(&self, input: &[u8], bits: u32, out: &mut [u32]) {
         // SAFETY: AVX2 detected (dispatcher invariant).
         unsafe { hash4_batch_avx2(input, bits, out) }
+    }
+
+    fn gemm_f32(
+        &self,
+        a: &[f32],
+        b: &[f32],
+        out: &mut [f32],
+        dims: (usize, usize, usize),
+        a_max: Option<f32>,
+    ) {
+        crate::check_gemm_dims(a, b, out, dims);
+        let (m, k, n) = dims;
+        // Thin outputs run lifted, like the scalar reference, where they can.
+        let threshold = ((1..8).contains(&n) && k > 0)
+            .then(|| scalar::lift_threshold(a, b, k, a_max))
+            .flatten();
+        // SAFETY: AVX2 detected (dispatcher invariant); the kernels index
+        // `a`, `b` and `out` as `[m,k]`, `[k,n]` and `[m,n]`, which the
+        // length check above makes in bounds.
+        unsafe {
+            match (threshold, n) {
+                (None, _) => gemm_wide_avx2(a.as_ptr(), b.as_ptr(), out.as_mut_ptr(), dims),
+                (Some(t), 1) => gemm_thin_avx2::<1>(a, b, out, m, k, t),
+                (Some(t), 2) => gemm_thin_avx2::<2>(a, b, out, m, k, t),
+                (Some(t), 3) => gemm_thin_avx2::<3>(a, b, out, m, k, t),
+                (Some(t), 4) => gemm_thin_avx2::<4>(a, b, out, m, k, t),
+                (Some(t), 5) => gemm_thin_avx2::<5>(a, b, out, m, k, t),
+                (Some(t), 6) => gemm_thin_avx2::<6>(a, b, out, m, k, t),
+                (Some(t), _) => gemm_thin_avx2::<7>(a, b, out, m, k, t),
+            }
+        }
     }
 }
 
@@ -528,4 +560,231 @@ unsafe fn hash4_batch_avx2(input: &[u8], bits: u32, out: &mut [u32]) {
     for (at, slot) in out.iter_mut().enumerate().take(n).skip(i) {
         *slot = scalar::hash4_one(input, at, bits);
     }
+}
+
+// ----------------------------------------------------------------------
+// GEMM
+// ----------------------------------------------------------------------
+
+/// All-ones in lanes `0..w`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn first_lanes(w: usize) -> __m256i {
+    let lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    _mm256_cmpgt_epi32(_mm256_set1_epi32(w as i32), lanes)
+}
+
+/// Register-tiled GEMM: column blocks of two vectors (the last block one or
+/// two), rows four at a time.  Lanes are output columns, so each lane runs
+/// the scalar loop's `acc += a[i,p] * b[p,j]` for `p = 0..k` in order — a
+/// separate multiply and add — and a zero `a[i,p]` skips its row's update
+/// as a whole.
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_wide_avx2(
+    a: *const f32,
+    b: *const f32,
+    out: *mut f32,
+    (m, k, n): (usize, usize, usize),
+) {
+    for j in (0..n).step_by(16) {
+        let w = (n - j).min(16);
+        let (b, out) = (b.add(j), out.add(j));
+        // A block's last vector is masked to the columns that exist.
+        let tail = first_lanes(w - (w - 1) / 8 * 8);
+        let mut i = 0;
+        while i < m {
+            let (a, out) = (a.add(i * k), out.add(i * n));
+            match (m - i >= 4, w > 8) {
+                (true, true) => gemm_tile_avx2::<4, 2>(a, b, out, k, n, tail),
+                (true, false) => gemm_tile_avx2::<4, 1>(a, b, out, k, n, tail),
+                (false, true) => gemm_tile_avx2::<1, 2>(a, b, out, k, n, tail),
+                (false, false) => gemm_tile_avx2::<1, 1>(a, b, out, k, n, tail),
+            }
+            i += if m - i >= 4 { 4 } else { 1 };
+        }
+    }
+}
+
+/// `MR` rows by `NV` vectors of columns, accumulated in registers.  `a`,
+/// `b` and `out` point at the tile's first row and column; `n` is the row
+/// stride of `b` and `out`.  The last vector touches only the lanes of
+/// `tail`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_tile_avx2<const MR: usize, const NV: usize>(
+    a: *const f32,
+    b: *const f32,
+    out: *mut f32,
+    k: usize,
+    n: usize,
+    tail: __m256i,
+) {
+    let mut acc = [[_mm256_setzero_ps(); NV]; MR];
+    for p in 0..k {
+        let mut bv = [_mm256_maskload_ps(b.add(p * n + 8 * (NV - 1)), tail); NV];
+        for (v, bv) in bv[..NV - 1].iter_mut().enumerate() {
+            *bv = _mm256_loadu_ps(b.add(p * n + 8 * v));
+        }
+        for (r, acc) in acc.iter_mut().enumerate() {
+            let av = *a.add(r * k + p);
+            if av != 0.0 {
+                let av = _mm256_set1_ps(av);
+                for (acc, &bv) in acc.iter_mut().zip(&bv) {
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(av, bv));
+                }
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
+        for (v, &acc) in acc[..NV - 1].iter().enumerate() {
+            _mm256_storeu_ps(out.add(r * n + 8 * v), acc);
+        }
+        _mm256_maskstore_ps(out.add(r * n + 8 * (NV - 1)), tail, acc[NV - 1]);
+    }
+}
+
+/// Thin outputs (`N < 8`), lifted like `scalar::matmul_thin`, with eight
+/// output rows in the lanes: an 8×8 block of `a` is transposed in registers
+/// and each of its columns `a[i..i+8, p]` multiplied into the `N` running
+/// sums.
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_thin_avx2<const N: usize>(
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    threshold: f32,
+) {
+    let zero = _mm256_setzero_ps();
+    for i in (0..m).step_by(8) {
+        let rows = (m - i).min(8);
+        let mut sums = [zero; N];
+        for p in (0..k).step_by(8) {
+            // Rows past the last one, and lanes past `k`, read as zero.
+            let width = (k - p).min(8);
+            let mut block = [zero; 8];
+            for (r, row) in block.iter_mut().enumerate().take(rows) {
+                *row = _mm256_maskload_ps(a.as_ptr().add((i + r) * k + p), first_lanes(width));
+            }
+            let columns = transpose8_avx2(block);
+            for (&av, brow) in columns[..width].iter().zip(b[p * N..].chunks_exact(N)) {
+                gemm_thin_step_avx2(&mut sums, av, brow, threshold);
+            }
+        }
+        let mut columns = [[0.0f32; 8]; N];
+        for (column, &sum) in columns.iter_mut().zip(&sums) {
+            _mm256_storeu_ps(
+                column.as_mut_ptr(),
+                _mm256_mul_ps(sum, _mm256_set1_ps(1.0 / LIFT)),
+            );
+        }
+        for (r, orow) in out[i * N..(i + rows) * N].chunks_exact_mut(N).enumerate() {
+            for (o, column) in orow.iter_mut().zip(&columns) {
+                *o = column[r];
+            }
+        }
+    }
+}
+
+/// One `p` of [`gemm_thin_avx2`]: `sums[j] += lift(a[.., p]) · b[p, j]`.
+///
+/// A lane is *ordinary* when its `a[i,p]` is zero — all its terms are zero,
+/// `b` being finite, and adding a zero is the scalar skip — or at least
+/// `threshold`: then it is normal and none of its non-zero terms is below
+/// the lifted 2⁻¹²⁶, so lifting is one multiply and every product is already
+/// the lifted image of the scalar one.  A step with any other lane lifts
+/// through the bit pattern and rounds its small products by hand, in the
+/// same `f64` arithmetic as the scalar kernel.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_thin_step_avx2<const N: usize>(
+    sums: &mut [__m256; N],
+    av: __m256,
+    brow: &[f32],
+    threshold: f32,
+) {
+    let sign = _mm256_set1_ps(-0.0);
+    // Compared as bit patterns: a float compare may stall on a subnormal.
+    let magnitude = _mm256_castps_si256(_mm256_andnot_ps(sign, av));
+    let below = _mm256_cmpgt_epi32(_mm256_set1_epi32(threshold.to_bits() as i32), magnitude);
+    let ordinary = _mm256_or_si256(
+        _mm256_cmpeq_epi32(magnitude, _mm256_setzero_si256()),
+        _mm256_xor_si256(below, _mm256_set1_epi32(-1)),
+    );
+    if _mm256_movemask_epi8(ordinary) == -1 {
+        let av = _mm256_mul_ps(av, _mm256_set1_ps(LIFT));
+        for (sum, &bv) in sums.iter_mut().zip(brow) {
+            *sum = _mm256_add_ps(*sum, _mm256_mul_ps(av, _mm256_set1_ps(bv)));
+        }
+        return;
+    }
+    let av = lift_avx2(av);
+    for (sum, &bv) in sums.iter_mut().zip(brow) {
+        let mut term = _mm256_mul_ps(av, _mm256_set1_ps(bv));
+        let small = _mm256_cmp_ps::<_CMP_LT_OQ>(
+            _mm256_andnot_ps(sign, term),
+            _mm256_set1_ps(LIFTED_MIN_NORMAL),
+        );
+        if _mm256_movemask_ps(small) != 0 {
+            term = _mm256_blendv_ps(term, lifted_subnormal_product_avx2(av, bv), small);
+        }
+        *sum = _mm256_add_ps(*sum, term);
+    }
+}
+
+/// Transposes an 8×8 block held one row per register: rows interleaved in
+/// pairs, the pairs in pairs, then the 128-bit halves exchanged.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn transpose8_avx2(rows: [__m256; 8]) -> [__m256; 8] {
+    let (mut pairs, mut quads, mut out) = (rows, rows, rows);
+    for i in 0..4 {
+        pairs[2 * i] = _mm256_unpacklo_ps(rows[2 * i], rows[2 * i + 1]);
+        pairs[2 * i + 1] = _mm256_unpackhi_ps(rows[2 * i], rows[2 * i + 1]);
+    }
+    for i in 0..4 {
+        let (x, y) = (pairs[i / 2 * 4 + i % 2], pairs[i / 2 * 4 + i % 2 + 2]);
+        quads[2 * i] = _mm256_shuffle_ps::<0x44>(x, y);
+        quads[2 * i + 1] = _mm256_shuffle_ps::<0xEE>(x, y);
+    }
+    for i in 0..4 {
+        out[i] = _mm256_permute2f128_ps::<0x20>(quads[i], quads[i + 4]);
+        out[i + 4] = _mm256_permute2f128_ps::<0x31>(quads[i], quads[i + 4]);
+    }
+    out
+}
+
+/// `scalar::lift` on 8 lanes: `v · 2⁶⁴`, a subnormal `v` read through its
+/// bit pattern.  (A zero takes that route too and stays a zero.)
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn lift_avx2(v: __m256) -> __m256 {
+    let bits = _mm256_castps_si256(v);
+    let exponent = _mm256_and_si256(bits, _mm256_set1_epi32(0x7f80_0000));
+    let subnormal = _mm256_cmpeq_epi32(exponent, _mm256_setzero_si256());
+    let units = _mm256_cvtepi32_ps(_mm256_and_si256(bits, _mm256_set1_epi32(0x007f_ffff)));
+    let from_units = _mm256_and_ps(
+        _mm256_castsi256_ps(subnormal),
+        _mm256_or_ps(
+            _mm256_mul_ps(units, _mm256_set1_ps(LIFTED_SPACING)),
+            _mm256_and_ps(v, _mm256_set1_ps(-0.0)),
+        ),
+    );
+    // Subnormal lanes are kept out of the multiply, which would stall on
+    // them — opaquely, or the compiler multiplies first and selects after.
+    let normal = std::hint::black_box(_mm256_andnot_ps(_mm256_castsi256_ps(subnormal), v));
+    _mm256_or_ps(_mm256_mul_ps(normal, _mm256_set1_ps(LIFT)), from_units)
+}
+
+/// `scalar::lifted_subnormal_product` on 8 lanes, four `f64` at a time.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn lifted_subnormal_product_avx2(a: __m256, b: f32) -> __m256 {
+    let (b, rounder) = (_mm256_set1_pd(b as f64), _mm256_set1_pd(LIFTED_ROUNDER));
+    let lo = _mm256_mul_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(a)), b);
+    let hi = _mm256_mul_pd(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(a)), b);
+    let lo = _mm256_sub_pd(_mm256_add_pd(lo, rounder), rounder);
+    let hi = _mm256_sub_pd(_mm256_add_pd(hi, rounder), rounder);
+    _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo))
 }

@@ -324,31 +324,11 @@ impl SelfAttention {
             3,
             "attention input must be [batch, len, channels]"
         );
-        let (b, l, c) = (dims[0], dims[1], dims[2]);
-        assert_eq!(c, self.channels, "attention channel mismatch");
-        let h = self.heads;
-        let dh = c / h;
-
-        let split_heads = |v: &Var| -> Var {
-            // [B, L, C] -> [B, L, H, dh] -> [B, H, L, dh] -> [B*H, L, dh]
-            v.reshape(&[b, l, h, dh])
-                .permute(&[0, 2, 1, 3])
-                .reshape(&[b * h, l, dh])
-        };
-
-        let q = split_heads(&self.wq.forward(tape, x));
-        let k = split_heads(&self.wk.forward(tape, x));
-        let v = split_heads(&self.wv.forward(tape, x));
-
-        let scale = 1.0 / (dh as f32).sqrt();
-        let scores = q.matmul(&k.permute(&[0, 2, 1])).scale(scale); // [B*H, L, L]
-        let attn = scores.softmax_last();
-        let ctx = attn.matmul(&v); // [B*H, L, dh]
-        let merged = ctx
-            .reshape(&[b, h, l, dh])
-            .permute(&[0, 2, 1, 3])
-            .reshape(&[b, l, c]);
-        self.wo.forward(tape, &merged)
+        assert_eq!(dims[2], self.channels, "attention channel mismatch");
+        let q = self.wq.forward(tape, x);
+        let k = self.wk.forward(tape, x);
+        let v = self.wv.forward(tape, x);
+        self.wo.forward(tape, &q.attention(&k, &v, self.heads))
     }
 
     /// Trainable parameters.

@@ -14,6 +14,7 @@
 //! checked against finite differences in this module's tests.
 
 use crate::param::Parameter;
+use gld_tensor::attention::attention;
 use gld_tensor::conv::{col2im, conv2d, conv2d_from_cols, im2col, nchw, Conv2dGeometry};
 use gld_tensor::pool::{
     avg_pool2d, avg_pool2d_backward, upsample_nearest2d, upsample_nearest2d_backward,
@@ -560,6 +561,37 @@ impl Var {
                 (ga, gb)
             }
         })
+    }
+
+    /// Multi-head scaled dot-product attention: `self`, `k` and `v` are
+    /// `[batch, len, channels]` queries, keys and values, the channels
+    /// `heads` contiguous head slices; the result has the same shape.
+    ///
+    /// A recording tape records the chain of ops this stands for — split the
+    /// heads, `q · kᵀ`, scale, softmax, `· v`, merge the heads — node for
+    /// node.  A non-recording tape computes the same values, to the bit,
+    /// with the fused [`gld_tensor::attention::attention`] kernel.
+    pub fn attention(&self, k: &Var, v: &Var, heads: usize) -> Var {
+        if !self.tape.graph.recording {
+            return self
+                .tape
+                .constant(attention(&self.value, &k.value, &v.value, heads));
+        }
+        let (b, l, c) = (self.dim(0), self.dim(1), self.dim(2));
+        let dh = c / heads;
+        let split_heads = |x: &Var| -> Var {
+            // [B, L, C] -> [B, L, H, dh] -> [B, H, L, dh] -> [B*H, L, dh]
+            x.reshape(&[b, l, heads, dh])
+                .permute(&[0, 2, 1, 3])
+                .reshape(&[b * heads, l, dh])
+        };
+        let (q, k, v) = (split_heads(self), split_heads(k), split_heads(v));
+        let scale = 1.0 / (dh as f32).sqrt();
+        let scores = q.matmul(&k.permute(&[0, 2, 1])).scale(scale); // [B*H, L, L]
+        let ctx = scores.softmax_last().matmul(&v); // [B*H, L, dh]
+        ctx.reshape(&[b, heads, l, dh])
+            .permute(&[0, 2, 1, 3])
+            .reshape(&[b, l, c])
     }
 
     // ------------------------------------------------------------------

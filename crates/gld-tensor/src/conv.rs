@@ -230,11 +230,13 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, geom: Conv2dGe
     let mut out = vec![0.0f32; b * out_c * n];
     out.par_chunks_mut(out_c * n)
         .zip(x.data().par_chunks(c * h * w))
-        .for_each(|(chunk, image)| {
-            let mut cols = vec![0.0f32; k * n];
-            im2col_image(image, (h, w), geom, &mut cols);
-            matmul_bias(weight.data(), &cols, bias, chunk, (out_c, k, n));
-        });
+        .for_each_init(
+            || vec![0.0f32; k * n],
+            |cols, (chunk, image)| {
+                im2col_image(image, (h, w), geom, cols);
+                matmul_bias(weight.data(), cols, bias, chunk, (out_c, k, n));
+            },
+        );
     Tensor::from_vec(out, &[b, out_c, oh, ow])
 }
 

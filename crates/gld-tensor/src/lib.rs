@@ -5,8 +5,9 @@
 //!
 //! The crate provides exactly what the learned-compression pipeline needs and
 //! nothing more: contiguous row-major tensors, broadcasting element-wise
-//! arithmetic, batched matrix multiplication, `im2col`/`col2im` for
-//! convolutions, reductions, a seeded random-number layer, and a small
+//! arithmetic, batched matrix multiplication (the GEMM itself is
+//! `gld-kernels`' runtime-dispatched `gemm_f32`), `im2col`/`col2im` for
+//! convolutions, fused multi-head attention, reductions, a seeded random-number layer, and a small
 //! symmetric eigensolver used by the PCA-based error-bound module.
 //!
 //! Design notes (see `DESIGN.md` at the workspace root):
@@ -27,6 +28,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod attention;
 pub mod conv;
 pub mod eig;
 #[cfg(test)]

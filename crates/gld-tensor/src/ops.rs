@@ -113,46 +113,12 @@ impl Tensor {
         })
     }
 
-    /// Softmax along the last axis.
-    ///
-    /// The input is interpreted as a batch of rows; each row is normalised
-    /// independently with the usual max-subtraction trick for stability.
-    ///
-    /// A peaked row (attention over a trained network) is mostly tail:
-    /// exponentials that underflow to zero or land among the subnormals,
-    /// where both `exp` and the multiply by `1/sum` run ~100x slower than on
-    /// normal numbers.  Both are stepped around without changing a bit: a
-    /// difference below -104 is not sent to `exp` (`e⁻¹⁰⁴ < 2⁻¹⁵⁰` rounds to
-    /// zero), and a subnormal exponential is scaled in integer units of
-    /// 2⁻¹⁴⁹ (`scale_subnormal` below).
+    /// Softmax along the last axis: every row through [`softmax_row_inplace`].
     pub fn softmax_last(&self) -> Tensor {
-        let dims = self.dims().to_vec();
-        assert!(!dims.is_empty(), "softmax requires rank >= 1");
-        let row = *dims.last().unwrap();
-        let mut out = vec![0.0f32; self.numel()];
-        out.par_chunks_mut(row)
-            .zip(self.data().par_chunks(row))
-            .for_each(|(o, x)| {
-                let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                let mut sum = 0.0f32;
-                for (oi, &xi) in o.iter_mut().zip(x.iter()) {
-                    let d = xi - m;
-                    let e = if d < -104.0 { 0.0 } else { d.exp() };
-                    *oi = e;
-                    sum += e;
-                }
-                let inv = 1.0 / sum;
-                // `sum ≥ e⁰ = 1`, so `inv ≤ 1`; anything else is a NaN row.
-                let by_units = inv <= 1.0;
-                for oi in o.iter_mut() {
-                    *oi = if by_units && oi.to_bits() < f32::MIN_POSITIVE.to_bits() {
-                        scale_subnormal(*oi, inv)
-                    } else {
-                        *oi * inv
-                    };
-                }
-            });
-        Tensor::from_vec(out, &dims)
+        let row = *self.dims().last().expect("softmax requires rank >= 1");
+        let mut out = self.data().to_vec();
+        out.par_chunks_mut(row).for_each(softmax_row_inplace);
+        Tensor::from_vec(out, self.dims())
     }
 
     /// Log-softmax along the last axis.
@@ -223,6 +189,46 @@ impl Tensor {
     /// Inverts [`Tensor::normalize_mean_range`].
     pub fn denormalize_mean_range(&self, mean: f32, range: f32) -> Tensor {
         self.map(move |x| x * range + mean)
+    }
+}
+
+/// Softmax of one row, in place, with the usual max-subtraction trick for
+/// stability.
+///
+/// A peaked row (attention over a trained network) is mostly tail:
+/// exponentials that underflow to zero or land among the subnormals, where
+/// both `exp` and the multiply by `1/sum` run ~100x slower than on normal
+/// numbers.  Both are stepped around without changing a bit: a difference
+/// below -104 is not sent to `exp` (`e⁻¹⁰⁴ < 2⁻¹⁵⁰` rounds to zero), and a
+/// subnormal exponential is scaled in integer units of 2⁻¹⁴⁹
+/// ([`scale_subnormal`]) — in a pass of its own, so that a row without one
+/// is normalised by a plain multiply.
+pub fn softmax_row_inplace(row: &mut [f32]) {
+    let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let mut sum = 0.0f32;
+    let mut subnormals = false;
+    for x in row.iter_mut() {
+        let d = *x - m;
+        let e = if d < -104.0 { 0.0 } else { d.exp() };
+        // Non-negative, so: zero wraps, and a subnormal is what stays small.
+        subnormals |= e.to_bits().wrapping_sub(1) < f32::MIN_POSITIVE.to_bits() - 1;
+        *x = e;
+        sum += e;
+    }
+    let inv = 1.0 / sum;
+    // `sum ≥ e⁰ = 1`, so `inv ≤ 1`; anything else is a NaN row.
+    if subnormals && inv <= 1.0 {
+        for x in row.iter_mut() {
+            if x.to_bits() < f32::MIN_POSITIVE.to_bits() {
+                *x = scale_subnormal(*x, inv);
+            } else {
+                *x *= inv;
+            }
+        }
+    } else {
+        for x in row.iter_mut() {
+            *x *= inv;
+        }
     }
 }
 

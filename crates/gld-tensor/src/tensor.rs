@@ -577,124 +577,12 @@ impl Tensor {
     }
 }
 
-/// Dense `m×k · k×n` matrix multiply into a pre-allocated output slice.
-///
-/// Every output element is the sum over `p = 0..k` of `a[i,p] · b[p,j]` in
-/// that order, each product and each partial sum rounded to `f32`, skipping
-/// terms whose `a[i,p]` is exactly zero — whichever loop order computes it,
-/// so results do not depend on the shape class.
+/// Dense `m×k · k×n` matrix multiply into a pre-allocated output slice:
+/// [`gld_kernels::KernelBackend::gemm_f32`] on the active backend, the one
+/// GEMM under `Linear`, `conv2d`, attention and every backward rule.  Its
+/// summation order is fixed, so results depend on neither backend nor shape.
 pub fn matmul_block(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    match n {
-        0 | 8.. => matmul_ikj(a, b, out, m, k, n),
-        _ if k == 0 || !liftable(a, b, k) => matmul_ikj(a, b, out, m, k, n),
-        1 => matmul_thin::<1>(a, b, out, k),
-        2 => matmul_thin::<2>(a, b, out, k),
-        3 => matmul_thin::<3>(a, b, out, k),
-        4 => matmul_thin::<4>(a, b, out, k),
-        5 => matmul_thin::<5>(a, b, out, k),
-        6 => matmul_thin::<6>(a, b, out, k),
-        _ => matmul_thin::<7>(a, b, out, k),
-    }
-}
-
-/// Whether [`matmul_thin`] may run: it carries `a` and every partial sum
-/// times 2⁶⁴, and those must stay finite.
-fn liftable(a: &[f32], b: &[f32], k: usize) -> bool {
-    let max_abs = |x: &[f32]| x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let (a_max, b_max) = (max_abs(a), max_abs(b));
-    a_max <= LIFT_HEADROOM && k as f32 * a_max * b_max <= LIFT_HEADROOM
-}
-
-/// i-k-j loop order: the inner loop is a contiguous AXPY over the output
-/// row, which the compiler auto-vectorises when `n` is wide enough.
-fn matmul_ikj(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    out.fill(0.0);
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        let orow = &mut out[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let brow = &b[p * n..(p + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// `2^e` for a normal exponent.
-const fn pow2(e: i64) -> f64 {
-    f64::from_bits(((1023 + e) as u64) << 52)
-}
-
-/// The factor [`matmul_thin`] lifts `a` (and so every term and sum) by.
-const LIFT: f32 = pow2(64) as f32;
-/// Lifted sums stay below `f32::MAX` while `k·max|a|·max|b|` is at most this.
-const LIFT_HEADROOM: f32 = pow2(62) as f32;
-/// Lifted, the smallest normal `f32` (2⁻¹²⁶) and the spacing of the
-/// subnormals below it (2⁻¹⁴⁹).
-const LIFTED_MIN_NORMAL: f32 = pow2(64 - 126) as f32;
-const LIFTED_SPACING: f32 = pow2(64 - 149) as f32;
-/// Adding then subtracting this rounds an `f64` below [`LIFTED_MIN_NORMAL`]
-/// to a multiple of [`LIFTED_SPACING`], to nearest and ties to even.
-const LIFTED_ROUNDER: f64 = 1.5 * pow2(52 + 64 - 149);
-
-/// Thin outputs (`N` narrower than a vector, e.g. attention's `[L,L]×[L,dh]`):
-/// the output row is unrolled, and carried times 2⁶⁴.
-///
-/// Softmax tails make most of attention's non-zero terms subnormal, and
-/// subnormal arithmetic is ~100x slower than normal.  Lifted, nothing is
-/// subnormal, and scaling by a power of two commutes with `f32` rounding
-/// except in one place: a product below 2⁻¹²⁶ is rounded to a multiple of
-/// 2⁻¹⁴⁹, not to 24 bits.  That rounding is applied by hand, so each product
-/// and each partial sum is the lifted image of the one [`matmul_ikj`]
-/// computes, and the result is bit-identical.
-fn matmul_thin<const N: usize>(a: &[f32], b: &[f32], out: &mut [f32], k: usize) {
-    let (brows, _) = b.as_chunks::<N>();
-    let (orows, _) = out.as_chunks_mut::<N>();
-    for (arow, orow) in a.chunks_exact(k).zip(orows) {
-        let mut sums = [0.0f32; N];
-        for (&av, brow) in arow.iter().zip(brows) {
-            if av == 0.0 {
-                continue;
-            }
-            let av = lift(av);
-            let mut terms = brow.map(|bv| av * bv);
-            if terms.iter().any(|t| t.abs() < LIFTED_MIN_NORMAL) {
-                for (term, &bv) in terms.iter_mut().zip(brow) {
-                    if term.abs() < LIFTED_MIN_NORMAL {
-                        *term = lifted_subnormal_product(av, bv);
-                    }
-                }
-            }
-            for (sum, term) in sums.iter_mut().zip(terms) {
-                *sum += term;
-            }
-        }
-        *orow = sums.map(|sum| sum * (1.0 / LIFT));
-    }
-}
-
-/// `v · 2⁶⁴`, reading a subnormal `v` through its bit pattern
-/// (`mantissa · 2⁻¹⁴⁹`) rather than through slow subnormal arithmetic.
-fn lift(v: f32) -> f32 {
-    let bits = v.to_bits();
-    if bits & 0x7f80_0000 != 0 {
-        return v * LIFT;
-    }
-    ((bits & 0x007f_ffff) as f32 * LIFTED_SPACING).copysign(v)
-}
-
-/// The lifted image of a subnormal product: the exact product (`f64` holds
-/// it) rounded once, to a multiple of the lifted subnormal spacing.
-#[cold]
-fn lifted_subnormal_product(a: f32, b: f32) -> f32 {
-    ((a as f64 * b as f64 + LIFTED_ROUNDER) - LIFTED_ROUNDER) as f32
+    gld_kernels::kernels().gemm_f32(a, b, out, (m, k, n), None);
 }
 
 #[cfg(test)]

@@ -120,19 +120,29 @@ pub trait ParallelIterator: Sized + Send {
     where
         F: Fn(Self::Item) + Sync + Send,
     {
-        let pieces = split_for_drive(self);
+        self.for_each_init(|| (), |(), item| f(item));
+    }
+
+    /// [`Self::for_each`] with a scratch value: `init` runs once for every
+    /// piece the pool executes (once in all when the work stays inline) and
+    /// `f` gets that value, mutably, with each item of the piece.
+    fn for_each_init<T, INIT, F>(self, init: INIT, f: F)
+    where
+        INIT: Fn() -> T + Sync + Send,
+        F: Fn(&mut T, Self::Item) + Sync + Send,
+    {
+        let run = |piece: Self| {
+            let mut scratch = init();
+            piece.into_seq().for_each(|item| f(&mut scratch, item));
+        };
+        let mut pieces = split_for_drive(self);
         if pieces.len() == 1 {
-            for piece in pieces {
-                piece.into_seq().for_each(&f);
-            }
-            return;
+            return run(pieces.remove(0));
         }
-        let f = &f;
+        let run = &run;
         let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = pieces
             .into_iter()
-            .map(|piece| {
-                Box::new(move || piece.into_seq().for_each(f)) as Box<dyn FnOnce() + Send + '_>
-            })
+            .map(|piece| Box::new(move || run(piece)) as Box<dyn FnOnce() + Send + '_>)
             .collect();
         pool::join_all(jobs);
     }

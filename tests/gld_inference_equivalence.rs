@@ -18,9 +18,12 @@
 //!   it always had, an inference tape records nothing, and asking it for
 //!   gradients is a loud error rather than silent zeros;
 //! * **training** — the first optimisation steps of both trainers reproduce
-//!   the loss values of the commit before the kernel rewrite.
+//!   the loss values of the commit before the kernel rewrite;
+//! * **kernel backends** — a container decodes to the same floats under the
+//!   scalar GEMM and under the host's best one.
 
 use gld_bench::bench_config;
+use gld_core::{Codec, ErrorTarget, GldCompressor, GldConfig, GldTrainingBudget};
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_diffusion::model::splice_frames;
 use gld_diffusion::{ConditionalDiffusion, DiffusionConfig, DiffusionTrainer, FramePartition};
@@ -254,4 +257,35 @@ fn training_loss_trajectories_match_the_parent_commit() {
         &losses,
         &[0x3f923a59, 0x3f87cedd, 0x3fbc4f3f, 0x3f849198, 0x3f96614d],
     );
+}
+
+#[test]
+fn a_container_decodes_to_the_same_bits_on_every_kernel_backend() {
+    let dataset = generate(DatasetKind::S3d, &FieldSpec::tiny(), 11);
+    let budget = GldTrainingBudget {
+        vae_steps: 40,
+        diffusion_steps: 40,
+        fine_tune_steps: 0,
+        fine_tune_schedule: 16,
+    };
+    let config = GldConfig::tiny();
+    let codec = GldCompressor::train(config, &dataset.variables, budget);
+    let target = Some(ErrorTarget::Nrmse(0.01));
+    let (container, _) =
+        Codec::compress_variable(&codec, &dataset.variables[0], config.block_frames, target);
+    let decode = || -> Vec<(Vec<usize>, Vec<u32>)> {
+        let blocks = codec.decompress_container(&container).expect("decodes");
+        assert!(!blocks.is_empty());
+        blocks.iter().map(bits).collect()
+    };
+    // Forcing is process-wide, and harmless to the tests running beside
+    // this one for the very reason this test passes.
+    gld_kernels::force(gld_kernels::Backend::Scalar).expect("scalar is always available");
+    let scalar = decode();
+    for backend in gld_kernels::available_backends() {
+        gld_kernels::force(backend).expect("listed backends are available");
+        assert_eq!(decode(), scalar, "decoded under {backend}");
+    }
+    gld_kernels::clear_force();
+    assert_eq!(decode(), scalar, "decoded under the active backend");
 }
