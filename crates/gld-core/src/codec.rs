@@ -23,8 +23,8 @@ use crate::container::{
 };
 use crate::error_bound::{ErrorBoundConfig, PcaErrorBound};
 use crate::executor::{
-    checked_windows, compress_window_outcome, fit_variable_profile, stream_compress_variable,
-    BlockOutcome, StageMode, StreamConfig, StreamMetrics,
+    checked_windows, compress_window_outcome, decompress_blocks, fit_variable_profile,
+    stream_compress_variable, BlockOutcome, StageMode, StreamConfig, StreamMetrics,
 };
 use crate::learned_baselines::{LearnedBaseline, LearnedBaselineKind};
 use gld_baselines::{
@@ -675,7 +675,12 @@ pub trait Codec: Sync {
     }
 
     /// Decompresses a whole container produced by
-    /// [`Codec::compress_variable`], returning the blocks in temporal order.
+    /// [`Codec::compress_variable`] (parallel: the blocks go to the
+    /// persistent pool as one batch and the calling thread decodes beside
+    /// the workers), returning the blocks in temporal order — bit-identical
+    /// to decoding the frames one after another.  A container this codec
+    /// cannot read is refused with a typed error before any block is
+    /// decoded.
     fn decompress_container(&self, container: &Container) -> Result<Vec<Tensor>, ContainerError> {
         if container.codec() != self.id() {
             return Err(ContainerError::Corrupt(
@@ -686,19 +691,7 @@ pub trait Codec: Sync {
         // coder, so running today's entropy decoder over its payloads would
         // produce garbage — refuse by name instead.
         container.check_entropy_compat()?;
-        Ok(container
-            .blocks()
-            .iter()
-            .enumerate()
-            .map(|(index, frame)| {
-                // Frames of a profiled (v4) container may reference the
-                // container's shared entropy model instead of embedding one.
-                let model = container
-                    .profile_for_block(index)
-                    .and_then(|p| p.model.as_ref());
-                self.decompress_block_shared(frame, model)
-            })
-            .collect())
+        Ok(decompress_blocks(self, container))
     }
 }
 

@@ -29,9 +29,13 @@
 //! Emission order equals claim order equals temporal order, so containers,
 //! statistics and every byte are identical across worker counts, queue
 //! depths and `RAYON_NUM_THREADS` settings (`tests/streaming_executor.rs`).
+//!
+//! The read side, `decompress_blocks` under
+//! [`Codec::decompress_container`], needs none of that flow control: it
+//! returns every block, so it fans them over the same pool as one batch.
 
 use crate::codec::{Codec, CodecScratch, ErrorTarget};
-use crate::container::{DictMode, EntropyProfile};
+use crate::container::{Container, DictMode, EntropyProfile};
 use gld_datasets::{blocks, Variable};
 use gld_entropy::HistogramModel;
 use gld_lz::LzProfile;
@@ -39,7 +43,7 @@ use gld_tensor::Tensor;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 thread_local! {
     /// Per-worker scratch arena: pool workers are persistent, so buffers
@@ -231,6 +235,14 @@ pub struct BlockOutcome {
     pub hi: f32,
 }
 
+/// Per-block codec timing: one pre-resolved histogram handle per family and
+/// process, so the hot path pays two atomic adds, never the registry lock.
+type BlockHistogram = OnceLock<Arc<gld_obs::Histogram>>;
+
+fn block_histogram(cell: &'static BlockHistogram, family: &str) -> &'static gld_obs::Histogram {
+    cell.get_or_init(|| gld_obs::registry::histogram(family, &[]))
+}
+
 /// Compresses one window through `codec` and measures the reconstruction —
 /// the single definition both the sequential reference and the streaming
 /// executor share, which is what makes them bit-identical.
@@ -242,14 +254,7 @@ pub(crate) fn compress_window_outcome<C: Codec + ?Sized>(
     scratch: &mut CodecScratch,
     stage: &StageMode,
 ) -> BlockOutcome {
-    // Per-block codec timing: one pre-resolved histogram handle per
-    // process, so the worker hot path pays two atomic adds, never the
-    // registry lock.
-    fn encode_ns() -> &'static gld_obs::Histogram {
-        static H: std::sync::OnceLock<std::sync::Arc<gld_obs::Histogram>> =
-            std::sync::OnceLock::new();
-        H.get_or_init(|| gld_obs::registry::histogram("gld_block_encode_ns", &[]))
-    }
+    static ENCODE_NS: BlockHistogram = OnceLock::new();
     let _span = gld_obs::span::SpanGuard::enter("block.encode", 0, index);
     let t0_ns = gld_obs::now_ns();
     let (frame, recon) = match stage {
@@ -265,7 +270,8 @@ pub(crate) fn compress_window_outcome<C: Codec + ?Sized>(
             (frame, recon)
         }
     };
-    encode_ns().record(gld_obs::now_ns().saturating_sub(t0_ns));
+    block_histogram(&ENCODE_NS, "gld_block_encode_ns")
+        .record(gld_obs::now_ns().saturating_sub(t0_ns));
     let mut sq_err = 0.0f64;
     for (a, b) in window.data().iter().zip(recon.data()) {
         let d = (*a - *b) as f64;
@@ -292,6 +298,58 @@ pub(crate) fn compress_window_outcome<C: Codec + ?Sized>(
         lo: window.min(),
         hi: window.max(),
     }
+}
+
+/// Decodes every frame of `container` (already checked against `codec` by
+/// [`Codec::decompress_container`]) and returns the blocks in temporal order.
+///
+/// Blocks share no state, so a container of two or more goes to the pool as
+/// **one batch**: one submission and one wake-up, the calling thread starts
+/// on block 0 and keeps draining the batch beside the workers (so the call
+/// completes with every worker busy, and from inside a pool job), and each
+/// block lands in its own slot — the same floats in the same order as a
+/// sequential map.  No ticket window: the call returns every block, so
+/// memory is O(variable) by contract.  A codec panic leaves with its
+/// original payload once every sibling block has finished.
+pub(crate) fn decompress_blocks<C: Codec + ?Sized>(
+    codec: &C,
+    container: &Container,
+) -> Vec<Tensor> {
+    static DECODE_NS: BlockHistogram = OnceLock::new();
+    let decode_ns = block_histogram(&DECODE_NS, "gld_block_decode_ns");
+    let decode = |index: usize, frame: &[u8]| {
+        let _span = gld_obs::span::SpanGuard::enter("block.decode", 0, index as u64);
+        let t0_ns = gld_obs::now_ns();
+        // Frames of a profiled (v4) container may reference the container's
+        // shared entropy model instead of embedding one.
+        let model = container
+            .profile_for_block(index)
+            .and_then(|p| p.model.as_ref());
+        let block = codec.decompress_block_shared(frame, model);
+        decode_ns.record(gld_obs::now_ns().saturating_sub(t0_ns));
+        block
+    };
+    let frames = container.blocks();
+    if frames.len() < 2 {
+        // Nothing to run beside: a lone block never touches the pool.
+        return frames.iter().map(|frame| decode(0, frame)).collect();
+    }
+    let mut slots: Vec<Option<Tensor>> = Vec::new();
+    slots.resize_with(frames.len(), || None);
+    let decode = &decode;
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = frames
+        .iter()
+        .zip(slots.iter_mut())
+        .enumerate()
+        .map(|(index, (frame, slot))| {
+            Box::new(move || *slot = Some(decode(index, frame))) as Box<dyn FnOnce() + Send + '_>
+        })
+        .collect();
+    rayon::pool::join_all(jobs);
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("pool batch completed every block"))
+        .collect()
 }
 
 /// The streaming iterator over a variable's complete temporal windows plus

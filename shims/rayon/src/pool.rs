@@ -179,6 +179,7 @@ impl ThreadPool {
 
     /// Queues a batch on every worker deque and wakes the sleepers.
     fn submit(&self, batch: &Arc<Batch>) {
+        SUBMITTED.with(|n| n.set(n.get() + 1));
         for deque in &self.shared.deques {
             deque
                 .lock()
@@ -194,6 +195,18 @@ impl ThreadPool {
         drop(generation);
         self.shared.wake.notify_all();
     }
+}
+
+thread_local! {
+    static SUBMITTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Batches the *calling thread* has submitted to the pool so far.  Per
+/// thread, so a caller can count what one of its own calls cost — "one
+/// batch per container", "a refused container submits nothing" — while
+/// other threads keep the pool busy.
+pub fn batches_submitted_by_this_thread() -> u64 {
+    SUBMITTED.with(|n| n.get())
 }
 
 fn worker_loop(shared: &Shared, who: usize) {

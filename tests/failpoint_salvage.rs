@@ -5,13 +5,20 @@
 //! suites — and within the binary every test serialises through one gate.
 
 use gld_core::{CodecId, Container, ContainerError};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
-/// Serialises failpoint configurations across this binary's tests and
-/// guarantees the registry is disarmed again afterwards.
-fn with_failpoints<R>(spec: &str, f: impl FnOnce() -> R) -> R {
+/// Serialises this binary's tests.  Each holds the gate for its whole body,
+/// not only while a point is armed: the disarmed encodes and decodes a test
+/// compares against run the same instrumented paths, and would otherwise
+/// take the hit another test armed for itself.
+fn gate() -> MutexGuard<'static, ()> {
     static GATE: Mutex<()> = Mutex::new(());
-    let _gate = GATE.lock().unwrap_or_else(|e| e.into_inner());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Runs `f` with `spec` armed and guarantees the registry is disarmed again
+/// afterwards.  Call with [`gate`] held.
+fn with_failpoints<R>(spec: &str, f: impl FnOnce() -> R) -> R {
     fail::configure(spec).expect("failpoint spec parses");
     let result = f();
     fail::configure("").expect("disarm");
@@ -30,6 +37,7 @@ fn staged_sample() -> Container {
 
 #[test]
 fn injected_frame_bit_rot_fails_decode_and_salvages_cleanly() {
+    let _gate = gate();
     let container = staged_sample();
     let clean = container.encode();
 
@@ -62,6 +70,7 @@ fn injected_frame_bit_rot_fails_decode_and_salvages_cleanly() {
 
 #[test]
 fn injected_destage_fault_surfaces_as_a_typed_container_error() {
+    let _gate = gate();
     let bytes = staged_sample().encode();
 
     // Armed, the de-stage path reports the frame unreadable...
@@ -84,6 +93,7 @@ fn injected_destage_fault_surfaces_as_a_typed_container_error() {
 
 #[test]
 fn probability_zero_failpoints_never_fire() {
+    let _gate = gate();
     let container = staged_sample();
     let clean = container.encode();
     let encoded = with_failpoints("container.frame=corrupt:0%", || container.encode());

@@ -1,14 +1,16 @@
 //! End-to-end coverage for the observability layer: the `--metrics-addr`
 //! Prometheus endpoint cross-checked against the wire `Status` summaries,
 //! the per-stage latency decomposition of the op histograms, the
-//! backward-compatible summaries negotiation, and the flight recorder.
+//! backward-compatible summaries negotiation, the flight recorder, and the
+//! per-block decode span and histogram under `decompress_container`.
 //!
 //! The latency histograms live in the **process-global** registry, so every
 //! test here works with cumulative totals (both sides of each comparison
 //! read the same histograms) and the tests serialize on one mutex so no
 //! GLDS request is mid-flight while a test reads the registry.
 
-use gld_core::CodecId;
+use gld_baselines::SzCompressor;
+use gld_core::{Codec, CodecId};
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_service::protocol::{self, FrameHeader, Op, StatusResponse};
 use gld_service::{CodecRegistry, Server, ServiceClient, ServiceConfig};
@@ -296,4 +298,35 @@ fn flight_recorder_dumps_spans_and_logs_as_json_lines() {
         assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_decoded_block_records_one_span_and_one_histogram_sample() {
+    // Under the lock no server of this binary is decoding, so the global
+    // histogram moves only by what this test decodes.
+    let _guard = obs_lock();
+    let sz = SzCompressor::new();
+    let decode_ns = gld_obs::registry::histogram("gld_block_decode_ns", &[]);
+    for blocks in [1usize, 4, 9] {
+        let ds = generate(
+            DatasetKind::E3sm,
+            &FieldSpec::new(1, blocks * 8, 16, 16),
+            97,
+        );
+        let (container, _) = Codec::compress_variable(&sz, &ds.variables[0], 8, None);
+        let since_ns = gld_obs::now_ns();
+        let before = decode_ns.count();
+        sz.decompress_container(&container)
+            .expect("codec id matches");
+        assert_eq!(decode_ns.count() - before, blocks as u64);
+        // Whichever threads decoded them, the call's spans name each block
+        // index exactly once.
+        let mut indices: Vec<u64> = gld_obs::span::collect()
+            .iter()
+            .filter(|e| e.name == "block.decode" && e.start_ns >= since_ns)
+            .map(|e| e.req)
+            .collect();
+        indices.sort_unstable();
+        assert_eq!(indices, (0..blocks as u64).collect::<Vec<_>>());
+    }
 }

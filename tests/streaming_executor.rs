@@ -1,6 +1,8 @@
 //! Contract tests for the streaming block executor: bounded resident-block
 //! count, ordered emission, bit-identical output across worker counts and
-//! queue depths, and the incremental container writer.
+//! queue depths, and the incremental container writer — and for its decode
+//! half, `Codec::decompress_container`'s one-batch fan-out: bit-identity
+//! with the sequential map, real concurrency, nesting, panics and refusals.
 //!
 //! Cross-process determinism (the `RAYON_NUM_THREADS=1` vs default-pool leg)
 //! follows transitively: every configuration below is asserted equal to the
@@ -8,14 +10,22 @@
 //! the pool size — and CI runs this whole suite under both
 //! `RAYON_NUM_THREADS=1` and `=8` to exercise the claim in real processes.
 
-use gld_baselines::SzCompressor;
+use gld_baselines::{SzCompressor, ZfpLikeCompressor};
 use gld_core::{
-    Codec, Container, ContainerError, ErrorTarget, GldCompressor, GldConfig, StreamConfig,
+    Codec, CodecId, Container, ContainerError, ErrorTarget, GldCompressor, GldConfig,
+    LearnedBaseline, LearnedBaselineKind, StreamConfig,
 };
-use gld_datasets::{generate, DatasetKind, FieldSpec};
+use gld_datasets::{generate, DatasetKind, FieldSpec, Variable};
 use gld_diffusion::ConditionalDiffusion;
-use gld_vae::Vae;
+use gld_entropy::HistogramModel;
+use gld_tensor::Tensor;
+use gld_vae::{Vae, VaeConfig};
 use proptest::prelude::*;
+use rayon::pool::batches_submitted_by_this_thread;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Barrier, Condvar, Mutex};
+use std::time::Duration;
 
 /// An untrained (but fully functional and deterministic) GLD pipeline.
 fn untrained_compressor() -> GldCompressor {
@@ -354,4 +364,361 @@ fn v1_containers_decode_and_v2_corruption_is_detected() {
         Container::decode(&corrupt),
         Err(ContainerError::ChecksumMismatch { block: 0, .. })
     ));
+}
+
+// ---------------------------------------------------------------------------
+// The decode half: `decompress_container` fans the blocks over the pool.
+// ---------------------------------------------------------------------------
+
+/// The oracle: the container's frames decoded one after another on the
+/// calling thread, which is what `decompress_container` was before it fanned
+/// out and what it must still equal bit for bit.
+fn decode_sequentially(codec: &dyn Codec, container: &Container) -> Vec<Tensor> {
+    container
+        .blocks()
+        .iter()
+        .enumerate()
+        .map(|(index, frame)| {
+            let model = container
+                .profile_for_block(index)
+                .and_then(|p| p.model.as_ref());
+            codec.decompress_block_shared(frame, model)
+        })
+        .collect()
+}
+
+/// Shapes and exact bit patterns: `f32`'s `==` would let `-0.0` pass for
+/// `0.0` and fail NaN against itself.
+fn bits(blocks: &[Tensor]) -> Vec<(Vec<usize>, Vec<u32>)> {
+    blocks
+        .iter()
+        .map(|b| {
+            (
+                b.dims().to_vec(),
+                b.data().iter().map(|v| v.to_bits()).collect(),
+            )
+        })
+        .collect()
+}
+
+/// One smooth variable of exactly `blocks` eight-frame windows.
+fn smooth_variable(blocks: usize, seed: u64) -> Variable {
+    generate(
+        DatasetKind::E3sm,
+        &FieldSpec::new(1, blocks * 8, 16, 16),
+        seed,
+    )
+    .variables
+    .remove(0)
+}
+
+/// A decode-side test double around a real codec: counts the blocks it
+/// decodes, answers to whatever codec id the test gives it, and panics on
+/// one chosen frame.
+struct Probe<'a> {
+    inner: &'a dyn Codec,
+    id: CodecId,
+    decoded: AtomicUsize,
+    exploding_frame: Option<Vec<u8>>,
+}
+
+impl<'a> Probe<'a> {
+    fn new(inner: &'a dyn Codec) -> Self {
+        Probe {
+            inner,
+            id: inner.id(),
+            decoded: AtomicUsize::new(0),
+            exploding_frame: None,
+        }
+    }
+}
+
+impl Codec for Probe<'_> {
+    fn name(&self) -> &str {
+        "probe"
+    }
+    fn id(&self) -> CodecId {
+        self.id
+    }
+    fn compress_block_at(
+        &self,
+        block: &Tensor,
+        target: Option<ErrorTarget>,
+        block_index: u64,
+    ) -> Vec<u8> {
+        self.inner.compress_block_at(block, target, block_index)
+    }
+    fn decompress_block(&self, frame: &[u8]) -> Tensor {
+        self.decompress_block_shared(frame, None)
+    }
+    fn decompress_block_shared(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+        if self.exploding_frame.as_deref() == Some(frame) {
+            panic!("codec exploded on its frame");
+        }
+        self.decoded.fetch_add(1, Ordering::SeqCst);
+        self.inner.decompress_block_shared(frame, model)
+    }
+}
+
+#[test]
+fn decompress_container_equals_the_sequential_map_bit_for_bit() {
+    let gld = untrained_compressor();
+    let sz = SzCompressor::new();
+    let zfp = ZfpLikeCompressor::new();
+    let vae = Vae::new(VaeConfig::tiny());
+    let vaesr = LearnedBaseline::new(LearnedBaselineKind::VaeSr, &vae, None);
+    // GLD with a target writes frames that carry `aux_bytes`, without one
+    // frames that do not.
+    let bounded = Some(ErrorTarget::Nrmse(1e-2));
+    let cases: [(&dyn Codec, Option<ErrorTarget>); 5] = [
+        (&sz, None),
+        (&zfp, None),
+        (&vaesr, None),
+        (&gld, None),
+        (&gld, bounded),
+    ];
+    for blocks in [1usize, 2, 3, 4, 9] {
+        let variable = smooth_variable(blocks, 50 + blocks as u64);
+        for (codec, target) in cases {
+            let (staged, _) = codec.compress_variable(&variable, 8, target);
+            let (profiled, _, _) =
+                codec.compress_variable_profiled(&variable, 8, target, StreamConfig::default());
+            // Every wire version this build reads, as a reader meets it:
+            // parsed back from bytes.  (A v1 stream of a learned codec is
+            // refused by name — see the refusal test.)
+            let mut wires = vec![
+                (4, profiled.encode()),
+                (3, staged.encode()),
+                (2, staged.encode_v2()),
+            ];
+            if !codec.id().learned() {
+                wires.push((1, staged.encode_v1()));
+            }
+            for (version, bytes) in wires {
+                let container = Container::decode(&bytes).expect("container decodes");
+                assert_eq!(container.wire_version(), version);
+                assert_eq!(container.blocks().len(), blocks);
+                let fanned = codec
+                    .decompress_container(&container)
+                    .expect("codec id matches");
+                assert_eq!(
+                    bits(&fanned),
+                    bits(&decode_sequentially(codec, &container)),
+                    "{} v{version}, {blocks} block(s), target {target:?}",
+                    codec.name()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn two_blocks_are_in_flight_at_once_even_on_a_one_worker_pool() {
+    // Each `decompress_block` waits (bounded, so a serial decode is a test
+    // failure and not a hung job) until a second one has started: the
+    // caller and one pool worker must both be inside the codec.
+    struct Rendezvous {
+        inner: SzCompressor,
+        arrived: Mutex<usize>,
+        second_arrived: Condvar,
+        decoded_alone: AtomicBool,
+    }
+    impl Codec for Rendezvous {
+        fn name(&self) -> &str {
+            "rendezvous"
+        }
+        fn id(&self) -> CodecId {
+            CodecId::SzLike
+        }
+        fn compress_block_at(
+            &self,
+            block: &Tensor,
+            target: Option<ErrorTarget>,
+            block_index: u64,
+        ) -> Vec<u8> {
+            self.inner.compress_block_at(block, target, block_index)
+        }
+        fn decompress_block(&self, frame: &[u8]) -> Tensor {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.second_arrived.notify_all();
+            let (arrived, wait) = self
+                .second_arrived
+                .wait_timeout_while(arrived, Duration::from_secs(30), |n| *n < 2)
+                .unwrap();
+            if wait.timed_out() {
+                self.decoded_alone.store(true, Ordering::SeqCst);
+            }
+            drop(arrived);
+            self.inner.decompress_block(frame)
+        }
+    }
+
+    let codec = Rendezvous {
+        inner: SzCompressor::new(),
+        arrived: Mutex::new(0),
+        second_arrived: Condvar::new(),
+        decoded_alone: AtomicBool::new(false),
+    };
+    let variable = smooth_variable(2, 61);
+    // Written by the inner codec: compressing decodes every block once to
+    // account its error, and that lone decode would wait here too.
+    let (container, _) = codec.inner.compress_variable_sequential(&variable, 8, None);
+    let blocks = codec
+        .decompress_container(&container)
+        .expect("codec id matches");
+    assert!(
+        !codec.decoded_alone.load(Ordering::SeqCst),
+        "block 0 waited 30 s for block 1 to start: the container decoded serially"
+    );
+    assert_eq!(
+        bits(&blocks),
+        bits(&decode_sequentially(&codec.inner, &container))
+    );
+}
+
+#[test]
+fn decompress_container_nests_in_pool_jobs_and_races_a_streaming_compress() {
+    let gld = untrained_compressor();
+    let variable = smooth_variable(4, 67);
+    let (container, _) = gld.compress_variable_sequential(&variable, 8, None);
+    let expected = bits(&decode_sequentially(&gld, &container));
+
+    // From inside pool jobs: the inner batch is drained by whoever runs the
+    // outer job, so this finishes even when that is the pool's only worker.
+    let mut nested: [Option<Vec<Tensor>>; 2] = [None, None];
+    rayon::scope(|scope| {
+        for slot in nested.iter_mut() {
+            let (gld, container) = (&gld, &container);
+            scope.spawn(move || *slot = Some(gld.decompress_container(container).unwrap()));
+        }
+    });
+    for blocks in nested {
+        assert_eq!(bits(&blocks.expect("the pool job ran")), expected);
+    }
+
+    // Two decodes and one compress released together on their own threads,
+    // all sharing the one process-global pool.
+    let start = Barrier::new(3);
+    std::thread::scope(|threads| {
+        let decode = || {
+            start.wait();
+            gld.decompress_container(&container).unwrap()
+        };
+        let first = threads.spawn(decode);
+        let second = threads.spawn(decode);
+        let compress = threads.spawn(|| {
+            start.wait();
+            gld.compress_variable_streaming(&variable, 8, None, StreamConfig::default())
+                .0
+        });
+        assert_eq!(bits(&first.join().unwrap()), expected);
+        assert_eq!(bits(&second.join().unwrap()), expected);
+        assert_eq!(compress.join().unwrap().encode(), container.encode());
+    });
+}
+
+#[test]
+fn a_container_is_one_pool_batch_and_a_refused_one_is_none() {
+    let sz = SzCompressor::new();
+    let gld = untrained_compressor();
+
+    // Submissions are counted per submitting thread, so the tests running
+    // beside this one on the same pool do not disturb the count.
+    for blocks in [1usize, 2, 3, 4, 9] {
+        let (container, _) = Codec::compress_variable(&sz, &smooth_variable(blocks, 71), 8, None);
+        let probe = Probe::new(&sz);
+        let before = batches_submitted_by_this_thread();
+        probe.decompress_container(&container).unwrap();
+        assert_eq!(
+            batches_submitted_by_this_thread() - before,
+            u64::from(blocks > 1),
+            "{blocks} block(s): one batch per container, none for a lone block"
+        );
+        assert_eq!(probe.decoded.load(Ordering::SeqCst), blocks);
+    }
+
+    // Refusals are typed and come before any work: a codec-id mismatch,
+    // and a v1 stream of a learned codec, which predates the range coder.
+    let (container, _) = Codec::compress_variable(&sz, &smooth_variable(4, 73), 8, None);
+    let (learned_container, _) = Codec::compress_variable(&gld, &smooth_variable(4, 79), 8, None);
+    let v1 = Container::decode(&learned_container.encode_v1()).expect("v1 stream parses");
+    let mut probe = Probe::new(&sz);
+    probe.id = CodecId::ZfpLike;
+    let learned = Probe::new(&gld);
+    let before = batches_submitted_by_this_thread();
+    assert!(matches!(
+        probe.decompress_container(&container),
+        Err(ContainerError::Corrupt(_))
+    ));
+    assert!(matches!(
+        learned.decompress_container(&v1),
+        Err(ContainerError::IncompatibleEntropyCoder {
+            version: 1,
+            codec: CodecId::Gld
+        })
+    ));
+    assert_eq!(batches_submitted_by_this_thread(), before);
+    assert_eq!(probe.decoded.load(Ordering::SeqCst), 0);
+    assert_eq!(learned.decoded.load(Ordering::SeqCst), 0);
+}
+
+/// The text a panic carried, whether it was raised with a literal or a
+/// formatted message.
+fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(text) => *text,
+        Err(payload) => payload
+            .downcast_ref::<&str>()
+            .map(|text| text.to_string())
+            .expect("a panic raised with a message"),
+    }
+}
+
+#[test]
+fn decode_panics_keep_their_payload_and_the_pool_keeps_its_workers() {
+    let sz = SzCompressor::new();
+    let (container, _) = Codec::compress_variable(&sz, &smooth_variable(4, 83), 8, None);
+    let expected = bits(&decode_sequentially(&sz, &container));
+    for exploding in [0usize, 2, 3] {
+        let mut probe = Probe::new(&sz);
+        probe.exploding_frame = Some(container.blocks()[exploding].clone());
+        let payload = catch_unwind(AssertUnwindSafe(|| probe.decompress_container(&container)))
+            .expect_err("the codec's panic must leave decompress_container");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("codec exploded on its frame"),
+            "block {exploding}: the codec's own payload, not the pool's"
+        );
+        assert_eq!(
+            probe.decoded.load(Ordering::SeqCst),
+            3,
+            "block {exploding}: every sibling finished before the panic left"
+        );
+        // The same process-global pool, straight afterwards.
+        assert_eq!(
+            bits(&sz.decompress_container(&container).unwrap()),
+            expected
+        );
+    }
+
+    // The real thing: an undecodable frame among good ones leaves with the
+    // text `decompress_block` itself panics with.
+    let gld = untrained_compressor();
+    let (good, _) = gld.compress_variable_sequential(&smooth_variable(3, 89), 8, None);
+    let mut frames = good.blocks().to_vec();
+    let half = frames[1].len() / 2;
+    frames[1].truncate(half);
+    let alone = catch_unwind(AssertUnwindSafe(|| {
+        Codec::decompress_block(&gld, &frames[1])
+    }))
+    .expect_err("half a frame does not decode");
+    let damaged = Container::from_blocks(CodecId::Gld, frames);
+    let fanned = catch_unwind(AssertUnwindSafe(|| gld.decompress_container(&damaged)))
+        .expect_err("nor does a container holding it");
+    assert_eq!(panic_text(fanned), panic_text(alone));
+    assert_eq!(
+        bits(&gld.decompress_container(&good).unwrap()),
+        bits(&decode_sequentially(&gld, &good))
+    );
 }
