@@ -8,7 +8,7 @@
 //! **bit-identically** back to the unstaged frames, and measures the stage
 //! codec's own compress/decompress throughput over the real frame payloads.
 //! With `--profiles` it adds the container-v4 shared-profile leg: every
-//! variable is also encoded against its fitted [`WarmProfile`] (shared
+//! variable is also encoded against its fitted [`gld_core::WarmProfile`] (shared
 //! entropy model + stage warm-start + seed dictionary), the profile-table
 //! bytes are accounted separately, and warm stage-compress throughput is
 //! measured against the cold rate.

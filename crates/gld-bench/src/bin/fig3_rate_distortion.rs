@@ -3,12 +3,13 @@
 //! the rule-based baselines (SZ3-like, ZFP-like) on the three synthetic
 //! datasets.
 //!
-//! Every compressor is driven through the unified [`Codec`] interface:
-//! [`Codec::compress_dataset`] tiles each variable into temporal blocks,
-//! compresses them in parallel into binary containers, and returns shared
-//! ratio/NRMSE accounting — the measured container size *is* the reported
-//! size.  The learned methods share the PCA error-bound post-processing
-//! inside their `Codec` impls, exactly as in the paper's protocol (§4.1).
+//! Every compressor is driven through the unified [`gld_core::Codec`]
+//! interface: [`gld_core::Codec::compress_dataset`] tiles each variable into
+//! temporal blocks, compresses them in parallel into binary containers, and
+//! returns shared ratio/NRMSE accounting — the measured container size *is*
+//! the reported size.  The learned methods share the PCA error-bound
+//! post-processing inside their `Codec` impls, exactly as in the paper's
+//! protocol (§4.1).
 
 use gld_baselines::{SzCompressor, ZfpLikeCompressor};
 use gld_bench::{codec_sweep as sweep, train_on, write_result};

@@ -3,7 +3,7 @@
 //! (SZ3) and over the strongest learned baseline (VAE-SR) at matched NRMSE,
 //! per dataset.  The paper reports 4–10× over SZ3 and 20–63% over VAE-SR.
 //!
-//! All three methods run through the unified [`Codec`] interface with shared
+//! All three methods run through the unified [`gld_core::Codec`] interface with shared
 //! container-based accounting.
 
 use gld_baselines::SzCompressor;

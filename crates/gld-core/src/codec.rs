@@ -19,7 +19,7 @@
 //! into any `io::Write` without buffering frames at all.
 
 use crate::container::{
-    write_section, ByteReader, CodecId, Container, ContainerError, ContainerFormat,
+    write_section, ByteReader, CodecId, Container, ContainerError, ContainerFormat, ContainerWriter,
 };
 use crate::error_bound::{ErrorBoundConfig, PcaErrorBound};
 use crate::executor::{
@@ -209,41 +209,22 @@ where
     // A v4 stream carries the shared profile table between the header and
     // the frames, so the profile must be fitted before the first byte leaves
     // this process; v3/v2 headers need nothing fitted.
-    let (mut sink, stage) = match format {
-        ContainerFormat::V4 => {
-            let warm = Arc::new(fit_variable_profile(codec, variable, block_frames, target));
-            let sink = crate::container::ContainerWriter::with_profile_table(
-                writer,
-                codec.id(),
-                count as u32,
-                std::slice::from_ref(&warm.profile),
-            )
-            .map_err(|error| StreamWriteError {
-                error,
-                frames_emitted: 0,
-            })?;
-            (sink, StageMode::Shared(warm))
-        }
-        ContainerFormat::V3 | ContainerFormat::V2 => {
-            let sink = crate::container::ContainerWriter::with_format(
-                writer,
-                codec.id(),
-                count as u32,
-                format,
-            )
-            .map_err(|error| StreamWriteError {
-                error,
-                frames_emitted: 0,
-            })?;
-            let stage = if format == ContainerFormat::V3 {
-                StageMode::PerFrame
-            } else {
-                StageMode::Off
-            };
-            (sink, stage)
-        }
+    let stage = match format {
+        ContainerFormat::V4 => StageMode::Shared(Arc::new(fit_variable_profile(
+            codec,
+            variable,
+            block_frames,
+            target,
+        ))),
+        ContainerFormat::V3 => StageMode::PerFrame,
+        ContainerFormat::V2 => StageMode::Off,
     };
-    let profiled = matches!(stage, StageMode::Shared(_));
+    let (profiles, profile_id) = stage.profile();
+    let mut sink = ContainerWriter::start(writer, codec.id(), count as u32, format, profiles)
+        .map_err(|error| StreamWriteError {
+            error,
+            frames_emitted: 0,
+        })?;
     let mut acc = StatsAccumulator::new();
     let mut io_error: Option<std::io::Error> = None;
     let metrics = stream_compress_variable(
@@ -255,12 +236,7 @@ where
         stage,
         |_, outcome| {
             acc.add(&outcome);
-            let wrote = if profiled {
-                sink.write_profiled_frame(&outcome.frame, 1, outcome.lz.as_deref())
-            } else {
-                sink.write_staged_frame(&outcome.frame, outcome.lz.as_deref())
-            };
-            match wrote {
+            match sink.write_profiled_frame(&outcome.frame, profile_id, outcome.lz.as_deref()) {
                 Ok(()) => true,
                 Err(e) => {
                     // Cancel the stream: compressing the remaining windows
@@ -516,23 +492,14 @@ pub trait Codec: Sync {
         target: Option<ErrorTarget>,
         config: StreamConfig,
     ) -> (Container, VariableStats, StreamMetrics) {
-        let mut container = Container::new(self.id());
-        let mut acc = StatsAccumulator::new();
-        let metrics = stream_compress_variable(
+        compress_streaming(
             self,
             variable,
             block_frames,
             target,
             config,
             StageMode::PerFrame,
-            |_, outcome| {
-                acc.add(&outcome);
-                container.push_staged(outcome.frame, outcome.lz);
-                true
-            },
-        );
-        let compressed_bytes = container.encoded_len();
-        (container, acc.finish(compressed_bytes), metrics)
+        )
     }
 
     /// [`Codec::compress_variable`] under a shared cross-frame coding
@@ -550,23 +517,14 @@ pub trait Codec: Sync {
         config: StreamConfig,
     ) -> (Container, VariableStats, StreamMetrics) {
         let warm = Arc::new(fit_variable_profile(self, variable, block_frames, target));
-        let mut container = Container::with_profiles(self.id(), vec![warm.profile.clone()]);
-        let mut acc = StatsAccumulator::new();
-        let metrics = stream_compress_variable(
+        compress_streaming(
             self,
             variable,
             block_frames,
             target,
             config,
             StageMode::Shared(warm),
-            |_, outcome| {
-                acc.add(&outcome);
-                container.push_profiled(outcome.frame, 1, outcome.lz);
-                true
-            },
-        );
-        let compressed_bytes = container.encoded_len();
-        (container, acc.finish(compressed_bytes), metrics)
+        )
     }
 
     /// Sequential reference implementation of
@@ -579,25 +537,13 @@ pub trait Codec: Sync {
         target: Option<ErrorTarget>,
     ) -> (Container, VariableStats) {
         let warm = Arc::new(fit_variable_profile(self, variable, block_frames, target));
-        let stage = StageMode::Shared(warm.clone());
-        let (windows, _) = checked_windows(variable, block_frames);
-        let mut container = Container::with_profiles(self.id(), vec![warm.profile.clone()]);
-        let mut acc = StatsAccumulator::new();
-        let mut scratch = CodecScratch::new();
-        for (index, window) in windows.enumerate() {
-            let outcome = compress_window_outcome(
-                self,
-                &window.data,
-                target,
-                index as u64,
-                &mut scratch,
-                &stage,
-            );
-            acc.add(&outcome);
-            container.push_profiled(outcome.frame, 1, outcome.lz);
-        }
-        let compressed_bytes = container.encoded_len();
-        (container, acc.finish(compressed_bytes))
+        compress_sequential(
+            self,
+            variable,
+            block_frames,
+            target,
+            StageMode::Shared(warm),
+        )
     }
 
     /// Streams the compressed variable straight into `writer` as an encoded
@@ -633,24 +579,7 @@ pub trait Codec: Sync {
         block_frames: usize,
         target: Option<ErrorTarget>,
     ) -> (Container, VariableStats) {
-        let (windows, _) = checked_windows(variable, block_frames);
-        let mut container = Container::new(self.id());
-        let mut acc = StatsAccumulator::new();
-        let mut scratch = CodecScratch::new();
-        for (index, window) in windows.enumerate() {
-            let outcome = compress_window_outcome(
-                self,
-                &window.data,
-                target,
-                index as u64,
-                &mut scratch,
-                &StageMode::PerFrame,
-            );
-            acc.add(&outcome);
-            container.push_staged(outcome.frame, outcome.lz);
-        }
-        let compressed_bytes = container.encoded_len();
-        (container, acc.finish(compressed_bytes))
+        compress_sequential(self, variable, block_frames, target, StageMode::PerFrame)
     }
 
     /// Compresses every variable of a dataset (one [`Container`] per
@@ -693,6 +622,68 @@ pub trait Codec: Sync {
         container.check_entropy_compat()?;
         Ok(decompress_blocks(self, container))
     }
+}
+
+/// The streaming executor behind [`Codec::compress_variable_streaming`]
+/// (cold per-frame staging, container v3) and
+/// [`Codec::compress_variable_profiled`] (warm under the fitted shared
+/// profile, container v4).
+fn compress_streaming<C: Codec + ?Sized>(
+    codec: &C,
+    variable: &Variable,
+    block_frames: usize,
+    target: Option<ErrorTarget>,
+    config: StreamConfig,
+    stage: StageMode,
+) -> (Container, VariableStats, StreamMetrics) {
+    let (profiles, profile_id) = stage.profile();
+    let mut container = Container::with_profiles(codec.id(), profiles.to_vec());
+    let mut acc = StatsAccumulator::new();
+    let metrics = stream_compress_variable(
+        codec,
+        variable,
+        block_frames,
+        target,
+        config,
+        stage,
+        |_, outcome| {
+            acc.add(&outcome);
+            container.push_profiled(outcome.frame, profile_id, outcome.lz);
+            true
+        },
+    );
+    let compressed_bytes = container.encoded_len();
+    (container, acc.finish(compressed_bytes), metrics)
+}
+
+/// The sequential reference behind [`Codec::compress_variable_sequential`]
+/// and [`Codec::compress_variable_profiled_sequential`].
+fn compress_sequential<C: Codec + ?Sized>(
+    codec: &C,
+    variable: &Variable,
+    block_frames: usize,
+    target: Option<ErrorTarget>,
+    stage: StageMode,
+) -> (Container, VariableStats) {
+    let (profiles, profile_id) = stage.profile();
+    let mut container = Container::with_profiles(codec.id(), profiles.to_vec());
+    let (windows, _) = checked_windows(variable, block_frames);
+    let mut acc = StatsAccumulator::new();
+    let mut scratch = CodecScratch::new();
+    for (index, window) in windows.enumerate() {
+        let outcome = compress_window_outcome(
+            codec,
+            &window.data,
+            target,
+            index as u64,
+            &mut scratch,
+            &stage,
+        );
+        acc.add(&outcome);
+        container.push_profiled(outcome.frame, profile_id, outcome.lz);
+    }
+    let compressed_bytes = container.encoded_len();
+    (container, acc.finish(compressed_bytes))
 }
 
 /// Running aggregation of per-window partials.  Outcomes are added strictly

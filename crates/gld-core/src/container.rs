@@ -6,75 +6,71 @@
 //! measured length **is** the reported compressed size (Eq. 11 denominator —
 //! no hand-counted header arithmetic).
 //!
-//! Layout (all integers little-endian):
+//! ## Wire format (normative; all integers little-endian)
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"GLDC"
-//! 4       2     format version (3 without profiles, 4 with; v1–v3 decode)
+//! 4       2     format version (1–4)
 //! 6       1     codec id (see [`CodecId`])
 //! 7       1     flags (v1/v2: must be 0; v3/v4: see below, unknown bits ignored)
 //! 8       4     block count K
 //! 12      ...   v4 only: the shared entropy-profile table (see below)
-//! ...     ...   K frames, each:
-//!                 v4:  u8 stage + u8 profile id + u64 payload length
-//!                      + payload + u32 CRC-32 over (stage ‖ profile id ‖ payload)
-//!                 v3:  u8 stage + u64 payload length + payload
-//!                      + u32 CRC-32 over (stage byte ‖ payload)
-//!                 v2:  u64 payload length + payload + u32 CRC-32
-//!                 v1:  u64 payload length + payload
+//! ...     ...   K frames
 //! ```
 //!
-//! ## v3: the per-frame lossless stage
+//! Every frame of every version is
+//! `[stage u8] [profile u8] u64 payload length, payload, [u32 CRC-32]`;
+//! a version only decides which bracketed parts are present, and the CRC
+//! covers the head bytes present followed by the payload:
 //!
-//! Version 3 runs every frame through the general-purpose `gld-lz` stage
-//! (hash-chain LZ77, sequences range-coded with adaptive models) and keeps
-//! whichever is smaller, recording the choice in the frame's *stage* byte:
+//! | version | stage byte | profile id | CRC-32 | written by |
+//! |---|---|---|---|---|
+//! | 1 | – | – | – | [`Container::encode_v1`] (compat tests, v1-only readers) |
+//! | 2 | – | – | ✓ | [`Container::encode_v2`] (stage-incapable peers) |
+//! | 3 | ✓ | – | ✓ | [`Container::encode_v3`]; [`Container::encode`] without profiles |
+//! | 4 | ✓ | ✓ | ✓ | [`Container::encode`] with profiles |
 //!
-//! | stage | meaning |
-//! |---|---|
-//! | 0 (`None`) | payload is the codec frame verbatim |
-//! | 1 (`Lz`)   | payload is a `gld-lz` stream; decompress to get the frame |
+//! That table exists once in code — `FrameLayout::of` in `container/frame.rs`,
+//! whose fields no other module can see — and every encoder, both decoders,
+//! the profile table and [`ContainerWriter`] frame through the one reader and
+//! one writer built on it.
 //!
-//! The stage squeezes the per-frame fixed costs the codecs cannot remove
-//! themselves — serialised model tables, headers, escape literals — and the
-//! stored-block economics of `gld-lz` guarantee a frame never grows by more
-//! than the one stage byte.  The frame CRC covers the stage byte *and* the
-//! payload, so a corrupted stage marker is caught before the stage decoder
-//! runs.
+//! **CRC-32/IEEE (v2+)**: payload corruption surfaces as a typed
+//! [`ContainerError::ChecksumMismatch`] naming the damaged block instead of
+//! a downstream codec panic; from v3 a corrupted stage byte (and from v4
+//! profile id) is caught the same way, before the stage decoder runs.
 //!
-//! The v3 flags byte declares the entropy-coder generation of the frame
-//! payloads: [`FLAG_RANGE_CODED`] is always set by this build's writers, and
-//! a v3 stream *without* it is refused as
+//! **Stage byte (v3+)**: every frame runs through the general-purpose
+//! `gld-lz` stage (hash-chain LZ77, sequences range-coded with adaptive
+//! models) and keeps whichever is smaller — stage 0 (`None`): the payload
+//! is the codec frame verbatim; stage 1 (`Lz`): a `gld-lz` stream,
+//! decompress to get the frame.  The stage squeezes the per-frame fixed
+//! costs the codecs cannot remove themselves — serialised model tables,
+//! headers, escape literals — and the stored-block economics of `gld-lz`
+//! guarantee a frame never grows by more than the one stage byte.
+//!
+//! **Flags (v3+)**: the flags byte declares the entropy-coder generation of
+//! the frame payloads.  [`FLAG_RANGE_CODED`] is always set by this build's
+//! writers, and a v3/v4 stream *without* it is refused as
 //! [`ContainerError::IncompatibleEntropyCoder`] — the typed cross-build
 //! error for payloads written by a pre-range-coder build.  (Pre-v3 streams
 //! carry no such marker: v2 payloads may come from either side of the
 //! range-coder switch and decode on benefit of the doubt, while v1
 //! learned-codec streams — which can only predate it — are refused with the
-//! same typed error by [`Container::check_entropy_compat`].)  Unknown v3
-//! flag bits are ignored so future markers never hard-break this reader.
+//! same typed error by [`Container::check_entropy_compat`].)  Unknown flag
+//! bits are ignored so future markers never hard-break this reader.
 //!
-//! Version 2 appends a CRC-32/IEEE checksum to every frame, so payload
-//! corruption surfaces as a typed [`ContainerError::ChecksumMismatch`]
-//! naming the damaged block instead of a downstream codec panic.
-//!
-//! ## v4: shared entropy-model profiles
-//!
-//! Version 4 adds a **profile table** between the header and the frames:
-//! entropy models fitted once per variable and referenced by a one-byte
-//! per-frame profile id, so later frames stop paying the per-frame model
-//! serialisation and the stage's cold adaptive-model ramp.  The table is
-//! framed like a frame — its body runs through the same `gld-lz` stage
-//! decision (model histograms and snapshots compress well, and the table
-//! is the fixed cost every shared-coding saving has to amortise) and is
-//! validated against its own CRC-32 before any entry is interpreted:
+//! **Profile table and profile id (v4)**: entropy models fitted once per
+//! variable and referenced by the frames' one-byte profile id, so later
+//! frames stop paying the per-frame model serialisation and the stage's cold
+//! adaptive-model ramp.  The table is **one frame in the version 3 layout**
+//! — its body takes the same `gld-lz` stage decision (histograms and
+//! snapshots compress well, and the table is the fixed cost every
+//! shared-coding saving has to amortise) and is validated against its CRC
+//! before any entry is interpreted.  The body:
 //!
 //! ```text
-//! u8            table stage byte (0 = raw body, 1 = gld-lz-staged body)
-//! u64 + bytes   length-prefixed payload (de-stage to recover the body)
-//! u32           CRC-32 over (stage byte ‖ payload)
-//!
-//! body:
 //! u8            profile count P (frames reference 1..=P; 0 = no profile)
 //! P entries:    u8  generation       (must be PROFILE_GENERATION)
 //!               u8  codec id         (must equal the container codec)
@@ -94,15 +90,25 @@
 //! generation or codec mismatches each surface as their own
 //! [`ContainerError`] variant, never a panic.
 //!
-//! Decoders accept all four versions; [`Container::encode`] writes v4 when
-//! the container carries profiles and v3 otherwise ([`Container::encode_v3`]
-//! forces the profile-less current format), and [`Container::encode_v2`] /
-//! [`Container::encode_v1`] remain for interop with older readers and the
-//! version-compat tests.
+//! ## Decoding: two policies over one walk
+//!
+//! Both decoders parse the header and the table, then read frame after
+//! frame through the same reader and the same de-stage.
+//! [`Container::decode`] returns the first fault;
+//! [`Container::decode_salvage`] records it against the frame, finds the
+//! next frame boundary (the damaged frame's own length prefix when the
+//! stream behind it validates, a checksum-guided scan otherwise) and keeps
+//! going.  Whatever strict decode accepts, salvage returns complete and
+//! identical; a frame either refuses, both refuse with the same typed error.
 
-use crate::crc32::{crc32, Crc32};
+mod frame;
+
+pub use frame::{write_section, ByteReader};
+
+use frame::{decode_header, destage, encode_header, FrameDamage, FrameLayout};
 use gld_entropy::HistogramModel;
 use gld_lz::{LzProfile, LzScratch};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
 use std::io::{Read, Write};
@@ -245,14 +251,6 @@ pub struct EntropyProfile {
 }
 
 impl EntropyProfile {
-    /// Serialised size of this profile's table entry in bytes.
-    fn entry_len(&self) -> usize {
-        3 + 8
-            + self.model.as_ref().map_or(0, |m| m.header_bytes())
-            + 8
-            + self.lz.as_ref().map_or(0, |_| gld_lz::PROFILE_BYTES)
-    }
-
     /// The seed dictionary this profile selects for `block` out of the
     /// container's unstaged frames (the first block is its own dictionary
     /// and therefore seeds empty).
@@ -520,261 +518,84 @@ impl fmt::Display for ContainerError {
 
 impl std::error::Error for ContainerError {}
 
-/// Bounds-checked little-endian reader over a byte slice, shared by the
-/// container and block-frame decoders.
-pub struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Starts reading at the beginning of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        ByteReader { bytes, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Takes the next `len` raw bytes.
-    pub fn take(&mut self, len: usize) -> Result<&'a [u8], ContainerError> {
-        if self.remaining() < len {
-            return Err(ContainerError::Truncated {
-                // Saturate: `len` may be a corrupt u64 length prefix near
-                // usize::MAX, and a corrupt frame must surface as an error,
-                // never as an arithmetic-overflow panic.
-                needed: self.pos.saturating_add(len),
-                available: self.bytes.len(),
-            });
-        }
-        let out = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
-    }
-
-    /// Reads one byte.
-    pub fn read_u8(&mut self) -> Result<u8, ContainerError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn read_u16(&mut self) -> Result<u16, ContainerError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&mut self) -> Result<u32, ContainerError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn read_u64(&mut self) -> Result<u64, ContainerError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `f32`.
-    pub fn read_f32(&mut self) -> Result<f32, ContainerError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a length-prefixed byte section (`u64` length + payload).
-    pub fn read_section(&mut self) -> Result<&'a [u8], ContainerError> {
-        let len = self.read_u64()? as usize;
-        self.take(len)
-    }
-
-    /// Asserts that the whole input was consumed.
-    pub fn expect_end(&self) -> Result<(), ContainerError> {
-        if self.remaining() != 0 {
-            return Err(ContainerError::TrailingBytes(self.remaining()));
-        }
-        Ok(())
-    }
-}
-
-/// Appends a length-prefixed byte section (`u64` length + payload).
-pub fn write_section(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-}
-
-/// Appends the fixed container header — the one definition shared by the
-/// buffered encoders and the incremental [`ContainerWriter`].
-fn encode_header(out: &mut Vec<u8>, version: u16, codec: CodecId, count: u32) {
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&version.to_le_bytes());
-    out.push(codec as u8);
-    out.push(if version >= VERSION {
-        FLAG_RANGE_CODED
-    } else {
-        0
-    });
-    out.extend_from_slice(&count.to_le_bytes());
-}
-
-/// The `container.frame` failpoint: with `corrupt` armed, flips the last
-/// pre-CRC byte of the frame just appended to `out` — after its checksum
-/// was computed, so the damage models exactly the stored-container bit-rot
-/// [`Container::decode_salvage`] exists to survive.
-fn inject_frame_fault(out: &mut [u8]) {
-    if !fail::active() {
-        return;
-    }
-    match fail::check("container.frame") {
-        Some(fail::Action::Corrupt) => {
-            let at = out.len() - FRAME_CRC_LEN - 1;
-            out[at] ^= 0xFF;
-        }
-        Some(fail::Action::Delay(d)) => std::thread::sleep(d),
-        _ => {}
-    }
-}
-
-/// The `container.destage` failpoint: forces a stage-decode failure (or a
-/// stall) as if the staged payload were unreadable.
-fn inject_destage_fault() -> Option<ContainerError> {
-    if !fail::active() {
-        return None;
-    }
-    match fail::check("container.destage")? {
-        fail::Action::Delay(d) => {
-            std::thread::sleep(d);
-            None
-        }
-        _ => Some(ContainerError::Corrupt("injected de-stage fault")),
-    }
-}
-
-/// Appends one v3 frame: stage byte, length-prefixed payload, CRC over the
-/// stage byte and payload.
-fn encode_v3_frame(out: &mut Vec<u8>, raw: &[u8], lz: Option<&[u8]>) {
-    let (stage, payload) = match lz {
-        Some(staged) => (STAGE_LZ, staged),
-        None => (STAGE_NONE, raw),
-    };
-    out.push(stage);
-    write_section(out, payload);
-    let mut crc = Crc32::new();
-    crc.update(&[stage]);
-    crc.update(payload);
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    inject_frame_fault(out);
-}
-
-/// Encoded length of one v3 frame given the stage decision.
-fn v3_frame_len(raw_len: usize, lz_len: Option<usize>) -> usize {
-    FRAME_STAGE_LEN + 8 + lz_len.unwrap_or(raw_len) + FRAME_CRC_LEN
-}
-
-/// Appends one v4 frame: stage byte, profile id, length-prefixed payload,
-/// CRC over the stage byte, profile id and payload.
-fn encode_v4_frame(out: &mut Vec<u8>, raw: &[u8], profile: u8, lz: Option<&[u8]>) {
-    let (stage, payload) = match lz {
-        Some(staged) => (STAGE_LZ, staged),
-        None => (STAGE_NONE, raw),
-    };
-    out.push(stage);
-    out.push(profile);
-    write_section(out, payload);
-    let mut crc = Crc32::new();
-    crc.update(&[stage, profile]);
-    crc.update(payload);
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-    inject_frame_fault(out);
-}
-
-/// Encoded length of one v4 frame given the stage decision.
-fn v4_frame_len(raw_len: usize, lz_len: Option<usize>) -> usize {
-    FRAME_STAGE_LEN + 1 + 8 + lz_len.unwrap_or(raw_len) + FRAME_CRC_LEN
-}
-
 /// De-stage allocation cap for a v4 profile table: far above any real table
 /// ([`MAX_PROFILES`] entries of a few KiB each), far below harm.
 const MAX_PROFILE_TABLE_BUDGET: usize = 1 << 22;
 
-/// Serialises the body of a v4 profile table (count byte + entries) — the
-/// bytes the table's own stage decision runs over.
-fn profile_table_body(codec: CodecId, profiles: &[EntropyProfile]) -> Vec<u8> {
+/// Appends the v4 profile table: its body (count byte + entries) as one
+/// frame in the version 3 layout, itself `gld-lz`-staged when that is
+/// strictly smaller — model histograms and stage snapshots compress well,
+/// and the table is the per-variable fixed cost every shared-coding saving
+/// has to amortise.
+fn write_profile_table(out: &mut Vec<u8>, codec: CodecId, profiles: &[EntropyProfile]) {
     debug_assert!(!profiles.is_empty() && profiles.len() <= MAX_PROFILES);
-    let mut body = Vec::with_capacity(
-        1 + profiles
-            .iter()
-            .map(EntropyProfile::entry_len)
-            .sum::<usize>(),
-    );
-    body.push(profiles.len() as u8);
+    let mut body = vec![profiles.len() as u8];
     for profile in profiles {
-        body.push(PROFILE_GENERATION);
-        body.push(codec as u8);
-        body.push(profile.dict_mode as u8);
-        match &profile.model {
-            Some(model) => write_section(&mut body, &model.to_bytes()),
-            None => write_section(&mut body, &[]),
-        }
-        match &profile.lz {
-            Some(lz) => write_section(&mut body, &lz.to_bytes()),
-            None => write_section(&mut body, &[]),
-        }
+        body.extend([PROFILE_GENERATION, codec as u8, profile.dict_mode as u8]);
+        let model = profile.model.as_ref().map(HistogramModel::to_bytes);
+        write_section(&mut body, &model.unwrap_or_default());
+        let lz = profile.lz.as_ref().map(LzProfile::to_bytes);
+        write_section(&mut body, &lz.unwrap_or_default());
     }
-    body
+    let staged = stage_frame_pooled(&body);
+    FrameLayout::written(VERSION).write(out, &body, 0, staged.as_deref());
 }
 
-/// Serialised length of a v4 profile table (stage byte + length-prefixed,
-/// possibly staged, body + CRC-32).  Runs the same deterministic stage
-/// decision as [`encode_profile_table`].
+/// Serialised length of the v4 profile table — measured off the real thing
+/// (the stage decision is deterministic), 0 for a profile-less container.
 fn profile_table_len(codec: CodecId, profiles: &[EntropyProfile]) -> usize {
-    let body = profile_table_body(codec, profiles);
-    let staged = stage_frame_pooled(&body);
-    FRAME_STAGE_LEN + 8 + staged.map_or(body.len(), |s| s.len()) + 4
+    if profiles.is_empty() {
+        return 0;
+    }
+    let mut table = Vec::new();
+    write_profile_table(&mut table, codec, profiles);
+    table.len()
 }
 
-/// Appends the v4 profile table: stage byte, length-prefixed body (itself
-/// `gld-lz`-staged when that is strictly smaller — model histograms and
-/// stage snapshots compress well, and the table is the per-variable fixed
-/// cost every shared-coding saving has to amortise), CRC-32 over stage byte
-/// and payload.
-fn encode_profile_table(out: &mut Vec<u8>, codec: CodecId, profiles: &[EntropyProfile]) {
-    let body = profile_table_body(codec, profiles);
-    let staged = stage_frame_pooled(&body);
-    let (stage, payload) = match staged.as_deref() {
-        Some(s) => (STAGE_LZ, s),
-        None => (STAGE_NONE, body.as_slice()),
-    };
-    out.push(stage);
-    write_section(out, payload);
-    let mut crc = Crc32::new();
-    crc.update(&[stage]);
-    crc.update(payload);
-    out.extend_from_slice(&crc.finish().to_le_bytes());
-}
-
-/// Parses and validates the v4 profile table.  Structure first (to find the
-/// table's extent), then the CRC over the wire bytes, then de-staging, and
-/// only then the per-entry semantics — no entry is interpreted before the
-/// bytes are vetted.
+/// Parses and validates the v4 profile table at `pos`, returning the
+/// profiles and the offset of the first frame.  Framing and CRC first, then
+/// de-staging, and only then the per-entry semantics — no entry is
+/// interpreted before the bytes are vetted.  The damage keeps the table's
+/// structural extent (`skip_to`) whenever its length prefix was readable, so
+/// salvage can reach the frames behind a table it cannot use.
 fn decode_profile_table(
-    reader: &mut ByteReader<'_>,
+    bytes: &[u8],
+    pos: usize,
+    codec: CodecId,
+) -> Result<(Vec<EntropyProfile>, usize), FrameDamage> {
+    let frame = FrameLayout::written(VERSION)
+        .read(bytes, pos, 0)
+        .map_err(|damage| FrameDamage {
+            error: match damage.error {
+                ContainerError::ChecksumMismatch {
+                    stored, computed, ..
+                } => ContainerError::ProfileChecksumMismatch { stored, computed },
+                ContainerError::UnknownStage { .. } => {
+                    ContainerError::Corrupt("profile table stage byte unknown")
+                }
+                other => other,
+            },
+            ..damage
+        })?;
+    let soft = |error| FrameDamage {
+        error,
+        skip_to: Some(frame.next),
+    };
+    let body = match frame.stage {
+        Some(STAGE_LZ) => gld_lz::decompress(frame.payload, MAX_PROFILE_TABLE_BUDGET)
+            .map_err(|error| soft(ContainerError::ProfileTableDecode { error }))?,
+        _ => frame.payload.to_vec(),
+    };
+    let profiles = parse_profile_entries(&body, codec).map_err(soft)?;
+    Ok((profiles, frame.next))
+}
+
+/// Interprets a vetted, de-staged profile table body.
+fn parse_profile_entries(
+    body: &[u8],
     codec: CodecId,
 ) -> Result<Vec<EntropyProfile>, ContainerError> {
-    let stage = reader.read_u8()?;
-    let payload = reader.read_section()?;
-    let mut crc = Crc32::new();
-    crc.update(&[stage]);
-    crc.update(payload);
-    let computed = crc.finish();
-    let stored = reader.read_u32()?;
-    if stored != computed {
-        return Err(ContainerError::ProfileChecksumMismatch { stored, computed });
-    }
-    let body = match stage {
-        STAGE_NONE => payload.to_vec(),
-        STAGE_LZ => gld_lz::decompress(payload, MAX_PROFILE_TABLE_BUDGET)
-            .map_err(|error| ContainerError::ProfileTableDecode { error })?,
-        _ => return Err(ContainerError::Corrupt("profile table stage byte unknown")),
-    };
-    let mut body_reader = ByteReader::new(&body);
+    let mut body_reader = ByteReader::new(body);
     let count = body_reader.read_u8()? as usize;
     if count == 0 {
         // Writers only emit v4 for containers that carry profiles, so an
@@ -843,19 +664,18 @@ fn decode_profile_table(
     Ok(profiles)
 }
 
-/// A decoded (or under-construction) container: codec identity plus the
-/// per-block frames, in temporal order.
-///
-/// Per-frame stage-decision cache.  Staging is a pure function of the
-/// frame bytes, so `Unknown` entries can always be resolved on demand —
-/// the point of the cache is that hot paths (the executor's workers, v3
-/// decode) already hold the answer, while pure-read paths (decoding a
-/// legacy stream that will never be re-encoded) never pay compressor-grade
-/// CPU for it.
+/// Per-frame stage-decision cache: the decision under the frame's **own**
+/// profile (see [`FrameRecord`]).  Staging is a pure function of the frame
+/// bytes (and the profile), so `Unknown` entries can always be resolved on
+/// demand — the point of the cache is that hot paths (the executor's
+/// workers, v3/v4 decode) already hold the answer, while pure-read paths
+/// (decoding a legacy stream that will never be re-encoded) never pay
+/// compressor-grade CPU for it.
 #[derive(Clone, Debug)]
 enum StageCache {
-    /// Not yet computed (legacy-stream decode); resolved lazily by the v3
-    /// encode paths.
+    /// Not yet computed (the frame came off a stage-less v1/v2 stream, so
+    /// it has no profile either); resolved lazily by the staged encoders to
+    /// exactly what a current writer would produce.
     Unknown,
     /// The staged stream beat the raw frame.
     Lz(Vec<u8>),
@@ -863,27 +683,20 @@ enum StageCache {
     Raw,
 }
 
-impl StageCache {
-    /// Staged-payload length of the v3 encode decision for `frame`
-    /// (`None` = the raw frame wins), without cloning a cached stream;
-    /// `Unknown` is resolved on the fly (deterministic, so every
-    /// resolution yields the same answer).
-    fn staged_len(&self, frame: &[u8]) -> Option<usize> {
-        match self {
-            StageCache::Unknown => stage_frame_pooled(frame).map(|s| s.len()),
-            StageCache::Lz(stream) => Some(stream.len()),
-            StageCache::Raw => None,
-        }
-    }
-
-    fn from_decision(lz: Option<Vec<u8>>) -> Self {
-        match lz {
-            Some(stream) => StageCache::Lz(stream),
-            None => StageCache::Raw,
-        }
-    }
+/// What a container remembers about a frame beside its bytes.
+#[derive(Clone, Debug)]
+struct FrameRecord {
+    /// The frame's profile id (0 = none, N = `profiles[N - 1]`).
+    profile: u8,
+    /// The stage decision under that profile — the cold decision when the
+    /// id is 0.  A profiled stream only decodes under its profile, so a
+    /// profile-less encoding of a profiled frame never reuses it.
+    staged: StageCache,
 }
 
+/// A decoded (or under-construction) container: codec identity plus the
+/// per-block frames, in temporal order.
+///
 /// Frames are held **unstaged** — `blocks()` always returns the codec's own
 /// bytes, whatever version the stream came from — with the adaptive `gld-lz`
 /// stage decision cached alongside each frame so `encoded_len` stays exact
@@ -894,19 +707,10 @@ impl StageCache {
 pub struct Container {
     codec: CodecId,
     blocks: Vec<Vec<u8>>,
-    /// Per-frame stage cache (see [`StageCache`]).
-    staged: Vec<StageCache>,
+    /// Per-frame profile id and stage cache, parallel to `blocks`.
+    records: Vec<FrameRecord>,
     /// Shared entropy profiles (v4).  Empty for profile-less containers.
     profiles: Vec<EntropyProfile>,
-    /// Per-frame profile id, parallel to `blocks` whenever `profiles` is
-    /// non-empty (0 = no profile, N = `profiles[N - 1]`).
-    frame_profiles: Vec<u8>,
-    /// Per-frame *profiled* stage cache, parallel to `blocks` whenever
-    /// `profiles` is non-empty: the staged stream under the frame's profile
-    /// (`None` = the raw frame wins).  Kept separate from the cold
-    /// [`StageCache`] because a profiled stream only decodes under its
-    /// profile — `encode_v3` must never reuse it.
-    profiled_lz: Vec<Option<Vec<u8>>>,
     /// The container version this instance was decoded from ([`VERSION`]
     /// for locally built containers) — what the cross-build
     /// [`Container::check_entropy_compat`] check keys on.  Derived state,
@@ -926,15 +730,7 @@ impl Eq for Container {}
 impl Container {
     /// An empty container for `codec`.
     pub fn new(codec: CodecId) -> Self {
-        Container {
-            codec,
-            blocks: Vec::new(),
-            staged: Vec::new(),
-            profiles: Vec::new(),
-            frame_profiles: Vec::new(),
-            profiled_lz: Vec::new(),
-            wire_version: VERSION,
-        }
+        Container::with_profiles(codec, Vec::new())
     }
 
     /// An empty container carrying shared entropy profiles; frames arrive
@@ -945,26 +741,22 @@ impl Container {
             profiles.len() <= MAX_PROFILES,
             "a container carries at most {MAX_PROFILES} profiles"
         );
-        let mut c = Container::new(codec);
-        c.profiles = profiles;
-        c
+        Container {
+            codec,
+            blocks: Vec::new(),
+            records: Vec::new(),
+            profiles,
+            wire_version: VERSION,
+        }
     }
 
     /// Wraps existing frames (the stage decision is computed per frame).
     pub fn from_blocks(codec: CodecId, blocks: Vec<Vec<u8>>) -> Self {
-        let staged = blocks
-            .iter()
-            .map(|b| StageCache::from_decision(stage_frame_pooled(b)))
-            .collect();
-        Container {
-            codec,
-            blocks,
-            staged,
-            profiles: Vec::new(),
-            frame_profiles: Vec::new(),
-            profiled_lz: Vec::new(),
-            wire_version: VERSION,
+        let mut c = Container::new(codec);
+        for block in blocks {
+            c.push(block);
         }
+        c
     }
 
     /// The codec that produced these frames.
@@ -998,24 +790,13 @@ impl Container {
     /// streaming executor stages on its worker threads; `lz` must be
     /// exactly [`stage_frame`]'s output for `frame`).
     pub fn push_staged(&mut self, frame: Vec<u8>, lz: Option<Vec<u8>>) {
-        debug_assert!(
-            lz.as_ref().is_none_or(|s| s.len() < frame.len()),
-            "staged payload must be strictly smaller than the frame"
-        );
-        if !self.profiles.is_empty() {
-            // A profiled container keeps its parallel vectors in lock-step;
-            // a plain push is a frame with no profile reference.
-            self.frame_profiles.push(0);
-            self.profiled_lz.push(None);
-        }
-        self.blocks.push(frame);
-        self.staged.push(StageCache::from_decision(lz));
+        self.push_profiled(frame, 0, lz);
     }
 
-    /// Appends one block frame of a profiled container: `profile` is the
-    /// frame's profile id (0 = none, N = the Nth profile) and `lz` the stage
+    /// Appends one block frame under a profile: `profile` is the frame's
+    /// profile id (0 = none, N = the Nth profile) and `lz` the stage
     /// decision computed under that profile via [`stage_frame_profiled`]
-    /// (`None` = store raw).
+    /// ([`stage_frame`] for id 0; `None` = store raw).
     pub fn push_profiled(&mut self, frame: Vec<u8>, profile: u8, lz: Option<Vec<u8>>) {
         assert!(
             (profile as usize) <= self.profiles.len(),
@@ -1026,12 +807,11 @@ impl Container {
             lz.as_ref().is_none_or(|s| s.len() < frame.len()),
             "staged payload must be strictly smaller than the frame"
         );
-        self.frame_profiles.push(profile);
-        self.profiled_lz.push(lz);
         self.blocks.push(frame);
-        // The cold decision for this frame is unknown (and usually never
-        // needed — only an explicit `encode_v3` downgrade resolves it).
-        self.staged.push(StageCache::Unknown);
+        self.records.push(FrameRecord {
+            profile,
+            staged: lz.map_or(StageCache::Raw, StageCache::Lz),
+        });
     }
 
     /// The shared entropy profiles this container carries (empty for
@@ -1042,7 +822,7 @@ impl Container {
 
     /// The profile id of block `index` (0 = none).
     pub fn frame_profile(&self, index: usize) -> u8 {
-        self.frame_profiles.get(index).copied().unwrap_or(0)
+        self.records.get(index).map_or(0, |r| r.profile)
     }
 
     /// The profile block `index` references, if any.
@@ -1053,15 +833,47 @@ impl Container {
         }
     }
 
-    /// The staged-payload length frame `index` of a profiled container
-    /// encodes with (`None` = the raw frame wins): the cached profiled
-    /// decision for frames with a profile, the cold decision otherwise.
-    fn v4_staged_len(&self, index: usize) -> Option<usize> {
-        if self.frame_profiles[index] == 0 {
-            self.staged[index].staged_len(&self.blocks[index])
+    /// The layout [`Container::encode`] writes: v4 when the container
+    /// carries profiles, v3 otherwise.
+    fn native_version(&self) -> u16 {
+        if self.profiles.is_empty() {
+            VERSION
         } else {
-            self.profiled_lz[index].as_ref().map(Vec::len)
+            VERSION_V4
         }
+    }
+
+    /// The staged stream frame `index` is written with under `layout`
+    /// (`None` = the raw frame wins, always so for a stage-less layout).
+    fn staged_under(&self, layout: FrameLayout, index: usize) -> Option<Cow<'_, [u8]>> {
+        if !layout.staged() {
+            return None;
+        }
+        let record = &self.records[index];
+        match &record.staged {
+            // The cache holds the decision under the frame's own profile; a
+            // layout with profile ids writes the frame under exactly that.
+            StageCache::Lz(stream) if layout.profiled() || record.profile == 0 => {
+                Some(Cow::Borrowed(&stream[..]))
+            }
+            StageCache::Raw if layout.profiled() || record.profile == 0 => None,
+            // Anything else is a cold coding nobody has run yet — a legacy
+            // frame's first staged encode, the profile-less downgrade of a
+            // profiled frame — and deterministic, so it resolves the same
+            // way every time.
+            _ => stage_frame_pooled(&self.blocks[index]).map(Cow::Owned),
+        }
+    }
+
+    /// Exact size of the `version` encoding, without encoding the frames.
+    fn encoded_len_as(&self, version: u16) -> usize {
+        let layout = FrameLayout::written(version);
+        let table = layout.profiled().then(|| self.profile_table_bytes());
+        let frames = self.blocks.iter().enumerate().map(|(index, block)| {
+            let staged = self.staged_under(layout, index);
+            layout.frame_len(staged.map_or(block.len(), |s| s.len()))
+        });
+        HEADER_LEN + table.unwrap_or(0) + frames.sum::<usize>()
     }
 
     /// Number of frames whose [`Container::encode`] output takes the `Lz`
@@ -1069,62 +881,55 @@ impl Container {
     /// profile for a profiled container, cold otherwise — resolving lazily
     /// for frames whose decision is not yet cached.
     pub fn staged_frames(&self) -> usize {
-        if self.profiles.is_empty() {
-            self.blocks
-                .iter()
-                .zip(&self.staged)
-                .filter(|(b, s)| s.staged_len(b).is_some())
-                .count()
-        } else {
-            (0..self.blocks.len())
-                .filter(|&i| self.v4_staged_len(i).is_some())
-                .count()
-        }
+        let layout = FrameLayout::written(self.native_version());
+        (0..self.blocks.len())
+            .filter(|&index| self.staged_under(layout, index).is_some())
+            .count()
     }
 
     /// Exact size of [`Container::encode`]'s output, without encoding.
     pub fn encoded_len(&self) -> usize {
-        if self.profiles.is_empty() {
-            self.encoded_len_v3()
-        } else {
-            HEADER_LEN
-                + profile_table_len(self.codec, &self.profiles)
-                + (0..self.blocks.len())
-                    .map(|i| v4_frame_len(self.blocks[i].len(), self.v4_staged_len(i)))
-                    .sum::<usize>()
-        }
-    }
-
-    /// Exact size of [`Container::encode_v3`]'s output, without encoding.
-    fn encoded_len_v3(&self) -> usize {
-        HEADER_LEN
-            + self
-                .blocks
-                .iter()
-                .zip(&self.staged)
-                .map(|(b, s)| v3_frame_len(b.len(), s.staged_len(b)))
-                .sum::<usize>()
+        self.encoded_len_as(self.native_version())
     }
 
     /// Serialised table bytes [`Container::encode`] spends on the shared
     /// profiles (0 for a profile-less container) — the per-variable fixed
     /// cost the per-frame savings have to amortise.
     pub fn profile_table_bytes(&self) -> usize {
-        if self.profiles.is_empty() {
-            0
-        } else {
-            profile_table_len(self.codec, &self.profiles)
+        profile_table_len(self.codec, &self.profiles)
+    }
+
+    /// Serialises the container in wire version `version` — every encoder
+    /// is this walk under a different [`FrameLayout`].
+    fn encode_as(&self, version: u16) -> Vec<u8> {
+        let layout = FrameLayout::written(version);
+        let mut out = Vec::new();
+        encode_header(&mut out, version, self.codec, self.blocks.len() as u32);
+        if layout.profiled() {
+            write_profile_table(&mut out, self.codec, &self.profiles);
         }
+        // Capacity from the stage-less upper bound (staged payloads only
+        // shrink frames): an exact `encoded_len` here would resolve every
+        // `Unknown` frame a second time just to pre-size the buffer.
+        out.reserve(
+            self.blocks
+                .iter()
+                .map(|b| layout.frame_len(b.len()))
+                .sum::<usize>(),
+        );
+        for (index, (block, record)) in self.blocks.iter().zip(&self.records).enumerate() {
+            let staged = self.staged_under(layout, index);
+            layout.write(&mut out, block, record.profile, staged.as_deref());
+            layout.frame_failpoint(&mut out);
+        }
+        debug_assert_eq!(out.len(), self.encoded_len_as(version));
+        out
     }
 
     /// Serialises the container to bytes: the v4 shared-profile format when
     /// the container carries profiles, the v3 per-frame format otherwise.
     pub fn encode(&self) -> Vec<u8> {
-        if self.profiles.is_empty() {
-            self.encode_v3()
-        } else {
-            self.encode_v4()
-        }
+        self.encode_as(self.native_version())
     }
 
     /// Serialises the container in the profile-less v3 (per-frame stage +
@@ -1132,93 +937,20 @@ impl Container {
     /// support.  Profiled stage caches are never reused here (they only
     /// decode under their profile); cold decisions are resolved lazily.
     pub fn encode_v3(&self) -> Vec<u8> {
-        // Capacity from the stage-less upper bound (staged payloads only
-        // shrink frames): an exact `encoded_len` here would resolve every
-        // `Unknown` frame a second time just to pre-size the buffer.
-        let upper = HEADER_LEN
-            + self
-                .blocks
-                .iter()
-                .map(|b| v3_frame_len(b.len(), None))
-                .sum::<usize>();
-        let mut out = Vec::with_capacity(upper);
-        encode_header(&mut out, VERSION, self.codec, self.blocks.len() as u32);
-        for (block, s) in self.blocks.iter().zip(&self.staged) {
-            // Borrow cached streams; compress at most once for `Unknown`.
-            match s {
-                StageCache::Raw => encode_v3_frame(&mut out, block, None),
-                StageCache::Lz(stream) => encode_v3_frame(&mut out, block, Some(stream)),
-                StageCache::Unknown => {
-                    let lz = stage_frame_pooled(block);
-                    encode_v3_frame(&mut out, block, lz.as_deref());
-                }
-            }
-        }
-        debug_assert_eq!(out.len(), self.encoded_len_v3());
-        out
-    }
-
-    /// Serialises the container in the v4 shared-profile format.
-    fn encode_v4(&self) -> Vec<u8> {
-        let upper = HEADER_LEN
-            + profile_table_len(self.codec, &self.profiles)
-            + self
-                .blocks
-                .iter()
-                .map(|b| v4_frame_len(b.len(), None))
-                .sum::<usize>();
-        let mut out = Vec::with_capacity(upper);
-        encode_header(&mut out, VERSION_V4, self.codec, self.blocks.len() as u32);
-        encode_profile_table(&mut out, self.codec, &self.profiles);
-        for (index, block) in self.blocks.iter().enumerate() {
-            let profile = self.frame_profiles[index];
-            if profile == 0 {
-                match &self.staged[index] {
-                    StageCache::Raw => encode_v4_frame(&mut out, block, 0, None),
-                    StageCache::Lz(stream) => encode_v4_frame(&mut out, block, 0, Some(stream)),
-                    StageCache::Unknown => {
-                        let lz = stage_frame_pooled(block);
-                        encode_v4_frame(&mut out, block, 0, lz.as_deref());
-                    }
-                }
-            } else {
-                encode_v4_frame(&mut out, block, profile, self.profiled_lz[index].as_deref());
-            }
-        }
-        debug_assert_eq!(out.len(), self.encoded_len());
-        out
+        self.encode_as(VERSION)
     }
 
     /// Serialises the container in the v2 (stage-less, per-frame CRC-32)
     /// format — what stage-incapable peers negotiate and what the
     /// version-compat tests pin.
     pub fn encode_v2(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            HEADER_LEN
-                + self
-                    .blocks
-                    .iter()
-                    .map(|b| 8 + b.len() + FRAME_CRC_LEN)
-                    .sum::<usize>(),
-        );
-        encode_header(&mut out, VERSION_V2, self.codec, self.blocks.len() as u32);
-        for block in &self.blocks {
-            write_section(&mut out, block);
-            out.extend_from_slice(&crc32(block).to_le_bytes());
-        }
-        out
+        self.encode_as(VERSION_V2)
     }
 
     /// Serialises the container in the legacy v1 (checksum-less) format, for
     /// interop with v1-only readers and the version-compat tests.
     pub fn encode_v1(&self) -> Vec<u8> {
-        let mut out =
-            Vec::with_capacity(HEADER_LEN + self.blocks.iter().map(|b| 8 + b.len()).sum::<usize>());
-        encode_header(&mut out, VERSION_V1, self.codec, self.blocks.len() as u32);
-        for block in &self.blocks {
-            write_section(&mut out, block);
-        }
-        out
+        self.encode_as(VERSION_V1)
     }
 
     /// Streams the encoded container into `writer`.
@@ -1237,187 +969,43 @@ impl Container {
 
     /// [`Container::decode`] with an explicit de-stage budget (exposed so
     /// the budget exhaustion path is testable without gigabyte fixtures).
-    fn decode_with_budget(bytes: &[u8], budget: usize) -> Result<Self, ContainerError> {
-        let mut reader = ByteReader::new(bytes);
-        let magic: [u8; 4] = reader.take(4)?.try_into().unwrap();
-        if magic != MAGIC {
-            return Err(ContainerError::BadMagic(magic));
-        }
-        let version = reader.read_u16()?;
-        if !(VERSION_V1..=VERSION_V4).contains(&version) {
-            return Err(ContainerError::UnsupportedVersion(version));
-        }
-        let codec = CodecId::from_u8(reader.read_u8()?)?;
-        let flags = reader.read_u8()?;
-        if version < VERSION {
-            if flags != 0 {
-                return Err(ContainerError::Corrupt("nonzero reserved flags"));
-            }
-        } else if flags & FLAG_RANGE_CODED == 0 {
-            // A v3 stream explicitly declaring pre-range-coder payloads (or
-            // a corrupted flags byte): refuse with the cross-build error
-            // instead of decoding garbage.  Unknown high bits are ignored.
-            return Err(ContainerError::IncompatibleEntropyCoder { version, codec });
-        }
-        let count = reader.read_u32()? as usize;
-        let profiles = if version == VERSION_V4 {
-            decode_profile_table(&mut reader, codec)?
+    fn decode_with_budget(bytes: &[u8], mut budget: usize) -> Result<Self, ContainerError> {
+        let header = decode_header(bytes)?;
+        let layout = header.layout;
+        let (profiles, mut pos) = if layout.profiled() {
+            decode_profile_table(bytes, HEADER_LEN, header.codec).map_err(|d| d.error)?
         } else {
-            Vec::new()
+            (Vec::new(), HEADER_LEN)
         };
-        let mut blocks = Vec::with_capacity(count.min(1 << 20));
-        let mut staged = Vec::with_capacity(count.min(1 << 20));
-        let mut frame_profiles = Vec::new();
-        let mut profiled_lz = Vec::new();
-        // One de-stage budget for the whole container: a frame may only
-        // spend what earlier frames left over, so total decode memory is
-        // bounded no matter how many tiny bomb frames a stream declares.
-        let mut destage_budget = budget;
-        for index in 0..count {
-            if version == VERSION_V4 {
-                let stage = reader.read_u8()?;
-                let profile = reader.read_u8()?;
-                let payload = reader.read_section()?;
-                let stored = reader.read_u32()?;
-                let mut crc = Crc32::new();
-                crc.update(&[stage, profile]);
-                crc.update(payload);
-                let computed = crc.finish();
-                if stored != computed {
-                    return Err(ContainerError::ChecksumMismatch {
-                        block: index,
-                        stored,
-                        computed,
-                    });
-                }
-                if profile as usize > profiles.len() {
-                    return Err(ContainerError::UnknownProfile {
-                        block: index,
-                        profile,
-                    });
-                }
-                match stage {
-                    STAGE_NONE => {
-                        blocks.push(payload.to_vec());
-                        // A profiled frame's *cold* decision is unknown —
-                        // stage-raw under the profile says nothing about the
-                        // profile-less stage an `encode_v3` downgrade runs.
-                        staged.push(if profile == 0 {
-                            StageCache::Raw
-                        } else {
-                            StageCache::Unknown
-                        });
-                        frame_profiles.push(profile);
-                        profiled_lz.push(None);
-                    }
-                    STAGE_LZ => {
-                        if let Some(e) = inject_destage_fault() {
-                            return Err(e);
-                        }
-                        let raw = if profile == 0 {
-                            gld_lz::decompress(payload, destage_budget)
-                        } else {
-                            let entry = &profiles[profile as usize - 1];
-                            let lz = entry.lz.as_ref().ok_or(ContainerError::Corrupt(
-                                "staged frame references a profile without a stage snapshot",
-                            ))?;
-                            let dict = entry.dict_for_block(index, &blocks);
-                            gld_lz::decompress_profiled(payload, dict, lz, destage_budget)
-                        }
-                        .map_err(|error| ContainerError::StageDecode {
-                            block: index,
-                            error,
-                        })?;
-                        destage_budget -= raw.len();
-                        blocks.push(raw);
-                        if profile == 0 {
-                            staged.push(StageCache::Lz(payload.to_vec()));
-                            profiled_lz.push(None);
-                        } else {
-                            staged.push(StageCache::Unknown);
-                            profiled_lz.push(Some(payload.to_vec()));
-                        }
-                        frame_profiles.push(profile);
-                    }
-                    other => {
-                        return Err(ContainerError::UnknownStage {
-                            block: index,
-                            stage: other,
-                        })
-                    }
-                }
-            } else if version >= VERSION {
-                let stage = reader.read_u8()?;
-                let payload = reader.read_section()?;
-                let stored = reader.read_u32()?;
-                let mut crc = Crc32::new();
-                crc.update(&[stage]);
-                crc.update(payload);
-                let computed = crc.finish();
-                if stored != computed {
-                    return Err(ContainerError::ChecksumMismatch {
-                        block: index,
-                        stored,
-                        computed,
-                    });
-                }
-                match stage {
-                    STAGE_NONE => {
-                        blocks.push(payload.to_vec());
-                        staged.push(StageCache::Raw);
-                    }
-                    STAGE_LZ => {
-                        if let Some(e) = inject_destage_fault() {
-                            return Err(e);
-                        }
-                        let raw = gld_lz::decompress(payload, destage_budget).map_err(|error| {
-                            ContainerError::StageDecode {
-                                block: index,
-                                error,
-                            }
-                        })?;
-                        destage_budget -= raw.len();
-                        blocks.push(raw);
-                        staged.push(StageCache::Lz(payload.to_vec()));
-                    }
-                    other => {
-                        return Err(ContainerError::UnknownStage {
-                            block: index,
-                            stage: other,
-                        })
-                    }
-                }
-            } else {
-                let payload = reader.read_section()?;
-                if version >= VERSION_V2 {
-                    let stored = reader.read_u32()?;
-                    let computed = crc32(payload);
-                    if stored != computed {
-                        return Err(ContainerError::ChecksumMismatch {
-                            block: index,
-                            stored,
-                            computed,
-                        });
-                    }
-                }
-                blocks.push(payload.to_vec());
-                // The stage decision is left unresolved: pure-read callers
-                // (the service's decompress path for legacy uploads) never
-                // pay compressor CPU for it, while a later re-encode
-                // resolves it lazily to exactly what a current writer would
-                // produce.
-                staged.push(StageCache::Unknown);
-            }
+        let mut blocks: Vec<Vec<u8>> = Vec::with_capacity(header.reserve);
+        let mut records = Vec::with_capacity(header.reserve);
+        for index in 0..header.declared {
+            let frame = layout.read(bytes, pos, index).map_err(|d| d.error)?;
+            let first = blocks.first().map(Vec::as_slice);
+            let block = destage(&frame, index, Some(&profiles), first, &mut budget)?;
+            blocks.push(block);
+            records.push(FrameRecord {
+                profile: frame.profile,
+                staged: match frame.stage {
+                    // No stage byte on the wire: pure-read callers (the
+                    // service's decompress path for legacy uploads) never
+                    // pay compressor CPU for a decision nobody asked for.
+                    None => StageCache::Unknown,
+                    Some(STAGE_LZ) => StageCache::Lz(frame.payload.to_vec()),
+                    Some(_) => StageCache::Raw,
+                },
+            });
+            pos = frame.next;
         }
-        reader.expect_end()?;
+        if pos != bytes.len() {
+            return Err(ContainerError::TrailingBytes(bytes.len() - pos));
+        }
         Ok(Container {
-            codec,
+            codec: header.codec,
             blocks,
-            staged,
+            records,
             profiles,
-            frame_profiles,
-            profiled_lz,
-            wire_version: version,
+            wire_version: header.version,
         })
     }
 
@@ -1448,7 +1036,7 @@ impl Container {
     /// Best-effort decode of a damaged container: where [`Container::decode`]
     /// fails the whole stream on the first bad byte, salvage keeps every
     /// frame whose checksum still holds and reports the rest as typed
-    /// losses instead.
+    /// losses instead (the same walk, continuing past faults).
     ///
     /// What it survives, per damage site:
     ///
@@ -1477,179 +1065,82 @@ impl Container {
     /// v2+); the report pairs every lost index with the typed reason, so
     /// `recovered + lost = declared` accounts for every frame.
     pub fn decode_salvage(bytes: &[u8]) -> Result<Salvage, ContainerError> {
-        let mut reader = ByteReader::new(bytes);
-        let magic: [u8; 4] = reader.take(4)?.try_into().unwrap();
-        if magic != MAGIC {
-            return Err(ContainerError::BadMagic(magic));
-        }
-        let version = reader.read_u16()?;
-        if !(VERSION_V1..=VERSION_V4).contains(&version) {
-            return Err(ContainerError::UnsupportedVersion(version));
-        }
-        let codec = CodecId::from_u8(reader.read_u8()?)?;
-        let flags = reader.read_u8()?;
-        if version < VERSION {
-            if flags != 0 {
-                return Err(ContainerError::Corrupt("nonzero reserved flags"));
-            }
-        } else if flags & FLAG_RANGE_CODED == 0 {
-            return Err(ContainerError::IncompatibleEntropyCoder { version, codec });
-        }
-        let declared = reader.read_u32()? as usize;
-        // Bound every allocation by what the input could physically hold: a
-        // corrupted count byte must not become an allocation bomb.
-        let min_frame = match version {
-            VERSION_V4 => FRAME_STAGE_LEN + 1 + 8 + FRAME_CRC_LEN,
-            VERSION => FRAME_STAGE_LEN + 8 + FRAME_CRC_LEN,
-            VERSION_V2 => 8 + FRAME_CRC_LEN,
-            _ => 8,
-        };
-        let count = declared.min(bytes.len().saturating_sub(reader.pos) / min_frame + 1);
-
-        let mut profiles = Vec::new();
+        let header = decode_header(bytes)?;
+        let (layout, count) = (header.layout, header.count);
+        let mut pos = HEADER_LEN;
+        // `None` once the table is lost: see `frame::destage`.
+        let mut profiles = Some(Vec::new());
         let mut profile_table_error = None;
-        let mut needs_resync = false;
-        if version == VERSION_V4 {
-            let table_start = reader.pos;
-            match decode_profile_table(&mut reader, codec) {
-                Ok(p) => profiles = p,
-                Err(error) => {
-                    profile_table_error = Some(error);
-                    // Find the table's extent structurally (stage byte +
-                    // length-prefixed payload + CRC) so the frames behind it
-                    // stay reachable — but only trust that extent when a
-                    // checksum-valid frame chain actually starts there.  A
-                    // damaged table *length prefix* fails the test and falls
-                    // into the frame-chain resync instead.
-                    let extent = {
-                        let mut probe = ByteReader::new(bytes);
-                        probe.pos = table_start;
-                        probe
-                            .read_u8()
-                            .and_then(|_| probe.read_section())
-                            .and_then(|_| probe.read_u32())
-                            .map(|_| probe.pos)
-                    };
-                    match extent {
-                        Ok(end)
-                            if (count == 0 && end == bytes.len())
-                                || salvage_scan_chain(bytes, end, version, count)
-                                    == Some(count) =>
-                        {
-                            reader.pos = end;
-                        }
-                        _ => {
-                            // Rewind so the resync scan starts at the
-                            // damaged table, not wherever its decode died.
-                            reader.pos = table_start;
-                            needs_resync = true;
-                        }
+        // Set when `pos` is not known to sit on a frame boundary: the
+        // offset to start hunting for the next one from.
+        let mut resync_from = None;
+        if layout.profiled() {
+            match decode_profile_table(bytes, pos, header.codec) {
+                Ok((table, end)) => (profiles, pos) = (Some(table), end),
+                Err(damage) => {
+                    (profiles, profile_table_error) = (None, Some(damage.error));
+                    // Trust the table's structural extent only when a
+                    // checksum-valid frame chain actually starts there; a
+                    // damaged table *length prefix* fails that and resyncs
+                    // from the table's start, not where its decode died.
+                    let chain = |end| salvage_scan_chain(bytes, end, layout, count);
+                    match damage.skip_to {
+                        Some(end) if chain(end) == Some(count) => pos = end,
+                        _ => resync_from = Some(pos + 1),
                     }
                 }
             }
         }
 
-        let mut frames: Vec<Option<Vec<u8>>> = Vec::with_capacity(count.min(1 << 20));
+        let mut frames: Vec<Option<Vec<u8>>> = Vec::with_capacity(header.reserve);
         let mut lost: Vec<LostFrame> = Vec::new();
+        let mut lose = |frames: &mut Vec<Option<Vec<u8>>>, error| {
+            let block = frames.len();
+            frames.push(None);
+            lost.push(LostFrame { block, error });
+        };
         let mut budget = MAX_DESTAGE_BUDGET;
-        let mut index = 0usize;
-        let unreachable = ContainerError::Corrupt("frame unreachable behind damaged framing");
-
-        // Marks every frame up to (not including) `upto` as lost.
-        fn lose_until(
-            upto: usize,
-            index: &mut usize,
-            frames: &mut Vec<Option<Vec<u8>>>,
-            lost: &mut Vec<LostFrame>,
-            error: &ContainerError,
-        ) {
-            while *index < upto {
-                frames.push(None);
-                lost.push(LostFrame {
-                    block: *index,
-                    error: error.clone(),
+        loop {
+            if let Some(from) = resync_from.take() {
+                // Hunt for the next offset from which a checksum-valid
+                // frame chain reaches the end of the input and map its
+                // frames onto the trailing indices; the rest is unreachable.
+                let resumed = salvage_resync(bytes, from, layout, count - frames.len());
+                let reachable = resumed.map_or(0, |(offset, found)| {
+                    pos = offset;
+                    found
                 });
-                *index += 1;
-            }
-        }
-
-        if needs_resync {
-            match salvage_resync(bytes, reader.pos + 1, version, count) {
-                Some((offset, found)) => {
-                    lose_until(
-                        count - found,
-                        &mut index,
-                        &mut frames,
-                        &mut lost,
-                        &unreachable,
-                    );
-                    reader.pos = offset;
+                while frames.len() < count - reachable {
+                    let error = ContainerError::Corrupt("frame unreachable behind damaged framing");
+                    lose(&mut frames, error);
                 }
-                None => lose_until(count, &mut index, &mut frames, &mut lost, &unreachable),
             }
-        }
-
-        while index < count {
-            match salvage_parse_frame(bytes, reader.pos, version, index) {
-                Ok((stage, profile, payload, next)) => {
-                    reader.pos = next;
-                    match salvage_destage(
-                        stage,
-                        profile,
-                        payload,
-                        index,
-                        version,
-                        &profiles,
-                        profile_table_error.is_some(),
-                        &frames,
-                        &mut budget,
-                    ) {
+            let index = frames.len();
+            if index >= count {
+                break;
+            }
+            match layout.read(bytes, pos, index) {
+                Ok(frame) => {
+                    pos = frame.next;
+                    let first = frames.first().and_then(|f| f.as_deref());
+                    match destage(&frame, index, profiles.as_deref(), first, &mut budget) {
                         Ok(block) => frames.push(Some(block)),
-                        Err(error) => {
-                            frames.push(None);
-                            lost.push(LostFrame {
-                                block: index,
-                                error,
-                            });
-                        }
+                        Err(error) => lose(&mut frames, error),
                     }
-                    index += 1;
                 }
                 Err(damage) => {
-                    let scan_from = reader.pos + 1;
-                    frames.push(None);
-                    lost.push(LostFrame {
-                        block: index,
-                        error: damage.error,
-                    });
-                    index += 1;
-                    // First try trusting the frame's declared extent —
-                    // payload or checksum damage leaves the boundaries
-                    // intact, and the stream behind them validates.
-                    if let Some(skip) = damage.skip_to {
-                        if skip == bytes.len()
-                            || salvage_parse_frame(bytes, skip, version, index).is_ok()
+                    lose(&mut frames, damage.error);
+                    // Payload or checksum damage leaves the boundaries
+                    // intact and the stream behind them validates: trust
+                    // the declared extent then, else the prefix is suspect.
+                    match damage.skip_to {
+                        Some(skip)
+                            if skip == bytes.len()
+                                || layout.read(bytes, skip, index + 1).is_ok() =>
                         {
-                            reader.pos = skip;
-                            continue;
+                            pos = skip
                         }
-                    }
-                    // The length prefix itself is untrustworthy: hunt for
-                    // the next offset from which a checksum-valid frame
-                    // chain reaches the end of the input, and map its
-                    // frames back onto the trailing indices.
-                    match salvage_resync(bytes, scan_from, version, count - index) {
-                        Some((offset, found)) => {
-                            lose_until(
-                                count - found,
-                                &mut index,
-                                &mut frames,
-                                &mut lost,
-                                &unreachable,
-                            );
-                            reader.pos = offset;
-                        }
-                        None => lose_until(count, &mut index, &mut frames, &mut lost, &unreachable),
+                        _ => resync_from = Some(pos + 1),
                     }
                 }
             }
@@ -1658,9 +1149,9 @@ impl Container {
         Ok(Salvage {
             frames,
             report: SalvageReport {
-                codec,
-                version,
-                declared_frames: declared,
+                codec: header.codec,
+                version: header.version,
+                declared_frames: header.declared,
                 lost,
                 profile_table_error,
             },
@@ -1727,113 +1218,31 @@ impl Salvage {
     }
 }
 
-/// Structural damage found while parsing one frame during salvage.
-struct FrameDamage {
-    error: ContainerError,
-    /// Where the frame's length prefix claims the next frame starts, when
-    /// the prefix itself was readable and in bounds.  `None` when even the
-    /// framing is unreadable (truncation, out-of-range section length).
-    skip_to: Option<usize>,
-}
-
-/// Parses the frame at `pos` without de-staging it: `(stage, profile,
-/// payload, next_pos)` when the frame is structurally sound and (v2+) its
-/// checksum holds.  Versions below v4 report profile 0; versions below v3
-/// report [`STAGE_NONE`].
-fn salvage_parse_frame(
-    bytes: &[u8],
-    pos: usize,
-    version: u16,
-    block: usize,
-) -> Result<(u8, u8, &[u8], usize), FrameDamage> {
-    let mut reader = ByteReader::new(bytes);
-    reader.pos = pos;
-    let hard = |error: ContainerError| FrameDamage {
-        error,
-        skip_to: None,
-    };
-    if version == VERSION_V1 {
-        let payload = reader.read_section().map_err(hard)?;
-        return Ok((STAGE_NONE, 0, payload, reader.pos));
-    }
-    if version == VERSION_V2 {
-        let payload = reader.read_section().map_err(hard)?;
-        let stored = reader.read_u32().map_err(hard)?;
-        let next = reader.pos;
-        let computed = crc32(payload);
-        if stored != computed {
-            return Err(FrameDamage {
-                error: ContainerError::ChecksumMismatch {
-                    block,
-                    stored,
-                    computed,
-                },
-                skip_to: Some(next),
-            });
-        }
-        return Ok((STAGE_NONE, 0, payload, next));
-    }
-    let stage = reader.read_u8().map_err(hard)?;
-    let profile = if version == VERSION_V4 {
-        reader.read_u8().map_err(hard)?
-    } else {
-        0
-    };
-    let payload = reader.read_section().map_err(hard)?;
-    let stored = reader.read_u32().map_err(hard)?;
-    let next = reader.pos;
-    let mut crc = Crc32::new();
-    if version == VERSION_V4 {
-        crc.update(&[stage, profile]);
-    } else {
-        crc.update(&[stage]);
-    }
-    crc.update(payload);
-    let computed = crc.finish();
-    if stored != computed {
-        return Err(FrameDamage {
-            error: ContainerError::ChecksumMismatch {
-                block,
-                stored,
-                computed,
-            },
-            skip_to: Some(next),
-        });
-    }
-    if stage > STAGE_LZ {
-        return Err(FrameDamage {
-            error: ContainerError::UnknownStage { block, stage },
-            skip_to: Some(next),
-        });
-    }
-    Ok((stage, profile, payload, next))
-}
-
 /// Counts the checksum-valid frame chain running from `start` to *exactly*
-/// the end of the input.  `None` when any frame fails, the chain overruns
-/// `max_frames`, or (v1) there is no checksum oracle to validate against.
+/// the end of the input (zero frames when `start` is the end).  `None` when
+/// any frame fails, the chain overruns `max_frames`, or (v1) there is no
+/// checksum oracle to validate against.
 /// Cheap at bogus offsets: a random 8-byte length prefix is almost always
 /// out of bounds and rejects before any checksum work.
 fn salvage_scan_chain(
     bytes: &[u8],
     start: usize,
-    version: u16,
+    layout: FrameLayout,
     max_frames: usize,
 ) -> Option<usize> {
-    if version == VERSION_V1 {
+    if !layout.checksummed() {
         return None;
     }
     let mut pos = start;
     let mut frames = 0usize;
     while pos < bytes.len() {
-        let (_, _, _, next) = salvage_parse_frame(bytes, pos, version, 0).ok()?;
+        pos = layout.read(bytes, pos, 0).ok()?.next;
         frames += 1;
         if frames > max_frames {
             return None;
         }
-        pos = next;
     }
-    (frames > 0).then_some(frames)
+    Some(frames)
 }
 
 /// Scans forward from `from` for the first offset where a checksum-valid
@@ -1842,66 +1251,15 @@ fn salvage_scan_chain(
 fn salvage_resync(
     bytes: &[u8],
     from: usize,
-    version: u16,
+    layout: FrameLayout,
     max_frames: usize,
 ) -> Option<(usize, usize)> {
     if max_frames == 0 {
         return None;
     }
     (from..bytes.len()).find_map(|start| {
-        salvage_scan_chain(bytes, start, version, max_frames).map(|frames| (start, frames))
+        salvage_scan_chain(bytes, start, layout, max_frames).map(|frames| (start, frames))
     })
-}
-
-/// De-stages one structurally-sound frame during salvage, resolving its
-/// profile against whatever survived of the table and its dictionary
-/// against whatever earlier frames were recovered.
-#[allow(clippy::too_many_arguments)]
-fn salvage_destage(
-    stage: u8,
-    profile: u8,
-    payload: &[u8],
-    block: usize,
-    version: u16,
-    profiles: &[EntropyProfile],
-    table_lost: bool,
-    frames: &[Option<Vec<u8>>],
-    budget: &mut usize,
-) -> Result<Vec<u8>, ContainerError> {
-    if stage == STAGE_NONE {
-        return Ok(payload.to_vec());
-    }
-    let raw = if version == VERSION_V4 && profile != 0 {
-        if table_lost {
-            return Err(ContainerError::Corrupt(
-                "staged frame references the damaged profile table",
-            ));
-        }
-        let entry = profiles
-            .get(profile as usize - 1)
-            .ok_or(ContainerError::UnknownProfile { block, profile })?;
-        let lz = entry.lz.as_ref().ok_or(ContainerError::Corrupt(
-            "staged frame references a profile without a stage snapshot",
-        ))?;
-        let dict: &[u8] = match entry.dict_mode {
-            DictMode::None => &[],
-            DictMode::FirstBlock if block == 0 => &[],
-            DictMode::FirstBlock => match frames.first().and_then(|f| f.as_deref()) {
-                Some(first) => first,
-                None => {
-                    return Err(ContainerError::Corrupt(
-                        "dictionary frame (block 0) was not recovered",
-                    ))
-                }
-            },
-        };
-        gld_lz::decompress_profiled(payload, dict, lz, *budget)
-    } else {
-        gld_lz::decompress(payload, *budget)
-    }
-    .map_err(|error| ContainerError::StageDecode { block, error })?;
-    *budget = (*budget).saturating_sub(raw.len());
-    Ok(raw)
 }
 
 /// Which wire format a [`ContainerWriter`] emits — v4 with the shared
@@ -1942,6 +1300,7 @@ impl ContainerFormat {
 pub struct ContainerWriter<W: Write> {
     writer: W,
     format: ContainerFormat,
+    layout: FrameLayout,
     declared: u32,
     written: u32,
     bytes: usize,
@@ -1958,7 +1317,7 @@ impl<W: Write> ContainerWriter<W> {
     /// The v4 format needs its profile table at header time — use
     /// [`ContainerWriter::with_profile_table`] for it.
     pub fn with_format(
-        mut writer: W,
+        writer: W,
         codec: CodecId,
         count: u32,
         format: ContainerFormat,
@@ -1967,24 +1326,14 @@ impl<W: Write> ContainerWriter<W> {
             format != ContainerFormat::V4,
             "the v4 format carries a profile table; construct it with with_profile_table"
         );
-        let mut header = Vec::with_capacity(HEADER_LEN);
-        encode_header(&mut header, format.version(), codec, count);
-        writer.write_all(&header)?;
-        Ok(ContainerWriter {
-            writer,
-            format,
-            declared: count,
-            written: 0,
-            bytes: header.len(),
-            frame_buf: Vec::new(),
-        })
+        Self::start(writer, codec, count, format, &[])
     }
 
     /// Writes a v4 container header plus the shared profile table for
     /// `count` upcoming frames; frames then arrive through
     /// [`ContainerWriter::write_profiled_frame`].
     pub fn with_profile_table(
-        mut writer: W,
+        writer: W,
         codec: CodecId,
         count: u32,
         profiles: &[EntropyProfile],
@@ -1993,13 +1342,31 @@ impl<W: Write> ContainerWriter<W> {
             !profiles.is_empty() && profiles.len() <= MAX_PROFILES,
             "a v4 container carries 1..={MAX_PROFILES} profiles"
         );
-        let mut header = Vec::with_capacity(HEADER_LEN + profile_table_len(codec, profiles));
-        encode_header(&mut header, VERSION_V4, codec, count);
-        encode_profile_table(&mut header, codec, profiles);
+        Self::start(writer, codec, count, ContainerFormat::V4, profiles)
+    }
+
+    /// Writes `format`'s header and, when the format has one, the table of
+    /// `profiles` — the one constructor, for callers (the streaming
+    /// compressor) that hold format and profile set as data.
+    pub(crate) fn start(
+        mut writer: W,
+        codec: CodecId,
+        count: u32,
+        format: ContainerFormat,
+        profiles: &[EntropyProfile],
+    ) -> std::io::Result<Self> {
+        let layout = FrameLayout::written(format.version());
+        debug_assert_eq!(layout.profiled(), !profiles.is_empty());
+        let mut header = Vec::with_capacity(HEADER_LEN);
+        encode_header(&mut header, format.version(), codec, count);
+        if layout.profiled() {
+            write_profile_table(&mut header, codec, profiles);
+        }
         writer.write_all(&header)?;
         Ok(ContainerWriter {
             writer,
-            format: ContainerFormat::V4,
+            format,
+            layout,
             declared: count,
             written: 0,
             bytes: header.len(),
@@ -2017,25 +1384,22 @@ impl<W: Write> ContainerWriter<W> {
     /// must arrive in temporal order; the caller may not exceed the
     /// declared count.
     pub fn write_frame(&mut self, payload: &[u8]) -> std::io::Result<()> {
-        match self.format {
-            ContainerFormat::V4 | ContainerFormat::V3 => {
-                let staged = stage_frame_pooled(payload);
-                self.write_staged_frame(payload, staged.as_deref())
-            }
-            ContainerFormat::V2 => self.write_staged_frame(payload, None),
-        }
+        let staged = self.layout.staged().then(|| stage_frame_pooled(payload));
+        let staged = staged.flatten();
+        self.write_staged_frame(payload, staged.as_deref())
     }
 
     /// Appends one frame whose stage decision was already computed (`lz`
     /// must be exactly [`stage_frame`]'s output for `raw`; it is ignored by
     /// a v2 writer, and a v4 writer records it with no profile reference).
     pub fn write_staged_frame(&mut self, raw: &[u8], lz: Option<&[u8]>) -> std::io::Result<()> {
-        self.emit_frame(raw, 0, lz)
+        self.write_profiled_frame(raw, 0, lz)
     }
 
-    /// Appends one frame of a v4 container: `profile` is the frame's
-    /// profile id (0 = none) and `lz` the stage decision computed under that
-    /// profile via [`stage_frame_profiled`] (`None` = store raw).
+    /// Appends one frame under a profile: `profile` is the frame's profile
+    /// id (0 = none; any other id requires the v4 format) and `lz` the stage
+    /// decision computed under that profile via [`stage_frame_profiled`]
+    /// (`None` = store raw).
     pub fn write_profiled_frame(
         &mut self,
         raw: &[u8],
@@ -2043,13 +1407,9 @@ impl<W: Write> ContainerWriter<W> {
         lz: Option<&[u8]>,
     ) -> std::io::Result<()> {
         assert!(
-            self.format == ContainerFormat::V4,
+            profile == 0 || self.layout.profiled(),
             "profiled frames require the v4 format"
         );
-        self.emit_frame(raw, profile, lz)
-    }
-
-    fn emit_frame(&mut self, raw: &[u8], profile: u8, lz: Option<&[u8]>) -> std::io::Result<()> {
         assert!(
             self.written < self.declared,
             "container declared {} frames, attempted to write more",
@@ -2057,14 +1417,8 @@ impl<W: Write> ContainerWriter<W> {
         );
         let mut buf = std::mem::take(&mut self.frame_buf);
         buf.clear();
-        match self.format {
-            ContainerFormat::V4 => encode_v4_frame(&mut buf, raw, profile, lz),
-            ContainerFormat::V3 => encode_v3_frame(&mut buf, raw, lz),
-            ContainerFormat::V2 => {
-                write_section(&mut buf, raw);
-                buf.extend_from_slice(&crc32(raw).to_le_bytes());
-            }
-        }
+        self.layout.write(&mut buf, raw, profile, lz);
+        self.layout.frame_failpoint(&mut buf);
         let result = self.writer.write_all(&buf);
         let len = buf.len();
         self.frame_buf = buf;
@@ -2101,6 +1455,7 @@ impl<W: Write> ContainerWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crc32::Crc32;
 
     fn sample() -> Container {
         Container::from_blocks(
@@ -2669,6 +2024,61 @@ mod tests {
             Container::decode(&bytes),
             Err(ContainerError::ChecksumMismatch { block: 2, .. })
         ));
+
+        // Strict and salvage give one answer per frame.  (a) A CRC-valid
+        // *raw* frame naming an id the intact table does not define is
+        // refused by both, although its bytes need no profile...
+        let mut w =
+            ContainerWriter::with_profile_table(Vec::new(), CodecId::SzLike, 1, &profiles).unwrap();
+        w.write_profiled_frame(&[1, 2, 3], 5, None).unwrap();
+        let raw_unknown = w.finish().unwrap();
+        let unknown_profile = ContainerError::UnknownProfile {
+            block: 0,
+            profile: 5,
+        };
+        assert_eq!(
+            Container::decode(&raw_unknown),
+            Err(unknown_profile.clone())
+        );
+        let salvage = Container::decode_salvage(&raw_unknown).unwrap();
+        assert_eq!(salvage.report.profile_table_error, None);
+        assert_eq!(salvage.frames, vec![None]);
+        assert_eq!(salvage.report.lost[0].error, unknown_profile);
+        // ...while behind a *lost* table, where no id can be checked, the
+        // same frame survives.
+        let mut table_lost = raw_unknown.clone();
+        table_lost[HEADER_LEN + FRAME_STAGE_LEN + 8] ^= 0xFF;
+        let salvage = Container::decode_salvage(&table_lost).unwrap();
+        assert!(salvage.report.profile_table_error.is_some());
+        assert_eq!(salvage.frames, vec![Some(vec![1, 2, 3])]);
+
+        // (b) A CRC-valid frame with an unknown stage byte *and* an unknown
+        // profile id: the frame reader vets the stage byte before anything
+        // looks the profile up, for both walkers.
+        let frame_at = raw_unknown.len() - (2 + 8 + 3 + FRAME_CRC_LEN);
+        let mut both = raw_unknown.clone();
+        both[frame_at] = 7;
+        let mut crc = Crc32::new();
+        crc.update(&[7, 5, 1, 2, 3]);
+        let crc_at = both.len() - FRAME_CRC_LEN;
+        both[crc_at..].copy_from_slice(&crc.finish().to_le_bytes());
+        let unknown_stage = ContainerError::UnknownStage { block: 0, stage: 7 };
+        assert_eq!(Container::decode(&both), Err(unknown_stage.clone()));
+        let salvage = Container::decode_salvage(&both).unwrap();
+        assert_eq!(salvage.report.lost[0].error, unknown_stage);
+
+        // A cut between the stage byte and the profile id reports the first
+        // missing byte.
+        let truncated = ContainerError::Truncated {
+            needed: frame_at + 2,
+            available: frame_at + 1,
+        };
+        assert_eq!(
+            Container::decode(&raw_unknown[..frame_at + 1]),
+            Err(truncated.clone())
+        );
+        let salvage = Container::decode_salvage(&raw_unknown[..frame_at + 1]).unwrap();
+        assert_eq!(salvage.report.lost[0].error, truncated);
     }
 
     #[test]

@@ -91,6 +91,17 @@ pub enum StageMode {
     Shared(Arc<WarmProfile>),
 }
 
+impl StageMode {
+    /// The profile table a container written in this mode carries and the
+    /// profile id its frames record (no table and id 0 outside `Shared`).
+    pub(crate) fn profile(&self) -> (&[EntropyProfile], u8) {
+        match self {
+            StageMode::Shared(warm) => (std::slice::from_ref(&warm.profile), 1),
+            _ => (&[], 0),
+        }
+    }
+}
+
 /// A cross-frame coding profile fitted on a variable's first temporal
 /// window ([`fit_variable_profile`]): the wire-format [`EntropyProfile`]
 /// the container's table carries, plus the decoded working state the

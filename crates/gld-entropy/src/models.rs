@@ -4,7 +4,7 @@
 //!   element mean and scale are predicted by the hyperprior (paper Eq. 1–2).
 //! * [`HistogramModel`] codes hyper-latents `z` with a data-built factorised
 //!   histogram prior that is serialised into the stream header — the
-//!   practical stand-in for the paper's non-parametric density model [4].
+//!   practical stand-in for the paper's non-parametric density model \[4\].
 //!   Decoding resolves symbols through a precomputed slot→bin lookup table
 //!   instead of a per-symbol binary search.
 //! * [`BypassCoder`] writes raw integers for escape paths.

@@ -1,6 +1,6 @@
 //! The flight recorder: a bounded record of the process's last moments.
 //!
-//! Span events (per-thread rings, [`crate::span`]) and log events (the log
+//! Span events (per-thread rings, [`mod@crate::span`]) and log events (the log
 //! ring, [`crate::log`]) are merged, sorted by timestamp, and written as
 //! JSON-lines:
 //!

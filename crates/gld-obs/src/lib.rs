@@ -9,7 +9,7 @@
 //!   [`HistogramSnapshot`]s with p50/p90/p99/p99.9 interpolation.  Every
 //!   estimate lands inside the bucket holding the exact nearest-rank value,
 //!   so relative error is bounded by the 1/16 sub-bucket resolution.
-//! * [`span`] — lightweight span tracing: [`span!`] opens a guard whose
+//! * [`mod@span`] — lightweight span tracing: [`span!`] opens a guard whose
 //!   drop records a monotonic start/stop event into a bounded per-thread
 //!   ring; [`span::record`] does the same for intervals measured across
 //!   callbacks rather than scopes.

@@ -201,7 +201,7 @@ impl Tensor {
 /// numbers.  Both are stepped around without changing a bit: a difference
 /// below -104 is not sent to `exp` (`e⁻¹⁰⁴ < 2⁻¹⁵⁰` rounds to zero), and a
 /// subnormal exponential is scaled in integer units of 2⁻¹⁴⁹
-/// ([`scale_subnormal`]) — in a pass of its own, so that a row without one
+/// (`scale_subnormal`) — in a pass of its own, so that a row without one
 /// is normalised by a plain multiply.
 pub fn softmax_row_inplace(row: &mut [f32]) {
     let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);

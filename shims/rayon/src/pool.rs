@@ -7,7 +7,7 @@
 //!
 //! Architecture:
 //!
-//! * **Per-worker deques.**  Each worker owns a deque of [`Batch`] handles.
+//! * **Per-worker deques.**  Each worker owns a deque of `Batch` handles.
 //!   Submitting a batch pushes a handle onto every worker's deque and wakes
 //!   the sleepers; a worker pops from the *front* of its own deque and, when
 //!   that is empty, steals from the *back* of a sibling's.  A batch handle is

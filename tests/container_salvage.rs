@@ -3,7 +3,10 @@
 //! and every truncation point must leave `Container::decode_salvage` with
 //! three guarantees — it never panics, every frame it reports recovered is
 //! bit-identical to the original, and the loss report accounts for exactly
-//! the frames that did not come back.
+//! the frames that did not come back.  The same three loops then run over
+//! the v3 and v2 encodings of the same frames: one walker reads all of
+//! them, so every checksummed version gets the exhaustive proof (v1 has no
+//! checksums — its salvage is structural only, as documented).
 //!
 //! The fixture mirrors the v4 shape the executor produces: frame 0 is
 //! incompressible noise that doubles as the `DictMode::FirstBlock`
@@ -65,10 +68,43 @@ fn sample() -> Container {
     c
 }
 
+/// One checksummed wire version of the fixture: how [`layout`] walks it.
+struct Wire {
+    version: u16,
+    /// Bytes ahead of each frame's length prefix (stage byte, profile id).
+    head: usize,
+    /// Whether a profile table sits between the header and the frames —
+    /// and with it the first-block dictionary the fixture's frame 1 needs.
+    table: bool,
+    encode: fn(&Container) -> Vec<u8>,
+}
+
+const WIRES: [Wire; 3] = [
+    Wire {
+        version: 4,
+        head: 2,
+        table: true,
+        encode: Container::encode,
+    },
+    Wire {
+        version: 3,
+        head: 1,
+        table: false,
+        encode: Container::encode_v3,
+    },
+    Wire {
+        version: 2,
+        head: 0,
+        table: false,
+        encode: Container::encode_v2,
+    },
+];
+
 /// Byte extents of the fixture's wire regions, walked off the encoding
 /// itself so the test keeps tracking the format.
 struct Layout {
-    /// The v4 profile table (stage byte + length-prefixed payload + CRC).
+    /// The v4 profile table (stage byte + length-prefixed payload + CRC);
+    /// empty for the versions without one.
     table: Range<usize>,
     /// Each frame's full extent.
     frames: Vec<Range<usize>>,
@@ -76,22 +112,27 @@ struct Layout {
     length_prefixes: Vec<Range<usize>>,
 }
 
-fn layout(bytes: &[u8]) -> Layout {
+fn layout(bytes: &[u8], wire: &Wire) -> Layout {
     let read_len = |at: usize| {
         u64::from_le_bytes(bytes[at..at + 8].try_into().expect("length prefix")) as usize
     };
     // Table: stage u8, u64 payload length, payload, CRC-32.
     let mut pos = HEADER_LEN;
-    let table_len = read_len(pos + 1);
-    let table = pos..pos + 1 + 8 + table_len + 4;
+    let table_len = if wire.table {
+        1 + 8 + read_len(pos + 1) + 4
+    } else {
+        0
+    };
+    let table = pos..pos + table_len;
     pos = table.end;
-    // Frames: stage u8, profile u8, u64 payload length, payload, CRC-32.
+    // Frames: the version's head bytes, u64 payload length, payload, CRC-32.
+    let head = wire.head;
     let mut frames = Vec::new();
     let mut length_prefixes = Vec::new();
     while pos < bytes.len() {
-        let payload_len = read_len(pos + 2);
-        length_prefixes.push(pos + 2..pos + 10);
-        let end = pos + 2 + 8 + payload_len + 4;
+        let payload_len = read_len(pos + head);
+        length_prefixes.push(pos + head..pos + head + 8);
+        let end = pos + head + 8 + payload_len + 4;
         frames.push(pos..end);
         pos = end;
     }
@@ -156,15 +197,19 @@ fn undamaged_container_salvages_completely() {
 /// exact expected loss sets per damage region.
 #[test]
 fn every_single_byte_corruption_is_survived_and_accounted() {
+    WIRES.iter().for_each(single_byte_corruption);
+}
+
+fn single_byte_corruption(wire: &Wire) {
     let container = sample();
-    let bytes = container.encode();
+    let bytes = (wire.encode)(&container);
     let originals = container.blocks();
-    let layout = layout(&bytes);
+    let layout = layout(&bytes, wire);
 
     for offset in 0..bytes.len() {
         let mut damaged = bytes.clone();
         damaged[offset] ^= 0xFF;
-        let context = format!("offset {offset} ^= 0xFF");
+        let context = format!("v{} offset {offset} ^= 0xFF", wire.version);
 
         if offset < 8 {
             // Magic, version, codec, flags: without a usable identity there
@@ -217,8 +262,13 @@ fn every_single_byte_corruption_is_survived_and_accounted() {
                 .position(|span| span.contains(&offset))
                 .expect("offset belongs to some frame");
             // Losing the dictionary frame cascades into every frame whose
-            // profile seeds its window from block 0.
-            let expected = if frame == 0 { vec![0, 1] } else { vec![frame] };
+            // profile seeds its window from block 0 (v4 only: without a
+            // profile table there is no dictionary to lose).
+            let expected = if frame == 0 && wire.table {
+                vec![0, 1]
+            } else {
+                vec![frame]
+            };
             let in_length_prefix = layout.length_prefixes[frame].contains(&offset);
             if in_length_prefix {
                 // Framing damage: resynchronisation is best-effort, but the
@@ -250,15 +300,19 @@ fn every_single_byte_corruption_is_survived_and_accounted() {
 /// invariants, whatever the damage semantics.
 #[test]
 fn every_single_bit_flip_upholds_the_invariants() {
+    WIRES.iter().for_each(single_bit_flips);
+}
+
+fn single_bit_flips(wire: &Wire) {
     let container = sample();
-    let bytes = container.encode();
+    let bytes = (wire.encode)(&container);
     let originals = container.blocks();
 
     for offset in 0..bytes.len() {
         for bit in 0..8u8 {
             let mut damaged = bytes.clone();
             damaged[offset] ^= 1 << bit;
-            let context = format!("offset {offset} bit {bit}");
+            let context = format!("v{} offset {offset} bit {bit}", wire.version);
             if let Ok(salvage) = Container::decode_salvage(&damaged) {
                 assert_invariants(&salvage, originals, &context);
             }
@@ -270,14 +324,18 @@ fn every_single_bit_flip_upholds_the_invariants() {
 /// (minus the dictionary cascade), everything else is reported lost.
 #[test]
 fn every_truncation_point_recovers_the_prefix() {
+    WIRES.iter().for_each(truncations);
+}
+
+fn truncations(wire: &Wire) {
     let container = sample();
-    let bytes = container.encode();
+    let bytes = (wire.encode)(&container);
     let originals = container.blocks();
-    let layout = layout(&bytes);
+    let layout = layout(&bytes, wire);
 
     for cut in 0..bytes.len() {
         let damaged = &bytes[..cut];
-        let context = format!("truncated to {cut} bytes");
+        let context = format!("v{} truncated to {cut} bytes", wire.version);
         if cut < HEADER_LEN {
             assert!(
                 Container::decode_salvage(damaged).is_err(),
@@ -310,7 +368,7 @@ fn every_truncation_point_recovers_the_prefix() {
 fn simultaneous_damage_in_every_frame_loses_everything_gracefully() {
     let container = sample();
     let bytes = container.encode();
-    let layout = layout(&bytes);
+    let layout = layout(&bytes, &WIRES[0]);
     let mut damaged = bytes.clone();
     for span in &layout.frames {
         // Mid-payload, clear of the framing bytes.

@@ -2,10 +2,14 @@
 //! keyframe strategy, block geometry or error target, the pipeline's core
 //! invariants must hold.
 
-use gld_core::{ErrorBoundConfig, KeyframeStrategy, PcaErrorBound};
+use gld_core::container::{stage_frame, stage_frame_profiled};
+use gld_core::{
+    CodecId, Container, DictMode, EntropyProfile, ErrorBoundConfig, KeyframeStrategy, PcaErrorBound,
+};
 use gld_datasets::blocks::{block_to_nchw, nchw_to_block};
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_diffusion::FramePartition;
+use gld_lz::{LzProfile, LzScratch};
 use gld_tensor::stats::nrmse;
 use gld_tensor::{Tensor, TensorRng};
 use proptest::prelude::*;
@@ -79,6 +83,109 @@ proptest! {
         let mut rng = TensorRng::new(seed);
         let block = rng.randn(&[n, 8, 8]);
         prop_assert_eq!(nchw_to_block(&block_to_nchw(&block)), block);
+    }
+}
+
+/// A valid container of `frames` in wire version `version` (1–4).  The v4
+/// leg fits a first-block-dictionary profile on frame 0 and codes every
+/// other frame under it, the shape the executor produces.
+fn encode_frames(frames: &[Vec<u8>], version: u32) -> Vec<u8> {
+    if version < 4 {
+        let container = Container::from_blocks(CodecId::ZfpLike, frames.to_vec());
+        return match version {
+            1 => container.encode_v1(),
+            2 => container.encode_v2(),
+            _ => container.encode_v3(),
+        };
+    }
+    let mut scratch = LzScratch::new();
+    let first = frames.first().cloned().unwrap_or_default();
+    let lz = LzProfile::fit(&first, &mut scratch);
+    let profile = EntropyProfile {
+        model: None,
+        lz: Some(lz.clone()),
+        dict_mode: DictMode::FirstBlock,
+    };
+    let mut container = Container::with_profiles(CodecId::ZfpLike, vec![profile]);
+    for (index, frame) in frames.iter().enumerate() {
+        if index == 0 {
+            let staged = stage_frame(frame, &mut scratch);
+            container.push_staged(frame.clone(), staged);
+        } else {
+            let staged = stage_frame_profiled(frame, &first, &lz, &mut scratch);
+            container.push_profiled(frame.clone(), 1, staged);
+        }
+    }
+    container.encode()
+}
+
+/// The one statement tying the two container walkers together: whatever
+/// strict decode accepts, salvage returns complete and frame-identical —
+/// and neither panics on anything.  True by construction (both are one
+/// walk over one frame reader); this keeps it true.
+fn strict_implies_complete_salvage(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let strict = Container::decode(bytes);
+    let salvage = Container::decode_salvage(bytes);
+    if let Ok(container) = strict {
+        let salvage = salvage.map_err(|e| TestCaseError::fail(format!("salvage refused: {e}")))?;
+        prop_assert!(salvage.is_complete(), "incomplete: {:?}", salvage.report);
+        let frames: Vec<Vec<u8>> = salvage.frames.into_iter().flatten().collect();
+        prop_assert_eq!(frames.as_slice(), container.blocks());
+        prop_assert_eq!(salvage.report.version, container.wire_version());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn container_walkers_agree_on_arbitrary_bytes(
+        version in 0u32..5,
+        codec in 0u32..9,
+        count in 0u32..6,
+        tail in prop::collection::vec(0u32..256, 0..160),
+    ) {
+        // Pure noise dies at the magic; most cases get a plausible header
+        // (sometimes with an unknown codec) so the walkers see the tail.
+        let mut bytes = Vec::new();
+        if version > 0 {
+            bytes.extend_from_slice(b"GLDC");
+            bytes.extend_from_slice(&(version as u16).to_le_bytes());
+            bytes.extend_from_slice(&[codec as u8, u8::from(version >= 3)]);
+            bytes.extend_from_slice(&count.to_le_bytes());
+        }
+        bytes.extend(tail.iter().map(|&b| b as u8));
+        strict_implies_complete_salvage(&bytes)?;
+    }
+
+    #[test]
+    fn container_walkers_agree_on_mutated_encodings(
+        version in 1u32..5,
+        modulus in 2u32..257,
+        frames in prop::collection::vec(prop::collection::vec(0u32..256, 0..48), 0..4),
+        mutations in prop::collection::vec(0u64..u64::MAX, 0..=3),
+    ) {
+        // Small moduli give compressible frames, so the `Lz` stage and the
+        // first-block dictionary are exercised as well as raw storage.
+        let frames: Vec<Vec<u8>> = frames
+            .iter()
+            .map(|f| f.iter().map(|&b| (b % modulus) as u8).collect())
+            .collect();
+        let mut bytes = encode_frames(&frames, version);
+        let intact = Container::decode(&bytes).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(intact.blocks(), frames.as_slice());
+        for mutation in mutations {
+            // Overwrite, insert or delete one byte anywhere in the stream.
+            let at = (mutation >> 16) as usize % bytes.len();
+            let byte = (mutation >> 8) as u8;
+            match mutation % 4 {
+                0 => drop(bytes.remove(at)),
+                1 => bytes.insert(at, byte),
+                _ => bytes[at] = byte,
+            }
+        }
+        strict_implies_complete_salvage(&bytes)?;
     }
 }
 
