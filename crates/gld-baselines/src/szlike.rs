@@ -51,6 +51,14 @@ impl SzScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// The reconstruction the last compress call through this scratch
+    /// quantised against: value for value what decoding that frame yields
+    /// (at most the sign of a zero differs), so an encoder can account its
+    /// error without decoding.
+    pub fn reconstruction(&self) -> &[f32] {
+        &self.recon
+    }
 }
 
 /// Prediction-based error-bounded compressor (SZ3-like).

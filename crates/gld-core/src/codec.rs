@@ -184,10 +184,8 @@ where
 /// [`compress_variable_to_writer`] with an explicit container wire format —
 /// the service uses this to answer stage-incapable clients with a v2
 /// (stage-free) stream, staged sessions with v3, and profile-capable
-/// sessions with v4.  For v3, frames are staged cold on the executor's
-/// worker threads (through the per-worker `CodecScratch`); for v4 a shared
-/// coding profile is fitted on the variable's first window and every frame
-/// is coded warm against it; for v2 no staging work is done at all.
+/// sessions with v4: it picks the [`StageMode`] (fitting the variable's
+/// shared profile for v4) and calls [`compress_variable_to_writer_with`].
 #[allow(clippy::too_many_arguments)]
 pub fn compress_variable_to_writer_fmt<C, W>(
     codec: &C,
@@ -202,13 +200,6 @@ where
     C: Codec + ?Sized,
     W: Write,
 {
-    // Validate before the header leaves this process: a zero-window
-    // variable must panic (as the other compress paths do) without first
-    // writing a partial container to the caller's file/socket.
-    let (_, count) = checked_windows(variable, block_frames);
-    // A v4 stream carries the shared profile table between the header and
-    // the frames, so the profile must be fitted before the first byte leaves
-    // this process; v3/v2 headers need nothing fitted.
     let stage = match format {
         ContainerFormat::V4 => StageMode::Shared(Arc::new(fit_variable_profile(
             codec,
@@ -218,6 +209,38 @@ where
         ))),
         ContainerFormat::V3 => StageMode::PerFrame,
         ContainerFormat::V2 => StageMode::Off,
+    };
+    compress_variable_to_writer_with(codec, variable, block_frames, target, config, stage, writer)
+}
+
+/// [`compress_variable_to_writer`] under a caller-chosen [`StageMode`], which
+/// fixes the wire format: `Off` writes a stage-free v2 stream, `PerFrame`
+/// stages every frame cold on the executor's workers (v3), `Shared` codes
+/// every frame warm against the given profile (v4) — which must be what
+/// [`fit_variable_profile`] returns for these arguments: a caller that holds
+/// that profile already passes it here instead of fitting again.
+#[allow(clippy::too_many_arguments)]
+pub fn compress_variable_to_writer_with<C, W>(
+    codec: &C,
+    variable: &Variable,
+    block_frames: usize,
+    target: Option<ErrorTarget>,
+    config: StreamConfig,
+    stage: StageMode,
+    writer: W,
+) -> Result<(W, VariableStats, StreamMetrics), StreamWriteError>
+where
+    C: Codec + ?Sized,
+    W: Write,
+{
+    // Validate before the header leaves this process: a zero-window
+    // variable must panic (as the other compress paths do) without first
+    // writing a partial container to the caller's file/socket.
+    let (_, count) = checked_windows(variable, block_frames);
+    let format = match stage {
+        StageMode::Off => ContainerFormat::V2,
+        StageMode::PerFrame => ContainerFormat::V3,
+        StageMode::Shared(_) => ContainerFormat::V4,
     };
     let (profiles, profile_id) = stage.profile();
     let mut sink = ContainerWriter::start(writer, codec.id(), count as u32, format, profiles)
@@ -457,6 +480,30 @@ pub trait Codec: Sync {
         self.decompress_block(frame)
     }
 
+    /// Compresses a block — as [`Codec::compress_block_shared`] under
+    /// `model`, as [`Codec::compress_block_scratch`] without one — and
+    /// returns the frame with Σ(original − reconstruction)², where the
+    /// reconstruction is [`Codec::decompress_block_shared`]'s for that frame
+    /// and model, bit for bit.  The default decodes the frame it wrote; a
+    /// codec that holds the decoder's reconstruction when it finishes
+    /// encoding overrides this and sums against that instead.
+    fn compress_block_measured(
+        &self,
+        block: &Tensor,
+        target: Option<ErrorTarget>,
+        block_index: u64,
+        scratch: &mut CodecScratch,
+        model: Option<&HistogramModel>,
+    ) -> (Vec<u8>, f64) {
+        let frame = match model {
+            Some(m) => self.compress_block_shared(block, target, block_index, scratch, m),
+            None => self.compress_block_scratch(block, target, block_index, scratch),
+        };
+        let recon = self.decompress_block_shared(&frame, model);
+        let sq_err = squared_error(block.data(), recon.data());
+        (frame, sq_err)
+    }
+
     /// Compresses a standalone block (window index 0).
     fn compress_block(&self, block: &Tensor, target: Option<ErrorTarget>) -> Vec<u8> {
         self.compress_block_at(block, target, 0)
@@ -686,6 +733,17 @@ fn compress_sequential<C: Codec + ?Sized>(
     (container, acc.finish(compressed_bytes))
 }
 
+/// Σ(a − b)² the way every reported NRMSE sums it: `f32` subtract, widen,
+/// square, add in index order.
+pub(crate) fn squared_error(a: &[f32], b: &[f32]) -> f64 {
+    let mut sum = 0.0f64;
+    for (a, b) in a.iter().zip(b) {
+        let d = (*a - *b) as f64;
+        sum += d * d;
+    }
+    sum
+}
+
 /// Running aggregation of per-window partials.  Outcomes are added strictly
 /// in temporal order (the executor's ordered emission / the sequential
 /// loop), so parallel and sequential execution produce identical statistics
@@ -742,6 +800,22 @@ fn rule_based_bound(block: &Tensor, target: Option<ErrorTarget>) -> f32 {
     }
 }
 
+/// One SZ frame through the scratch arena, cold or against a shared model.
+fn sz_frame(
+    sz: &SzCompressor,
+    block: &Tensor,
+    target: Option<ErrorTarget>,
+    model: Option<&HistogramModel>,
+    scratch: &mut CodecScratch,
+) -> Vec<u8> {
+    let mut out = Vec::with_capacity(scratch.frame_capacity_hint());
+    let bound = rule_based_bound(block, target);
+    sz.compress_into_shared(block, bound, model, &mut scratch.sz, &mut out)
+        .unwrap_or_else(|e| panic!("{e}"));
+    scratch.note_frame_len(out.len());
+    out
+}
+
 impl Codec for SzCompressor {
     fn name(&self) -> &str {
         "SZ3-like"
@@ -776,16 +850,7 @@ impl Codec for SzCompressor {
         _block_index: u64,
         scratch: &mut CodecScratch,
     ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(scratch.frame_capacity_hint());
-        self.compress_into(
-            block,
-            rule_based_bound(block, target),
-            &mut scratch.sz,
-            &mut out,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        scratch.note_frame_len(out.len());
-        out
+        sz_frame(self, block, target, None, scratch)
     }
 
     fn compress_block_shared(
@@ -796,17 +861,22 @@ impl Codec for SzCompressor {
         scratch: &mut CodecScratch,
         model: &HistogramModel,
     ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(scratch.frame_capacity_hint());
-        self.compress_into_shared(
-            block,
-            rule_based_bound(block, target),
-            Some(model),
-            &mut scratch.sz,
-            &mut out,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        scratch.note_frame_len(out.len());
-        out
+        sz_frame(self, block, target, Some(model), scratch)
+    }
+
+    /// The quantiser ran against the decoder's reconstruction and left it in
+    /// the scratch: the error is summed there, nothing is decoded.
+    fn compress_block_measured(
+        &self,
+        block: &Tensor,
+        target: Option<ErrorTarget>,
+        _block_index: u64,
+        scratch: &mut CodecScratch,
+        model: Option<&HistogramModel>,
+    ) -> (Vec<u8>, f64) {
+        let frame = sz_frame(self, block, target, model, scratch);
+        let sq_err = squared_error(block.data(), scratch.sz.reconstruction());
+        (frame, sq_err)
     }
 
     fn frame_model(&self, frame: &[u8]) -> Option<HistogramModel> {

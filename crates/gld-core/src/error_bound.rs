@@ -167,9 +167,11 @@ impl PcaErrorBound {
             }
             counts.push(kept);
             total_sq_err += err as f64;
-            for i in 0..len {
-                corr_data[start + i] += correction[i];
-            }
+            // `correction` only steered the selection: the block itself
+            // takes the kept terms one by one, as the decoder will.
+            let first = codes.len() - kept as usize;
+            let terms = (&indices[first..], &codes[first..]);
+            self.add_terms(&mut corr_data[start..end], step, terms);
         }
 
         // Serialise the auxiliary stream: header + entropy-coded counts,
@@ -237,24 +239,33 @@ impl PcaErrorBound {
             (Vec::new(), Vec::new())
         };
 
-        let basis = self.basis.data();
         let mut corrected = finite_or_zero(reconstruction);
         let n_values = corrected.numel();
         let corr_data = corrected.data_mut();
         let mut cursor = 0usize;
         for (chunk_idx, &count) in counts.iter().enumerate() {
             let start = chunk_idx * d;
-            let len = (start + d).min(n_values) - start;
-            for _ in 0..count {
-                let j = indices[cursor] as usize;
-                let cq = codes[cursor] as f32 * step;
-                for (i, item) in corr_data[start..start + len].iter_mut().enumerate() {
-                    *item += basis[i * d + j] * cq;
-                }
-                cursor += 1;
-            }
+            let end = (start + d).min(n_values);
+            let kept = cursor..cursor + count as usize;
+            let terms = (&indices[kept.clone()], &codes[kept]);
+            self.add_terms(&mut corr_data[start..end], step, terms);
+            cursor += count as usize;
         }
         corrected
+    }
+
+    /// Adds one chunk's kept terms `U_j · (code · step)` into the block, term
+    /// by term in stream order.  [`PcaErrorBound::apply`] and
+    /// [`PcaErrorBound::apply_from_aux`] both end here, so the tensor the
+    /// bound is verified on is, bit for bit, the one every reader decodes.
+    fn add_terms(&self, chunk: &mut [f32], step: f32, (indices, codes): (&[i32], &[i32])) {
+        let (basis, d) = (self.basis.data(), self.config.chunk);
+        for (&j, &code) in indices.iter().zip(codes) {
+            let cq = code as f32 * step;
+            for (i, item) in chunk.iter_mut().enumerate() {
+                *item += basis[i * d + j as usize] * cq;
+            }
+        }
     }
 
     /// Converts an NRMSE target into the ℓ2 threshold τ used by

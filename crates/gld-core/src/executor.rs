@@ -14,9 +14,11 @@
 //!   most `queue_depth` blocks exist between materialisation and emission,
 //!   so in-flight blocks are O(depth), not O(variable);
 //! * **one-shot worker jobs** — each claims at most one window, runs
-//!   [`Codec::compress_block_at`] with the window's index (the per-block
-//!   derived seed keeps output bit-identical to the sequential reference),
-//!   posts the outcome to the reorder buffer and exits.  A job that finds
+//!   [`Codec::compress_block_measured`] with the window's index (the
+//!   per-block derived seed keeps output bit-identical to the sequential
+//!   reference; the codec reports the reconstruction error with the frame,
+//!   so nothing is decoded to account it), posts the outcome to the reorder
+//!   buffer and exits.  A job that finds
 //!   the ticket window full exits immediately instead of parking, so the
 //!   executor never blocks a pool thread and concurrent executors
 //!   interleave fairly on the shared pool;
@@ -104,19 +106,24 @@ impl StageMode {
 
 /// A cross-frame coding profile fitted on a variable's first temporal
 /// window ([`fit_variable_profile`]): the wire-format [`EntropyProfile`]
-/// the container's table carries, plus the decoded working state the
-/// workers code against.
+/// the container's table carries — whose stage snapshot the workers code
+/// against directly — plus the seed dictionary.
 #[derive(Clone, Debug)]
 pub struct WarmProfile {
     /// The profile as serialised into the container's v4 profile table.
     pub profile: EntropyProfile,
-    /// The stage snapshot every frame warm-starts its adaptive models from
-    /// (the decoded copy of `profile`'s snapshot).
-    pub lz: LzProfile,
     /// The profiled first-frame bytes — the [`DictMode::FirstBlock`] seed
     /// dictionary for every later frame's match window.  Empty windows for
     /// block 0 itself.
     pub dict: Vec<u8>,
+}
+
+impl WarmProfile {
+    /// The stage snapshot every frame warm-starts its adaptive models from.
+    pub fn lz(&self) -> &LzProfile {
+        let lz = self.profile.lz.as_ref();
+        lz.expect("a fitted profile carries its stage snapshot")
+    }
 }
 
 /// Number of temporal windows whose embedded models are pooled into a
@@ -124,6 +131,37 @@ pub struct WarmProfile {
 /// across the variable keeps the fit cheap while covering the code range of
 /// windows the first one alone would miss.
 const PROFILE_FIT_WINDOWS: usize = 4;
+
+/// The windows a profile fit may read, of `count >= 1`: the first, then the
+/// rest of the sample spread evenly up to the last.
+fn sampled_windows(count: usize) -> impl Iterator<Item = usize> {
+    let extra = PROFILE_FIT_WINDOWS.min(count) - 1;
+    (0..=extra).map(move |k| k * (count - 1) / extra.max(1))
+}
+
+/// A 128-bit fingerprint of every value [`fit_variable_profile`] can read
+/// from `variable` — the bit patterns of exactly the windows it samples,
+/// four values to a word.  Two variables of equal dims that agree on it get
+/// the same fit from the same codec, `block_frames` and target, which is
+/// what lets a caller memoise the fit.
+pub fn profile_fit_fingerprint(variable: &Variable, block_frames: usize) -> u128 {
+    let (_, count) = checked_windows(variable, block_frames);
+    let data = variable.frames.data();
+    let window = data.len() / variable.timesteps() * block_frames;
+    let mut hash = count as u128;
+    for index in sampled_windows(count) {
+        for quad in data[index * window..(index + 1) * window].chunks(4) {
+            let word = quad.iter().fold(0, |w, v| (w << 32) | v.to_bits() as u128);
+            // Xor, odd multiply, rotate: each a bijection of the state.
+            hash = (hash ^ word).wrapping_mul(FINGERPRINT_MULTIPLIER);
+            hash = hash.rotate_left(61);
+        }
+    }
+    hash
+}
+
+/// Odd, so multiplying by it permutes `u128`: 2¹²⁸ over the golden ratio.
+const FINGERPRINT_MULTIPLIER: u128 = 0x9E37_79B9_7F4A_7C15_F39C_C060_5CED_C835;
 
 /// Fits a variable's shared coding profile: a **sample** of its temporal
 /// windows is compressed cold, their embedded entropy models (if the codec
@@ -147,13 +185,8 @@ pub fn fit_variable_profile<C: Codec + ?Sized>(
     };
     let model = codec.frame_model(&cold).map(|first| {
         let mut models = vec![first];
-        // Sample later windows evenly (skipping window 0, already fitted).
-        let extra = PROFILE_FIT_WINDOWS.min(windows).saturating_sub(1);
-        for k in 1..=extra {
-            let index = k * (windows - 1) / extra.max(1);
-            if index == 0 {
-                continue;
-            }
+        // Window 0 is already fitted.
+        for index in sampled_windows(windows).skip(1) {
             let window = blocks::temporal_window_at(variable, block_frames, index);
             let frame =
                 codec.compress_block_scratch(&window.data, target, index as u64, &mut scratch);
@@ -173,14 +206,12 @@ pub fn fit_variable_profile<C: Codec + ?Sized>(
         }
         None => cold,
     };
-    let lz = LzProfile::fit(&frame0, &mut scratch.lz);
     WarmProfile {
         profile: EntropyProfile {
             model,
-            lz: Some(lz.clone()),
+            lz: Some(LzProfile::fit(&frame0, &mut scratch.lz)),
             dict_mode: DictMode::FirstBlock,
         },
-        lz,
         dict: frame0,
     }
 }
@@ -254,8 +285,9 @@ fn block_histogram(cell: &'static BlockHistogram, family: &str) -> &'static gld_
     cell.get_or_init(|| gld_obs::registry::histogram(family, &[]))
 }
 
-/// Compresses one window through `codec` and measures the reconstruction —
-/// the single definition both the sequential reference and the streaming
+/// Compresses one window through `codec`, which reports the reconstruction
+/// error with the frame ([`Codec::compress_block_measured`]) — the single
+/// definition both the sequential reference and the streaming
 /// executor share, which is what makes them bit-identical.
 pub(crate) fn compress_window_outcome<C: Codec + ?Sized>(
     codec: &C,
@@ -268,37 +300,24 @@ pub(crate) fn compress_window_outcome<C: Codec + ?Sized>(
     static ENCODE_NS: BlockHistogram = OnceLock::new();
     let _span = gld_obs::span::SpanGuard::enter("block.encode", 0, index);
     let t0_ns = gld_obs::now_ns();
-    let (frame, recon) = match stage {
-        StageMode::Shared(warm) if warm.profile.model.is_some() => {
-            let model = warm.profile.model.as_ref().unwrap();
-            let frame = codec.compress_block_shared(window, target, index, scratch, model);
-            let recon = codec.decompress_block_shared(&frame, Some(model));
-            (frame, recon)
-        }
-        _ => {
-            let frame = codec.compress_block_scratch(window, target, index, scratch);
-            let recon = codec.decompress_block(&frame);
-            (frame, recon)
-        }
-    };
+    let model = stage.profile().0.first().and_then(|p| p.model.as_ref());
+    let (frame, sq_err) = codec.compress_block_measured(window, target, index, scratch, model);
     block_histogram(&ENCODE_NS, "gld_block_encode_ns")
         .record(gld_obs::now_ns().saturating_sub(t0_ns));
-    let mut sq_err = 0.0f64;
-    for (a, b) in window.data().iter().zip(recon.data()) {
-        let d = (*a - *b) as f64;
-        sq_err += d * d;
-    }
     let lz = match stage {
         StageMode::Off => None,
         StageMode::PerFrame => crate::container::stage_frame(&frame, &mut scratch.lz),
         StageMode::Shared(warm) => {
             // Block 0 is the dictionary itself: it de-stages dict-free.
             let dict = if index == 0 {
+                // ...which the decoder takes from this container: a profile
+                // fitted elsewhere would seed later frames with other bytes.
+                assert!(frame == warm.dict, "profile was fitted on another variable");
                 &[][..]
             } else {
                 warm.dict.as_slice()
             };
-            crate::container::stage_frame_profiled(&frame, dict, &warm.lz, &mut scratch.lz)
+            crate::container::stage_frame_profiled(&frame, dict, warm.lz(), &mut scratch.lz)
         }
     };
     BlockOutcome {

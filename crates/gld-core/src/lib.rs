@@ -38,15 +38,18 @@ pub mod pipeline;
 pub mod sweep;
 
 pub use codec::{
-    compress_variable_to_writer, compress_variable_to_writer_fmt, Codec, CodecError, CodecScratch,
-    ErrorTarget, StreamWriteError, VariableStats,
+    compress_variable_to_writer, compress_variable_to_writer_fmt, compress_variable_to_writer_with,
+    Codec, CodecError, CodecScratch, ErrorTarget, StreamWriteError, VariableStats,
 };
 pub use container::{
     CodecId, Container, ContainerError, ContainerFormat, ContainerWriter, DictMode, EntropyProfile,
     LostFrame, Salvage, SalvageReport,
 };
 pub use error_bound::{ErrorBoundConfig, ErrorBoundOutcome, PcaErrorBound};
-pub use executor::{fit_variable_profile, StageMode, StreamConfig, StreamMetrics, WarmProfile};
+pub use executor::{
+    fit_variable_profile, profile_fit_fingerprint, StageMode, StreamConfig, StreamMetrics,
+    WarmProfile,
+};
 /// Kernel backend dispatch (re-exported): the SIMD/scalar inner loops every
 /// codec in this stack runs on, selectable via `GLD_KERNEL_BACKEND` or
 /// [`gld_kernels::force`].

@@ -19,18 +19,20 @@
 //! The compression ratio follows Eq. 11: original bytes divided by the sum of
 //! the latent bitstream and the auxiliary correction stream.
 
-use crate::codec::{Codec, ErrorTarget};
+use crate::codec::{squared_error, Codec, CodecScratch, ErrorTarget};
 use crate::container::{write_section, ByteReader, CodecId, ContainerError};
 use crate::error_bound::{ErrorBoundConfig, ErrorBoundOutcome, PcaErrorBound};
 use crate::keyframes::KeyframeStrategy;
 use gld_datasets::Variable;
 use gld_diffusion::{ConditionalDiffusion, DiffusionConfig, DiffusionTrainer, FramePartition};
+use gld_entropy::HistogramModel;
 use gld_tensor::{Tensor, TensorRng};
 use gld_vae::codec::FrameNorm;
 use gld_vae::{LatentCodec, Vae, VaeConfig, VaeTrainer};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Configuration of the full compressor.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -478,6 +480,20 @@ impl GldCompressor {
         nrmse_target: Option<f32>,
         block_index: u64,
     ) -> (CompressedBlock, Option<ErrorBoundOutcome>) {
+        let (compressed, outcome, _) = self.encode_block(block, nrmse_target, block_index, false);
+        (compressed, outcome)
+    }
+
+    /// Encodes one block.  With a target, or when `measure` is set, also
+    /// returns what [`GldCompressor::decompress_block`] will return for it,
+    /// from the one decoder replay the encoder runs.
+    fn encode_block(
+        &self,
+        block: &Tensor,
+        nrmse_target: Option<f32>,
+        block_index: u64,
+        measure: bool,
+    ) -> (CompressedBlock, Option<ErrorBoundOutcome>, Option<Tensor>) {
         assert_eq!(block.rank(), 3, "block must be [N, H, W]");
         assert_eq!(
             block.dim(0),
@@ -503,33 +519,51 @@ impl GldCompressor {
             sampling_seed,
             denoising_steps: self.config.denoising_steps,
         };
-
-        let outcome = if let Some(target) = nrmse_target {
-            // Replay the decoder to obtain the exact reconstruction the
-            // correction must be computed against.
-            let recon = self.decompress_block(&compressed);
-            let tau = PcaErrorBound::tau_for_nrmse(block, target);
-            let (_, aux, outcome) = self.error_bound.apply(block, &recon, tau);
-            compressed.aux_bytes = aux;
-            Some(outcome)
-        } else {
-            None
+        if nrmse_target.is_none() && !measure {
+            return (compressed, None, None);
+        }
+        // Replay the decoder on the keyframes as it will decode them: the
+        // symbols the bitstream carries, widened as `LatentCodec::decompress`
+        // widens them (a `-0.0` held here must not leak into the replay).
+        let symbols = y_key.quantized_symbols();
+        let decoded = symbols.iter().map(|&s| s as f32).collect();
+        let recon = self.reconstruct(&compressed, &Tensor::from_vec(decoded, y_key.dims()));
+        let Some(target) = nrmse_target else {
+            return (compressed, None, Some(recon));
         };
-        (compressed, outcome)
+        // `apply` returns the tensor `apply_from_aux` rebuilds, bit for bit.
+        let tau = PcaErrorBound::tau_for_nrmse(block, target);
+        let (corrected, aux, outcome) = self.error_bound.apply(block, &recon, tau);
+        compressed.aux_bytes = aux;
+        (compressed, Some(outcome), Some(corrected))
     }
 
     /// Decompresses a block produced by [`GldCompressor::compress_block`].
     pub fn decompress_block(&self, compressed: &CompressedBlock) -> Tensor {
+        let y_key = LatentCodec::new(&self.vae).decompress(&compressed.keyframe_bytes);
+        let recon = self.reconstruct(compressed, &y_key);
+        if compressed.aux_bytes.is_empty() {
+            return recon;
+        }
+        self.error_bound
+            .apply_from_aux(&recon, &compressed.aux_bytes)
+    }
+
+    /// The uncorrected reconstruction from decoded keyframe latents `y_key`
+    /// — everything between the entropy decoder and the correction stream.
+    fn reconstruct(&self, compressed: &CompressedBlock, y_key: &Tensor) -> Tensor {
+        static GENERATES: OnceLock<Arc<gld_obs::Counter>> = OnceLock::new();
+        GENERATES
+            .get_or_init(|| gld_obs::registry::counter("gld_diffusion_generate_total", &[]))
+            .inc();
         let partition = self.config.partition();
         assert_eq!(compressed.frames, partition.total, "partition mismatch");
-        // 1. Decode keyframe latents (lossless).
-        let y_key = LatentCodec::new(&self.vae).decompress(&compressed.keyframe_bytes);
-        // 2. Min-max normalise latents using the keyframe range (identical on
+        // 1. Min-max normalise latents using the keyframe range (identical on
         //    both sides because it is derived from decoded keyframes).
         let (lo, hi) = compressed.latent_range;
         let scale = if hi > lo { 2.0 / (hi - lo) } else { 1.0 };
         let y_key_norm = y_key.map(|v| (v - lo) * scale - 1.0);
-        // 3. Assemble the conditioning block and generate the missing frames.
+        // 2. Assemble the conditioning block and generate the missing frames.
         let (kc, kl, kh, kw) = (
             y_key_norm.dim(0),
             y_key_norm.dim(1),
@@ -543,17 +577,10 @@ impl GldCompressor {
         let y_gen_norm =
             self.diffusion
                 .generate(&y_cond, &partition, compressed.denoising_steps, &mut rng);
-        // 4. Undo latent normalisation and decode every frame.
+        // 3. Undo latent normalisation and decode every frame.
         let y_full = y_gen_norm.map(|v| (v + 1.0) / scale + lo);
         let frames = self.vae.decode_latent(&y_full);
-        let mut recon = Self::denormalize_frames(&frames, &compressed.frame_norms);
-        // 5. Apply the error-bound correction, if present.
-        if !compressed.aux_bytes.is_empty() {
-            recon = self
-                .error_bound
-                .apply_from_aux(&recon, &compressed.aux_bytes);
-        }
-        recon
+        Self::denormalize_frames(&frames, &compressed.frame_norms)
     }
 
     /// Compresses every complete temporal window of a variable through the
@@ -599,6 +626,23 @@ impl Codec for GldCompressor {
         let nrmse_target = target.map(|t| t.nrmse_for(block));
         let (compressed, _) = self.compress_block_with_outcome_at(block, nrmse_target, block_index);
         compressed.encode()
+    }
+
+    /// The bounded encode has already replayed the decoder, and the
+    /// unbounded one replays it on the latents it holds: neither decodes.
+    fn compress_block_measured(
+        &self,
+        block: &Tensor,
+        target: Option<ErrorTarget>,
+        block_index: u64,
+        _scratch: &mut CodecScratch,
+        _model: Option<&HistogramModel>,
+    ) -> (Vec<u8>, f64) {
+        let nrmse_target = target.map(|t| t.nrmse_for(block));
+        let (compressed, _, recon) = self.encode_block(block, nrmse_target, block_index, true);
+        let recon = recon.expect("a measured encode returns its reconstruction");
+        let sq_err = squared_error(block.data(), recon.data());
+        (compressed.encode(), sq_err)
     }
 
     fn decompress_block(&self, frame: &[u8]) -> Tensor {

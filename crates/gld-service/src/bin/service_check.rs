@@ -254,10 +254,28 @@ fn verify_metrics_endpoint(client: &mut ServiceClient, metrics_addr: &str) {
     );
     assert_eq!(other as u64, summaries.rejected_other);
 
+    // The per-shard profile memo, summed over shards: this check's four v4
+    // compress requests each were a hit or a miss.
+    let memo = |event: &str| -> f64 {
+        let prefix = format!("glds_profile_memo_{event}_total{{");
+        let series = body.lines().filter(|line| line.starts_with(&prefix));
+        series
+            .filter_map(|line| line.rsplit_once(' ')?.1.parse::<f64>().ok())
+            .sum()
+    };
+    let (hits, misses, evictions) = (memo("hits"), memo("misses"), memo("evictions"));
+    assert!(
+        hits + misses >= 4.0,
+        "memo counters miss v4 compress requests"
+    );
+
     gld_obs::log_info!(
         "service-check",
         ops = rows_checked,
-        rejected = rejected;
+        rejected = rejected,
+        memo_hits = hits,
+        memo_misses = misses,
+        memo_evictions = evictions;
         "metrics endpoint agrees with Status summaries"
     );
 }

@@ -31,6 +31,7 @@ use crate::protocol::{
 };
 use crate::server::{
     prepare_compress, prepare_decompress, Completion, Prepared, ServerShared, Session, ShardJob,
+    ShardState,
 };
 use epoll::{Event, Interest, Poller};
 use gld_obs::{now_ns, registry, span, Histogram};
@@ -859,10 +860,10 @@ impl EventLoop {
                 .queue_wait
                 .record(admit_ns.saturating_sub(parsed_ns));
             span::record("req.queue_wait", parsed_ns, admit_ns, conn, request_id);
-            let wrapped: Box<dyn FnOnce() + Send> = Box::new(move || {
+            let wrapped: Box<dyn FnOnce(&mut ShardState) + Send> = Box::new(move |state| {
                 let result = {
                     let _guard = gld_obs::span!("shard.execute", conn, request_id);
-                    job()
+                    job(state)
                 };
                 shared.push_completion(Completion {
                     conn,

@@ -37,8 +37,8 @@ use crate::router::{ShardPolicy, ShardRouter};
 use gld_baselines::{SzCompressor, ZfpLikeCompressor};
 use gld_core::container::HEADER_LEN as CONTAINER_HEADER_LEN;
 use gld_core::{
-    compress_variable_to_writer_fmt, Codec, CodecId, Container, ContainerFormat, StreamConfig,
-    StreamMetrics,
+    compress_variable_to_writer_with, fit_variable_profile, profile_fit_fingerprint, Codec,
+    CodecId, Container, ErrorTarget, StageMode, StreamConfig, StreamMetrics, WarmProfile,
 };
 use gld_datasets::Variable;
 use gld_tensor::Tensor;
@@ -178,11 +178,88 @@ impl CodecRegistry {
     }
 }
 
-/// A codec job prepared by the event loop, executed on a shard worker.
-pub(crate) type ShardJob = Box<dyn FnOnce() -> ShardResult + Send + 'static>;
+/// A codec job prepared by the event loop, executed on a shard worker with
+/// that worker's [`ShardState`].
+pub(crate) type ShardJob = Box<dyn FnOnce(&mut ShardState) -> ShardResult + Send + 'static>;
 
 /// A wrapped job as the shard queue stores it (result delivery included).
-type WorkItem = Box<dyn FnOnce() + Send + 'static>;
+type WorkItem = Box<dyn FnOnce(&mut ShardState) + Send + 'static>;
+
+/// Entries one shard's profile memo holds.  A fitted profile weighs tens of
+/// kilobytes, so the bound is small and fixed.
+const PROFILE_MEMO_CAPACITY: usize = 16;
+
+/// Everything [`fit_variable_profile`] depends on, behind the request key:
+/// codec id, `block_frames`, target, dims and the fit's own fingerprint of
+/// the windows it samples.
+type FitInputs = (String, u8, usize, Option<ErrorTarget>, Vec<usize>, u128);
+
+/// What a shard worker keeps between jobs — a local of its thread, so keys
+/// (shard-sticky under the default policy) need no lock.  Today that is a
+/// pure memo of [`fit_variable_profile`]: a profile is reused only while
+/// every input of the fit is unchanged, so a hit returns what the fit would
+/// have and no container byte depends on the traffic before it.
+pub(crate) struct ShardState {
+    /// Most recently used first; one entry per request key.
+    profiles: Vec<(FitInputs, Arc<WarmProfile>)>,
+    hits: Arc<gld_obs::Counter>,
+    misses: Arc<gld_obs::Counter>,
+    evictions: Arc<gld_obs::Counter>,
+}
+
+impl ShardState {
+    fn new(shard: usize) -> Self {
+        let shard = shard.to_string();
+        let counter = |event| {
+            let family = format!("glds_profile_memo_{event}_total");
+            gld_obs::registry::counter(&family, &[("shard", &shard)])
+        };
+        ShardState {
+            profiles: Vec::new(),
+            hits: counter("hits"),
+            misses: counter("misses"),
+            evictions: counter("evictions"),
+        }
+    }
+
+    /// `variable`'s shared coding profile: the memoised one on a hit, else a
+    /// fresh fit that replaces the key's entry (or the least recently used).
+    fn profile(
+        &mut self,
+        codec: &(dyn Codec + Send + Sync),
+        variable: &Variable,
+        block_frames: usize,
+        target: Option<ErrorTarget>,
+    ) -> Arc<WarmProfile> {
+        let inputs: FitInputs = (
+            variable.name.clone(),
+            codec.id() as u8,
+            block_frames,
+            target,
+            variable.frames.dims().to_vec(),
+            profile_fit_fingerprint(variable, block_frames),
+        );
+        let held = self.profiles.iter().position(|(k, _)| k.0 == inputs.0);
+        let entry = match held.map(|at| self.profiles.remove(at)) {
+            Some(entry) if entry.0 == inputs => {
+                self.hits.inc();
+                entry
+            }
+            stale => {
+                self.misses.inc();
+                let warm = fit_variable_profile(codec, variable, block_frames, target);
+                if stale.is_none() && self.profiles.len() == PROFILE_MEMO_CAPACITY {
+                    self.profiles.pop();
+                    self.evictions.inc();
+                }
+                (inputs, Arc::new(warm))
+            }
+        };
+        let warm = Arc::clone(&entry.1);
+        self.profiles.insert(0, entry);
+        warm
+    }
+}
 
 /// What a shard job hands back to the event loop.
 pub(crate) struct ShardResult {
@@ -461,8 +538,9 @@ impl Drop for Server {
 }
 
 fn shard_worker(shared: &Arc<ServerShared>, index: usize) {
+    let mut state = ShardState::new(index);
     while let Some(job) = shared.shards[index].next_job() {
-        job();
+        job(&mut state);
     }
 }
 
@@ -679,27 +757,29 @@ pub(crate) fn prepare_compress(
     let stream_config = shared.config.stream;
     let limit = shared.config.max_body as usize;
     let codec_byte = codec.id() as u8;
-    // Profile-negotiated sessions get the v4 (shared coding profile)
-    // container, stage-negotiated sessions the v3 (per-frame gld-lz stage)
-    // one; everyone else gets the stage-free v2 stream their decoder
-    // predates the stage for.
-    let format = if session.profiles {
-        ContainerFormat::V4
-    } else if session.stage {
-        ContainerFormat::V3
-    } else {
-        ContainerFormat::V2
-    };
+    let session = *session;
 
-    let job: ShardJob = Box::new(move || {
+    let job: ShardJob = Box::new(move |state| {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            compress_variable_to_writer_fmt(
+            // Profile-negotiated sessions get the v4 (shared coding profile)
+            // container — fitted once per key and shard while the variable
+            // keeps coming back — stage-negotiated sessions the v3
+            // (per-frame gld-lz stage) one; everyone else gets the
+            // stage-free v2 stream their decoder predates the stage for.
+            let stage = if session.profiles {
+                StageMode::Shared(state.profile(codec.as_ref(), &variable, block_frames, target))
+            } else if session.stage {
+                StageMode::PerFrame
+            } else {
+                StageMode::Off
+            };
+            compress_variable_to_writer_with(
                 codec.as_ref(),
                 &variable,
                 block_frames,
                 target,
                 stream_config,
-                format,
+                stage,
                 LimitedSink {
                     buf: Vec::new(),
                     limit,
@@ -769,7 +849,7 @@ pub(crate) fn prepare_decompress(shared: &ServerShared, body: &[u8]) -> Prepared
     let container_bytes = request.container;
     let limit = shared.config.max_body as usize;
 
-    let job: ShardJob = Box::new(move || {
+    let job: ShardJob = Box::new(move |_| {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             let container = Container::decode(&container_bytes)
                 .map_err(|e| (Status::BadContainer, e.to_string()))?;

@@ -13,7 +13,7 @@ use gld_baselines::SzCompressor;
 use gld_core::{Codec, CodecId};
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_service::protocol::{self, FrameHeader, Op, StatusResponse};
-use gld_service::{CodecRegistry, Server, ServiceClient, ServiceConfig};
+use gld_service::{CodecRegistry, Server, ServiceClient, ServiceConfig, ShardRouter};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -217,6 +217,85 @@ fn stage_sums_decompose_the_op_totals_within_ten_percent() {
         diff <= 0.10 * total as f64,
         "stage sums {stage_sum} ns fail to decompose op totals {total} ns within 10%"
     );
+}
+
+#[test]
+fn profile_memo_counters_account_for_every_v4_compress() {
+    /// `PROFILE_MEMO_CAPACITY` in `gld-service`'s `server.rs`.
+    const CAPACITY: usize = 16;
+    const SHARDS: usize = 2;
+    let _guard = obs_lock();
+    // Per-shard counters in the process-global registry: cumulative across
+    // every server of this binary, so the test reads differences.
+    let memo = |event: &str, shard: usize| {
+        let family = format!("glds_profile_memo_{event}_total");
+        gld_obs::registry::counter(&family, &[("shard", &shard.to_string())]).get()
+    };
+    let totals = || {
+        ["hits", "misses", "evictions"]
+            .map(|event| (0..SHARDS).map(|s| memo(event, s)).sum::<u64>())
+    };
+    let before = totals();
+
+    let server = start_server(ServiceConfig {
+        shards: SHARDS,
+        ..ServiceConfig::default()
+    });
+    let ds = generate(DatasetKind::E3sm, &FieldSpec::new(1, 8, 8, 8), 29);
+    let variable = &ds.variables[0];
+    let mut v4 = ServiceClient::connect(server.local_addr()).expect("connect");
+    assert!(v4.hello(&[CodecId::SzLike]).expect("hello").profiles);
+    let mut v3 = ServiceClient::connect(server.local_addr()).expect("connect");
+    v3.hello_with_options(&[CodecId::SzLike], true, false)
+        .expect("hello");
+
+    // One hot key five times, sixty keys once each, and three v3 requests
+    // that must not count.
+    let mut inserts = [0usize; SHARDS];
+    for _ in 0..5 {
+        v4.compress("memo/hot", variable, 4, None)
+            .expect("compress");
+    }
+    inserts[ShardRouter::hash_shard("memo/hot", SHARDS)] += 1;
+    for k in 0..60 {
+        let key = format!("memo/once/{k}");
+        v4.compress(&key, variable, 4, None).expect("compress");
+        inserts[ShardRouter::hash_shard(&key, SHARDS)] += 1;
+        if k % 20 == 0 {
+            v3.compress(&key, variable, 4, None).expect("compress");
+        }
+    }
+    let [hits, misses, evictions] = {
+        let after = totals();
+        [0, 1, 2].map(|i| after[i] - before[i])
+    };
+    assert_eq!(hits + misses, 65, "every v4 compress is a hit or a miss");
+    assert_eq!((hits, misses), (4, 61));
+    let expected: usize = inserts.iter().map(|n| n.saturating_sub(CAPACITY)).sum();
+    assert!(expected > 0, "sixty keys over two shards overflow a memo");
+    assert_eq!(
+        evictions as usize, expected,
+        "evictions == inserts - capacity"
+    );
+
+    // The endpoint renders the same counters, shard by shard.
+    let body = scrape(server.metrics_addr().expect("endpoint is up"));
+    for event in ["hits", "misses", "evictions"] {
+        let family = format!("glds_profile_memo_{event}_total");
+        assert!(body.contains(&format!("# TYPE {family} counter")));
+        for shard in 0..SHARDS {
+            let needle = format!("shard=\"{shard}\"");
+            let scraped = protocol_scrape(&body, &family, "", &[&needle]);
+            assert_eq!(
+                scraped,
+                Some(memo(event, shard) as f64),
+                "{family} {needle}"
+            );
+        }
+    }
+
+    drop((v4, v3));
+    server.shutdown();
 }
 
 #[test]

@@ -12,10 +12,13 @@
 //!   within the configured window, submitters beyond the window block, and
 //!   the *other* shard keeps completing work the whole time.
 
-use gld_baselines::SzCompressor;
-use gld_core::{Codec, CodecId, Container, ErrorTarget, GldCompressor, GldConfig, StreamConfig};
+use gld_baselines::{SzCompressor, ZfpLikeCompressor};
+use gld_core::{
+    Codec, CodecId, CodecScratch, Container, ErrorTarget, GldCompressor, GldConfig, StreamConfig,
+};
 use gld_datasets::{generate, DatasetKind, FieldSpec, Variable};
 use gld_diffusion::ConditionalDiffusion;
+use gld_entropy::HistogramModel;
 use gld_service::protocol::{self, FrameHeader, Op, Status};
 use gld_service::{
     ClientError, CodecRegistry, RateLimit, Reply, Server, ServiceClient, ServiceConfig,
@@ -944,6 +947,247 @@ fn profile_negotiation_serves_v4_warm_containers_and_downgrades_cleanly() {
 
     drop(warm);
     drop(staged);
+    server.shutdown();
+}
+
+// ───────────────────── per-shard profile memo ──────────────────────────
+
+/// The local fresh fit a v4 reply must equal, whatever the shard remembers.
+fn fresh_v4(
+    codec: &dyn Codec,
+    variable: &Variable,
+    block_frames: usize,
+    target: Option<ErrorTarget>,
+) -> Vec<u8> {
+    let (container, _, _) =
+        codec.compress_variable_profiled(variable, block_frames, target, StreamConfig::default());
+    container.encode()
+}
+
+#[test]
+fn the_profile_memo_never_changes_a_reply_byte() {
+    // One shard, so every key below meets the same memo.
+    let server = start_server(
+        ServiceConfig {
+            shards: 1,
+            ..ServiceConfig::default()
+        },
+        CodecRegistry::rule_based(),
+    );
+    let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
+    let info = client.hello(&[CodecId::SzLike]).expect("hello");
+    assert!(info.profiles, "the memo only serves v4 sessions");
+    let (sz, zfp) = (SzCompressor::new(), ZfpLikeCompressor::new());
+    let target = Some(ErrorTarget::Nrmse(1e-3));
+    let first = generate(DatasetKind::S3d, &FieldSpec::new(1, 32, 16, 16), 41)
+        .variables
+        .remove(0);
+    let second = generate(DatasetKind::S3d, &FieldSpec::new(1, 32, 16, 16), 43)
+        .variables
+        .remove(0);
+
+    // Same key, same data: a miss and two hits, one answer.
+    let expected = fresh_v4(&sz, &first, 8, target);
+    for round in 0..3 {
+        let reply = client
+            .compress("memo/var", &first, 8, target)
+            .expect("compress");
+        assert_eq!(reply, expected, "round {round} differs from a fresh fit");
+    }
+    // Same key, other data: the remembered profile must not be used.
+    let reply = client
+        .compress("memo/var", &second, 8, target)
+        .expect("compress");
+    assert_eq!(
+        reply,
+        fresh_v4(&sz, &second, 8, target),
+        "new data, old key"
+    );
+    assert_ne!(reply, expected);
+    // ...and back again, which is a refit too.
+    let reply = client
+        .compress("memo/var", &first, 8, target)
+        .expect("compress");
+    assert_eq!(reply, expected, "the first data again");
+
+    // Same key and data, one other input of the fit changed at a time.
+    let reply = client
+        .compress("memo/var", &first, 4, target)
+        .expect("compress");
+    assert_eq!(
+        reply,
+        fresh_v4(&sz, &first, 4, target),
+        "block_frames 8 -> 4"
+    );
+    let reply = client
+        .compress("memo/var", &first, 4, None)
+        .expect("compress");
+    assert_eq!(reply, fresh_v4(&sz, &first, 4, None), "target dropped");
+    let reply = client
+        .compress_as(CodecId::ZfpLike, "memo/var", &first, 4, None)
+        .expect("compress");
+    assert_eq!(reply, fresh_v4(&zfp, &first, 4, None), "SZ -> ZFP");
+    // The same floats in the same order under other dims: windows of equal
+    // length, so only the dims tell the two requests apart.
+    let reshaped = Variable::new("memo/var", first.frames.reshape(&[32, 8, 32]));
+    let reply = client
+        .compress_as(CodecId::ZfpLike, "memo/var", &reshaped, 4, None)
+        .expect("compress");
+    assert_eq!(reply, fresh_v4(&zfp, &reshaped, 4, None), "dims changed");
+    assert_ne!(reply, fresh_v4(&zfp, &first, 4, None));
+
+    drop(client);
+    server.shutdown();
+}
+
+/// SZ behind counters, registered in a server's registry: every call the
+/// shard makes through the `Codec` trait is counted on the server's side.
+#[derive(Default)]
+struct CountingSz {
+    inner: SzCompressor,
+    measured: AtomicUsize,
+    plain: AtomicUsize,
+}
+
+impl CountingSz {
+    /// `(measured compresses, plain compresses)` since the last call.
+    fn take(&self) -> (usize, usize) {
+        (
+            self.measured.swap(0, Ordering::SeqCst),
+            self.plain.swap(0, Ordering::SeqCst),
+        )
+    }
+}
+
+impl Codec for CountingSz {
+    fn name(&self) -> &str {
+        "counting-sz"
+    }
+    fn id(&self) -> CodecId {
+        CodecId::SzLike
+    }
+    fn compress_block_at(
+        &self,
+        block: &Tensor,
+        target: Option<ErrorTarget>,
+        block_index: u64,
+    ) -> Vec<u8> {
+        self.plain.fetch_add(1, Ordering::SeqCst);
+        self.inner.compress_block_at(block, target, block_index)
+    }
+    fn compress_block_shared(
+        &self,
+        block: &Tensor,
+        target: Option<ErrorTarget>,
+        block_index: u64,
+        scratch: &mut CodecScratch,
+        model: &HistogramModel,
+    ) -> Vec<u8> {
+        self.plain.fetch_add(1, Ordering::SeqCst);
+        self.inner
+            .compress_block_shared(block, target, block_index, scratch, model)
+    }
+    fn compress_block_measured(
+        &self,
+        block: &Tensor,
+        target: Option<ErrorTarget>,
+        block_index: u64,
+        scratch: &mut CodecScratch,
+        model: Option<&HistogramModel>,
+    ) -> (Vec<u8>, f64) {
+        self.measured.fetch_add(1, Ordering::SeqCst);
+        self.inner
+            .compress_block_measured(block, target, block_index, scratch, model)
+    }
+    fn frame_model(&self, frame: &[u8]) -> Option<HistogramModel> {
+        self.inner.frame_model(frame)
+    }
+    fn decompress_block(&self, frame: &[u8]) -> Tensor {
+        self.inner.decompress_block(frame)
+    }
+}
+
+#[test]
+fn a_memo_hit_compresses_each_window_once_and_the_memo_stays_bounded() {
+    /// What `fit_variable_profile` costs SZ: the sampled windows cold, then
+    /// window 0 again under the pooled model.
+    const FIT: usize = 5;
+    const WINDOWS: usize = 4;
+    /// `PROFILE_MEMO_CAPACITY` in `gld-service`'s `server.rs`.
+    const CAPACITY: usize = 16;
+
+    let counting = Arc::new(CountingSz::default());
+    let mut registry = CodecRegistry::new();
+    registry.register(Arc::clone(&counting) as Arc<dyn Codec + Send + Sync>);
+    let server = start_server(
+        ServiceConfig {
+            shards: 1,
+            ..ServiceConfig::default()
+        },
+        registry,
+    );
+    let addr = server.local_addr();
+    let variable = generate(DatasetKind::E3sm, &FieldSpec::new(1, 16, 8, 8), 7)
+        .variables
+        .remove(0);
+    let expected = fresh_v4(&SzCompressor::new(), &variable, 4, None);
+    let session = |stage: bool, profiles: bool| {
+        let mut client = ServiceClient::connect(addr).expect("connect");
+        let info = client
+            .hello_with_options(&[CodecId::SzLike], stage, profiles)
+            .expect("hello");
+        assert_eq!((info.stage, info.profiles), (stage, profiles));
+        client
+    };
+    let mut v4 = session(true, true);
+    let request = |client: &mut ServiceClient, key: &str| {
+        let reply = client.compress(key, &variable, 4, None).expect("compress");
+        (reply, counting.take())
+    };
+
+    // v2 and v3 sessions never fit, so they neither read nor feed the memo:
+    // the same key's first v4 request afterwards still pays the whole fit.
+    let mut v2 = session(false, false);
+    let mut v3 = session(true, false);
+    for _ in 0..2 {
+        assert_eq!(request(&mut v2, "memo/k").1, (WINDOWS, 0));
+        assert_eq!(request(&mut v3, "memo/k").1, (WINDOWS, 0));
+    }
+    // Miss: the fit's compressions, then one measured encode per window.
+    // Hit: the encodes alone.
+    let (reply, counts) = request(&mut v4, "memo/k");
+    assert_eq!((reply, counts), (expected.clone(), (WINDOWS, FIT)));
+    for _ in 0..3 {
+        let (reply, counts) = request(&mut v4, "memo/k");
+        assert_eq!((reply, counts), (expected.clone(), (WINDOWS, 0)));
+    }
+
+    // A thousand distinct keys, each a miss; every reply is the fresh fit.
+    for k in 0..1000 {
+        let (reply, counts) = request(&mut v4, &format!("memo/distinct/{k}"));
+        assert_eq!(counts, (WINDOWS, FIT), "key {k} was never seen");
+        assert_eq!(reply, expected, "key {k}");
+    }
+    // The memo now holds exactly the last CAPACITY of them: those hit (from
+    // the oldest up, so each hit only reorders), and the one before them —
+    // like the hot key from the start — has been evicted.
+    for k in 1000 - CAPACITY..1000 {
+        let (_, counts) = request(&mut v4, &format!("memo/distinct/{k}"));
+        assert_eq!(counts, (WINDOWS, 0), "key {k} is among the last {CAPACITY}");
+    }
+    for evicted in [
+        format!("memo/distinct/{}", 1000 - CAPACITY - 1),
+        "memo/k".into(),
+    ] {
+        let (reply, counts) = request(&mut v4, &evicted);
+        assert_eq!(
+            (reply, counts),
+            (expected.clone(), (WINDOWS, FIT)),
+            "{evicted}"
+        );
+    }
+
+    drop((v2, v3, v4));
     server.shutdown();
 }
 
