@@ -1,6 +1,5 @@
 //! Service throughput benchmark: requests per second and p50/p99 latency
-//! through a live in-process sharded compression server, in the style of
-//! `pool_dispatch`.
+//! through a live in-process sharded compression server.
 //!
 //! Three sections, each swept over client counts:
 //!

@@ -16,11 +16,8 @@
 //! | `fig6_visual_comparison` | Figure 6 — reconstruction visualisation |
 //! | `table2_throughput` | Table 2 — encode/decode throughput |
 //! | `headline_summary` | §1/§4.7 headline claims |
-//! | `pool_dispatch` | persistent pool vs scoped-thread dispatch, streaming executor |
 //! | `service_throughput` | sharded service req/s + p50/p99 latency over the `GLDS` protocol |
 //! | `entropy_stage` | container v3 `gld-lz` stage: ratio + throughput, stage-on vs stage-off, CI `--check` gate |
-//!
-//! Criterion micro-benchmarks live under `benches/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

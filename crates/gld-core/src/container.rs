@@ -775,11 +775,6 @@ impl Container {
         &self.blocks
     }
 
-    /// Consumes the container, returning the frames.
-    pub fn into_blocks(self) -> Vec<Vec<u8>> {
-        self.blocks
-    }
-
     /// Appends one block frame, computing its stage decision.
     pub fn push(&mut self, frame: Vec<u8>) {
         let staged = stage_frame_pooled(&frame);

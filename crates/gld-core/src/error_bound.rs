@@ -19,10 +19,9 @@
 use gld_entropy::{HistogramModel, RangeDecoder, RangeEncoder};
 use gld_tensor::eig::principal_components;
 use gld_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the error-bound module.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ErrorBoundConfig {
     /// Dimensionality of the residual vectors (a flattened patch).
     pub chunk: usize,
@@ -35,7 +34,7 @@ impl Default for ErrorBoundConfig {
 }
 
 /// Diagnostics of one error-bound application.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ErrorBoundOutcome {
     /// Requested ℓ2 bound τ.
     pub tau: f32,

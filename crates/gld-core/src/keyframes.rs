@@ -2,10 +2,9 @@
 //! ablation (§4.5).
 
 use gld_diffusion::FramePartition;
-use serde::{Deserialize, Serialize};
 
 /// How the conditioning keyframes of an `N`-frame block are chosen.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum KeyframeStrategy {
     /// Keyframes spread uniformly across the block with the given interval;
     /// the model interpolates between them (the paper's best strategy, with
@@ -90,7 +89,7 @@ impl KeyframeStrategy {
 }
 
 /// Storage accounting for a keyframe choice.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct KeyframeSummary {
     /// Total frames per block.
     pub total_frames: usize,

@@ -25,10 +25,9 @@ use gld_entropy::{HistogramModel, RangeDecoder, RangeEncoder};
 use gld_tensor::{Tensor, TensorRng};
 use gld_vae::codec::{read_dims, write_dims};
 use gld_vae::{FrameCodec, Vae};
-use serde::{Deserialize, Serialize};
 
 /// Which baseline a [`LearnedBaseline`] instance emulates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LearnedBaselineKind {
     /// Conditional diffusion compression, signal-predicting variant.
     CdcX,

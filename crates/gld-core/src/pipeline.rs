@@ -30,12 +30,11 @@ use gld_tensor::{Tensor, TensorRng};
 use gld_vae::codec::FrameNorm;
 use gld_vae::{LatentCodec, Vae, VaeConfig, VaeTrainer};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Configuration of the full compressor.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GldConfig {
     /// VAE / hyperprior configuration (stage one).
     pub vae: VaeConfig,
@@ -102,7 +101,7 @@ impl GldConfig {
 
 /// Training step budgets for the two stages (and optional few-step
 /// fine-tuning).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct GldTrainingBudget {
     /// Stage-one (VAE) optimisation steps.
     pub vae_steps: usize,
@@ -127,7 +126,7 @@ impl GldTrainingBudget {
 }
 
 /// One compressed spatiotemporal block.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CompressedBlock {
     /// Number of frames N.
     pub frames: usize,
@@ -362,12 +361,6 @@ impl GldCompressor {
     /// The trained diffusion model.
     pub fn diffusion(&self) -> &ConditionalDiffusion {
         &self.diffusion
-    }
-
-    /// Mutable access to the diffusion model (used by the denoising-step
-    /// ablation to retime the schedule).
-    pub fn diffusion_mut(&mut self) -> &mut ConditionalDiffusion {
-        &mut self.diffusion
     }
 
     /// Overrides the number of denoising steps used at decompression.

@@ -2,10 +2,8 @@
 //! benchmark harness (Figure 3, Figure 4, Figure 5 and the headline-claim
 //! summary all consume [`RateSweep`]s).
 
-use serde::{Deserialize, Serialize};
-
 /// One point on a compression-ratio / NRMSE curve.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RatePoint {
     /// Compression ratio (original bytes / compressed bytes).
     pub compression_ratio: f64,
@@ -14,7 +12,7 @@ pub struct RatePoint {
 }
 
 /// A labelled rate–distortion curve for one compressor on one dataset.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RateSweep {
     /// Compressor name as shown in the paper's figures.
     pub method: String,

@@ -1,10 +1,9 @@
 //! Dataset containers: variables, specs and Table-1 style inventory rows.
 
 use gld_tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Which scientific application a dataset mimics.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Energy Exascale Earth System Model (climate).
     E3sm,
@@ -43,7 +42,7 @@ impl DatasetKind {
 ///
 /// The defaults are intentionally small so tests finish quickly; the bench
 /// harness scales them up via [`FieldSpec::bench`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FieldSpec {
     /// Number of physical variables (channels).
     pub variables: usize,
@@ -172,7 +171,7 @@ impl ScientificDataset {
 }
 
 /// A Table-1 style inventory row.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DatasetInfo {
     /// Dataset name.
     pub name: String,

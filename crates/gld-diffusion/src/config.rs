@@ -1,13 +1,11 @@
 //! Diffusion model hyper-parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the conditional latent diffusion model.
 ///
 /// The paper trains with 1000 denoising steps, 64 latent channels and
 /// N = 16 frames on A100s; the defaults here keep the same structure at CPU
 /// scale (the step count is configurable and swept by the Figure-5 bench).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DiffusionConfig {
     /// Latent channels of the VAE (input/output channels of the UNet).
     pub latent_channels: usize,

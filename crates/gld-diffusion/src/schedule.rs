@@ -2,11 +2,10 @@
 //! few-step sampling.
 
 use gld_tensor::{Tensor, TensorRng};
-use serde::{Deserialize, Serialize};
 
 /// A discrete diffusion noise schedule: β_t, α_t = 1 − β_t and the cumulative
 /// products ᾱ_t.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NoiseSchedule {
     betas: Vec<f32>,
     alpha_bars: Vec<f32>,
@@ -78,15 +77,6 @@ impl NoiseSchedule {
     /// ᾱ_t (cumulative product of 1 − β).
     pub fn alpha_bar(&self, t: usize) -> f32 {
         self.alpha_bars[t]
-    }
-
-    /// ᾱ_{t−1}, defined as 1 for t = 0.
-    pub fn alpha_bar_prev(&self, t: usize) -> f32 {
-        if t == 0 {
-            1.0
-        } else {
-            self.alpha_bars[t - 1]
-        }
     }
 
     /// Draws `y_t ~ q(y_t | y_0)` (Eq. 4) and returns `(y_t, ε)`.

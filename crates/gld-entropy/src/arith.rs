@@ -82,7 +82,6 @@ pub struct ArithmeticEncoder {
     high: u64,
     pending: u64,
     writer: BitWriter,
-    symbols: u64,
 }
 
 impl Default for ArithmeticEncoder {
@@ -99,7 +98,6 @@ impl ArithmeticEncoder {
             high: WHOLE - 1,
             pending: 0,
             writer: BitWriter::default(),
-            symbols: 0,
         }
     }
 
@@ -133,7 +131,6 @@ impl ArithmeticEncoder {
             self.low <<= 1;
             self.high = (self.high << 1) | 1;
         }
-        self.symbols += 1;
     }
 
     /// Encodes a raw bit without modelling (bypass mode), used for escape
@@ -160,16 +157,6 @@ impl ArithmeticEncoder {
             self.writer.push(!bit);
             self.pending -= 1;
         }
-    }
-
-    /// Number of symbols encoded so far.
-    pub fn symbols_encoded(&self) -> u64 {
-        self.symbols
-    }
-
-    /// Current compressed size in bits (excluding the final flush).
-    pub fn bits_written(&self) -> usize {
-        self.writer.bytes.len() * 8 + self.writer.filled as usize
     }
 
     /// Flushes the coder and returns the compressed bytes.

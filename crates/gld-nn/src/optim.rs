@@ -159,11 +159,6 @@ impl Adam {
         }
     }
 
-    /// Current learning rate.
-    pub fn current_lr(&self) -> f32 {
-        self.schedule.lr(self.step)
-    }
-
     /// Number of updates performed so far.
     pub fn steps_taken(&self) -> usize {
         self.step

@@ -4,10 +4,13 @@
 //! Layers hold `Parameter`s; each forward pass binds them to leaf variables
 //! on the current [`crate::tape::Tape`], and `backward` deposits gradients
 //! back into the parameter, where the optimizer picks them up.
+//!
+//! A panic under the lock (a rejected [`Parameter::set_value`]) does not
+//! wedge the parameter: every update leaves the data valid at every step, so
+//! a poisoned lock is recovered rather than propagated.
 
 use gld_tensor::Tensor;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 #[derive(Debug)]
 struct ParameterInner {
@@ -39,29 +42,37 @@ impl Parameter {
         }
     }
 
-    /// The parameter's name (used in diagnostics and serialization).
+    fn read(&self) -> RwLockReadGuard<'_, ParameterInner> {
+        self.inner.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, ParameterInner> {
+        self.inner.write().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The parameter's name (used in diagnostics).
     pub fn name(&self) -> String {
-        self.inner.read().name.clone()
+        self.read().name.clone()
     }
 
     /// A snapshot of the current value.
     pub fn value(&self) -> Tensor {
-        self.inner.read().value.clone()
+        self.read().value.clone()
     }
 
     /// A snapshot of the accumulated gradient.
     pub fn grad(&self) -> Tensor {
-        self.inner.read().grad.clone()
+        self.read().grad.clone()
     }
 
     /// Number of scalar elements.
     pub fn numel(&self) -> usize {
-        self.inner.read().value.numel()
+        self.read().value.numel()
     }
 
     /// Overwrites the value (used by the optimizer and by checkpoint loads).
     pub fn set_value(&self, value: Tensor) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         assert_eq!(
             inner.value.dims(),
             value.dims(),
@@ -73,7 +84,7 @@ impl Parameter {
 
     /// Adds `delta` into the accumulated gradient.
     pub fn accumulate_grad(&self, delta: &Tensor) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         assert_eq!(
             inner.grad.dims(),
             delta.dims(),
@@ -85,13 +96,13 @@ impl Parameter {
 
     /// Clears the accumulated gradient.
     pub fn zero_grad(&self) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner.grad = Tensor::zeros(inner.value.dims());
     }
 
     /// Applies an in-place update `value += update` (used by optimizers).
     pub fn apply_update(&self, update: &Tensor) {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         inner.value.add_assign(update);
     }
 
@@ -219,6 +230,29 @@ mod tests {
     fn set_value_rejects_shape_change() {
         let p = Parameter::new("w", Tensor::zeros(&[3]));
         p.set_value(Tensor::zeros(&[4]));
+    }
+
+    #[test]
+    fn rejected_set_value_leaves_every_clone_usable() {
+        let p = Parameter::new("w", Tensor::ones(&[3]));
+        let q = p.clone();
+        // The shape assert fires under the write lock and poisons it.
+        let rejected = std::panic::catch_unwind(|| q.set_value(Tensor::zeros(&[4])));
+        assert!(rejected.is_err());
+        for handle in [&p, &q] {
+            assert_eq!(handle.name(), "w");
+            assert!(handle.value().data().iter().all(|&v| v == 1.0));
+            assert!(handle.grad().data().iter().all(|&g| g == 0.0));
+        }
+        p.accumulate_grad(&Tensor::ones(&[3]));
+        q.apply_update(&Tensor::ones(&[3]));
+        q.set_value(p.value().scale(2.0));
+        for handle in [&p, &q] {
+            assert!(handle.grad().data().iter().all(|&g| g == 1.0));
+            assert!(handle.value().data().iter().all(|&v| v == 4.0));
+        }
+        p.zero_grad();
+        assert!(q.grad().data().iter().all(|&g| g == 0.0));
     }
 
     #[test]

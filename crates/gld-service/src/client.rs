@@ -20,6 +20,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// Client-side failures.
 #[derive(Debug)]
@@ -90,11 +91,11 @@ pub struct ServerInfo {
 /// A blocking `GLDS` connection.
 pub struct ServiceClient {
     stream: TcpStream,
-    /// The connected peer, kept so `hello` can reconnect for its
-    /// legacy-server downgrade retry.
+    /// The connected peer and the dial bound, kept so `hello` can reconnect
+    /// under the same deadline for its legacy-server downgrade retry.
     addr: SocketAddr,
+    connect_timeout: Option<Duration>,
     next_id: u64,
-    negotiated: Option<CodecId>,
     stage: bool,
     profiles: bool,
 }
@@ -102,17 +103,7 @@ pub struct ServiceClient {
 impl ServiceClient {
     /// Connects to a running server.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<ServiceClient> {
-        let stream = TcpStream::connect(addr)?;
-        let _ = stream.set_nodelay(true);
-        let addr = stream.peer_addr()?;
-        Ok(ServiceClient {
-            stream,
-            addr,
-            next_id: 1,
-            negotiated: None,
-            stage: false,
-            profiles: false,
-        })
+        Self::dial(addr, None, None)
     }
 
     /// Connects with a bound on how long the TCP dial may take.  The
@@ -120,39 +111,52 @@ impl ServiceClient {
     /// is tried with the full `timeout`.
     pub fn connect_with_timeout(
         addr: impl ToSocketAddrs,
-        timeout: std::time::Duration,
+        timeout: Duration,
     ) -> std::io::Result<ServiceClient> {
-        let mut last = None;
-        for candidate in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&candidate, timeout) {
-                Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
-                    let addr = stream.peer_addr()?;
-                    return Ok(ServiceClient {
-                        stream,
-                        addr,
-                        next_id: 1,
-                        negotiated: None,
-                        stage: false,
-                        profiles: false,
-                    });
+        Self::dial(addr, Some(timeout), None)
+    }
+
+    /// The one place a connection is made: dials under `connect_timeout`
+    /// (unbounded when `None`) and applies `io_timeout` to the new socket.
+    fn dial(
+        addr: impl ToSocketAddrs,
+        connect_timeout: Option<Duration>,
+        io_timeout: Option<Duration>,
+    ) -> std::io::Result<ServiceClient> {
+        let stream = match connect_timeout {
+            None => TcpStream::connect(addr)?,
+            Some(timeout) => {
+                let mut dialled = Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    "address resolved to no socket addresses",
+                ));
+                for candidate in addr.to_socket_addrs()? {
+                    dialled = TcpStream::connect_timeout(&candidate, timeout);
+                    if dialled.is_ok() {
+                        break;
+                    }
                 }
-                Err(e) => last = Some(e),
+                dialled?
             }
-        }
-        Err(last.unwrap_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "address resolved to no socket addresses",
-            )
-        }))
+        };
+        let _ = stream.set_nodelay(true);
+        let client = ServiceClient {
+            addr: stream.peer_addr()?,
+            stream,
+            connect_timeout,
+            next_id: 1,
+            stage: false,
+            profiles: false,
+        };
+        client.set_io_timeouts(io_timeout)?;
+        Ok(client)
     }
 
     /// Bounds every blocking socket read and write on this connection
     /// (`None` blocks forever — the default).  With a timeout set, a stalled
     /// server surfaces as [`ClientError::Io`] with `WouldBlock`/`TimedOut`
     /// instead of hanging the caller.
-    pub fn set_io_timeouts(&self, timeout: Option<std::time::Duration>) -> std::io::Result<()> {
+    pub fn set_io_timeouts(&self, timeout: Option<Duration>) -> std::io::Result<()> {
         self.stream.set_read_timeout(timeout)?;
         self.stream.set_write_timeout(timeout)
     }
@@ -160,11 +164,6 @@ impl ServiceClient {
     /// The peer this client dialled.
     pub fn peer_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The codec negotiated by the last [`ServiceClient::hello`], if any.
-    pub fn negotiated_codec(&self) -> Option<CodecId> {
-        self.negotiated
     }
 
     /// Whether the session negotiated staged (container v3) compress
@@ -209,9 +208,10 @@ impl ServiceClient {
                     ..
                 },
             ) => {
-                let stream = TcpStream::connect(self.addr)?;
-                let _ = stream.set_nodelay(true);
-                self.stream = stream;
+                // Same dial bound, same read/write deadline as the
+                // connection being replaced (`set_io_timeouts` sets both).
+                let io_timeout = self.stream.read_timeout()?;
+                self.stream = Self::dial(self.addr, self.connect_timeout, io_timeout)?.stream;
                 self.hello_with_options(preferences, false, false)
             }
             Err(other) => Err(other),
@@ -243,7 +243,6 @@ impl ServiceClient {
         let codec = CodecId::from_u8(header.codec)
             .map_err(|_| ClientError::Protocol(ProtocolError::UnknownCodec(header.codec)))?;
         let info = HelloResponse::decode_body(&body)?;
-        self.negotiated = Some(codec);
         // A feature holds only when the server echoed its bit (an old
         // server leaves the bit — or the whole byte — zero).
         self.stage = request_stage && header.ext & EXT_CONTAINER_STAGE != 0;
@@ -301,21 +300,7 @@ impl ServiceClient {
         block_frames: u32,
         target: Option<ErrorTarget>,
     ) -> Result<Vec<u8>, ClientError> {
-        let frames = &variable.frames;
-        assert_eq!(frames.rank(), 3, "variable frames must be [T, H, W]");
-        // Serialise straight from the variable's buffer: no intermediate
-        // owned `Vec<f32>` copy of a possibly huge frame stack.
-        let body = protocol::encode_compress_body(
-            key,
-            block_frames,
-            target,
-            [
-                frames.dim(0) as u32,
-                frames.dim(1) as u32,
-                frames.dim(2) as u32,
-            ],
-            frames.data(),
-        );
+        let body = compress_body(key, variable, block_frames, target);
         let (_, body) = self.request(Op::Compress, codec_byte, &body)?;
         Ok(body)
     }
@@ -401,6 +386,21 @@ impl ServiceClient {
         }
         Ok((response, response_body))
     }
+}
+
+/// The compress request body both clients send, serialised straight from
+/// the variable's buffer: no intermediate owned `Vec<f32>` copy of a
+/// possibly huge frame stack.
+fn compress_body(
+    key: &str,
+    variable: &Variable,
+    block_frames: u32,
+    target: Option<ErrorTarget>,
+) -> Vec<u8> {
+    let frames = &variable.frames;
+    assert_eq!(frames.rank(), 3, "variable frames must be [T, H, W]");
+    let dims = [0, 1, 2].map(|axis| frames.dim(axis) as u32);
+    protocol::encode_compress_body(key, block_frames, target, dims, frames.data())
 }
 
 /// One decoded pipelined reply, paired with its request id by
@@ -533,19 +533,7 @@ impl PipelinedClient {
         block_frames: u32,
         target: Option<ErrorTarget>,
     ) -> Result<u64, ClientError> {
-        let frames = &variable.frames;
-        assert_eq!(frames.rank(), 3, "variable frames must be [T, H, W]");
-        let body = protocol::encode_compress_body(
-            key,
-            block_frames,
-            target,
-            [
-                frames.dim(0) as u32,
-                frames.dim(1) as u32,
-                frames.dim(2) as u32,
-            ],
-            frames.data(),
-        );
+        let body = compress_body(key, variable, block_frames, target);
         self.submit(Op::Compress, codec_byte, &body)
     }
 
@@ -558,12 +546,6 @@ impl PipelinedClient {
             container: container.to_vec(),
         };
         self.submit(Op::Decompress, 0, &request.encode_body())
-    }
-
-    /// Submits a shutdown request; returns its request id.  The server
-    /// still answers every other outstanding request while draining.
-    pub fn submit_shutdown(&mut self) -> Result<u64, ClientError> {
-        self.submit(Op::Shutdown, 0, &[])
     }
 
     /// Blocks for the next reply — **not necessarily the oldest submit** —

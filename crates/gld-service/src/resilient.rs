@@ -21,7 +21,7 @@
 //! [`ResilientError::Exhausted`], so callers can distinguish "the service
 //! is down" from "my request is wrong".
 
-use crate::client::{ClientError, ServerInfo, ServiceClient};
+use crate::client::{ClientError, ServiceClient};
 use crate::protocol::Status;
 use gld_core::{CodecId, ErrorTarget};
 use gld_datasets::Variable;
@@ -162,7 +162,6 @@ pub struct ResilientClient {
     preferences: Vec<CodecId>,
     policy: RetryPolicy,
     client: Option<ServiceClient>,
-    info: Option<ServerInfo>,
     retries: u64,
     reconnects: u64,
 }
@@ -180,18 +179,11 @@ impl ResilientClient {
             preferences: preferences.to_vec(),
             policy,
             client: None,
-            info: None,
             retries: 0,
             reconnects: 0,
         };
         client.with_retry(|_| Ok(()))?;
         Ok(client)
-    }
-
-    /// The session negotiated by the most recent successful `Hello`
-    /// (`None` only between a connection loss and the reconnect).
-    pub fn server_info(&self) -> Option<ServerInfo> {
-        self.info
     }
 
     /// Retries performed across every op (attempts beyond each first).
@@ -256,11 +248,7 @@ impl ResilientClient {
         let mut client =
             ServiceClient::connect_with_timeout(self.addr.as_str(), self.policy.connect_timeout)?;
         client.set_io_timeouts(self.policy.request_timeout)?;
-        let info = client.hello(&self.preferences)?;
-        // `hello` may have re-dialled internally (legacy-server downgrade),
-        // which resets the socket options — re-apply the deadlines.
-        client.set_io_timeouts(self.policy.request_timeout)?;
-        self.info = Some(info);
+        client.hello(&self.preferences)?;
         self.client = Some(client);
         self.reconnects += 1;
         Ok(())
@@ -293,10 +281,7 @@ impl ResilientClient {
                 Err(e) => e,
             };
             match classify(&error) {
-                Recovery::Reconnect => {
-                    self.client = None;
-                    self.info = None;
-                }
+                Recovery::Reconnect => self.client = None,
                 Recovery::SameConnection => {}
                 Recovery::Fatal => return Err(ResilientError::Fatal(error)),
             }

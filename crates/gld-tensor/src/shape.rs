@@ -1,14 +1,12 @@
 //! Shape arithmetic: dimension bookkeeping, row-major strides and NumPy-style
 //! broadcasting rules.
 
-use serde::{Deserialize, Serialize};
-
 /// A tensor shape: an ordered list of dimension extents.
 ///
 /// `Shape` is a thin, copy-friendly wrapper around `Vec<usize>` providing the
 /// index arithmetic used throughout the crate.  The empty shape `[]` denotes a
 /// scalar with one element.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Shape(pub Vec<usize>);
 
 impl Shape {

@@ -4,7 +4,6 @@
 
 use crate::shape::{broadcast_shapes, broadcast_strides, RunWalk, Shape};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
@@ -13,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// residuals are all `Tensor`s.  The representation is deliberately simple —
 /// a shape and a flat `Vec<f32>` — which keeps the autograd tape in `gld-nn`
 /// easy to reason about.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

@@ -1,7 +1,5 @@
 //! VAE / hyperprior hyper-parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Configuration of the VAE-with-hyperprior model.
 ///
 /// The defaults are scaled down from the paper's A100-sized model (latent
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// core can train in seconds while keeping every architectural ingredient:
 /// strided convolutions, group normalisation, a hyperprior with its own
 /// autoencoder, and the rate–distortion objective.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VaeConfig {
     /// Channels in the intermediate convolution stages.
     pub base_channels: usize,

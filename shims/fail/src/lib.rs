@@ -239,26 +239,6 @@ pub fn check(name: &str) -> Option<Action> {
     action
 }
 
-/// [`check`] specialised for I/O sites: `Delay` sleeps here and injects
-/// nothing, `ErrIo`/`ErrInterrupted` come back as the matching
-/// `std::io::Error` (tagged "injected fault" so diagnostics are
-/// unmistakable), and `Corrupt` is returned as `None` — byte-flipping is
-/// site-specific, so sites that support it should call [`check`] directly.
-pub fn io_fault(name: &str) -> Option<std::io::Error> {
-    match check(name)? {
-        Action::ErrIo => Some(std::io::Error::other(format!("injected fault at {name}"))),
-        Action::ErrInterrupted => Some(std::io::Error::new(
-            std::io::ErrorKind::Interrupted,
-            format!("injected fault at {name}"),
-        )),
-        Action::Delay(d) => {
-            std::thread::sleep(d);
-            None
-        }
-        Action::Corrupt => None,
-    }
-}
-
 /// Total firings across every failpoint since process start (monotonic,
 /// survives reconfiguration) — what services surface as their
 /// faults-injected counter.

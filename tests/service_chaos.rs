@@ -13,6 +13,9 @@
 //! * Idle-connection reaping: a server with `idle_timeout` set reclaims a
 //!   parked connection (visible in the wire `Status` counters), and the
 //!   resilient client transparently reconnects over the reaped socket.
+//! * Deadlines survive `hello`'s legacy-server re-dial: a peer that
+//!   corrupts the first `Hello` answer and stalls the second connection
+//!   times the client out instead of hanging it.
 //!
 //! Runs green under `RAYON_NUM_THREADS=1` and `=8`; CI's matrix exercises
 //! both.
@@ -20,9 +23,13 @@
 use gld_core::{CodecId, Container};
 use gld_datasets::{generate, DatasetKind, FieldSpec, ScientificDataset};
 use gld_service::{
-    ChaosConfig, ChaosProxy, CodecRegistry, ResilientClient, Server, ServiceClient, ServiceConfig,
-    ServiceMetricsSnapshot,
+    protocol, ChaosConfig, ChaosProxy, ClientError, CodecRegistry, ResilientClient, ResilientError,
+    Server, ServiceClient, ServiceConfig, ServiceMetricsSnapshot,
 };
+use std::io::Write as _;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn dataset() -> ScientificDataset {
@@ -255,4 +262,107 @@ fn idle_connections_are_reaped_and_the_resilient_client_recovers() {
         metrics.connections_reaped_idle >= 1,
         "the reap is visible in the service metrics"
     );
+}
+
+/// A hand-rolled peer for `hello`'s downgrade re-dial.  Of the
+/// `connections` it accepts, every first of a pair has its `Hello` read
+/// and answered with bytes that are not a `GLDS` frame, then is closed;
+/// every second is accepted and never written to.  The silent sockets stay
+/// open until the returned sender is dropped, so the client's own socket
+/// timeout is the only clock in the test.
+fn corrupt_then_stall_peer(connections: usize) -> (SocketAddr, mpsc::Sender<()>, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let (release, released) = mpsc::channel::<()>();
+    let peer = std::thread::spawn(move || {
+        let mut silent = Vec::new();
+        for index in 0..connections {
+            let (mut stream, _) = listener.accept().expect("accept");
+            if index % 2 == 0 {
+                // Consume the whole request so the close is a clean FIN and
+                // the garbage is what the client reads.
+                protocol::read_frame(&mut stream, protocol::MAX_BODY_LEN)
+                    .expect("read hello")
+                    .expect("hello is a valid frame");
+                stream
+                    .write_all(&[b'?'; protocol::HEADER_LEN])
+                    .expect("write garbage");
+            } else {
+                silent.push(stream);
+            }
+        }
+        let _ = released.recv();
+    });
+    (addr, release, peer)
+}
+
+fn is_timeout(error: &ClientError) -> bool {
+    matches!(
+        error,
+        ClientError::Io(e) if matches!(
+            e.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        )
+    )
+}
+
+#[test]
+fn hello_redial_keeps_the_io_deadline_against_a_stalling_peer() {
+    let (addr, release, peer) = corrupt_then_stall_peer(2);
+    let timeout = Duration::from_millis(200);
+    let mut client =
+        ServiceClient::connect_with_timeout(addr, Duration::from_secs(2)).expect("connect");
+    client.set_io_timeouts(Some(timeout)).expect("set timeouts");
+    let started = Instant::now();
+    let error = client
+        .hello(&[CodecId::SzLike])
+        .expect_err("the re-dialled connection never answers");
+    assert!(is_timeout(&error), "expected a socket timeout, got {error}");
+    assert!(
+        started.elapsed() >= timeout,
+        "the failure must be the deadline expiring, not an early error"
+    );
+    drop(release);
+    peer.join().expect("peer thread");
+}
+
+#[test]
+fn resilient_connect_exhausts_against_a_corrupt_then_stall_peer() {
+    let timeout = Duration::from_millis(200);
+    let policy = gld_service::RetryPolicy {
+        connect_timeout: Duration::from_secs(2),
+        request_timeout: Some(timeout),
+        max_retries: 1,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(2),
+        seed: 3,
+    };
+    let attempts = policy.max_retries + 1;
+    // Two connections per attempt: the corrupted `Hello` and its re-dial.
+    let (addr, release, peer) = corrupt_then_stall_peer(2 * attempts);
+    let started = Instant::now();
+    let error = ResilientClient::connect(addr.to_string(), &[CodecId::SzLike], policy)
+        .map(|_| ())
+        .expect_err("no attempt can complete a hello");
+    let elapsed = started.elapsed();
+    match error {
+        ResilientError::Exhausted {
+            attempts: made,
+            last,
+        } => {
+            assert_eq!(made, attempts);
+            assert!(is_timeout(&last), "expected a socket timeout, got {last}");
+        }
+        other => panic!("expected exhaustion, got {other}"),
+    }
+    // Each attempt costs one request deadline plus its backoff; twice the
+    // budget leaves room for a loaded runner and is still finite, which the
+    // parent's deadline-free re-dial was not.
+    let budget = (timeout + policy.max_backoff) * attempts as u32;
+    assert!(
+        elapsed < 2 * budget,
+        "exhaustion took {elapsed:?}, budget {budget:?}"
+    );
+    drop(release);
+    peer.join().expect("peer thread");
 }
