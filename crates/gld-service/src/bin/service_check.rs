@@ -135,7 +135,7 @@ fn pipelined_check(addr: &str) {
     }
 
     let status = blocking.status().expect("status op");
-    let completed: u64 = status.shards.iter().map(|s| s.completed).sum();
+    let completed = status.completed();
     assert!(
         completed as usize >= CONNS,
         "per-shard completed counters should cover the pipelined compresses"
@@ -208,14 +208,7 @@ fn verify_metrics_endpoint(client: &mut ServiceClient, metrics_addr: &str) {
         if op == Op::Status {
             continue;
         }
-        let name = match op {
-            Op::Hello => "hello",
-            Op::Compress => "compress",
-            Op::Decompress => "decompress",
-            Op::Ping => "ping",
-            Op::Shutdown => "shutdown",
-            Op::Status => unreachable!(),
-        };
+        let name = op.name();
         let needle = format!("op=\"{name}\"");
         let count = gld_obs::registry::scrape_value(
             &body,

@@ -101,16 +101,19 @@ fn main() {
         println!("gld-serviced metrics on http://{metrics_addr}/metrics");
     }
 
-    let metrics = server.wait();
+    let status = server.wait();
     gld_obs::log_info!(
         "serviced",
-        requests = metrics.completed(),
-        blocks = metrics.blocks(),
-        connections = metrics.connections_opened,
-        rejected = metrics.requests_rejected;
+        requests = status.completed(),
+        blocks = status.blocks(),
+        connections = status.connections_opened,
+        rejected = status.requests_rejected,
+        rate_limited = status.rate_limited,
+        deadlines = status.deadlines_exceeded,
+        rejected_other = status.rejected_other();
         "drained"
     );
-    for (index, shard) in metrics.shards.iter().enumerate() {
+    for (index, shard) in status.shards.iter().enumerate() {
         gld_obs::log_info!(
             "serviced",
             shard = index,
@@ -121,7 +124,7 @@ fn main() {
         );
     }
     assert!(
-        metrics.shards.iter().all(|s| s.in_flight == 0),
+        status.shards.iter().all(|s| s.in_flight == 0),
         "drained server still reports in-flight work"
     );
 

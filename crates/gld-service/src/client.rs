@@ -2,12 +2,14 @@
 //! the `gld-service-check` binary, the `service_throughput` bench and the
 //! root example speak through.
 //!
-//! One [`ServiceClient`] owns one connection and issues one request at a
-//! time; concurrency comes from opening more clients, exactly like the
-//! tests do.  For throughput over a *single* connection, convert with
-//! [`ServiceClient::into_pipelined`]: a [`PipelinedClient`] submits many
-//! requests without waiting and receives replies **as the server finishes
-//! them — possibly out of order — matched by request id**.
+//! A [`PipelinedClient`] is the one connection type: it holds the socket,
+//! the request-id sequence and the reply decoding, submits many requests
+//! without waiting and receives replies **as the server finishes them —
+//! possibly out of order — matched by request id**.  A [`ServiceClient`]
+//! is the window-1 discipline over one: each op submits, then receives
+//! that id, and concurrency comes from opening more clients, exactly like
+//! the tests do.  [`ServiceClient::into_pipelined`] hands the connection
+//! over once the session is negotiated.
 
 use crate::protocol::{
     self, decode_blocks_body, DecompressRequest, FrameHeader, HelloRequest, HelloResponse, Op,
@@ -88,14 +90,14 @@ pub struct ServerInfo {
     pub queue_depth: u32,
 }
 
-/// A blocking `GLDS` connection.
+/// A blocking `GLDS` connection: the window-1 discipline over a
+/// [`PipelinedClient`], each op a submit followed by the receive of that id.
 pub struct ServiceClient {
-    stream: TcpStream,
+    conn: PipelinedClient,
     /// The connected peer and the dial bound, kept so `hello` can reconnect
     /// under the same deadline for its legacy-server downgrade retry.
     addr: SocketAddr,
     connect_timeout: Option<Duration>,
-    next_id: u64,
     stage: bool,
     profiles: bool,
 }
@@ -142,9 +144,13 @@ impl ServiceClient {
         let _ = stream.set_nodelay(true);
         let client = ServiceClient {
             addr: stream.peer_addr()?,
-            stream,
+            conn: PipelinedClient {
+                reader: std::io::BufReader::new(stream),
+                wbuf: Vec::new(),
+                next_id: 1,
+                pending: HashMap::new(),
+            },
             connect_timeout,
-            next_id: 1,
             stage: false,
             profiles: false,
         };
@@ -157,8 +163,9 @@ impl ServiceClient {
     /// server surfaces as [`ClientError::Io`] with `WouldBlock`/`TimedOut`
     /// instead of hanging the caller.
     pub fn set_io_timeouts(&self, timeout: Option<Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)?;
-        self.stream.set_write_timeout(timeout)
+        let stream = self.conn.reader.get_ref();
+        stream.set_read_timeout(timeout)?;
+        stream.set_write_timeout(timeout)
     }
 
     /// The peer this client dialled.
@@ -210,8 +217,8 @@ impl ServiceClient {
             ) => {
                 // Same dial bound, same read/write deadline as the
                 // connection being replaced (`set_io_timeouts` sets both).
-                let io_timeout = self.stream.read_timeout()?;
-                self.stream = Self::dial(self.addr, self.connect_timeout, io_timeout)?.stream;
+                let io_timeout = self.conn.reader.get_ref().read_timeout()?;
+                self.conn = Self::dial(self.addr, self.connect_timeout, io_timeout)?.conn;
                 self.hello_with_options(preferences, false, false)
             }
             Err(other) => Err(other),
@@ -239,7 +246,8 @@ impl ServiceClient {
         if request_profiles {
             ext |= EXT_SHARED_PROFILES;
         }
-        let (header, body) = self.request_ext(Op::Hello, 0, ext, &request.encode_body())?;
+        let id = self.conn.submit(Op::Hello, 0, ext, &request.encode_body());
+        let (_, header, body) = self.response(id)?;
         let codec = CodecId::from_u8(header.codec)
             .map_err(|_| ClientError::Protocol(ProtocolError::UnknownCodec(header.codec)))?;
         let info = HelloResponse::decode_body(&body)?;
@@ -259,8 +267,8 @@ impl ServiceClient {
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.request(Op::Ping, 0, &[])?;
-        Ok(())
+        let id = self.conn.submit_ping();
+        self.response(id).map(drop)
     }
 
     /// Compresses `variable` on the server with the session codec from the
@@ -276,7 +284,10 @@ impl ServiceClient {
     ) -> Result<Vec<u8>, ClientError> {
         // Codec byte 0 = session default; the server rejects it if no Hello
         // happened, which maps to the same error as an unknown codec here.
-        self.compress_impl(0, key, variable, block_frames, target)
+        let id = self
+            .conn
+            .submit_compress(key, variable, block_frames, target);
+        Ok(self.response(id)?.2)
     }
 
     /// [`ServiceClient::compress`] with an explicit codec, independent of
@@ -289,32 +300,21 @@ impl ServiceClient {
         block_frames: u32,
         target: Option<ErrorTarget>,
     ) -> Result<Vec<u8>, ClientError> {
-        self.compress_impl(codec as u8, key, variable, block_frames, target)
-    }
-
-    fn compress_impl(
-        &mut self,
-        codec_byte: u8,
-        key: &str,
-        variable: &Variable,
-        block_frames: u32,
-        target: Option<ErrorTarget>,
-    ) -> Result<Vec<u8>, ClientError> {
-        let body = compress_body(key, variable, block_frames, target);
-        let (_, body) = self.request(Op::Compress, codec_byte, &body)?;
-        Ok(body)
+        let id = self
+            .conn
+            .submit_compress_as(codec as u8, key, variable, block_frames, target);
+        Ok(self.response(id)?.2)
     }
 
     /// Decompresses an encoded `GLDC` container on the server, returning
     /// the block tensors in temporal order.  `key` must be the variable's
     /// key so the request lands on the same shard as its compress.
     pub fn decompress(&mut self, key: &str, container: &[u8]) -> Result<Vec<Tensor>, ClientError> {
-        let request = DecompressRequest {
-            key: key.to_string(),
-            container: container.to_vec(),
-        };
-        let (_, body) = self.request(Op::Decompress, 0, &request.encode_body())?;
-        Ok(decode_blocks_body(&body)?)
+        let id = self.conn.submit_decompress(key, container);
+        match self.reply(id)? {
+            Reply::Decompressed(blocks) => Ok(blocks),
+            _ => unreachable!("a decompress reply decodes to blocks"),
+        }
     }
 
     /// Fetches the server's live counters ([`Op::Status`]): service-wide
@@ -323,74 +323,59 @@ impl ServiceClient {
     /// the bit echoes it and appends per-op latency summaries, which land
     /// in [`StatusResponse::summaries`] (`None` from older servers).
     pub fn status(&mut self) -> Result<StatusResponse, ClientError> {
-        let (_, body) = self.request_ext(Op::Status, 0, protocol::EXT_STATUS_SUMMARIES, &[])?;
-        Ok(StatusResponse::decode_body(&body)?)
+        let id = self.conn.submit_status();
+        match self.reply(id)? {
+            Reply::ServerStatus(status) => Ok(status),
+            _ => unreachable!("a status reply decodes to a status"),
+        }
     }
 
     /// Asks the server to drain in-flight work and exit.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        self.request(Op::Shutdown, 0, &[])?;
-        Ok(())
+        let id = self.conn.submit(Op::Shutdown, 0, 0, &[]);
+        self.response(id).map(drop)
     }
 
-    /// Converts this connection into a [`PipelinedClient`], keeping the
-    /// negotiated session (codec, stage, profiles) and the request-id
-    /// sequence.  The wire connection is the same one — only the calling
-    /// discipline changes.
+    /// Converts this connection into the [`PipelinedClient`] it wraps,
+    /// keeping the negotiated session (codec, stage, profiles) and the
+    /// request-id sequence.  Only the calling discipline changes.
     pub fn into_pipelined(self) -> PipelinedClient {
-        PipelinedClient {
-            reader: std::io::BufReader::new(self.stream),
-            wbuf: Vec::new(),
-            next_id: self.next_id,
-            pending: HashMap::new(),
-        }
+        self.conn
     }
 
-    /// One request/response round trip: write the frame, read the reply,
-    /// check the id echo, and turn non-`Ok` statuses into
-    /// [`ClientError::Server`].
-    fn request(
+    /// Window 1: the response to `submitted`, the one request outstanding,
+    /// with its op.  A reply to any other id is a protocol violation, and a
+    /// non-`Ok` status becomes [`ClientError::Server`].
+    fn response(
         &mut self,
-        op: Op,
-        codec_byte: u8,
-        body: &[u8],
-    ) -> Result<(FrameHeader, Vec<u8>), ClientError> {
-        self.request_ext(op, codec_byte, 0, body)
-    }
-
-    fn request_ext(
-        &mut self,
-        op: Op,
-        codec_byte: u8,
-        ext: u8,
-        body: &[u8],
-    ) -> Result<(FrameHeader, Vec<u8>), ClientError> {
-        let request_id = self.next_id;
-        self.next_id += 1;
-        let header =
-            FrameHeader::request(op, codec_byte, request_id, body.len() as u64).with_ext(ext);
-        protocol::write_frame(&mut self.stream, &header, body)?;
-        self.stream.flush()?;
-        let (response, response_body) =
-            protocol::read_frame(&mut self.stream, protocol::MAX_BODY_LEN)??;
-        if response.request_id != request_id {
+        submitted: Result<u64, ClientError>,
+    ) -> Result<(Op, FrameHeader, Vec<u8>), ClientError> {
+        let request_id = submitted?;
+        let (op, header, body) = self.conn.recv_frame()?;
+        if header.request_id != request_id {
             return Err(ClientError::Protocol(ProtocolError::Malformed(
                 "response echoes the wrong request id",
             )));
         }
-        if response.status != Status::Ok {
+        if header.status != Status::Ok {
             return Err(ClientError::Server {
-                status: response.status,
-                message: String::from_utf8_lossy(&response_body).into_owned(),
+                status: header.status,
+                message: String::from_utf8_lossy(&body).into_owned(),
             });
         }
-        Ok((response, response_body))
+        Ok((op, header, body))
+    }
+
+    /// [`ServiceClient::response`] decoded as the pipelined [`Reply`].
+    fn reply(&mut self, submitted: Result<u64, ClientError>) -> Result<Reply, ClientError> {
+        let (op, _, body) = self.response(submitted)?;
+        decode_reply(op, body)
     }
 }
 
-/// The compress request body both clients send, serialised straight from
-/// the variable's buffer: no intermediate owned `Vec<f32>` copy of a
-/// possibly huge frame stack.
+/// The compress request body, serialised straight from the variable's
+/// buffer: no intermediate owned `Vec<f32>` copy of a possibly huge frame
+/// stack.
 fn compress_body(
     key: &str,
     variable: &Variable,
@@ -466,17 +451,7 @@ impl PipelinedClient {
         self.pending.len()
     }
 
-    fn submit(&mut self, op: Op, codec_byte: u8, body: &[u8]) -> Result<u64, ClientError> {
-        self.submit_ext(op, codec_byte, 0, body)
-    }
-
-    fn submit_ext(
-        &mut self,
-        op: Op,
-        codec_byte: u8,
-        ext: u8,
-        body: &[u8],
-    ) -> Result<u64, ClientError> {
+    fn submit(&mut self, op: Op, codec_byte: u8, ext: u8, body: &[u8]) -> Result<u64, ClientError> {
         let request_id = self.next_id;
         self.next_id += 1;
         let header =
@@ -499,7 +474,7 @@ impl PipelinedClient {
 
     /// Submits a liveness probe; returns its request id.
     pub fn submit_ping(&mut self) -> Result<u64, ClientError> {
-        self.submit(Op::Ping, 0, &[])
+        self.submit(Op::Ping, 0, 0, &[])
     }
 
     /// Submits a status probe; returns its request id.  Advertises
@@ -507,7 +482,7 @@ impl PipelinedClient {
     /// [`Reply::ServerStatus`] carries per-op latency summaries when the
     /// server supports them.
     pub fn submit_status(&mut self) -> Result<u64, ClientError> {
-        self.submit_ext(Op::Status, 0, protocol::EXT_STATUS_SUMMARIES, &[])
+        self.submit(Op::Status, 0, protocol::EXT_STATUS_SUMMARIES, &[])
     }
 
     /// Submits a compress of `variable` under the session codec; returns its
@@ -534,7 +509,7 @@ impl PipelinedClient {
         target: Option<ErrorTarget>,
     ) -> Result<u64, ClientError> {
         let body = compress_body(key, variable, block_frames, target);
-        self.submit(Op::Compress, codec_byte, &body)
+        self.submit(Op::Compress, codec_byte, 0, &body)
     }
 
     /// Submits a decompress of an encoded `GLDC` container; returns its
@@ -545,7 +520,7 @@ impl PipelinedClient {
             key: key.to_string(),
             container: container.to_vec(),
         };
-        self.submit(Op::Decompress, 0, &request.encode_body())
+        self.submit(Op::Decompress, 0, 0, &request.encode_body())
     }
 
     /// Blocks for the next reply — **not necessarily the oldest submit** —
@@ -554,6 +529,21 @@ impl PipelinedClient {
     /// to an id that was never submitted); per-request refusals are
     /// [`Reply::Refused`].
     pub fn recv(&mut self) -> Result<(u64, Reply), ClientError> {
+        let (op, header, body) = self.recv_frame()?;
+        let reply = if header.status != Status::Ok {
+            Reply::Refused {
+                status: header.status,
+                message: String::from_utf8_lossy(&body).into_owned(),
+            }
+        } else {
+            decode_reply(op, body)?
+        };
+        Ok((header.request_id, reply))
+    }
+
+    /// The next response frame, with the op of the outstanding request it
+    /// answers.
+    fn recv_frame(&mut self) -> Result<(Op, FrameHeader, Vec<u8>), ClientError> {
         self.flush()?;
         let (header, body) = protocol::read_frame(&mut self.reader, protocol::MAX_BODY_LEN)??;
         let Some(op) = self.pending.remove(&header.request_id) else {
@@ -561,23 +551,7 @@ impl PipelinedClient {
                 "response echoes a request id that is not outstanding",
             )));
         };
-        if header.status != Status::Ok {
-            return Ok((
-                header.request_id,
-                Reply::Refused {
-                    status: header.status,
-                    message: String::from_utf8_lossy(&body).into_owned(),
-                },
-            ));
-        }
-        let reply = match op {
-            Op::Ping | Op::Hello => Reply::Pong,
-            Op::Compress => Reply::Compressed(body),
-            Op::Decompress => Reply::Decompressed(decode_blocks_body(&body)?),
-            Op::Status => Reply::ServerStatus(StatusResponse::decode_body(&body)?),
-            Op::Shutdown => Reply::ShutdownAck,
-        };
-        Ok((header.request_id, reply))
+        Ok((op, header, body))
     }
 
     /// Receives until nothing is outstanding, returning every reply in
@@ -589,4 +563,15 @@ impl PipelinedClient {
         }
         Ok(replies)
     }
+}
+
+/// An `Ok` response body decoded by the op of the request it answers.
+fn decode_reply(op: Op, body: Vec<u8>) -> Result<Reply, ClientError> {
+    Ok(match op {
+        Op::Ping | Op::Hello => Reply::Pong,
+        Op::Compress => Reply::Compressed(body),
+        Op::Decompress => Reply::Decompressed(decode_blocks_body(&body)?),
+        Op::Status => Reply::ServerStatus(StatusResponse::decode_body(&body)?),
+        Op::Shutdown => Reply::ShutdownAck,
+    })
 }

@@ -27,14 +27,16 @@
 //! served its remaining responses, then reaped.
 
 use crate::protocol::{
-    self, FrameHeader, Op, RawFrameHeader, Status, StatusResponse, StreamEvent, StreamParser,
+    self, FrameHeader, Op, OpLatency, RawFrameHeader, ShardStatus, Status, StatusResponse,
+    StatusSummaries, StreamEvent, StreamParser,
 };
 use crate::server::{
     prepare_compress, prepare_decompress, Completion, Prepared, ServerShared, Session, ShardJob,
     ShardState,
 };
 use epoll::{Event, Interest, Poller};
-use gld_obs::{now_ns, registry, span, Histogram};
+use gld_core::StreamMetrics;
+use gld_obs::{now_ns, span, Counter, Gauge, Histogram, Registry};
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -53,23 +55,42 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// pause until the peer drains responses.
 const READ_PAUSE_BACKLOG: usize = 1 << 20;
 
-/// Label values for the per-op request histograms, indexed by `Op as u8 - 1`.
-const OP_NAMES: [&str; 6] = [
-    "hello",
-    "compress",
-    "decompress",
-    "ping",
-    "shutdown",
-    "status",
-];
-
-/// The lowercase label value for `op` in metric families.
-pub(crate) fn op_name(op: Op) -> &'static str {
-    OP_NAMES[op as u8 as usize - 1]
+/// A refused request's cause.  The three causes are **disjoint**: every
+/// refusal counts under exactly one of them, and in the roll-up
+/// `glds_requests_rejected_total`, so the roll-up is always their sum.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Cause {
+    /// The per-connection token bucket was empty (`Status::RateLimited`).
+    RateLimited,
+    /// The request sat out its `--op-deadline` (`Status::DeadlineExceeded`).
+    Deadline,
+    /// Anything else: a protocol error, an unknown codec, an over-limit
+    /// body, a drain refusal, ...
+    Other,
 }
 
-/// Pre-resolved histogram handles for the loop's hot paths, so recording a
-/// latency never touches the registry lock.
+/// One shard's instruments in its server's registry, labelled `shard`.
+pub(crate) struct ShardObs {
+    in_flight: Arc<Gauge>,
+    peak_in_flight: Arc<Gauge>,
+    admitted: Arc<Counter>,
+    completed: Arc<Counter>,
+    blocks: Arc<Counter>,
+    peak_resident_blocks: Arc<Gauge>,
+    bytes_in: Arc<Counter>,
+    bytes_out: Arc<Counter>,
+    /// `glds_profile_memo_{hits,misses,evictions}_total`, bumped by the
+    /// shard's worker.
+    pub(crate) memo: [Arc<Counter>; 3],
+}
+
+/// Everything one server counts, in the server's own [`Registry`] and
+/// resolved into handles once, so recording never touches the registry
+/// lock.  The event loop is the only writer of the `glds_*` counters and
+/// gauges, so a peak is a compare-then-set on its thread; shard workers
+/// bump only their memo counters.  Any thread reads: the `Status` op,
+/// [`Server::metrics`](crate::Server::metrics) and the metrics endpoint all
+/// go through [`LoopObs::status`] or [`LoopObs::render`].
 ///
 /// The stage histograms tile a request's server-side life contiguously —
 /// `parse` (frame start → queued/answered), `queue_wait` (queued →
@@ -78,6 +99,18 @@ pub(crate) fn op_name(op: Op) -> &'static str {
 /// request that flushes, the four segment durations sum exactly to its
 /// `glds_request_duration_ns` total.
 pub(crate) struct LoopObs {
+    registry: Registry,
+    connections_opened: Arc<Counter>,
+    connections_active: Arc<Gauge>,
+    completed: Arc<Counter>,
+    blocks: Arc<Counter>,
+    rejected: Arc<Counter>,
+    rate_limited: Arc<Counter>,
+    deadlines: Arc<Counter>,
+    rejected_other: Arc<Counter>,
+    reaped_idle: Arc<Counter>,
+    pub(crate) shards: Vec<ShardObs>,
+    /// Per-op totals, indexed by `Op as u8 - 1`.
     totals: [Arc<Histogram>; 6],
     parse: Arc<Histogram>,
     queue_wait: Arc<Histogram>,
@@ -86,15 +119,50 @@ pub(crate) struct LoopObs {
 }
 
 impl LoopObs {
-    pub(crate) fn new() -> Self {
-        let stage = |name| registry::histogram("glds_stage_duration_ns", &[("stage", name)]);
+    pub(crate) fn new(shards: usize) -> Self {
+        let registry = Registry::new();
+        let counter = |family: &str| registry.counter(family, &[]);
+        let stage = |name: &str| registry.histogram("glds_stage_duration_ns", &[("stage", name)]);
+        let shards = (0..shards)
+            .map(|index| {
+                let shard = index.to_string();
+                let labels = [("shard", shard.as_str())];
+                let counter = |family: &str| registry.counter(family, &labels);
+                let gauge = |family: &str| registry.gauge(family, &labels);
+                ShardObs {
+                    in_flight: gauge("glds_shard_in_flight"),
+                    peak_in_flight: gauge("glds_shard_peak_in_flight"),
+                    admitted: counter("glds_shard_admitted_total"),
+                    completed: counter("glds_shard_completed_total"),
+                    blocks: counter("glds_shard_blocks_total"),
+                    peak_resident_blocks: gauge("glds_shard_peak_resident_blocks"),
+                    bytes_in: counter("glds_shard_bytes_in_total"),
+                    bytes_out: counter("glds_shard_bytes_out_total"),
+                    memo: ["hits", "misses", "evictions"]
+                        .map(|event| counter(&format!("glds_profile_memo_{event}_total"))),
+                }
+            })
+            .collect();
         LoopObs {
-            totals: OP_NAMES
-                .map(|name| registry::histogram("glds_request_duration_ns", &[("op", name)])),
+            connections_opened: counter("glds_connections_opened_total"),
+            connections_active: registry.gauge("glds_connections_active", &[]),
+            completed: counter("glds_requests_completed_total"),
+            blocks: counter("glds_blocks_total"),
+            rejected: counter("glds_requests_rejected_total"),
+            rate_limited: counter("glds_requests_rate_limited_total"),
+            deadlines: counter("glds_deadlines_exceeded_total"),
+            rejected_other: counter("glds_rejected_other_total"),
+            reaped_idle: counter("glds_connections_reaped_idle_total"),
+            shards,
+            totals: std::array::from_fn(|index| {
+                let op = Op::from_u8(index as u8 + 1).expect("op bytes are 1..=6");
+                registry.histogram("glds_request_duration_ns", &[("op", op.name())])
+            }),
             parse: stage("parse"),
             queue_wait: stage("queue_wait"),
             execute: stage("execute"),
             write: stage("write"),
+            registry,
         }
     }
 
@@ -102,9 +170,110 @@ impl LoopObs {
         &self.totals[op as u8 as usize - 1]
     }
 
-    /// Snapshot of the per-op total histogram (for `Status` summaries).
-    pub(crate) fn total_snapshot(&self, op: Op) -> gld_obs::HistogramSnapshot {
-        self.total(op).snapshot()
+    fn connection_opened(&self) {
+        self.connections_opened.inc();
+        self.connections_active
+            .set(self.connections_active.get() + 1);
+    }
+
+    fn connection_closed(&self) {
+        self.connections_active
+            .set(self.connections_active.get() - 1);
+    }
+
+    fn reject(&self, cause: Cause) {
+        self.rejected.inc();
+        match cause {
+            Cause::RateLimited => &self.rate_limited,
+            Cause::Deadline => &self.deadlines,
+            Cause::Other => &self.rejected_other,
+        }
+        .inc();
+    }
+
+    /// A request entering `shard`'s window: the gauge and its peak move
+    /// together.
+    fn admit(&self, shard: usize, request_bytes: usize) {
+        let shard = &self.shards[shard];
+        let now = shard.in_flight.get() + 1;
+        shard.in_flight.set(now);
+        if now > shard.peak_in_flight.get() {
+            shard.peak_in_flight.set(now);
+        }
+        shard.admitted.inc();
+        shard.bytes_in.add(request_bytes as u64);
+    }
+
+    /// A request leaving `shard`'s window, with the frames its job handled
+    /// and the peak its streaming run held resident.
+    fn complete(&self, shard: usize, response_bytes: usize, stream: &StreamMetrics) {
+        let shard = &self.shards[shard];
+        debug_assert!(shard.in_flight.get() > 0);
+        shard.in_flight.set(shard.in_flight.get() - 1);
+        shard.completed.inc();
+        shard.bytes_out.add(response_bytes as u64);
+        shard.blocks.add(stream.blocks as u64);
+        if stream.peak_resident as i64 > shard.peak_resident_blocks.get() {
+            shard.peak_resident_blocks.set(stream.peak_resident as i64);
+        }
+        self.completed.inc();
+        self.blocks.add(stream.blocks as u64);
+    }
+
+    /// The server's counters as the `Status` op serialises them, with the
+    /// per-op latency trailer when `summaries` is set.
+    pub(crate) fn status(&self, summaries: bool) -> StatusResponse {
+        let get = |gauge: &Gauge| gauge.get().max(0) as u64;
+        StatusResponse {
+            connections_active: get(&self.connections_active),
+            connections_opened: self.connections_opened.get(),
+            requests_rejected: self.rejected.get(),
+            rate_limited: self.rate_limited.get(),
+            deadlines_exceeded: self.deadlines.get(),
+            reaped_idle: self.reaped_idle.get(),
+            faults_injected: fail::total_hits(),
+            shards: self
+                .shards
+                .iter()
+                .map(|s| ShardStatus {
+                    in_flight: get(&s.in_flight),
+                    peak_in_flight: get(&s.peak_in_flight),
+                    admitted: s.admitted.get(),
+                    completed: s.completed.get(),
+                    blocks: s.blocks.get(),
+                    peak_resident_blocks: get(&s.peak_resident_blocks),
+                    bytes_in: s.bytes_in.get(),
+                    bytes_out: s.bytes_out.get(),
+                })
+                .collect(),
+            summaries: summaries.then(|| StatusSummaries {
+                rejected_other: self.rejected_other.get(),
+                ops: (1..=6u8)
+                    .zip(&self.totals)
+                    .filter_map(|(op, total)| {
+                        let hist = total.snapshot();
+                        (hist.count > 0).then_some(OpLatency {
+                            op,
+                            count: hist.count,
+                            p50_ns: hist.p50(),
+                            p99_ns: hist.p99(),
+                        })
+                    })
+                    .collect(),
+            }),
+        }
+    }
+
+    /// One scrape of the metrics endpoint: the process-wide codec families
+    /// of [`gld_obs::registry::global`], then this server's own.
+    pub(crate) fn render(&self) -> String {
+        // The failpoint registry is the fault count's one home; the counter
+        // catches up with it here, where the endpoint reads it.
+        let faults = self.registry.counter("glds_faults_injected_total", &[]);
+        faults.add(fail::total_hits().saturating_sub(faults.get()));
+        let mut out = gld_obs::registry::global().render();
+        out.push_str(&self.registry.render());
+        out
     }
 }
 
@@ -256,12 +425,9 @@ pub(crate) struct EventLoop {
     conns: HashMap<u64, Conn>,
     /// Requests waiting for their shard's window, per shard.
     pending: Vec<VecDeque<PendingRequest>>,
-    /// Loop-authoritative admitted-but-uncompleted count, per shard.
-    in_flight: Vec<usize>,
     next_token: u64,
     draining: bool,
     drain_deadline: Option<Instant>,
-    obs: LoopObs,
 }
 
 impl EventLoop {
@@ -273,11 +439,9 @@ impl EventLoop {
             listener: Some(listener),
             conns: HashMap::new(),
             pending: (0..shards).map(|_| VecDeque::new()).collect(),
-            in_flight: vec![0; shards],
             next_token: FIRST_CONN_TOKEN,
             draining: false,
             drain_deadline: None,
-            obs: LoopObs::new(),
         }
     }
 
@@ -324,7 +488,11 @@ impl EventLoop {
                 self.begin_drain();
             }
             self.reap();
-            if self.draining && self.conns.is_empty() && self.in_flight.iter().all(|&n| n == 0) {
+            let shards = &self.shared.obs.shards;
+            if self.draining
+                && self.conns.is_empty()
+                && shards.iter().all(|s| s.in_flight.get() == 0)
+            {
                 return;
             }
         }
@@ -392,7 +560,7 @@ impl EventLoop {
         {
             return;
         }
-        self.shared.metrics.connection_opened();
+        self.shared.obs.connection_opened();
         self.conns.insert(token, conn);
     }
 
@@ -490,7 +658,7 @@ impl EventLoop {
                     // The stream position is untrustworthy: answer best-
                     // effort (`Ping` is the neutral op for undecodable
                     // requests), flush, close.
-                    self.shared.metrics.request_rejected_other();
+                    self.shared.obs.reject(Cause::Other);
                     gld_obs::log_warn!(
                         "eventloop",
                         conn = token,
@@ -526,7 +694,7 @@ impl EventLoop {
                 // Framing is intact (the parser consumed the declared body),
                 // so an unknown op or status is answered and the connection
                 // keeps serving — exactly the two-stage decode contract.
-                self.shared.metrics.request_rejected_other();
+                self.shared.obs.reject(Cause::Other);
                 let status = protocol::status_for(&e);
                 let message = e.to_string();
                 self.enqueue_response(
@@ -542,7 +710,7 @@ impl EventLoop {
             }
         };
         if header.status != Status::Ok {
-            self.shared.metrics.request_rejected_other();
+            self.shared.obs.reject(Cause::Other);
             self.enqueue_response(
                 token,
                 header.op,
@@ -601,7 +769,7 @@ impl EventLoop {
                 );
             }
             Err((status, message)) => {
-                self.shared.metrics.request_rejected_other();
+                self.shared.obs.reject(Cause::Other);
                 self.enqueue_response(
                     token,
                     Op::Hello,
@@ -617,7 +785,7 @@ impl EventLoop {
 
     fn handle_status(&mut self, token: u64, header: &FrameHeader, body: &[u8], t0_ns: u64) {
         if !body.is_empty() {
-            self.shared.metrics.request_rejected_other();
+            self.shared.obs.reject(Cause::Other);
             self.enqueue_response(
                 token,
                 Op::Status,
@@ -629,63 +797,11 @@ impl EventLoop {
             );
             return;
         }
-        let snapshot = self.shared.metrics.snapshot();
         // Capability-and-echo, per request: a client that set the summary
         // bit gets the trailer and the echoed bit; anyone else gets the
         // legacy body byte-for-byte.
-        let wants_summaries = header.ext & protocol::EXT_STATUS_SUMMARIES != 0;
-        let summaries = wants_summaries.then(|| protocol::StatusSummaries {
-            rejected_other: snapshot.rejected_other as u64,
-            ops: [
-                Op::Hello,
-                Op::Compress,
-                Op::Decompress,
-                Op::Ping,
-                Op::Shutdown,
-                Op::Status,
-            ]
-            .iter()
-            .filter_map(|&op| {
-                let hist = self.obs.total_snapshot(op);
-                (hist.count > 0).then_some(protocol::OpLatency {
-                    op: op as u8,
-                    count: hist.count,
-                    p50_ns: hist.p50(),
-                    p99_ns: hist.p99(),
-                })
-            })
-            .collect(),
-        });
-        let response = StatusResponse {
-            connections_active: snapshot.connections_active as u64,
-            connections_opened: snapshot.connections_opened as u64,
-            requests_rejected: snapshot.requests_rejected as u64,
-            rate_limited: snapshot.requests_rate_limited as u64,
-            deadlines_exceeded: snapshot.deadlines_exceeded as u64,
-            reaped_idle: snapshot.connections_reaped_idle as u64,
-            faults_injected: fail::total_hits(),
-            shards: snapshot
-                .shards
-                .iter()
-                .map(|s| protocol::ShardStatus {
-                    in_flight: s.in_flight as u64,
-                    peak_in_flight: s.peak_in_flight as u64,
-                    admitted: s.admitted as u64,
-                    completed: s.completed as u64,
-                    blocks: s.blocks as u64,
-                    peak_resident_blocks: s.peak_resident_blocks as u64,
-                    bytes_in: s.bytes_in as u64,
-                    bytes_out: s.bytes_out as u64,
-                })
-                .collect(),
-            summaries,
-        };
-        let body = response.encode_body();
-        let echo = if wants_summaries {
-            protocol::EXT_STATUS_SUMMARIES
-        } else {
-            0
-        };
+        let echo = header.ext & protocol::EXT_STATUS_SUMMARIES;
+        let body = self.shared.obs.status(echo != 0).encode_body();
         let frame = protocol::encode_frame(
             &FrameHeader::response(
                 Op::Status,
@@ -710,7 +826,7 @@ impl EventLoop {
     /// for the shard window.
     fn handle_codec_op(&mut self, token: u64, header: &FrameHeader, body: Vec<u8>, t0_ns: u64) {
         if self.draining {
-            self.shared.metrics.request_rejected_other();
+            self.shared.obs.reject(Cause::Other);
             self.enqueue_response(
                 token,
                 header.op,
@@ -729,7 +845,7 @@ impl EventLoop {
             // models a slow submission path.
             match fail::check("shard.submit") {
                 Some(fail::Action::ErrIo) | Some(fail::Action::Corrupt) => {
-                    self.shared.metrics.request_rejected_other();
+                    self.shared.obs.reject(Cause::Other);
                     self.enqueue_response(
                         token,
                         header.op,
@@ -750,7 +866,7 @@ impl EventLoop {
         };
         if let Some(bucket) = &mut conn.bucket {
             if !bucket.try_take(Instant::now()) {
-                self.shared.metrics.request_rate_limited();
+                self.shared.obs.reject(Cause::RateLimited);
                 self.enqueue_response(
                     token,
                     header.op,
@@ -770,7 +886,7 @@ impl EventLoop {
         };
         match prepared {
             Prepared::Refuse { status, message } => {
-                self.shared.metrics.request_rejected_other();
+                self.shared.obs.reject(Cause::Other);
                 self.enqueue_response(
                     token,
                     header.op,
@@ -790,7 +906,10 @@ impl EventLoop {
                 // The request is decoded and queued: close the `parse`
                 // stage here so `queue_wait` starts at the same boundary.
                 let parsed_ns = now_ns();
-                self.obs.parse.record(parsed_ns.saturating_sub(t0_ns));
+                self.shared
+                    .obs
+                    .parse
+                    .record(parsed_ns.saturating_sub(t0_ns));
                 span::record("req.parse", t0_ns, parsed_ns, token, header.request_id);
                 self.pending[shard].push_back(PendingRequest {
                     conn: token,
@@ -814,7 +933,7 @@ impl EventLoop {
     /// never exceed the window.
     fn try_admit(&mut self, shard: usize) {
         let window = self.shared.config.shard_window.max(1);
-        while self.in_flight[shard] < window {
+        while self.shared.obs.shards[shard].in_flight.get() < window as i64 {
             let Some(request) = self.pending[shard].pop_front() else {
                 return;
             };
@@ -838,11 +957,7 @@ impl EventLoop {
                 );
                 continue;
             }
-            self.in_flight[shard] += 1;
-            self.shared
-                .metrics
-                .shard(shard)
-                .admit(request.request_bytes);
+            self.shared.obs.admit(shard, request.request_bytes);
             let shared = Arc::clone(&self.shared);
             let PendingRequest {
                 conn,
@@ -856,7 +971,8 @@ impl EventLoop {
             // Admission closes the `queue_wait` stage; `execute` starts at
             // the same boundary and closes when the completion is enqueued.
             let admit_ns = now_ns();
-            self.obs
+            self.shared
+                .obs
                 .queue_wait
                 .record(admit_ns.saturating_sub(parsed_ns));
             span::record("req.queue_wait", parsed_ns, admit_ns, conn, request_id);
@@ -886,12 +1002,12 @@ impl EventLoop {
         if let Some(conn) = self.conns.get_mut(&token) {
             conn.outstanding = conn.outstanding.saturating_sub(1);
         }
-        self.shared.metrics.deadline_exceeded();
+        self.shared.obs.reject(Cause::Deadline);
         gld_obs::log_debug!(
             "eventloop",
             conn = token,
             req = request_id,
-            op = op_name(op);
+            op = op.name();
             "request expired before admission"
         );
         self.enqueue_response(
@@ -943,15 +1059,11 @@ impl EventLoop {
         let completions = self.shared.take_completions();
         let mut touched = Vec::new();
         for completion in completions {
-            let shard_metrics = self.shared.metrics.shard(completion.shard);
-            if let Some(stream_metrics) = &completion.result.stream {
-                shard_metrics.record_stream(stream_metrics);
-            } else if completion.result.blocks > 0 {
-                shard_metrics.record_blocks(completion.result.blocks);
-            }
-            shard_metrics.complete(completion.result.body.len());
-            debug_assert!(self.in_flight[completion.shard] > 0);
-            self.in_flight[completion.shard] -= 1;
+            self.shared.obs.complete(
+                completion.shard,
+                completion.result.body.len(),
+                &completion.result.stream,
+            );
             if let Some(conn) = self.conns.get_mut(&completion.conn) {
                 debug_assert!(conn.outstanding > 0);
                 conn.outstanding -= 1;
@@ -1009,15 +1121,21 @@ impl EventLoop {
         let enq_ns = now_ns();
         match timing {
             RespTiming::Inline { t0_ns } => {
-                self.obs.parse.record(enq_ns.saturating_sub(t0_ns));
+                self.shared.obs.parse.record(enq_ns.saturating_sub(t0_ns));
                 span::record("req.parse", t0_ns, enq_ns, token, request_id);
             }
             RespTiming::Completed { admit_ns, .. } => {
-                self.obs.execute.record(enq_ns.saturating_sub(admit_ns));
+                self.shared
+                    .obs
+                    .execute
+                    .record(enq_ns.saturating_sub(admit_ns));
                 span::record("req.execute", admit_ns, enq_ns, token, request_id);
             }
             RespTiming::Expired { parsed_ns, .. } => {
-                self.obs.queue_wait.record(enq_ns.saturating_sub(parsed_ns));
+                self.shared
+                    .obs
+                    .queue_wait
+                    .record(enq_ns.saturating_sub(parsed_ns));
                 span::record("req.queue_wait", parsed_ns, enq_ns, token, request_id);
             }
         }
@@ -1096,8 +1214,12 @@ impl EventLoop {
                     break;
                 }
                 let track = conn.write_track.pop_front().expect("front exists");
-                self.obs.write.record(flush_ns.saturating_sub(track.enq_ns));
-                self.obs
+                self.shared
+                    .obs
+                    .write
+                    .record(flush_ns.saturating_sub(track.enq_ns));
+                self.shared
+                    .obs
                     .total(track.op)
                     .record(flush_ns.saturating_sub(track.t0_ns));
                 span::record("req.write", track.enq_ns, flush_ns, token, track.request_id);
@@ -1151,7 +1273,7 @@ impl EventLoop {
             return;
         };
         let _ = self.poller.delete(conn.stream.as_raw_fd());
-        self.shared.metrics.connection_closed();
+        self.shared.obs.connection_closed();
         // Unadmitted requests die with the connection (admitted ones finish
         // on their shard; their completions release the slots).
         for queue in &mut self.pending {
@@ -1193,7 +1315,7 @@ impl EventLoop {
             .collect();
         for (token, idle_reaped) in done {
             if idle_reaped {
-                self.shared.metrics.connection_reaped_idle();
+                self.shared.obs.reaped_idle.inc();
             }
             self.close_conn(token);
         }
@@ -1223,7 +1345,7 @@ impl EventLoop {
             if let Some(conn) = self.conns.get_mut(&request.conn) {
                 conn.outstanding -= 1;
             }
-            self.shared.metrics.request_rejected_other();
+            self.shared.obs.reject(Cause::Other);
             self.enqueue_response(
                 request.conn,
                 request.op,
@@ -1241,5 +1363,87 @@ impl EventLoop {
         for token in tokens {
             self.pump_conn(token);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn gauges_and_peaks_move_together() {
+        let obs = LoopObs::new(1);
+        obs.admit(0, 10);
+        obs.admit(0, 20);
+        let snap = obs.status(false).shards[0];
+        assert_eq!(snap.in_flight, 2);
+        assert_eq!(snap.peak_in_flight, 2);
+        assert_eq!(snap.bytes_in, 30);
+        obs.complete(0, 5, &StreamMetrics::default());
+        obs.complete(0, 7, &StreamMetrics::default());
+        let snap = obs.status(false).shards[0];
+        assert_eq!(snap.in_flight, 0);
+        assert_eq!(snap.peak_in_flight, 2, "peak survives the drain");
+        assert_eq!(snap.completed, 2);
+        assert_eq!(snap.bytes_out, 12);
+    }
+
+    #[test]
+    fn stream_metrics_fold_into_peaks() {
+        let obs = LoopObs::new(1);
+        for stream in [
+            StreamMetrics {
+                blocks: 4,
+                peak_resident: 2,
+            },
+            StreamMetrics {
+                blocks: 3,
+                peak_resident: 1,
+            },
+        ] {
+            obs.admit(0, 1);
+            obs.complete(0, 1, &stream);
+        }
+        let snap = obs.status(false).shards[0];
+        assert_eq!(snap.blocks, 7);
+        assert_eq!(snap.peak_resident_blocks, 2);
+    }
+
+    #[test]
+    fn service_snapshot_aggregates() {
+        let obs = LoopObs::new(2);
+        obs.connection_opened();
+        for shard in 0..2 {
+            obs.admit(shard, 1);
+            obs.complete(shard, 1, &StreamMetrics::default());
+        }
+        obs.reject(Cause::Other);
+        obs.connection_closed();
+        let snap = obs.status(true);
+        assert_eq!(snap.completed(), 2);
+        assert_eq!(snap.connections_opened, 1);
+        assert_eq!(snap.connections_active, 0);
+        assert_eq!(snap.requests_rejected, 1);
+        assert_eq!(snap.rejected_other(), 1);
+    }
+
+    #[test]
+    fn rejection_causes_are_disjoint_and_sum_to_the_rollup() {
+        let obs = LoopObs::new(1);
+        obs.reject(Cause::RateLimited);
+        obs.reject(Cause::RateLimited);
+        obs.reject(Cause::Deadline);
+        obs.reject(Cause::Other);
+        let snap = obs.status(true);
+        assert_eq!(snap.rate_limited, 2);
+        assert_eq!(snap.deadlines_exceeded, 1);
+        assert_eq!(snap.rejected_other(), 1);
+        assert_eq!(snap.summaries.as_ref().map(|s| s.rejected_other), Some(1));
+        assert_eq!(
+            snap.requests_rejected,
+            snap.rate_limited + snap.deadlines_exceeded + snap.rejected_other(),
+            "the roll-up is the sum of the disjoint causes"
+        );
+        assert_eq!(snap.requests_rejected, 4);
     }
 }

@@ -18,15 +18,16 @@
 //!   bucket → [`Status::RateLimited`]), per-shard worker threads behind
 //!   bounded in-flight admission windows, compress responses streamed
 //!   straight from `gld_core::compress_variable_to_writer`, graceful
-//!   drain-then-join shutdown;
-//! * [`client`] — the blocking client library the tests, bins, benches and
-//!   examples speak through, plus [`PipelinedClient`] for many-outstanding
-//!   request streams matched by request id;
-//! * [`metrics`] — `StreamMetrics`-style service accounting (per-shard
-//!   in-flight gauges and peaks) that the overload tests assert against,
-//!   served over the wire by [`Op::Status`];
-//! * [`resilient`] — the self-healing client: connect/request deadlines,
-//!   jittered exponential backoff, automatic reconnect with full `Hello`
+//!   drain-then-join shutdown.  Each server counts into a
+//!   `gld_obs::Registry` of its own, the one source behind the
+//!   [`Op::Status`] reply, [`Server::metrics`] and the metrics endpoint;
+//! * [`client`] — [`PipelinedClient`], the one connection type (socket,
+//!   request ids, reply decoding; many outstanding requests matched by
+//!   id), and [`ServiceClient`], its window-1 blocking discipline that the
+//!   tests, bins, benches and examples speak through;
+//! * [`resilient`] — the self-healing client: [`ResilientClient::call`]
+//!   runs any `ServiceClient` op under connect/request deadlines, jittered
+//!   exponential backoff, automatic reconnect with full `Hello`
 //!   re-negotiation, typed exhaustion;
 //! * [`chaos`] — the fault-injecting TCP proxy the resilience tests and
 //!   the CI chaos smoke job put between client and server.
@@ -45,7 +46,6 @@
 pub mod chaos;
 pub mod client;
 mod eventloop;
-pub mod metrics;
 pub mod protocol;
 pub mod resilient;
 pub mod router;
@@ -53,7 +53,6 @@ pub mod server;
 
 pub use chaos::{ChaosConfig, ChaosProxy};
 pub use client::{ClientError, PipelinedClient, Reply, ServerInfo, ServiceClient};
-pub use metrics::{ServiceMetricsSnapshot, ShardMetricsSnapshot};
 pub use protocol::{Op, OpLatency, ProtocolError, Status, StatusResponse, StatusSummaries};
 pub use resilient::{Backoff, ResilientClient, ResilientError, RetryPolicy};
 pub use router::{ShardPolicy, ShardRouter};

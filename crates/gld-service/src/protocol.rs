@@ -131,6 +131,19 @@ impl Op {
             other => return Err(ProtocolError::UnknownOp(other)),
         })
     }
+
+    /// The op's lowercase name: the `op` label of the server's metric
+    /// families, and how logs and checks spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Op::Hello => "hello",
+            Op::Compress => "compress",
+            Op::Decompress => "decompress",
+            Op::Ping => "ping",
+            Op::Shutdown => "shutdown",
+            Op::Status => "status",
+        }
+    }
 }
 
 /// Response status code.  `Ok` responses carry the op's payload; every other
@@ -818,7 +831,7 @@ pub struct ShardStatus {
 pub struct OpLatency {
     /// The [`Op`] byte this row summarises.
     pub op: u8,
-    /// Requests of this op recorded since process start.
+    /// Requests of this op recorded since this server started.
     pub count: u64,
     /// Median server-side latency in nanoseconds.
     pub p50_ns: u64,
@@ -876,6 +889,26 @@ pub struct StatusResponse {
 }
 
 impl StatusResponse {
+    /// Requests completed across shards.
+    pub fn completed(&self) -> u64 {
+        self.shards.iter().map(|s| s.completed).sum()
+    }
+
+    /// Container frames processed across shards.
+    pub fn blocks(&self) -> u64 {
+        self.shards.iter().map(|s| s.blocks).sum()
+    }
+
+    /// Requests refused for any reason but rate limiting or deadline
+    /// expiry: what the disjoint-cause identity leaves of
+    /// `requests_rejected`, so a legacy body without the trailer answers it
+    /// too.
+    pub fn rejected_other(&self) -> u64 {
+        self.requests_rejected
+            .saturating_sub(self.rate_limited)
+            .saturating_sub(self.deadlines_exceeded)
+    }
+
     /// Serialises the response body.
     pub fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(60 + self.shards.len() * 64);

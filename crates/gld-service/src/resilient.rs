@@ -23,9 +23,7 @@
 
 use crate::client::{ClientError, ServiceClient};
 use crate::protocol::Status;
-use gld_core::{CodecId, ErrorTarget};
-use gld_datasets::Variable;
-use gld_tensor::Tensor;
+use gld_core::CodecId;
 use std::fmt;
 use std::time::Duration;
 
@@ -182,7 +180,7 @@ impl ResilientClient {
             retries: 0,
             reconnects: 0,
         };
-        client.with_retry(|_| Ok(()))?;
+        client.call(|_| Ok(()))?;
         Ok(client)
     }
 
@@ -195,49 +193,6 @@ impl ResilientClient {
     /// times the connection was rebuilt.
     pub fn reconnects(&self) -> u64 {
         self.reconnects.saturating_sub(1)
-    }
-
-    /// Liveness probe under the retry policy.
-    pub fn ping(&mut self) -> Result<(), ResilientError> {
-        self.with_retry(|client| client.ping())
-    }
-
-    /// [`ServiceClient::compress`] under the retry policy (pure, so safe
-    /// to retry after a reset).
-    pub fn compress(
-        &mut self,
-        key: &str,
-        variable: &Variable,
-        block_frames: u32,
-        target: Option<ErrorTarget>,
-    ) -> Result<Vec<u8>, ResilientError> {
-        self.with_retry(|client| client.compress(key, variable, block_frames, target))
-    }
-
-    /// [`ServiceClient::compress_as`] under the retry policy.
-    pub fn compress_as(
-        &mut self,
-        codec: CodecId,
-        key: &str,
-        variable: &Variable,
-        block_frames: u32,
-        target: Option<ErrorTarget>,
-    ) -> Result<Vec<u8>, ResilientError> {
-        self.with_retry(|client| client.compress_as(codec, key, variable, block_frames, target))
-    }
-
-    /// [`ServiceClient::decompress`] under the retry policy.
-    pub fn decompress(
-        &mut self,
-        key: &str,
-        container: &[u8],
-    ) -> Result<Vec<Tensor>, ResilientError> {
-        self.with_retry(|client| client.decompress(key, container))
-    }
-
-    /// [`ServiceClient::status`] under the retry policy.
-    pub fn status(&mut self) -> Result<crate::protocol::StatusResponse, ResilientError> {
-        self.with_retry(|client| client.status())
     }
 
     /// Dials and negotiates if no healthy connection is held.
@@ -254,10 +209,13 @@ impl ResilientClient {
         Ok(())
     }
 
-    /// Runs `op` under the policy: backoff between attempts, reconnect
-    /// when the connection stops being trustworthy, fatal on deterministic
-    /// refusals, [`ResilientError::Exhausted`] when the budget runs out.
-    fn with_retry<T>(
+    /// Runs `op` — any [`ServiceClient`] call, such as
+    /// `|c| c.compress(key, variable, 8, None)` — under the policy: backoff
+    /// between attempts, reconnect (with a full `Hello`) when the connection
+    /// stops being trustworthy, fatal on deterministic refusals,
+    /// [`ResilientError::Exhausted`] when the budget runs out.  Retry only
+    /// ops that are safe to repeat; every op the service offers is.
+    pub fn call<T>(
         &mut self,
         mut op: impl FnMut(&mut ServiceClient) -> Result<T, ClientError>,
     ) -> Result<T, ResilientError> {
@@ -348,7 +306,11 @@ mod tests {
 
     #[test]
     fn unreachable_address_exhausts_into_a_typed_error() {
-        // Reserved TEST-NET-1 address: connects fail fast or time out.
+        // A loopback port known to be closed: bind an ephemeral listener,
+        // read its port, and drop it, so every dial is refused.
+        let addr = std::net::TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .expect("bind an ephemeral loopback port");
         let policy = RetryPolicy {
             connect_timeout: Duration::from_millis(50),
             max_retries: 1,
@@ -356,9 +318,9 @@ mod tests {
             max_backoff: Duration::from_millis(2),
             ..RetryPolicy::default()
         };
-        let error = ResilientClient::connect("192.0.2.1:9", &[], policy)
+        let error = ResilientClient::connect(addr.to_string(), &[], policy)
             .map(|_| ())
-            .expect_err("TEST-NET-1 must be unreachable");
+            .expect_err("a closed loopback port must be unreachable");
         match error {
             ResilientError::Exhausted {
                 attempts: 2,

@@ -30,9 +30,10 @@
 //! refuses unadmitted requests, lets every admitted request finish and its
 //! response flush, then joins every thread the server spawned.
 
-use crate::eventloop::{EventLoop, WAKER_TOKEN};
-use crate::metrics::{ServiceMetrics, ServiceMetricsSnapshot};
-use crate::protocol::{self, FrameHeader, Op, Status, EXT_CONTAINER_STAGE, EXT_SHARED_PROFILES};
+use crate::eventloop::{EventLoop, LoopObs, ShardObs, WAKER_TOKEN};
+use crate::protocol::{
+    self, FrameHeader, Op, Status, StatusResponse, EXT_CONTAINER_STAGE, EXT_SHARED_PROFILES,
+};
 use crate::router::{ShardPolicy, ShardRouter};
 use gld_baselines::{SzCompressor, ZfpLikeCompressor};
 use gld_core::container::HEADER_LEN as CONTAINER_HEADER_LEN;
@@ -208,17 +209,13 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    fn new(shard: usize) -> Self {
-        let shard = shard.to_string();
-        let counter = |event| {
-            let family = format!("glds_profile_memo_{event}_total");
-            gld_obs::registry::counter(&family, &[("shard", &shard)])
-        };
+    fn new(obs: &ShardObs) -> Self {
+        let [hits, misses, evictions] = obs.memo.clone();
         ShardState {
             profiles: Vec::new(),
-            hits: counter("hits"),
-            misses: counter("misses"),
-            evictions: counter("evictions"),
+            hits,
+            misses,
+            evictions,
         }
     }
 
@@ -266,8 +263,9 @@ pub(crate) struct ShardResult {
     pub(crate) status: Status,
     pub(crate) codec: u8,
     pub(crate) body: Vec<u8>,
-    pub(crate) stream: Option<StreamMetrics>,
-    pub(crate) blocks: usize,
+    /// Frames the job handled; `peak_resident` is 0 outside a streaming
+    /// compress.
+    pub(crate) stream: StreamMetrics,
 }
 
 /// A finished shard job on its way back to the event loop.
@@ -352,7 +350,7 @@ pub(crate) struct ServerShared {
     pub(crate) config: ServiceConfig,
     pub(crate) registry: CodecRegistry,
     pub(crate) router: ShardRouter,
-    pub(crate) metrics: ServiceMetrics,
+    pub(crate) obs: LoopObs,
     pub(crate) shards: Vec<ShardQueue>,
     pub(crate) waker: epoll::Waker,
     completions: Mutex<Vec<Completion>>,
@@ -419,7 +417,7 @@ impl Server {
         let waker = epoll::Waker::new(&poller, WAKER_TOKEN)?;
         let shared = Arc::new(ServerShared {
             router: ShardRouter::new(shards, config.policy),
-            metrics: ServiceMetrics::new(shards),
+            obs: LoopObs::new(shards),
             shards: (0..shards).map(|_| ShardQueue::new()).collect(),
             waker,
             completions: Mutex::new(Vec::new()),
@@ -449,7 +447,7 @@ impl Server {
             Some(metrics_addr) => {
                 let render_shared = Arc::clone(&shared);
                 let renderer: gld_obs::http::Renderer =
-                    Arc::new(move || render_metrics(&render_shared));
+                    Arc::new(move || render_shared.obs.render());
                 Some(gld_obs::http::serve(metrics_addr.as_str(), renderer)?)
             }
             None => None,
@@ -480,22 +478,23 @@ impl Server {
             .map(gld_obs::http::MetricsServer::local_addr)
     }
 
-    /// A point-in-time copy of the service counters.
-    pub fn metrics(&self) -> ServiceMetricsSnapshot {
-        self.shared.metrics.snapshot()
+    /// This server's counters, exactly as the `Status` op reports them
+    /// (latency summaries included).
+    pub fn metrics(&self) -> StatusResponse {
+        self.shared.obs.status(true)
     }
 
     /// Graceful shutdown: stop accepting, drain every admitted request
     /// (responses are written), then join every thread.
-    pub fn shutdown(mut self) -> ServiceMetricsSnapshot {
+    pub fn shutdown(mut self) -> StatusResponse {
         self.shared.trigger_shutdown();
         self.join_all();
-        self.shared.metrics.snapshot()
+        self.metrics()
     }
 
     /// Serves until a wire [`Op::Shutdown`] request arrives, then drains and
     /// joins exactly like [`Server::shutdown`].
-    pub fn wait(mut self) -> ServiceMetricsSnapshot {
+    pub fn wait(mut self) -> StatusResponse {
         {
             let (flag, cv) = &self.shared.shutdown_cv;
             let mut done = flag.lock().unwrap_or_else(|e| e.into_inner());
@@ -504,7 +503,7 @@ impl Server {
             }
         }
         self.join_all();
-        self.shared.metrics.snapshot()
+        self.metrics()
     }
 
     fn join_all(&mut self) {
@@ -538,62 +537,10 @@ impl Drop for Server {
 }
 
 fn shard_worker(shared: &Arc<ServerShared>, index: usize) {
-    let mut state = ShardState::new(index);
+    let mut state = ShardState::new(&shared.obs.shards[index]);
     while let Some(job) = shared.shards[index].next_job() {
         job(&mut state);
     }
-}
-
-/// One scrape of the metrics endpoint: the process-global registry (latency
-/// histograms and their derived quantiles) plus the service counters and
-/// gauges, all in Prometheus text exposition format.  The service counters
-/// are staged through a scratch registry so the renderer — grouping,
-/// sorting, `# TYPE` lines — is the one the global families use.
-fn render_metrics(shared: &ServerShared) -> String {
-    let snapshot = shared.metrics.snapshot();
-    let scratch = gld_obs::Registry::new();
-    scratch
-        .gauge("glds_connections_active", &[])
-        .set(snapshot.connections_active as i64);
-    for (family, value) in [
-        ("glds_connections_opened_total", snapshot.connections_opened),
-        ("glds_requests_completed_total", snapshot.completed()),
-        ("glds_requests_rejected_total", snapshot.requests_rejected),
-        (
-            "glds_requests_rate_limited_total",
-            snapshot.requests_rate_limited,
-        ),
-        ("glds_deadlines_exceeded_total", snapshot.deadlines_exceeded),
-        ("glds_rejected_other_total", snapshot.rejected_other),
-        (
-            "glds_connections_reaped_idle_total",
-            snapshot.connections_reaped_idle,
-        ),
-        ("glds_blocks_total", snapshot.blocks()),
-    ] {
-        scratch.counter(family, &[]).add(value as u64);
-    }
-    scratch
-        .counter("glds_faults_injected_total", &[])
-        .add(fail::total_hits());
-    for (index, shard) in snapshot.shards.iter().enumerate() {
-        let shard_label = index.to_string();
-        let labels: [(&str, &str); 1] = [("shard", shard_label.as_str())];
-        scratch
-            .gauge("glds_shard_in_flight", &labels)
-            .set(shard.in_flight as i64);
-        for (family, value) in [
-            ("glds_shard_admitted_total", shard.admitted),
-            ("glds_shard_completed_total", shard.completed),
-            ("glds_shard_bytes_in_total", shard.bytes_in),
-            ("glds_shard_bytes_out_total", shard.bytes_out),
-        ] {
-            scratch.counter(family, &labels).add(value as u64);
-        }
-    }
-    let mut out = gld_obs::registry::global().render();
-    out.push_str(&scratch.render());
-    out
 }
 
 /// Outcome of preparing a codec request on the event loop: refused with a
@@ -708,6 +655,15 @@ impl Write for LimitedSink {
     }
 }
 
+/// What a job that handled `blocks` frames outside the streaming executor
+/// reports.
+fn frames(blocks: usize) -> StreamMetrics {
+    StreamMetrics {
+        blocks,
+        peak_resident: 0,
+    }
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -791,8 +747,7 @@ pub(crate) fn prepare_compress(
                 status: Status::Ok,
                 codec: codec_byte,
                 body: sink.buf,
-                stream: Some(metrics),
-                blocks: 0,
+                stream: metrics,
             },
             Ok(Err(e)) => ShardResult {
                 // The partial-write diagnostic: how far the container got
@@ -800,15 +755,13 @@ pub(crate) fn prepare_compress(
                 status: Status::FrameTooLarge,
                 codec: codec_byte,
                 body: e.to_string().into_bytes(),
-                stream: None,
-                blocks: e.frames_emitted,
+                stream: frames(e.frames_emitted),
             },
             Err(payload) => ShardResult {
                 status: Status::Internal,
                 codec: codec_byte,
                 body: panic_message(payload.as_ref()).into_bytes(),
-                stream: None,
-                blocks: 0,
+                stream: StreamMetrics::default(),
             },
         }
     });
@@ -873,22 +826,19 @@ pub(crate) fn prepare_decompress(shared: &ServerShared, body: &[u8]) -> Prepared
                 status: Status::Ok,
                 codec: codec_byte,
                 body,
-                stream: None,
-                blocks,
+                stream: frames(blocks),
             },
             Ok(Err((status, message))) => ShardResult {
                 status,
                 codec: codec_byte,
                 body: message.into_bytes(),
-                stream: None,
-                blocks: 0,
+                stream: StreamMetrics::default(),
             },
             Err(payload) => ShardResult {
                 status: Status::Internal,
                 codec: codec_byte,
                 body: panic_message(payload.as_ref()).into_bytes(),
-                stream: None,
-                blocks: 0,
+                stream: StreamMetrics::default(),
             },
         }
     });

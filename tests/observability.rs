@@ -1,25 +1,32 @@
 //! End-to-end coverage for the observability layer: the `--metrics-addr`
 //! Prometheus endpoint cross-checked against the wire `Status` summaries,
 //! the per-stage latency decomposition of the op histograms, the
-//! backward-compatible summaries negotiation, the flight recorder, and the
-//! per-block decode span and histogram under `decompress_container`.
+//! backward-compatible summaries negotiation, two servers in one process
+//! keeping their counts apart, every endpoint counter equal to its `Status`
+//! field, the flight recorder, and the per-block decode span and histogram
+//! under `decompress_container`.
 //!
-//! The latency histograms live in the **process-global** registry, so every
-//! test here works with cumulative totals (both sides of each comparison
-//! read the same histograms) and the tests serialize on one mutex so no
-//! GLDS request is mid-flight while a test reads the registry.
+//! Every server counts into a registry of its own — its `glds_*` counters,
+//! gauges and latency histograms, and its shards' profile-memo counters —
+//! so the tests here read one server's endpoint and its `Status` and see
+//! only that server's traffic.  Only the codec-layer families (such as
+//! `gld_block_decode_ns`) live in the process-global registry; the tests
+//! serialize on one mutex so no decode is mid-flight while a test reads it.
 
 use gld_baselines::SzCompressor;
 use gld_core::{Codec, CodecId};
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_service::protocol::{self, FrameHeader, Op, StatusResponse};
-use gld_service::{CodecRegistry, Server, ServiceClient, ServiceConfig, ShardRouter};
+use gld_service::{
+    CodecRegistry, RateLimit, Reply, Server, ServiceClient, ServiceConfig, ShardRouter, Status,
+};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
-/// Serializes the tests in this binary: the registry is process-global, and
-/// the stage-sum identity below only holds when no request is in flight.
+/// Serializes the tests in this binary: the codec-layer registry is
+/// process-global.
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
     LOCK.get_or_init(|| Mutex::new(()))
@@ -96,14 +103,7 @@ fn metrics_endpoint_cross_checks_the_wire_status_summaries() {
             // after its summaries were built; its row lags the scrape.
             continue;
         }
-        let name = match op {
-            Op::Hello => "hello",
-            Op::Compress => "compress",
-            Op::Decompress => "decompress",
-            Op::Ping => "ping",
-            Op::Shutdown => "shutdown",
-            Op::Status => unreachable!(),
-        };
+        let name = op.name();
         let needle = format!("op=\"{name}\"");
         let count = protocol_scrape(&body, "glds_request_duration_ns", "_count", &[&needle])
             .unwrap_or_else(|| panic!("endpoint misses the {name} histogram"));
@@ -150,6 +150,17 @@ fn metrics_endpoint_cross_checks_the_wire_status_summaries() {
     server.shutdown();
 }
 
+/// Waits until the server has closed every connection: by then every
+/// response it wrote has flushed and recorded its total and its stages, and
+/// nothing it counts moves any more.
+fn wait_until_no_connections(server: &Server) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().connections_active > 0 {
+        assert!(Instant::now() < deadline, "connections never closed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
 /// `gld_obs::registry::scrape_value`, re-exported under a test-local name
 /// so the assertions read as "scrape the endpoint".
 fn protocol_scrape(text: &str, family: &str, suffix: &str, needles: &[&str]) -> Option<f64> {
@@ -178,10 +189,11 @@ fn stage_sums_decompose_the_op_totals_within_ten_percent() {
         client.ping().expect("ping");
     }
     drop(client);
+    wait_until_no_connections(&server);
+    let body = scrape(server.metrics_addr().expect("endpoint is up"));
     server.shutdown();
 
-    // Every response in this process has flushed (the servers above are
-    // drained), so the per-request identity
+    // Every response of this server has flushed, so the per-request identity
     //   total = parse + queue_wait + execute + write
     // — enforced by construction with shared boundary timestamps — must
     // survive summation over all requests.  10% is the acceptance bound;
@@ -194,23 +206,20 @@ fn stage_sums_decompose_the_op_totals_within_ten_percent() {
         "shutdown",
         "status",
     ];
-    let total: u64 = ops
-        .iter()
-        .map(|op| {
-            gld_obs::registry::histogram("glds_request_duration_ns", &[("op", op)])
-                .snapshot()
-                .sum
-        })
-        .sum();
+    let sum = |family: &str, label: &str, values: &[&str]| -> u64 {
+        values
+            .iter()
+            .map(|value| {
+                let needle = format!("{label}=\"{value}\"");
+                protocol_scrape(&body, family, "_sum", &[&needle])
+                    .unwrap_or_else(|| panic!("endpoint misses {family} {needle}"))
+                    as u64
+            })
+            .sum()
+    };
+    let total = sum("glds_request_duration_ns", "op", &ops);
     let stages = ["parse", "queue_wait", "execute", "write"];
-    let stage_sum: u64 = stages
-        .iter()
-        .map(|stage| {
-            gld_obs::registry::histogram("glds_stage_duration_ns", &[("stage", stage)])
-                .snapshot()
-                .sum
-        })
-        .sum();
+    let stage_sum = sum("glds_stage_duration_ns", "stage", &stages);
     assert!(total > 0, "the run recorded op totals");
     let diff = total.abs_diff(stage_sum) as f64;
     assert!(
@@ -225,18 +234,6 @@ fn profile_memo_counters_account_for_every_v4_compress() {
     const CAPACITY: usize = 16;
     const SHARDS: usize = 2;
     let _guard = obs_lock();
-    // Per-shard counters in the process-global registry: cumulative across
-    // every server of this binary, so the test reads differences.
-    let memo = |event: &str, shard: usize| {
-        let family = format!("glds_profile_memo_{event}_total");
-        gld_obs::registry::counter(&family, &[("shard", &shard.to_string())]).get()
-    };
-    let totals = || {
-        ["hits", "misses", "evictions"]
-            .map(|event| (0..SHARDS).map(|s| memo(event, s)).sum::<u64>())
-    };
-    let before = totals();
-
     let server = start_server(ServiceConfig {
         shards: SHARDS,
         ..ServiceConfig::default()
@@ -265,10 +262,16 @@ fn profile_memo_counters_account_for_every_v4_compress() {
             v3.compress(&key, variable, 4, None).expect("compress");
         }
     }
-    let [hits, misses, evictions] = {
-        let after = totals();
-        [0, 1, 2].map(|i| after[i] - before[i])
+    // Per-shard counters of this server alone, read off its endpoint.
+    let body = scrape(server.metrics_addr().expect("endpoint is up"));
+    let memo = |event: &str, shard: usize| {
+        let family = format!("glds_profile_memo_{event}_total");
+        let needle = format!("shard=\"{shard}\"");
+        protocol_scrape(&body, &family, "", &[&needle])
+            .unwrap_or_else(|| panic!("endpoint misses {family} {needle}")) as u64
     };
+    let [hits, misses, evictions] =
+        ["hits", "misses", "evictions"].map(|event| (0..SHARDS).map(|s| memo(event, s)).sum());
     assert_eq!(hits + misses, 65, "every v4 compress is a hit or a miss");
     assert_eq!((hits, misses), (4, 61));
     let expected: usize = inserts.iter().map(|n| n.saturating_sub(CAPACITY)).sum();
@@ -278,23 +281,245 @@ fn profile_memo_counters_account_for_every_v4_compress() {
         "evictions == inserts - capacity"
     );
 
-    // The endpoint renders the same counters, shard by shard.
-    let body = scrape(server.metrics_addr().expect("endpoint is up"));
+    // The endpoint renders them as counters, one series per shard.
     for event in ["hits", "misses", "evictions"] {
         let family = format!("glds_profile_memo_{event}_total");
         assert!(body.contains(&format!("# TYPE {family} counter")));
-        for shard in 0..SHARDS {
-            let needle = format!("shard=\"{shard}\"");
-            let scraped = protocol_scrape(&body, &family, "", &[&needle]);
-            assert_eq!(
-                scraped,
-                Some(memo(event, shard) as f64),
-                "{family} {needle}"
+    }
+
+    drop((v4, v3));
+    server.shutdown();
+}
+
+#[test]
+fn two_servers_in_one_process_report_only_their_own_traffic() {
+    let _guard = obs_lock();
+    let busy = start_server(ServiceConfig::default());
+    let quiet = start_server(ServiceConfig::default());
+    let ds = generate(DatasetKind::E3sm, &FieldSpec::new(1, 8, 8, 8), 31);
+    let mut client = ServiceClient::connect(busy.local_addr()).expect("connect");
+    assert!(client.hello(&[CodecId::SzLike]).expect("hello").profiles);
+    client.ping().expect("ping");
+    client
+        .compress("two/x", &ds.variables[0], 4, None)
+        .expect("compress");
+    let busy_status = client.status().expect("status");
+    let busy_summaries = busy_status.summaries.expect("summaries trailer");
+    assert!(busy_summaries.op(Op::Ping).is_some() && busy_summaries.op(Op::Compress).is_some());
+
+    // The quiet server saw one status request and nothing else.
+    let mut observer = ServiceClient::connect(quiet.local_addr()).expect("connect");
+    let summaries = observer
+        .status()
+        .expect("status")
+        .summaries
+        .expect("trailer");
+    assert!(
+        summaries.op(Op::Ping).is_none() && summaries.op(Op::Compress).is_none(),
+        "the quiet server reports another server's traffic: {summaries:?}"
+    );
+    let body = scrape(quiet.metrics_addr().expect("endpoint is up"));
+    let pings = protocol_scrape(
+        &body,
+        "glds_request_duration_ns",
+        "_count",
+        &["op=\"ping\""],
+    );
+    assert_eq!(pings.unwrap_or(0.0), 0.0, "the quiet endpoint counts pings");
+    for event in ["hits", "misses", "evictions"] {
+        let family = format!("glds_profile_memo_{event}_total");
+        for line in body.lines().filter(|line| line.starts_with(&family)) {
+            assert!(
+                line.ends_with(" 0"),
+                "the quiet endpoint counts memo use: {line}"
             );
         }
     }
 
-    drop((v4, v3));
+    drop((client, observer));
+    busy.shutdown();
+    quiet.shutdown();
+}
+
+/// Every `glds_*` counter and gauge the endpoint renders, as `(series,
+/// value)`, with the histogram families and the profile-memo counters (which
+/// `Status` does not carry) left out.
+fn status_backed_series(body: &str) -> Vec<(String, u64)> {
+    let mut series: Vec<(String, u64)> = body
+        .lines()
+        .filter(|line| line.starts_with("glds_"))
+        .filter(|line| !line.contains("_duration_ns") && !line.starts_with("glds_profile_memo_"))
+        .map(|line| {
+            let (name, value) = line.rsplit_once(' ').expect("series and value");
+            (name.to_string(), value.parse().expect("integer value"))
+        })
+        .collect();
+    series.sort();
+    series
+}
+
+/// The same series, spelled from a `Status`.
+fn series_of(status: &StatusResponse) -> Vec<(String, u64)> {
+    let mut series: Vec<(String, u64)> = [
+        ("glds_blocks_total", status.blocks()),
+        ("glds_connections_active", status.connections_active),
+        ("glds_connections_opened_total", status.connections_opened),
+        ("glds_connections_reaped_idle_total", status.reaped_idle),
+        ("glds_deadlines_exceeded_total", status.deadlines_exceeded),
+        ("glds_faults_injected_total", status.faults_injected),
+        ("glds_rejected_other_total", status.rejected_other()),
+        ("glds_requests_completed_total", status.completed()),
+        ("glds_requests_rate_limited_total", status.rate_limited),
+        ("glds_requests_rejected_total", status.requests_rejected),
+    ]
+    .into_iter()
+    .map(|(name, value)| (name.to_string(), value))
+    .collect();
+    for (index, shard) in status.shards.iter().enumerate() {
+        for (family, value) in [
+            ("glds_shard_admitted_total", shard.admitted),
+            ("glds_shard_blocks_total", shard.blocks),
+            ("glds_shard_bytes_in_total", shard.bytes_in),
+            ("glds_shard_bytes_out_total", shard.bytes_out),
+            ("glds_shard_completed_total", shard.completed),
+            ("glds_shard_in_flight", shard.in_flight),
+            ("glds_shard_peak_in_flight", shard.peak_in_flight),
+            (
+                "glds_shard_peak_resident_blocks",
+                shard.peak_resident_blocks,
+            ),
+        ] {
+            series.push((format!("{family}{{shard=\"{index}\"}}"), value));
+        }
+    }
+    series.sort();
+    series
+}
+
+#[test]
+fn endpoint_and_status_read_one_source_for_every_counter() {
+    let _guard = obs_lock();
+    // Window 1 and a 1 ms deadline: a request queued behind a multi-block
+    // compress on its shard expires, one admitted at once never does.  The
+    // bucket holds exactly the main connection's four codec requests.
+    let server = start_server(ServiceConfig {
+        shards: 2,
+        shard_window: 1,
+        rate_limit: Some(RateLimit {
+            capacity: 4,
+            refill_per_sec: 0.0,
+        }),
+        op_deadline: Some(Duration::from_millis(1)),
+        idle_timeout: Some(Duration::from_millis(200)),
+        ..ServiceConfig::default()
+    });
+    let addr = server.local_addr();
+    let small = generate(DatasetKind::E3sm, &FieldSpec::new(1, 8, 8, 8), 41);
+    let large = generate(DatasetKind::E3sm, &FieldSpec::new(1, 64, 64, 64), 43);
+
+    let mut client = ServiceClient::connect(addr).expect("connect");
+    assert!(client.hello(&[CodecId::SzLike]).expect("hello").profiles);
+    client.ping().expect("ping");
+    let variable = &small.variables[0];
+    let container = client.compress("one/x", variable, 4, None).expect("miss");
+    client.compress("one/x", variable, 4, None).expect("hit");
+    client.decompress("one/x", &container).expect("decompress");
+    let refused = |result: Result<Vec<u8>, gld_service::ClientError>| match result {
+        Err(gld_service::ClientError::Server { status, .. }) => status,
+        other => panic!("expected a refusal, got {other:?}"),
+    };
+    let malformed = client.compress("one/short", variable, 1_000, None);
+    assert_eq!(refused(malformed), Status::Malformed);
+    let limited = client.compress("one/x", variable, 4, None);
+    assert_eq!(refused(limited), Status::RateLimited);
+    drop(client);
+
+    let mut setup = ServiceClient::connect(addr).expect("connect");
+    setup.hello(&[CodecId::SzLike]).expect("hello");
+    let mut pipe = setup.into_pipelined();
+    let slow = &large.variables[0];
+    pipe.submit_compress("one/slow", slow, 8, None)
+        .expect("submit");
+    pipe.submit_compress("one/slow", slow, 8, None)
+        .expect("submit");
+    let mut replies: Vec<Reply> = pipe
+        .drain()
+        .expect("drain")
+        .into_iter()
+        .map(|r| r.1)
+        .collect();
+    replies.sort_by_key(|reply| matches!(reply, Reply::Refused { .. }));
+    assert!(
+        matches!(replies[0], Reply::Compressed(_)),
+        "{:?}",
+        replies[0]
+    );
+    assert!(
+        matches!(
+            replies[1],
+            Reply::Refused {
+                status: Status::DeadlineExceeded,
+                ..
+            }
+        ),
+        "{:?}",
+        replies[1]
+    );
+    drop(pipe);
+
+    // A silent connection, left for the idle reaper.
+    let silent = TcpStream::connect(addr).expect("connect");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.metrics().reaped_idle == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the silent connection was never reaped"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    wait_until_no_connections(&server);
+    drop(silent);
+
+    let status = server.metrics();
+    let body = scrape(server.metrics_addr().expect("endpoint is up"));
+    assert_eq!(status_backed_series(&body), series_of(&status));
+    for (what, moved) in [
+        ("connections", status.connections_opened),
+        ("completed", status.completed()),
+        ("blocks", status.blocks()),
+        ("rate limited", status.rate_limited),
+        ("deadlines", status.deadlines_exceeded),
+        ("other refusals", status.rejected_other()),
+        ("idle reaps", status.reaped_idle),
+        (
+            "peak resident",
+            status.shards.iter().map(|s| s.peak_resident_blocks).sum(),
+        ),
+    ] {
+        assert!(moved > 0, "the workload never moved {what}: {status:?}");
+    }
+    assert_eq!(
+        status.requests_rejected,
+        status.rate_limited + status.deadlines_exceeded + status.rejected_other()
+    );
+    let summaries = status.summaries.as_ref().expect("metrics carry summaries");
+    assert_eq!(summaries.rejected_other, status.rejected_other());
+    let memo = |event: &str| -> u64 {
+        let family = format!("glds_profile_memo_{event}_total");
+        (0..2)
+            .map(|shard| {
+                let needle = format!("shard=\"{shard}\"");
+                protocol_scrape(&body, &family, "", &[&needle]).expect("memo series") as u64
+            })
+            .sum()
+    };
+    assert!(memo("hits") >= 1 && memo("misses") >= 1, "v4 hit and miss");
+    let rejected = protocol_scrape(&body, "glds_requests_rejected_total", "", &[]).unwrap();
+    let rate_limited = protocol_scrape(&body, "glds_requests_rate_limited_total", "", &[]).unwrap();
+    let deadlines = protocol_scrape(&body, "glds_deadlines_exceeded_total", "", &[]).unwrap();
+    let other = protocol_scrape(&body, "glds_rejected_other_total", "", &[]).unwrap();
+    assert_eq!(rejected, rate_limited + deadlines + other);
+
     server.shutdown();
 }
 

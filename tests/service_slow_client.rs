@@ -160,7 +160,7 @@ fn mid_body_staller_is_never_admitted_and_never_blocks_others() {
     let during = server.metrics();
     assert_eq!(
         during.completed(),
-        REQUESTS * 2,
+        REQUESTS as u64 * 2,
         "only the well-behaved client's requests complete: {during:?}"
     );
     assert!(
