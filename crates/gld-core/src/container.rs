@@ -174,13 +174,16 @@ thread_local! {
     static STAGE_SCRATCH: RefCell<LzScratch> = RefCell::new(LzScratch::new());
 }
 
-/// Runs the adaptive stage decision for one frame: `Some(stream)` iff the
-/// staged stream is strictly smaller than the frame — the single definition
-/// shared by the buffered paths here and the executor's worker threads
-/// (`CodecScratch`), which is what keeps their containers bit-identical.
+/// Runs the adaptive stage decision for one frame: the frame is staged
+/// cold and `Some(stream)` is kept iff that stream is **strictly smaller**
+/// than the frame (`None` stores the frame unstaged).  This is the single
+/// definition of that rule, shared by the buffered paths here and the
+/// executor's worker threads (`CodecScratch`), which is what keeps their
+/// containers bit-identical.
 pub fn stage_frame(frame: &[u8], scratch: &mut LzScratch) -> Option<Vec<u8>> {
     let t0_ns = gld_obs::now_ns();
-    let staged = gld_lz::compress_if_smaller(frame, scratch);
+    let staged = gld_lz::compress(frame, scratch);
+    let staged = (staged.len() < frame.len()).then_some(staged);
     stage_lz_ns().record(gld_obs::now_ns().saturating_sub(t0_ns));
     staged
 }
@@ -193,12 +196,12 @@ fn stage_lz_ns() -> &'static gld_obs::Histogram {
     H.get_or_init(|| gld_obs::registry::histogram("gld_stage_lz_ns", &[]))
 }
 
-/// The v4 stage decision under a shared profile: warm adaptive models plus
-/// the profile's seed dictionary.  Same economics as [`stage_frame`] — the
-/// staged stream is returned only when strictly smaller — and the same
-/// single-definition rule: the executor's workers and the buffered paths
-/// both call this, so parallel and sequential v4 containers stay
-/// bit-identical.
+/// The v4 stage decision under a shared profile: the frame is staged warm,
+/// under the profile's frozen tables plus its seed dictionary, and the
+/// stream is kept only when **strictly smaller** than the frame, the same
+/// rule as [`stage_frame`].  It is defined here once: the executor's
+/// workers and the buffered paths both call this, so parallel and
+/// sequential v4 containers stay bit-identical.
 pub fn stage_frame_profiled(
     frame: &[u8],
     dict: &[u8],
@@ -206,7 +209,8 @@ pub fn stage_frame_profiled(
     scratch: &mut LzScratch,
 ) -> Option<Vec<u8>> {
     let t0_ns = gld_obs::now_ns();
-    let staged = gld_lz::compress_if_smaller_profiled(frame, dict, profile, scratch);
+    let staged = gld_lz::compress_profiled(frame, dict, profile, scratch);
+    let staged = (staged.len() < frame.len()).then_some(staged);
     stage_lz_ns().record(gld_obs::now_ns().saturating_sub(t0_ns));
     staged
 }

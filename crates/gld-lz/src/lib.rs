@@ -11,13 +11,25 @@
 //!   ([`LzScratch`] holds the head/chain tables, reset per stream so output
 //!   never depends on scratch history);
 //! * **sequences** — literal bytes and `(length, offset)` matches — coded
-//!   with the byte-wise range coder from `gld-entropy` under header-free
-//!   *adaptive* models ([`gld_entropy::adaptive`]): a flag bit per
-//!   sequence, an adaptive byte tree for literals, and log-slot +
-//!   raw-bits coding for lengths and offsets;
+//!   with the byte-wise range coder from `gld-entropy`: a flag bit per
+//!   sequence, a byte model for literals, and log-slot + raw-bits coding
+//!   for lengths and offsets;
 //! * a **stored-block fallback**: when the coded stream does not beat the
 //!   input, the stream is one tag byte plus the input verbatim, so
 //!   incompressible payloads cost exactly one byte of framing.
+//!
+//! There is one stream layout, one encoder and one hardened decoder; what
+//! differs between the two paths is only the set of symbol models:
+//!
+//! * **cold** ([`compress`]/[`decompress`]): header-free *adaptive* models
+//!   ([`gld_entropy::adaptive`]), reset per stream and updated per symbol;
+//! * **warm** ([`compress_profiled`]/[`decompress_profiled`]): the frozen
+//!   tables of an [`LzProfile`], coded semi-statically, plus an optional
+//!   seed dictionary logically prefixed to the input.  The profile already
+//!   carries the converged estimates of a fitting pass, so freezing trades
+//!   a sliver of in-frame adaptation for a much shorter hot loop: a warm
+//!   literal is one range-coder interval, not eight adaptive bit codings.
+//!   That is where the warm path's stage-compress speedup comes from.
 //!
 //! The stream is self-describing (`tag + declared decompressed length`) and
 //! the decoder is hardened the same way the `GLDS` protocol decoders are:
@@ -33,7 +45,7 @@
 //! stored:       the content, verbatim
 //! LZ:           LEB128 decompressed length, then one range-coded stream:
 //!                 per sequence: flag bit (0 = literal, 1 = match)
-//!                   literal: one byte through the adaptive byte tree
+//!                   literal: one byte through the byte model
 //!                   match:   length  = MIN_MATCH + slot(len tree)
 //!                            offset  = 1 + slot(offset tree)
 //!                 slot(v): k = floor(log2(v+1)) through a 5-bit tree,
@@ -42,7 +54,9 @@
 //!
 //! Decoding stops exactly when the declared length has been produced; there
 //! is no end marker (the range coder's tail only disambiguates the final
-//! interval).
+//! interval).  Warm matches may reach back into the seed dictionary, so a
+//! warm LZ stream decodes only under the same profile and dictionary;
+//! stored blocks decode without either.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -155,17 +169,57 @@ impl fmt::Display for LzError {
 
 impl std::error::Error for LzError {}
 
-/// The adaptive models of one sequence stream, bundled so they reset (and
-/// live in [`LzScratch`]) together.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct SequenceModels {
-    flag: AdaptiveBitModel,
-    literal: AdaptiveTreeModel,
-    len_slot: AdaptiveTreeModel,
-    off_slot: AdaptiveTreeModel,
+/// One symbol model of a sequence stream: codes a single symbol (a flag
+/// bit as 0/1, or a tree value) through the range coder.  The sequence
+/// coder is generic over it, so the cold and warm paths share one loop
+/// and still compile to separate machine code.
+trait SymbolModel {
+    fn encode(&mut self, enc: &mut RangeEncoder, symbol: u32);
+    fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u32;
 }
 
-/// Number of probability estimates one [`SequenceModels`] snapshot holds:
+impl SymbolModel for AdaptiveBitModel {
+    #[inline]
+    fn encode(&mut self, enc: &mut RangeEncoder, bit: u32) {
+        AdaptiveBitModel::encode(self, enc, bit != 0);
+    }
+
+    #[inline]
+    fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u32 {
+        u32::from(AdaptiveBitModel::decode(self, dec))
+    }
+}
+
+impl SymbolModel for AdaptiveTreeModel {
+    #[inline]
+    fn encode(&mut self, enc: &mut RangeEncoder, symbol: u32) {
+        AdaptiveTreeModel::encode(self, enc, symbol);
+    }
+
+    #[inline]
+    fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u32 {
+        AdaptiveTreeModel::decode(self, dec)
+    }
+}
+
+/// The four models of one sequence stream: the match flag, the literal
+/// byte model and the length and offset slot trees.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Sequence<Flag, Tree> {
+    flag: Flag,
+    literal: Tree,
+    len_slot: Tree,
+    off_slot: Tree,
+}
+
+/// The cold model set: adaptive, reset per stream (it lives in
+/// [`LzScratch`]).
+type Adaptive = Sequence<AdaptiveBitModel, AdaptiveTreeModel>;
+
+/// The warm model set: a profile's frozen tables.
+type Frozen = Sequence<StaticBitModel, StaticTreeModel>;
+
+/// Number of probability estimates one [`Adaptive`] snapshot holds:
 /// the flag bit, the byte tree, and the two slot trees.
 const SNAPSHOT_PROBS: usize = 1 + (1 << 8) + (1 << SLOT_BITS) + (1 << SLOT_BITS);
 
@@ -173,9 +227,9 @@ const SNAPSHOT_PROBS: usize = 1 + (1 << 8) + (1 << SLOT_BITS) + (1 << SLOT_BITS)
 /// probability, little-endian).
 pub const PROFILE_BYTES: usize = SNAPSHOT_PROBS * 2;
 
-impl SequenceModels {
+impl Adaptive {
     fn new() -> Self {
-        SequenceModels {
+        Sequence {
             flag: AdaptiveBitModel::new(),
             literal: AdaptiveTreeModel::new(8),
             len_slot: AdaptiveTreeModel::new(SLOT_BITS),
@@ -207,7 +261,7 @@ impl SequenceModels {
     /// snapshot yields models that can code every symbol.
     fn restore(probs: &[u16]) -> Self {
         assert_eq!(probs.len(), SNAPSHOT_PROBS, "snapshot length mismatch");
-        let mut models = SequenceModels::new();
+        let mut models = Adaptive::new();
         models.flag = AdaptiveBitModel::from_probability(probs[0]);
         let mut off = 1;
         let lit = models.literal.node_count();
@@ -230,17 +284,19 @@ const STATIC_SCALE_BITS: u32 = 15;
 const STATIC_LUT_SLOTS: usize = 1024;
 
 /// One frozen binary probability: codes like [`AdaptiveBitModel`] but never
-/// adapts, so encode/decode are a single range-coder interval each.
+/// adapts, so encode/decode are a single range-coder interval each.  The
+/// total stays the constant [`PROB_TOTAL`], so the coder divides by a
+/// shift.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StaticBitModel {
     p0: u16,
 }
 
-impl StaticBitModel {
+impl SymbolModel for &StaticBitModel {
     #[inline]
-    fn encode(&self, enc: &mut RangeEncoder, bit: bool) {
+    fn encode(&mut self, enc: &mut RangeEncoder, bit: u32) {
         let p0 = u32::from(self.p0);
-        if bit {
+        if bit != 0 {
             enc.encode(p0, PROB_TOTAL, PROB_TOTAL);
         } else {
             enc.encode(0, p0, PROB_TOTAL);
@@ -248,7 +304,7 @@ impl StaticBitModel {
     }
 
     #[inline]
-    fn decode(&self, dec: &mut RangeDecoder<'_>) -> bool {
+    fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u32 {
         let p0 = u32::from(self.p0);
         let bit = dec.decode_target(PROB_TOTAL) >= p0;
         if bit {
@@ -256,15 +312,14 @@ impl StaticBitModel {
         } else {
             dec.decode_update(0, p0, PROB_TOTAL);
         }
-        bit
+        u32::from(bit)
     }
 }
 
 /// A frozen order-0 symbol distribution flattened out of an adaptive
 /// bit-tree snapshot: one cumulative-frequency interval per symbol instead
 /// of `bits` adaptive bit codings, plus a slot lookup table on the decode
-/// side.  This is where the warm path's speed comes from — a profiled
-/// literal costs one range-coder operation, not eight bit-model updates.
+/// side.
 ///
 /// Derivation is integer-only (fixed-point products of the tree's node
 /// probabilities), so every build and backend derives bit-identical tables
@@ -320,15 +375,17 @@ impl StaticTreeModel {
     fn total(&self) -> u32 {
         *self.cdf.last().unwrap()
     }
+}
 
+impl SymbolModel for &StaticTreeModel {
     #[inline]
-    fn encode(&self, enc: &mut RangeEncoder, s: u32) {
+    fn encode(&mut self, enc: &mut RangeEncoder, s: u32) {
         let s = s as usize;
         enc.encode(self.cdf[s], self.cdf[s + 1], self.total());
     }
 
     #[inline]
-    fn decode(&self, dec: &mut RangeDecoder<'_>) -> u32 {
+    fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u32 {
         let total = self.total();
         let target = dec.decode_target(total);
         let mut bin = usize::from(self.lut[(target >> self.shift) as usize]);
@@ -340,31 +397,29 @@ impl StaticTreeModel {
     }
 }
 
-/// The frozen coding tables of one profile, derived deterministically from
-/// the adaptive snapshot.  The warm paths code sequences against these
-/// without any per-symbol model updates (semi-static coding): the snapshot
-/// already carries the converged estimates, so freezing trades a sliver of
-/// in-frame adaptation for a much shorter hot loop.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct StaticSequenceModels {
-    flag: StaticBitModel,
-    literal: StaticTreeModel,
-    len_slot: StaticTreeModel,
-    off_slot: StaticTreeModel,
-}
-
-impl StaticSequenceModels {
-    fn derive(models: &SequenceModels) -> Self {
+impl Frozen {
+    /// Derives the frozen tables from an adaptive snapshot, deterministically.
+    fn derive(models: &Adaptive) -> Self {
         let probs = models.snapshot();
         let lit = 1usize << 8;
         let slots = 1usize << SLOT_BITS;
-        StaticSequenceModels {
+        Sequence {
             flag: StaticBitModel {
                 p0: probs[0].clamp(1, (PROB_TOTAL - 1) as u16),
             },
             literal: StaticTreeModel::from_probs(8, &probs[1..1 + lit]),
             len_slot: StaticTreeModel::from_probs(SLOT_BITS, &probs[1 + lit..1 + lit + slots]),
             off_slot: StaticTreeModel::from_probs(SLOT_BITS, &probs[1 + lit + slots..]),
+        }
+    }
+
+    /// Borrows the tables as a model set the sequence coder can drive.
+    fn view(&self) -> Sequence<&StaticBitModel, &StaticTreeModel> {
+        Sequence {
+            flag: &self.flag,
+            literal: &self.literal,
+            len_slot: &self.len_slot,
+            off_slot: &self.off_slot,
         }
     }
 }
@@ -382,20 +437,19 @@ impl StaticSequenceModels {
 /// per variable).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LzProfile {
-    models: SequenceModels,
-    frozen: StaticSequenceModels,
+    models: Adaptive,
+    frozen: Frozen,
 }
 
 impl LzProfile {
     /// Trains a profile on `sample` by compressing it cold and snapshotting
     /// the adaptive models afterwards.  The sample itself is discarded —
     /// callers that also want a seed dictionary pass the sample bytes to
-    /// [`compress_profiled_into`] separately.
+    /// [`compress_profiled`] separately.
     pub fn fit(sample: &[u8], scratch: &mut LzScratch) -> Self {
-        let mut sink = Vec::new();
-        compress_into(sample, scratch, &mut sink);
+        encode_stream(sample, &[], None, scratch, &mut Vec::new());
         let models = scratch.models.clone();
-        let frozen = StaticSequenceModels::derive(&models);
+        let frozen = Frozen::derive(&models);
         LzProfile { models, frozen }
     }
 
@@ -425,30 +479,104 @@ impl LzProfile {
             .chunks_exact(2)
             .map(|c| u16::from_le_bytes([c[0], c[1]]))
             .collect();
-        let models = SequenceModels::restore(&probs);
-        let frozen = StaticSequenceModels::derive(&models);
+        let models = Adaptive::restore(&probs);
+        let frozen = Frozen::derive(&models);
         Ok(LzProfile { models, frozen })
     }
 }
 
-/// Reusable compressor state: the match finder's hash head and chain
-/// tables, the adaptive models and the coded-stream buffer.  One scratch
-/// per worker thread makes steady-state stage compression allocation-free
-/// (`CodecScratch` in `gld-core` carries one); every table is reset at the
-/// start of each stream, so **output never depends on what the scratch was
-/// previously used for**.
-#[derive(Debug)]
-pub struct LzScratch {
+/// The match finder's tables: hash heads, chain links and the per-position
+/// 4-byte hashes, batch-computed up front by the active kernel backend so
+/// the coding loop never rehashes.
+#[derive(Debug, Default)]
+struct MatchFinder {
     head: Vec<u32>,
     chain: Vec<u32>,
-    /// Per-position 4-byte hashes, batch-computed up front by the active
-    /// kernel backend so the match-finder loop never rehashes.
     hashes: Vec<u32>,
-    models: SequenceModels,
+}
+
+/// The best match the finder produced for one position.
+#[derive(Clone, Copy)]
+struct Match {
+    len: usize,
+    dist: usize,
+}
+
+impl MatchFinder {
+    /// Rebuilds the tables over `window` and pre-seeds the hash chains with
+    /// every position below `base` (the dictionary prefix), so matching at
+    /// `base..` can reach back into the dictionary from the first byte.
+    fn prepare(&mut self, window: &[u8], base: usize) {
+        self.head.clear();
+        self.head.resize(1 << HASH_BITS, NIL);
+        self.chain.clear();
+        self.chain.resize(window.len(), NIL);
+        self.hashes.clear();
+        self.hashes.resize(window.len().saturating_sub(3), 0);
+        kernels().hash4_batch(window, HASH_BITS, &mut self.hashes);
+        for p in 0..base {
+            self.insert(p);
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, at: usize) {
+        if let Some(&h) = self.hashes.get(at) {
+            self.chain[at] = self.head[h as usize];
+            self.head[h as usize] = at as u32;
+        }
+    }
+
+    /// Longest match for `window[at..]` among the (bounded) hash chain, most
+    /// recent candidates first — ties therefore resolve to the closest
+    /// occurrence, which codes cheapest.  The extension scan runs on the
+    /// active backend.
+    #[inline]
+    fn find(&self, window: &[u8], at: usize, kern: &dyn KernelBackend) -> Option<Match> {
+        let remaining = window.len() - at;
+        if remaining < MIN_MATCH {
+            return None;
+        }
+        let first4 = &window[at..at + 4];
+        let mut pos = self.head[self.hashes[at] as usize];
+        let mut best: Option<Match> = None;
+        let mut depth = 0usize;
+        while pos != NIL && depth < MAX_CHAIN {
+            let p = pos as usize;
+            // Quick reject on the first four bytes before the full extension.
+            if window[p..p + 4] == *first4 {
+                let len = 4 + kern.match_len(
+                    &window[p + 4..p + remaining],
+                    &window[at + 4..at + remaining],
+                );
+                if best.is_none_or(|b| len > b.len) {
+                    best = Some(Match { len, dist: at - p });
+                    if len == remaining {
+                        break;
+                    }
+                }
+            }
+            pos = self.chain[p];
+            depth += 1;
+        }
+        best
+    }
+}
+
+/// Reusable compressor state: the match finder's tables, the adaptive
+/// models and the coded-stream buffer.  One scratch per worker thread makes
+/// steady-state stage compression allocation-free (`CodecScratch` in
+/// `gld-core` carries one); every table is reset at the start of each
+/// stream, so **output never depends on what the scratch was previously
+/// used for**.
+#[derive(Debug)]
+pub struct LzScratch {
+    finder: MatchFinder,
+    models: Adaptive,
     /// Recycled backing buffer for the range encoder's output.
     stream_buf: Vec<u8>,
-    /// Dictionary-primed match window (`dict ‖ input`), used only by the
-    /// profiled compression path.
+    /// Dictionary-primed match window (`dict ‖ input`), used only when a
+    /// stream has a seed dictionary.
     window: Vec<u8>,
 }
 
@@ -462,73 +590,28 @@ impl LzScratch {
     /// Creates an empty scratch (tables are allocated lazily on first use).
     pub fn new() -> Self {
         LzScratch {
-            head: Vec::new(),
-            chain: Vec::new(),
-            hashes: Vec::new(),
-            models: SequenceModels::new(),
+            finder: MatchFinder::default(),
+            models: Adaptive::new(),
             stream_buf: Vec::new(),
             window: Vec::new(),
         }
     }
-
-    /// Rebuilds the match-finder tables over `window` and pre-seeds the
-    /// hash chains with every position below `base` (the dictionary
-    /// prefix), so matching at `base..` can reach back into the dictionary
-    /// from the first byte.
-    fn prepare_tables(&mut self, window: &[u8], base: usize) {
-        self.head.clear();
-        self.head.resize(1 << HASH_BITS, NIL);
-        self.chain.clear();
-        self.chain.resize(window.len(), NIL);
-        self.hashes.clear();
-        self.hashes.resize(window.len().saturating_sub(3), 0);
-        kernels().hash4_batch(window, HASH_BITS, &mut self.hashes);
-        for p in 0..base {
-            insert(&self.hashes, p, &mut self.head, &mut self.chain);
-        }
-    }
-
-    fn prepare(&mut self, input: &[u8]) {
-        self.prepare_tables(input, 0);
-        self.models.reset();
-    }
 }
 
-/// Slot decomposition of a value: `(k, low)` with `v + 1 = (1 << k) | low`.
+/// Codes `v` as a log slot through `tree`, then its low bits as bypass
+/// bits: `v + 1 = (1 << k) | low`.
 #[inline]
-fn slot_of(v: u32) -> (u32, u32) {
+fn encode_slot(enc: &mut RangeEncoder, tree: &mut impl SymbolModel, v: u32) {
     let n = v + 1;
     let k = 31 - n.leading_zeros();
-    (k, n - (1 << k))
-}
-
-#[inline]
-fn encode_slot(enc: &mut RangeEncoder, tree: &mut AdaptiveTreeModel, v: u32) {
-    let (k, low) = slot_of(v);
     tree.encode(enc, k);
     if k > 0 {
-        enc.encode_bits_raw(u64::from(low), k);
+        enc.encode_bits_raw(u64::from(n - (1 << k)), k);
     }
 }
 
 #[inline]
-fn decode_slot(dec: &mut RangeDecoder<'_>, tree: &mut AdaptiveTreeModel) -> u64 {
-    let k = tree.decode(dec);
-    let low = if k > 0 { dec.decode_bits_raw(k) } else { 0 };
-    ((1u64 << k) | low) - 1
-}
-
-#[inline]
-fn encode_slot_static(enc: &mut RangeEncoder, tree: &StaticTreeModel, v: u32) {
-    let (k, low) = slot_of(v);
-    tree.encode(enc, k);
-    if k > 0 {
-        enc.encode_bits_raw(u64::from(low), k);
-    }
-}
-
-#[inline]
-fn decode_slot_static(dec: &mut RangeDecoder<'_>, tree: &StaticTreeModel) -> u64 {
+fn decode_slot(dec: &mut RangeDecoder<'_>, tree: &mut impl SymbolModel) -> u64 {
     let k = tree.decode(dec);
     let low = if k > 0 { dec.decode_bits_raw(k) } else { 0 };
     ((1u64 << k) | low) - 1
@@ -548,9 +631,10 @@ fn write_varint(out: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads a LEB128 `u64`, returning it and the bytes consumed.  A prefix
-/// longer than ten bytes (the widest legal `u64`) is rejected as oversized;
-/// bits shifted past the top of the accumulator on a garbage tenth byte are
-/// harmless because the declared length is range-checked by the caller.
+/// longer than ten bytes (the widest legal `u64`) saturates to `u64::MAX`,
+/// which every cap refuses; bits shifted past the top of the accumulator on
+/// a garbage tenth byte are harmless because the declared length is
+/// range-checked by the caller.
 fn read_varint(bytes: &[u8]) -> Result<(u64, usize), LzError> {
     let mut v = 0u64;
     let mut shift = 0u32;
@@ -562,85 +646,35 @@ fn read_varint(bytes: &[u8]) -> Result<(u64, usize), LzError> {
         shift += 7;
     }
     if bytes.len() >= 10 {
-        return Err(LzError::TooLarge {
-            declared: u64::MAX,
-            max: MAX_RAW_LEN,
-        });
+        return Ok((u64::MAX, 10));
     }
     Err(LzError::Truncated)
 }
 
-/// The best match the finder produced for one position.
-#[derive(Clone, Copy)]
-struct Match {
-    len: usize,
-    dist: usize,
-}
-
-/// Longest match for `input[at..]` among the (bounded) hash chain, most
-/// recent candidates first — ties therefore resolve to the closest
-/// occurrence, which codes cheapest.  Hashes come precomputed from the
-/// scratch's batch table; the extension scan runs on the active backend.
-#[inline]
-fn find_match(
-    input: &[u8],
-    hashes: &[u32],
-    at: usize,
-    head: &[u32],
-    chain: &[u32],
-    kern: &dyn KernelBackend,
-) -> Option<Match> {
-    let remaining = input.len() - at;
-    if remaining < MIN_MATCH {
-        return None;
-    }
-    let first4 = &input[at..at + 4];
-    let mut pos = head[hashes[at] as usize];
-    let mut best: Option<Match> = None;
-    let mut depth = 0usize;
-    while pos != NIL && depth < MAX_CHAIN {
-        let p = pos as usize;
-        // Quick reject on the first four bytes before the full extension.
-        if input[p..p + 4] == *first4 {
-            let len =
-                4 + kern.match_len(&input[p + 4..p + remaining], &input[at + 4..at + remaining]);
-            if best.is_none_or(|b| len > b.len) {
-                best = Some(Match { len, dist: at - p });
-                if len == remaining {
-                    break;
-                }
-            }
-        }
-        pos = chain[p];
-        depth += 1;
-    }
-    best
-}
-
-#[inline]
-fn insert(hashes: &[u32], at: usize, head: &mut [u32], chain: &mut [u32]) {
-    if let Some(&h) = hashes.get(at) {
-        chain[at] = head[h as usize];
-        head[h as usize] = at as u32;
-    }
-}
-
-/// Compresses `input`, appending one self-describing stage stream to `out`.
+/// Appends one self-describing stage stream for `input` to `out`: coded
+/// under the adaptive models in `scratch` when `frozen` is `None`, under
+/// the frozen tables otherwise, with matches reaching back into `dict`.
 /// Incompressible input falls back to a stored block (one tag byte of
-/// framing).  The output depends only on `input`, never on the scratch's
-/// previous contents.
+/// framing) on both paths.  The output depends only on the arguments, never
+/// on the scratch's previous contents.
 ///
-/// # Panics
-/// Panics if `input` exceeds [`MAX_RAW_LEN`]: the format cannot declare a
-/// larger stream (the decoder clamps every caller cap to [`MAX_RAW_LEN`]),
-/// so silently encoding one would produce a stream no decoder accepts —
-/// and match offsets/lengths past `u32` would wrap.  Frame payloads in this
-/// stack are bounded well below the cap by the wire protocol's body limit.
-pub fn compress_into(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>) {
+/// Panics if `dict.len() + input.len()` exceeds [`MAX_RAW_LEN`]: the format
+/// cannot declare a larger stream (the decoder clamps every caller cap to
+/// [`MAX_RAW_LEN`]), so silently encoding one would produce a stream no
+/// decoder accepts — and match offsets/lengths past `u32` would wrap.  Frame
+/// payloads in this stack are bounded well below the cap by the wire
+/// protocol's body limit.
+fn encode_stream(
+    input: &[u8],
+    dict: &[u8],
+    frozen: Option<&Frozen>,
+    scratch: &mut LzScratch,
+    out: &mut Vec<u8>,
+) {
     assert!(
-        input.len() <= MAX_RAW_LEN,
-        "input of {} bytes exceeds the stage format's {MAX_RAW_LEN}-byte cap",
-        input.len()
+        dict.len() + input.len() <= MAX_RAW_LEN,
+        "window of {} bytes exceeds the stage format's {MAX_RAW_LEN}-byte cap",
+        dict.len() + input.len()
     );
     let t0_ns = gld_obs::now_ns();
     let start = out.len();
@@ -648,9 +682,26 @@ pub fn compress_into(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>) {
     write_varint(out, input.len() as u64);
     let prefix = out.len() - start;
 
-    scratch.prepare(input);
+    let mut buf = std::mem::take(&mut scratch.window);
+    let window = if dict.is_empty() {
+        input
+    } else {
+        buf.clear();
+        buf.extend_from_slice(dict);
+        buf.extend_from_slice(input);
+        &buf[..]
+    };
+    scratch.finder.prepare(window, dict.len());
     let mut enc = RangeEncoder::with_buffer(std::mem::take(&mut scratch.stream_buf));
-    code_sequences(input, 0, scratch, &mut enc);
+    let finder = &mut scratch.finder;
+    match frozen {
+        None => {
+            scratch.models.reset();
+            code_sequences(window, dict.len(), finder, &mut scratch.models, &mut enc);
+        }
+        Some(frozen) => code_sequences(window, dict.len(), finder, &mut frozen.view(), &mut enc),
+    }
+    scratch.window = buf;
 
     let stream = enc.finish();
     if prefix + stream.len() > input.len() {
@@ -666,139 +717,79 @@ pub fn compress_into(input: &[u8], scratch: &mut LzScratch, out: &mut Vec<u8>) {
 }
 
 /// Codes `window[base..]` as one sequence stream against the prepared
-/// scratch tables, where `window[..base]` is a pre-inserted dictionary
-/// prefix matches may reach into (offsets simply extend past the content's
-/// start; the decoder pre-seeds its output with the same prefix).  `base = 0`
-/// is the ordinary dictionary-free stream.
-fn code_sequences(window: &[u8], base: usize, scratch: &mut LzScratch, enc: &mut RangeEncoder) {
-    let models = &mut scratch.models;
+/// match finder, where `window[..base]` is a pre-inserted dictionary prefix
+/// matches may reach into (offsets simply extend past the content's start;
+/// the decoder pre-seeds its output with the same prefix).  `base = 0` is
+/// the ordinary dictionary-free stream.
+fn code_sequences<F: SymbolModel, T: SymbolModel>(
+    window: &[u8],
+    base: usize,
+    finder: &mut MatchFinder,
+    models: &mut Sequence<F, T>,
+    enc: &mut RangeEncoder,
+) {
     let kern = kernels();
-    let head = &mut scratch.head;
-    let chain = &mut scratch.chain;
-    let hashes = &scratch.hashes[..];
     let mut i = base;
     // The lazy step's lookahead match is carried into the next iteration
     // instead of being recomputed there — the match finder walks each
     // position's chain once, not twice.
     let mut pending: Option<Match> = None;
     while i < window.len() {
-        let found = pending
-            .take()
-            .or_else(|| find_match(window, hashes, i, head, chain, kern));
+        let found = pending.take().or_else(|| finder.find(window, i, kern));
         match found {
             Some(m) => {
                 // Position `i` joins the chains either way (a match covers
                 // it; a deferring literal emits it) — inserting before the
                 // lookahead lets `i + 1` see it as a candidate source.
-                insert(hashes, i, head, chain);
+                finder.insert(i);
                 // Lazy step: if starting one byte later yields a strictly
                 // longer match, emit a literal now and take that match at
                 // the next iteration.
                 let next = if i + 1 < window.len() {
-                    find_match(window, hashes, i + 1, head, chain, kern)
+                    finder.find(window, i + 1, kern)
                 } else {
                     None
                 };
                 match next {
                     Some(n) if n.len > m.len => {
-                        models.flag.encode(enc, false);
+                        models.flag.encode(enc, 0);
                         models.literal.encode(enc, u32::from(window[i]));
                         i += 1;
                         pending = next;
                     }
                     _ => {
-                        models.flag.encode(enc, true);
+                        models.flag.encode(enc, 1);
                         encode_slot(enc, &mut models.len_slot, (m.len - MIN_MATCH) as u32);
                         encode_slot(enc, &mut models.off_slot, (m.dist - 1) as u32);
                         for p in i + 1..i + m.len {
-                            insert(hashes, p, head, chain);
+                            finder.insert(p);
                         }
                         i += m.len;
                     }
                 }
             }
             None => {
-                models.flag.encode(enc, false);
+                models.flag.encode(enc, 0);
                 models.literal.encode(enc, u32::from(window[i]));
-                insert(hashes, i, head, chain);
+                finder.insert(i);
                 i += 1;
             }
         }
     }
 }
 
-/// The warm twin of [`code_sequences`]: identical match finding and stream
-/// layout, but every symbol is coded against the profile's frozen tables —
-/// no model state is cloned, touched or updated.  This keeps the profiled
-/// hot loop to one range-coder interval per literal (versus nine adaptive
-/// bit codings cold), which is where the warm path's stage-compress
-/// speedup comes from.
-fn code_sequences_static(
-    window: &[u8],
-    base: usize,
-    frozen: &StaticSequenceModels,
-    scratch: &mut LzScratch,
-    enc: &mut RangeEncoder,
-) {
-    let kern = kernels();
-    let head = &mut scratch.head;
-    let chain = &mut scratch.chain;
-    let hashes = &scratch.hashes[..];
-    let mut i = base;
-    let mut pending: Option<Match> = None;
-    while i < window.len() {
-        let found = pending
-            .take()
-            .or_else(|| find_match(window, hashes, i, head, chain, kern));
-        match found {
-            Some(m) => {
-                insert(hashes, i, head, chain);
-                let next = if i + 1 < window.len() {
-                    find_match(window, hashes, i + 1, head, chain, kern)
-                } else {
-                    None
-                };
-                match next {
-                    Some(n) if n.len > m.len => {
-                        frozen.flag.encode(enc, false);
-                        frozen.literal.encode(enc, u32::from(window[i]));
-                        i += 1;
-                        pending = next;
-                    }
-                    _ => {
-                        frozen.flag.encode(enc, true);
-                        encode_slot_static(enc, &frozen.len_slot, (m.len - MIN_MATCH) as u32);
-                        encode_slot_static(enc, &frozen.off_slot, (m.dist - 1) as u32);
-                        for p in i + 1..i + m.len {
-                            insert(hashes, p, head, chain);
-                        }
-                        i += m.len;
-                    }
-                }
-            }
-            None => {
-                frozen.flag.encode(enc, false);
-                frozen.literal.encode(enc, u32::from(window[i]));
-                insert(hashes, i, head, chain);
-                i += 1;
-            }
-        }
-    }
-}
-
-/// [`compress_into`] returning a fresh `Vec`.
+/// Compresses `input` cold, returning one self-describing stage stream.
+/// Incompressible input falls back to a stored block (one tag byte of
+/// framing).  The output depends only on `input`, never on the scratch's
+/// previous contents.
+///
+/// # Panics
+/// Panics if `input` exceeds [`MAX_RAW_LEN`], the largest length the
+/// format can declare.
 pub fn compress(input: &[u8], scratch: &mut LzScratch) -> Vec<u8> {
     let mut out = Vec::new();
-    compress_into(input, scratch, &mut out);
+    encode_stream(input, &[], None, scratch, &mut out);
     out
-}
-
-/// Compresses `input` and returns the stream only when it is **strictly
-/// smaller** than the input — the adaptive per-frame stage decision the v3
-/// container makes (`None` means "store the frame unstaged").
-pub fn compress_if_smaller(input: &[u8], scratch: &mut LzScratch) -> Option<Vec<u8>> {
-    let out = compress(input, scratch);
-    (out.len() < input.len()).then_some(out)
 }
 
 /// Compresses `input` warm: symbols are coded **semi-statically** against
@@ -806,55 +797,12 @@ pub fn compress_if_smaller(input: &[u8], scratch: &mut LzScratch) -> Option<Vec<
 /// never updated mid-stream), and matches may reach back into `dict` (a
 /// caller-supplied seed dictionary logically prefixed to the input — the v4
 /// container uses the variable's first frame).  The stream layout is
-/// identical to [`compress_into`]; it simply decodes only with
+/// identical to [`compress`]; it simply decodes only with
 /// [`decompress_profiled`] under the same profile and dictionary.
 ///
 /// # Panics
 /// Panics if `dict.len() + input.len()` exceeds [`MAX_RAW_LEN`] (offsets
-/// must stay representable), same contract as [`compress_into`].
-pub fn compress_profiled_into(
-    input: &[u8],
-    dict: &[u8],
-    profile: &LzProfile,
-    scratch: &mut LzScratch,
-    out: &mut Vec<u8>,
-) {
-    assert!(
-        dict.len() + input.len() <= MAX_RAW_LEN,
-        "window of {} bytes exceeds the stage format's {MAX_RAW_LEN}-byte cap",
-        dict.len() + input.len()
-    );
-    let t0_ns = gld_obs::now_ns();
-    let start = out.len();
-    out.push(TAG_LZ);
-    write_varint(out, input.len() as u64);
-    let prefix = out.len() - start;
-
-    let mut window = std::mem::take(&mut scratch.window);
-    window.clear();
-    window.extend_from_slice(dict);
-    window.extend_from_slice(input);
-    scratch.prepare_tables(&window, dict.len());
-    let mut enc = RangeEncoder::with_buffer(std::mem::take(&mut scratch.stream_buf));
-    code_sequences_static(&window, dict.len(), &profile.frozen, scratch, &mut enc);
-    scratch.window = window;
-
-    let stream = enc.finish();
-    if prefix + stream.len() > input.len() {
-        // Stored fallback still applies: a warm stream that cannot beat
-        // tag + verbatim stores, and stored blocks decode without the
-        // profile or dictionary at all.
-        out.truncate(start);
-        out.push(TAG_STORED);
-        out.extend_from_slice(input);
-    } else {
-        out.extend_from_slice(&stream);
-    }
-    scratch.stream_buf = stream;
-    compress_ns().record(gld_obs::now_ns().saturating_sub(t0_ns));
-}
-
-/// [`compress_profiled_into`] returning a fresh `Vec`.
+/// must stay representable), same contract as [`compress`].
 pub fn compress_profiled(
     input: &[u8],
     dict: &[u8],
@@ -862,60 +810,22 @@ pub fn compress_profiled(
     scratch: &mut LzScratch,
 ) -> Vec<u8> {
     let mut out = Vec::new();
-    compress_profiled_into(input, dict, profile, scratch, &mut out);
+    encode_stream(input, dict, Some(&profile.frozen), scratch, &mut out);
     out
-}
-
-/// [`compress_profiled`] with the v3/v4 container's stage decision: the
-/// stream is returned only when strictly smaller than the input.
-pub fn compress_if_smaller_profiled(
-    input: &[u8],
-    dict: &[u8],
-    profile: &LzProfile,
-    scratch: &mut LzScratch,
-) -> Option<Vec<u8>> {
-    let out = compress_profiled(input, dict, profile, scratch);
-    (out.len() < input.len()).then_some(out)
 }
 
 /// Decompresses one stage stream, refusing to produce (or allocate) more
 /// than `max_len` bytes.  Never panics on arbitrary input; see [`LzError`].
 pub fn decompress(stream: &[u8], max_len: usize) -> Result<Vec<u8>, LzError> {
-    let t0_ns = gld_obs::now_ns();
-    let result = (|| {
-        let (&tag, rest) = stream.split_first().ok_or(LzError::Empty)?;
-        match tag {
-            TAG_STORED => {
-                if rest.len() > max_len {
-                    return Err(LzError::TooLarge {
-                        declared: rest.len() as u64,
-                        max: max_len,
-                    });
-                }
-                Ok(rest.to_vec())
-            }
-            TAG_LZ => {
-                let (declared, used) = read_varint(rest)?;
-                let max = max_len.min(MAX_RAW_LEN);
-                if declared > max as u64 {
-                    return Err(LzError::TooLarge { declared, max });
-                }
-                decode_sequences(&rest[used..], &[], SequenceModels::new(), declared as usize)
-            }
-            other => Err(LzError::BadTag(other)),
-        }
-    })();
-    decompress_ns().record(gld_obs::now_ns().saturating_sub(t0_ns));
-    result
+    decode_stream(stream, &[], None, max_len)
 }
 
-/// Decompresses one stage stream produced by [`compress_profiled_into`]
-/// under the same profile and seed dictionary.  Stored blocks ignore both
-/// (they carry the content verbatim); coded streams decode against the
-/// profile's frozen tables and pre-seed the match window with `dict`.
-/// Hardened exactly like
-/// [`decompress`]: arbitrary bytes yield content or a typed [`LzError`],
-/// never a panic, and the output allocation is bounded by
+/// Decompresses one stage stream produced by [`compress_profiled`] under
+/// the same profile and seed dictionary.  Stored blocks ignore both (they
+/// carry the content verbatim); coded streams decode against the profile's
+/// frozen tables and pre-seed the match window with `dict`.  Hardened
+/// exactly like [`decompress`]: arbitrary bytes yield content or a typed
+/// [`LzError`], never a panic, and the output allocation is bounded by
 /// `dict.len() + max_len`.
 pub fn decompress_profiled(
     stream: &[u8],
@@ -923,28 +833,38 @@ pub fn decompress_profiled(
     profile: &LzProfile,
     max_len: usize,
 ) -> Result<Vec<u8>, LzError> {
+    decode_stream(stream, dict, Some(&profile.frozen), max_len)
+}
+
+/// Reads one stage stream: the tag, the declared length checked against
+/// the one cap `max_len.min(MAX_RAW_LEN)` (for stored blocks too), then
+/// the coded body under fresh adaptive models (`frozen` is `None`) or the
+/// frozen tables, with `dict` pre-seeding the match window.
+fn decode_stream(
+    stream: &[u8],
+    dict: &[u8],
+    frozen: Option<&Frozen>,
+    max_len: usize,
+) -> Result<Vec<u8>, LzError> {
     let t0_ns = gld_obs::now_ns();
     let result = (|| {
+        let max = max_len.min(MAX_RAW_LEN);
         let (&tag, rest) = stream.split_first().ok_or(LzError::Empty)?;
-        match tag {
-            TAG_STORED => {
-                if rest.len() > max_len {
-                    return Err(LzError::TooLarge {
-                        declared: rest.len() as u64,
-                        max: max_len,
-                    });
-                }
-                Ok(rest.to_vec())
-            }
+        let (declared, body) = match tag {
+            TAG_STORED => (rest.len() as u64, rest),
             TAG_LZ => {
                 let (declared, used) = read_varint(rest)?;
-                let max = max_len.min(MAX_RAW_LEN);
-                if declared > max as u64 {
-                    return Err(LzError::TooLarge { declared, max });
-                }
-                decode_sequences_static(&rest[used..], dict, &profile.frozen, declared as usize)
+                (declared, &rest[used..])
             }
-            other => Err(LzError::BadTag(other)),
+            other => return Err(LzError::BadTag(other)),
+        };
+        if declared > max as u64 {
+            return Err(LzError::TooLarge { declared, max });
+        }
+        match (tag, frozen) {
+            (TAG_STORED, _) => Ok(body.to_vec()),
+            (_, None) => decode_sequences(body, dict, Adaptive::new(), declared as usize),
+            (_, Some(frozen)) => decode_sequences(body, dict, frozen.view(), declared as usize),
         }
     })();
     decompress_ns().record(gld_obs::now_ns().saturating_sub(t0_ns));
@@ -954,10 +874,10 @@ pub fn decompress_profiled(
 /// Decodes the range-coded sequence stream into exactly `declared` bytes of
 /// content.  `dict` pre-seeds the match window (matches may reach into it);
 /// only the content after the dictionary is returned.
-fn decode_sequences(
+fn decode_sequences<F: SymbolModel, T: SymbolModel>(
     coded: &[u8],
     dict: &[u8],
-    mut models: SequenceModels,
+    mut models: Sequence<F, T>,
     declared: usize,
 ) -> Result<Vec<u8>, LzError> {
     let mut dec = RangeDecoder::new(coded);
@@ -978,7 +898,7 @@ fn decode_sequences(
         if dec.consumed() > coded.len() + 16 {
             return Err(LzError::Truncated);
         }
-        if !models.flag.decode(&mut dec) {
+        if models.flag.decode(&mut dec) == 0 {
             out.push(models.literal.decode(&mut dec) as u8);
             continue;
         }
@@ -996,51 +916,6 @@ fn decode_sequences(
         let from = out.len() - offset as usize;
         // Byte-wise copy: overlapping matches (offset < len) replicate the
         // produced prefix, exactly as the encoder's extension allows.
-        for k in 0..len as usize {
-            let byte = out[from + k];
-            out.push(byte);
-        }
-    }
-    if dict.is_empty() {
-        Ok(out)
-    } else {
-        Ok(out.split_off(dict.len()))
-    }
-}
-
-/// The warm twin of [`decode_sequences`]: the same hardened loop (bounded
-/// allocation, truncation/offset/overrun checks), decoding every symbol
-/// against the profile's frozen tables instead of adaptive models.
-fn decode_sequences_static(
-    coded: &[u8],
-    dict: &[u8],
-    frozen: &StaticSequenceModels,
-    declared: usize,
-) -> Result<Vec<u8>, LzError> {
-    let mut dec = RangeDecoder::new(coded);
-    let mut out = Vec::with_capacity((dict.len() + declared.min(1 << 16)).min(MAX_RAW_LEN));
-    out.extend_from_slice(dict);
-    let goal = dict.len() as u64 + declared as u64;
-    while (out.len() as u64) < goal {
-        if dec.consumed() > coded.len() + 16 {
-            return Err(LzError::Truncated);
-        }
-        if !frozen.flag.decode(&mut dec) {
-            out.push(frozen.literal.decode(&mut dec) as u8);
-            continue;
-        }
-        let len = decode_slot_static(&mut dec, &frozen.len_slot) + MIN_MATCH as u64;
-        let offset = decode_slot_static(&mut dec, &frozen.off_slot) + 1;
-        if offset > out.len() as u64 {
-            return Err(LzError::BadOffset {
-                offset,
-                produced: out.len(),
-            });
-        }
-        if out.len() as u64 + len > goal {
-            return Err(LzError::Overrun);
-        }
-        let from = out.len() - offset as usize;
         for k in 0..len as usize {
             let byte = out[from + k];
             out.push(byte);
@@ -1162,6 +1037,13 @@ mod tests {
             }
             other => panic!("expected TooLarge, got {other:?}"),
         }
+        // An overlong length prefix reports the caller's cap as well.
+        let mut overlong = vec![TAG_LZ];
+        overlong.extend_from_slice(&[0xFF; 10]);
+        assert!(matches!(
+            decompress(&overlong, 512),
+            Err(LzError::TooLarge { max: 512, .. })
+        ));
         // Stored blocks respect the limit too.
         let mut stored = vec![TAG_STORED];
         stored.extend_from_slice(&[1, 2, 3, 4]);
