@@ -3,7 +3,7 @@
 //! same number of keyframes, on the climate-like dataset.
 
 use gld_bench::{bench_budget, bench_config, bench_spec, write_result};
-use gld_core::{GldCompressor, GldConfig, KeyframeStrategy};
+use gld_core::{BlockJob, Codec, CodecScratch, GldCompressor, GldConfig, KeyframeStrategy};
 use gld_datasets::{generate, DatasetKind};
 use gld_tensor::stats::nrmse;
 
@@ -30,8 +30,10 @@ fn main() {
         let block = dataset.variables[0]
             .frames
             .slice_axis(0, 0, config.block_frames);
-        let compressed = compressor.compress_block(&block, None);
-        let recon = compressor.decompress_block(&compressed);
+        let job = BlockJob::new(&block, None, 0);
+        let encoded = compressor.encode(&job, &mut CodecScratch::new());
+        let frame = encoded.expect("a bench block").frame;
+        let recon = compressor.decode(&frame, None);
         let partition = config.partition();
 
         print!("{label:<15}");

@@ -4,7 +4,7 @@
 //! datasets.
 //!
 //! Every compressor is driven through the unified [`gld_core::Codec`]
-//! interface: [`gld_core::Codec::compress_dataset`] tiles each variable into
+//! interface: [`gld_core::Codec::compress_variable`] tiles each variable into
 //! temporal blocks, compresses them in parallel into binary containers, and
 //! returns shared ratio/NRMSE accounting — the measured container size *is*
 //! the reported size.  The learned methods share the PCA error-bound

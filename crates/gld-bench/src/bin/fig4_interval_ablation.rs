@@ -4,7 +4,9 @@
 //! error-bound target for each interval.
 
 use gld_bench::{bench_budget, bench_config, bench_spec, write_result};
-use gld_core::{GldCompressor, GldConfig, KeyframeStrategy};
+use gld_core::{
+    BlockJob, Codec, CodecScratch, ErrorTarget, GldCompressor, GldConfig, KeyframeStrategy,
+};
 use gld_datasets::{generate, DatasetKind};
 use gld_tensor::stats::nrmse;
 
@@ -29,8 +31,10 @@ fn main() {
             .slice_axis(0, 0, config.block_frames);
 
         // Left panel: per-frame error without post-processing.
-        let compressed = compressor.compress_block(&block, None);
-        let recon = compressor.decompress_block(&compressed);
+        let job = BlockJob::new(&block, None, 0);
+        let encoded = compressor.encode(&job, &mut CodecScratch::new());
+        let frame = encoded.expect("a bench block").frame;
+        let recon = compressor.decode(&frame, None);
         let partition = config.partition();
         let mut generated_mean = 0.0f32;
         for t in 0..config.block_frames {
@@ -48,7 +52,10 @@ fn main() {
         // Right panel: ratio/NRMSE curve with the error-bound sweep.
         let mut best_ratio_at_1e2 = 0.0f64;
         for &target in &NRMSE_TARGETS {
-            let (_, ratio, err) = compressor.compress_variable(&dataset.variables[0], Some(target));
+            let bound = Some(ErrorTarget::Nrmse(target));
+            let (_, stats) =
+                compressor.compress_variable(&dataset.variables[0], config.block_frames, bound);
+            let (ratio, err) = (stats.compression_ratio, stats.nrmse);
             curve_csv.push_str(&format!("{interval},{ratio},{err}\n"));
             if target == 1e-2 {
                 best_ratio_at_1e2 = ratio;

@@ -4,7 +4,7 @@
 //! steps across a sweep of error-bound targets.
 
 use gld_bench::{bench_budget, bench_config, bench_spec, write_result};
-use gld_core::{GldCompressor, GldConfig};
+use gld_core::{Codec, ErrorTarget, GldCompressor, GldConfig};
 use gld_datasets::{generate, DatasetKind};
 
 const NRMSE_TARGETS: [f32; 3] = [2e-2, 1e-2, 5e-3];
@@ -23,7 +23,10 @@ fn main() {
         compressor.set_denoising_steps(steps.min(full_steps));
         print!("{:>5} steps:", steps.min(full_steps));
         for &target in &NRMSE_TARGETS {
-            let (_, ratio, err) = compressor.compress_variable(&dataset.variables[0], Some(target));
+            let bound = Some(ErrorTarget::Nrmse(target));
+            let (_, stats) =
+                compressor.compress_variable(&dataset.variables[0], config.block_frames, bound);
+            let (ratio, err) = (stats.compression_ratio, stats.nrmse);
             print!("  {ratio:6.1}x@{err:.1e}");
             csv.push_str(&format!("{},{ratio},{err}\n", steps.min(full_steps)));
         }

@@ -4,9 +4,9 @@
 //! ASCII zoom of the highlighted region, one file per method, under
 //! `results/fig6/`.
 
-use gld_baselines::{ErrorBoundedCompressor, SzCompressor, ZfpLikeCompressor};
+use gld_baselines::{SzCompressor, ZfpLikeCompressor};
 use gld_bench::{results_dir, train_on};
-use gld_core::{ErrorBoundConfig, LearnedBaseline, LearnedBaselineKind, PcaErrorBound};
+use gld_core::{BlockJob, Codec, CodecScratch, ErrorTarget, LearnedBaseline, LearnedBaselineKind};
 use gld_datasets::DatasetKind;
 use gld_tensor::stats::nrmse;
 use gld_tensor::Tensor;
@@ -58,47 +58,25 @@ fn main() {
     println!("Figure 6 — reconstruction comparison (frame {frame_idx}, E3SM-like)\n");
     println!("original zoom:\n{}", ascii_zoom(&original));
 
-    let target = 1e-2;
-    let module = PcaErrorBound::new(ErrorBoundConfig::default());
-
-    // Ours.
-    let compressed = compressor.compress_block(&block, Some(target));
-    let recon = compressor.decompress_block(&compressed);
-    report(
-        "Ours",
-        &dir,
-        &block,
-        &recon,
-        frame_idx,
-        compressed.compression_ratio(),
-    );
-
-    // Learned baselines.
-    for kind in [LearnedBaselineKind::VaeSr, LearnedBaselineKind::CdcX] {
-        let baseline = LearnedBaseline::new(kind, compressor.vae(), None);
-        let bytes = baseline.compress(&block);
-        let raw = baseline.decompress(&bytes);
-        let tau = PcaErrorBound::tau_for_nrmse(&block, target);
-        let (corrected, aux, _) = module.apply(&block, &raw, tau);
-        let ratio = (block.numel() * 4) as f64 / (bytes.len() + aux.len()) as f64;
-        report(kind.name(), &dir, &block, &corrected, frame_idx, ratio);
-    }
-
-    // Rule-based baselines at a matched point-wise bound.
-    let range = block.max() - block.min();
-    for (name, codec) in [
-        (
-            "SZ3-like",
-            &SzCompressor::new() as &dyn ErrorBoundedCompressor,
-        ),
-        (
-            "ZFP-like",
-            &ZfpLikeCompressor::new() as &dyn ErrorBoundedCompressor,
-        ),
-    ] {
-        let (recon, size) = codec.roundtrip(&block, target * range);
-        let ratio = (block.numel() * 4) as f64 / size as f64;
-        report(name, &dir, &block, &recon, frame_idx, ratio);
+    // Every method through the `Codec` trait at the same NRMSE target: the
+    // learned baselines apply the shared PCA post-processing, the rule-based
+    // coders the matched point-wise bound `1e-2 × range`.
+    let vae_sr = LearnedBaseline::new(LearnedBaselineKind::VaeSr, compressor.vae(), None);
+    let cdc_x = LearnedBaseline::new(LearnedBaselineKind::CdcX, compressor.vae(), None);
+    let codecs: [&dyn Codec; 5] = [
+        &compressor,
+        &vae_sr,
+        &cdc_x,
+        &SzCompressor::new(),
+        &ZfpLikeCompressor::new(),
+    ];
+    let job = BlockJob::new(&block, Some(ErrorTarget::Nrmse(1e-2)), 0);
+    for codec in codecs {
+        let encoded = codec.encode(&job, &mut CodecScratch::new());
+        let frame = encoded.expect("a bench block").frame;
+        let recon = codec.decode(&frame, None);
+        let ratio = (block.numel() * 4) as f64 / frame.len() as f64;
+        report(codec.name(), &dir, &block, &recon, frame_idx, ratio);
     }
     println!("PGM images written under {}", dir.display());
 }

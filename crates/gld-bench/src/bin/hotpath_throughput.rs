@@ -4,7 +4,7 @@
 //!
 //! Sections:
 //!
-//! 1. **single-thread** — `compress_block_scratch` / `decompress_block`
+//! 1. **single-thread** — `Codec::encode` (reused scratch) / `decompress`
 //!    over a `[8, 64, 64]` E3SM-like window, against
 //!    `gld_baselines::reference` driven by the pre-optimisation arithmetic
 //!    back end (the exact pre-PR coding path), reporting blocks/s, MB/s and
@@ -31,7 +31,7 @@
 
 use gld_baselines::{reference, ErrorBoundedCompressor, SzCompressor, ZfpLikeCompressor};
 use gld_bench::{write_result, write_root_result};
-use gld_core::{Codec, CodecScratch, StreamConfig};
+use gld_core::{BlockJob, Codec, CodecScratch, StreamConfig};
 use gld_datasets::{generate, DatasetKind, FieldSpec, Variable};
 use gld_entropy::ArithmeticBackend;
 use gld_kernels::Backend;
@@ -190,7 +190,8 @@ fn main() {
             bs,
             frames,
             || {
-                std::hint::black_box(sz.compress_block_scratch(frames, None, 0, &mut scratch));
+                let job = BlockJob::new(frames, None, 0);
+                std::hint::black_box(sz.encode(&job, &mut scratch).expect("a rank-3 block"));
             },
             || {
                 std::hint::black_box(reference::sz_compress::<ArithmeticBackend>(frames, eb));
@@ -204,7 +205,8 @@ fn main() {
             bs,
             frames,
             || {
-                std::hint::black_box(zfp.compress_block_scratch(frames, None, 0, &mut scratch));
+                let job = BlockJob::new(frames, None, 0);
+                std::hint::black_box(zfp.encode(&job, &mut scratch).expect("a rank-3 block"));
             },
             || {
                 std::hint::black_box(reference::zfp_compress::<ArithmeticBackend>(frames, eb));

@@ -10,7 +10,7 @@
 //! compress/decompress call path, byte frames in, byte frames out.
 
 use gld_bench::{train_on, write_result};
-use gld_core::{Codec, LearnedBaseline, LearnedBaselineKind, StreamConfig};
+use gld_core::{BlockJob, Codec, CodecScratch, LearnedBaseline, LearnedBaselineKind, StreamConfig};
 use gld_datasets::DatasetKind;
 use gld_diffusion::{ConditionalDiffusion, DiffusionConfig};
 use gld_tensor::Tensor;
@@ -36,16 +36,18 @@ fn throughput(
     dec_repeats: usize,
 ) -> (f64, f64) {
     let raw_mb = mb(block.numel() * 4);
-    let frame = codec.compress_block(block, None);
+    let job = BlockJob::new(block, None, 0);
+    let encode = || codec.encode(&job, &mut CodecScratch::new());
+    let frame = encode().expect("a bench block").frame;
     let enc = time(
         || {
-            let _ = codec.compress_block(block, None);
+            let _ = encode();
         },
         enc_repeats,
     );
     let dec = time(
         || {
-            let _ = codec.decompress_block(&frame);
+            let _ = codec.decode(&frame, None);
         },
         dec_repeats,
     );

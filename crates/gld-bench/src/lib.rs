@@ -24,6 +24,7 @@
 
 use gld_core::{
     Codec, ErrorTarget, GldCompressor, GldConfig, GldTrainingBudget, KeyframeStrategy, RateSweep,
+    VariableStats,
 };
 use gld_datasets::{generate, DatasetKind, FieldSpec, ScientificDataset};
 use gld_diffusion::DiffusionConfig;
@@ -31,10 +32,11 @@ use gld_vae::VaeConfig;
 use std::path::{Path, PathBuf};
 
 /// Sweeps one codec over a dataset through the unified [`Codec`] interface:
-/// one [`gld_core::Container`]-accounted `compress_dataset` call per NRMSE
-/// target, collected into a labelled rate–distortion curve.  Shared by the
-/// Figure 3 and headline-claims binaries so both compute their curves
-/// identically.
+/// per NRMSE target, one [`gld_core::Container`]-accounted
+/// [`Codec::compress_variable`] call per variable, merged into dataset-level
+/// accounting by [`VariableStats::merge`] and collected into a labelled
+/// rate–distortion curve.  Shared by the Figure 3 and headline-claims
+/// binaries so both compute their curves identically.
 pub fn codec_sweep(
     codec: &dyn Codec,
     dataset: &ScientificDataset,
@@ -43,11 +45,11 @@ pub fn codec_sweep(
 ) -> RateSweep {
     let mut sweep = RateSweep::new(codec.name(), dataset.kind.name());
     for &target in targets {
-        let (_, stats) = codec.compress_dataset(
-            &dataset.variables,
-            block_frames,
-            Some(ErrorTarget::Nrmse(target)),
-        );
+        let target = Some(ErrorTarget::Nrmse(target));
+        let stats: Vec<VariableStats> = (dataset.variables.iter())
+            .map(|variable| codec.compress_variable(variable, block_frames, target).1)
+            .collect();
+        let stats = VariableStats::merge(&stats);
         sweep.push(stats.compression_ratio, stats.nrmse);
     }
     sweep

@@ -8,14 +8,26 @@
 //! four bespoke protocols.
 //!
 //! A codec turns a `[N, H, W]` block into a self-describing byte *frame* and
-//! back.  The provided [`Codec::compress_variable`] method drives the
+//! back through one pair of methods.  [`Codec::encode`] takes a [`BlockJob`]
+//! — block, target, window index, optional shared entropy model and a
+//! `measure` flag — and returns an [`EncodedBlock`] or a typed
+//! [`CodecError`].  With `measure` set, a codec that already holds the
+//! decoder's reconstruction when it finishes encoding (SZ from its scratch,
+//! GLD from its decoder replay) reports the squared error beside the frame;
+//! `sq_err: None` means "not measured here", and the executor then decodes
+//! the frame once with [`Codec::decode`] to account it.  The provided
+//! [`Codec::compress_block_at`] and [`Codec::decompress_block`] are one-line
+//! forms over the pair, kept only because the `perf/` benchmark calls them
+//! by name.
+//!
+//! The provided [`Codec::compress_variable`] method drives the
 //! **streaming block executor** (`crate::executor`): temporal windows are
 //! pulled lazily, compressed in parallel on the persistent pool (block
 //! index-derived seeds keep the output bit-identical to the sequential
 //! path — see `tests/container_roundtrip.rs`), and emitted in temporal order
 //! into a [`Container`] whose measured encoded length *is* the reported
 //! size, holding at most the configured queue depth of blocks in memory.
-//! [`Codec::compress_variable_into`] streams the encoded container straight
+//! [`compress_variable_to_writer_fmt`] streams the encoded container straight
 //! into any `io::Write` without buffering frames at all.
 
 use crate::container::{
@@ -27,9 +39,7 @@ use crate::executor::{
     stream_compress_variable, BlockOutcome, StageMode, StreamConfig, StreamMetrics,
 };
 use crate::learned_baselines::{LearnedBaseline, LearnedBaselineKind};
-use gld_baselines::{
-    BaselineError, ErrorBoundedCompressor, SzCompressor, SzScratch, ZfpLikeCompressor, ZfpScratch,
-};
+use gld_baselines::{BaselineError, SzCompressor, SzScratch, ZfpLikeCompressor, ZfpScratch};
 use gld_datasets::Variable;
 use gld_entropy::HistogramModel;
 use gld_lz::LzScratch;
@@ -38,15 +48,22 @@ use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
 
-/// Typed failure of a block compression through the [`Codec`] trait —
-/// unsupported inputs surface here instead of panicking (e.g. a rank-5
-/// tensor handed to a rule-based codec).
+/// Typed failure of [`Codec::encode`] — unsupported inputs surface here
+/// instead of panicking (e.g. a rank-5 tensor handed to a rule-based codec,
+/// or a block of the wrong length handed to the GLD pipeline).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
     /// The block's tensor rank is outside what the codec supports.
     UnsupportedRank {
         /// Rank of the offending block.
         rank: usize,
+    },
+    /// The codec codes blocks of a fixed frame count `N` and got another.
+    FrameCount {
+        /// Frames per block the codec was configured for.
+        expected: usize,
+        /// Frames in the offending block.
+        got: usize,
     },
 }
 
@@ -55,6 +72,9 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::UnsupportedRank { rank } => {
                 write!(f, "codec does not support tensor rank {rank}")
+            }
+            CodecError::FrameCount { expected, got } => {
+                write!(f, "codec takes blocks of {expected} frames, got {got}")
             }
         }
     }
@@ -110,7 +130,7 @@ impl CodecScratch {
     }
 }
 
-/// A sink failure during [`compress_variable_to_writer`], carrying how far
+/// A sink failure during [`compress_variable_to_writer_fmt`], carrying how far
 /// the encoded container got before the abort: `frames_emitted` frames were
 /// fully written (a partially written frame does not count).  Long-running
 /// consumers — the sharded service in particular — report this in their
@@ -147,45 +167,20 @@ impl From<StreamWriteError> for std::io::Error {
 }
 
 /// Streams the compressed variable straight into `writer` as an encoded
-/// container — the dyn-compatible entry point behind
-/// [`Codec::compress_variable_into`], callable on `&dyn Codec` (the sharded
-/// service routes every registered codec through it).  Frames are written
-/// (and dropped) the moment they are next in temporal order, so neither the
-/// windows nor the frames accumulate — peak memory is bounded by the
-/// executor's queue depth.  The bytes written are exactly
-/// [`Codec::compress_variable`]'s container encoding.
+/// container in the given wire format, callable on `&dyn Codec`.  Frames
+/// are written (and dropped) the moment they are next in temporal order, so
+/// neither the windows nor the frames accumulate — peak memory is bounded
+/// by the executor's queue depth.  The bytes written are exactly the
+/// container encoding of [`Codec::compress_variable`] (v3),
+/// [`Codec::compress_variable_profiled`] (v4) or a stage-free v2 stream:
+/// this picks the [`StageMode`] (fitting the variable's shared profile for
+/// v4) and calls [`compress_variable_to_writer_with`].  The service uses it
+/// to answer stage-incapable clients with v2, staged sessions with v3 and
+/// profile-capable sessions with v4.
 ///
 /// On a sink failure the stream is cancelled (remaining windows are never
 /// compressed) and the returned [`StreamWriteError`] reports how many frames
 /// were completely written before the abort.
-pub fn compress_variable_to_writer<C, W>(
-    codec: &C,
-    variable: &Variable,
-    block_frames: usize,
-    target: Option<ErrorTarget>,
-    config: StreamConfig,
-    writer: W,
-) -> Result<(W, VariableStats, StreamMetrics), StreamWriteError>
-where
-    C: Codec + ?Sized,
-    W: Write,
-{
-    compress_variable_to_writer_fmt(
-        codec,
-        variable,
-        block_frames,
-        target,
-        config,
-        ContainerFormat::V3,
-        writer,
-    )
-}
-
-/// [`compress_variable_to_writer`] with an explicit container wire format —
-/// the service uses this to answer stage-incapable clients with a v2
-/// (stage-free) stream, staged sessions with v3, and profile-capable
-/// sessions with v4: it picks the [`StageMode`] (fitting the variable's
-/// shared profile for v4) and calls [`compress_variable_to_writer_with`].
 #[allow(clippy::too_many_arguments)]
 pub fn compress_variable_to_writer_fmt<C, W>(
     codec: &C,
@@ -213,7 +208,7 @@ where
     compress_variable_to_writer_with(codec, variable, block_frames, target, config, stage, writer)
 }
 
-/// [`compress_variable_to_writer`] under a caller-chosen [`StageMode`], which
+/// [`compress_variable_to_writer_fmt`] under a caller-chosen [`StageMode`], which
 /// fixes the wire format: `Off` writes a stage-free v2 stream, `PerFrame`
 /// stages every frame cold on the executor's workers (v3), `Shared` codes
 /// every frame warm against the given profile (v4) — which must be what
@@ -388,7 +383,64 @@ impl VariableStats {
     }
 }
 
+/// One block for [`Codec::encode`]: the `[N, H, W]` tensor, the target, the
+/// temporal window index, the shared entropy model the frame may reference
+/// and whether the caller wants the reconstruction error.
+#[derive(Clone, Copy, Debug)]
+pub struct BlockJob<'a> {
+    /// The block to compress.
+    pub block: &'a Tensor,
+    /// Reconstruction-quality target, `None` for the codec's default.
+    pub target: Option<ErrorTarget>,
+    /// Temporal window index within the variable: stochastic codecs derive
+    /// their sampling seed from it, so distinct blocks never share a noise
+    /// realisation while identical inputs still produce identical frames.
+    /// Deterministic codecs ignore it.
+    pub index: u64,
+    /// Shared entropy model (a container v4 profile's).  When it covers the
+    /// block's codes the frame references it instead of embedding its own
+    /// fit, and must be decoded with the same model.  Codecs whose frames
+    /// embed no shareable model ignore it.
+    pub model: Option<&'a HistogramModel>,
+    /// Asks for [`EncodedBlock::sq_err`].
+    pub measure: bool,
+}
+
+impl<'a> BlockJob<'a> {
+    /// A cold, unmeasured job: no shared model, no error requested.
+    pub fn new(block: &'a Tensor, target: Option<ErrorTarget>, index: u64) -> Self {
+        BlockJob {
+            block,
+            target,
+            index,
+            model: None,
+            measure: false,
+        }
+    }
+}
+
+/// What [`Codec::encode`] returns.
+#[derive(Clone, Debug, PartialEq)]
+pub struct EncodedBlock {
+    /// The self-describing frame.
+    pub frame: Vec<u8>,
+    /// Σ(original − reconstruction)², where the reconstruction is
+    /// [`Codec::decode`]'s for this frame and model, bit for bit.  `Some`
+    /// only when the job asked to `measure` *and* the codec already held
+    /// the decoder's reconstruction when it finished encoding; `None`
+    /// leaves the measurement to the caller, which decodes the frame.
+    pub sq_err: Option<f64>,
+}
+
 /// A block compressor with a self-describing byte-frame format.
+///
+/// A codec implements one [`Codec::encode`] and one [`Codec::decode`]
+/// (plus [`Codec::frame_model`] if its frames embed a shareable entropy
+/// model); every route — the streaming executor, the sequential references,
+/// the profile fit, the service and the benches — goes through that pair.
+/// [`Codec::compress_block_at`] and [`Codec::decompress_block`] are one-line
+/// forms over it that the `perf/` benchmark calls by name; no codec
+/// overrides them.
 ///
 /// `Sync` is required so the provided `compress_variable` can fan blocks out
 /// across threads.
@@ -399,49 +451,21 @@ pub trait Codec: Sync {
     /// Container codec id for frames produced by this codec.
     fn id(&self) -> CodecId;
 
-    /// Compresses a `[N, H, W]` block into a self-describing frame.
-    ///
-    /// `block_index` is the temporal window index within the variable;
-    /// stochastic codecs derive their sampling seed from it so distinct
-    /// blocks never share a noise realisation while identical inputs still
-    /// produce identical frames.  Deterministic codecs ignore it.
-    fn compress_block_at(
+    /// Compresses `job.block` into a self-describing frame, reusing
+    /// `scratch`'s buffers: the bytes never depend on the scratch's previous
+    /// contents.  Inputs the codec cannot represent surface as a typed
+    /// [`CodecError`] instead of a panic.
+    fn encode(
         &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
-    ) -> Vec<u8>;
-
-    /// Fallible variant of [`Codec::compress_block_at`]: inputs the codec
-    /// cannot represent surface as a typed [`CodecError`] instead of a
-    /// panic.  The default delegates to the panicking path (codecs that can
-    /// fail should override).
-    fn try_compress_block_at(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
-    ) -> Result<Vec<u8>, CodecError> {
-        Ok(self.compress_block_at(block, target, block_index))
-    }
-
-    /// [`Codec::compress_block_at`] with a caller-provided scratch arena.
-    /// Hot codecs override this to reuse `scratch`'s buffers; the output
-    /// bytes must be identical to [`Codec::compress_block_at`] regardless of
-    /// the scratch's previous contents.  The default ignores the scratch.
-    fn compress_block_scratch(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
+        job: &BlockJob<'_>,
         scratch: &mut CodecScratch,
-    ) -> Vec<u8> {
-        let _ = scratch;
-        self.compress_block_at(block, target, block_index)
-    }
+    ) -> Result<EncodedBlock, CodecError>;
 
-    /// Reconstructs a block from a frame produced by this codec.
-    fn decompress_block(&self, frame: &[u8]) -> Tensor;
+    /// Reconstructs a block from a frame produced by [`Codec::encode`], with
+    /// the shared model the frame may reference.  Frames that embed their
+    /// own model ignore `model`, so this is safe to call on every frame of a
+    /// profiled container.
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor;
 
     /// The histogram model embedded in a frame this codec produced, if its
     /// format embeds one — the seed for a container-level shared entropy
@@ -453,60 +477,26 @@ pub trait Codec: Sync {
         None
     }
 
-    /// [`Codec::compress_block_scratch`] against a shared entropy model:
-    /// when the model covers the block's codes, the frame references it
-    /// instead of embedding its own per-frame fit, and must then be decoded
-    /// through [`Codec::decompress_block_shared`] with the same model.  The
-    /// default ignores the model and codes cold — correct for codecs whose
-    /// frames embed no shareable model.
-    fn compress_block_shared(
+    /// [`Codec::encode`] cold and unmeasured, with a fresh scratch; panics
+    /// on a [`CodecError`].  Kept only because the `perf/` benchmark calls
+    /// it by name; it goes once `perf/` stops.
+    fn compress_block_at(
         &self,
         block: &Tensor,
         target: Option<ErrorTarget>,
         block_index: u64,
-        scratch: &mut CodecScratch,
-        model: &HistogramModel,
     ) -> Vec<u8> {
-        let _ = model;
-        self.compress_block_scratch(block, target, block_index, scratch)
+        let job = BlockJob::new(block, target, block_index);
+        match self.encode(&job, &mut CodecScratch::new()) {
+            Ok(encoded) => encoded.frame,
+            Err(e) => panic!("{e}"),
+        }
     }
 
-    /// [`Codec::decompress_block`] with the shared model the frame may
-    /// reference.  Frames that embed their own model ignore `model`, so this
-    /// is safe to call on every frame of a profiled container.  The default
-    /// ignores it entirely.
-    fn decompress_block_shared(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
-        let _ = model;
-        self.decompress_block(frame)
-    }
-
-    /// Compresses a block — as [`Codec::compress_block_shared`] under
-    /// `model`, as [`Codec::compress_block_scratch`] without one — and
-    /// returns the frame with Σ(original − reconstruction)², where the
-    /// reconstruction is [`Codec::decompress_block_shared`]'s for that frame
-    /// and model, bit for bit.  The default decodes the frame it wrote; a
-    /// codec that holds the decoder's reconstruction when it finishes
-    /// encoding overrides this and sums against that instead.
-    fn compress_block_measured(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
-        scratch: &mut CodecScratch,
-        model: Option<&HistogramModel>,
-    ) -> (Vec<u8>, f64) {
-        let frame = match model {
-            Some(m) => self.compress_block_shared(block, target, block_index, scratch, m),
-            None => self.compress_block_scratch(block, target, block_index, scratch),
-        };
-        let recon = self.decompress_block_shared(&frame, model);
-        let sq_err = squared_error(block.data(), recon.data());
-        (frame, sq_err)
-    }
-
-    /// Compresses a standalone block (window index 0).
-    fn compress_block(&self, block: &Tensor, target: Option<ErrorTarget>) -> Vec<u8> {
-        self.compress_block_at(block, target, 0)
+    /// [`Codec::decode`] without a shared model.  Kept only because the
+    /// `perf/` benchmark calls it by name; it goes once `perf/` stops.
+    fn decompress_block(&self, frame: &[u8]) -> Tensor {
+        self.decode(frame, None)
     }
 
     /// Compresses every complete temporal window of `variable` through the
@@ -593,31 +583,6 @@ pub trait Codec: Sync {
         )
     }
 
-    /// Streams the compressed variable straight into `writer` as an encoded
-    /// container: frames are written (and dropped) the moment they are next
-    /// in temporal order, so neither the windows *nor* the frames accumulate
-    /// — peak memory is bounded by the executor's queue depth.  The bytes
-    /// written are exactly [`Codec::compress_variable`]'s container encoding.
-    ///
-    /// On a sink failure the remaining windows are abandoned and the
-    /// returned [`StreamWriteError`] carries the number of frames completely
-    /// written before the abort.  (For `&dyn Codec` callers the free
-    /// function [`compress_variable_to_writer`] is the same entry point
-    /// without the `Sized` bound.)
-    fn compress_variable_into<W: Write>(
-        &self,
-        variable: &Variable,
-        block_frames: usize,
-        target: Option<ErrorTarget>,
-        config: StreamConfig,
-        writer: W,
-    ) -> Result<(W, VariableStats, StreamMetrics), StreamWriteError>
-    where
-        Self: Sized,
-    {
-        compress_variable_to_writer(self, variable, block_frames, target, config, writer)
-    }
-
     /// Sequential reference implementation of [`Codec::compress_variable`],
     /// kept callable so determinism is testable.
     fn compress_variable_sequential(
@@ -627,27 +592,6 @@ pub trait Codec: Sync {
         target: Option<ErrorTarget>,
     ) -> (Container, VariableStats) {
         compress_sequential(self, variable, block_frames, target, StageMode::PerFrame)
-    }
-
-    /// Compresses every variable of a dataset (one [`Container`] per
-    /// variable, parallel within each) and merges the accounting into
-    /// dataset-level stats — the aggregation every rate–distortion figure
-    /// uses.
-    fn compress_dataset(
-        &self,
-        variables: &[Variable],
-        block_frames: usize,
-        target: Option<ErrorTarget>,
-    ) -> (Vec<Container>, VariableStats) {
-        assert!(!variables.is_empty(), "dataset has no variables");
-        let mut containers = Vec::with_capacity(variables.len());
-        let mut stats = Vec::with_capacity(variables.len());
-        for variable in variables {
-            let (container, s) = self.compress_variable(variable, block_frames, target);
-            containers.push(container);
-            stats.push(s);
-        }
-        (containers, VariableStats::merge(&stats))
     }
 
     /// Decompresses a whole container produced by
@@ -800,22 +744,6 @@ fn rule_based_bound(block: &Tensor, target: Option<ErrorTarget>) -> f32 {
     }
 }
 
-/// One SZ frame through the scratch arena, cold or against a shared model.
-fn sz_frame(
-    sz: &SzCompressor,
-    block: &Tensor,
-    target: Option<ErrorTarget>,
-    model: Option<&HistogramModel>,
-    scratch: &mut CodecScratch,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(scratch.frame_capacity_hint());
-    let bound = rule_based_bound(block, target);
-    sz.compress_into_shared(block, bound, model, &mut scratch.sz, &mut out)
-        .unwrap_or_else(|e| panic!("{e}"));
-    scratch.note_frame_len(out.len());
-    out
-}
-
 impl Codec for SzCompressor {
     fn name(&self) -> &str {
         "SZ3-like"
@@ -825,70 +753,30 @@ impl Codec for SzCompressor {
         CodecId::SzLike
     }
 
-    fn compress_block_at(
+    /// The quantiser runs against the decoder's reconstruction and leaves it
+    /// in the scratch: a measured encode sums the error there, nothing is
+    /// decoded.
+    fn encode(
         &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        _block_index: u64,
-    ) -> Vec<u8> {
-        ErrorBoundedCompressor::compress(self, block, rule_based_bound(block, target))
-    }
-
-    fn try_compress_block_at(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        _block_index: u64,
-    ) -> Result<Vec<u8>, CodecError> {
-        Ok(self.try_compress(block, rule_based_bound(block, target))?)
-    }
-
-    fn compress_block_scratch(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        _block_index: u64,
+        job: &BlockJob<'_>,
         scratch: &mut CodecScratch,
-    ) -> Vec<u8> {
-        sz_frame(self, block, target, None, scratch)
+    ) -> Result<EncodedBlock, CodecError> {
+        let mut frame = Vec::with_capacity(scratch.frame_capacity_hint());
+        let bound = rule_based_bound(job.block, job.target);
+        self.compress_into_shared(job.block, bound, job.model, &mut scratch.sz, &mut frame)?;
+        scratch.note_frame_len(frame.len());
+        let sq_err = job
+            .measure
+            .then(|| squared_error(job.block.data(), scratch.sz.reconstruction()));
+        Ok(EncodedBlock { frame, sq_err })
     }
 
-    fn compress_block_shared(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        _block_index: u64,
-        scratch: &mut CodecScratch,
-        model: &HistogramModel,
-    ) -> Vec<u8> {
-        sz_frame(self, block, target, Some(model), scratch)
-    }
-
-    /// The quantiser ran against the decoder's reconstruction and left it in
-    /// the scratch: the error is summed there, nothing is decoded.
-    fn compress_block_measured(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        _block_index: u64,
-        scratch: &mut CodecScratch,
-        model: Option<&HistogramModel>,
-    ) -> (Vec<u8>, f64) {
-        let frame = sz_frame(self, block, target, model, scratch);
-        let sq_err = squared_error(block.data(), scratch.sz.reconstruction());
-        (frame, sq_err)
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+        self.decompress_shared(frame, model)
     }
 
     fn frame_model(&self, frame: &[u8]) -> Option<HistogramModel> {
         gld_baselines::embedded_frame_model(frame)
-    }
-
-    fn decompress_block(&self, frame: &[u8]) -> Tensor {
-        ErrorBoundedCompressor::decompress(self, frame)
-    }
-
-    fn decompress_block_shared(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
-        self.decompress_shared(frame, model)
     }
 }
 
@@ -901,74 +789,27 @@ impl Codec for ZfpLikeCompressor {
         CodecId::ZfpLike
     }
 
-    fn compress_block_at(
+    fn encode(
         &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        _block_index: u64,
-    ) -> Vec<u8> {
-        ErrorBoundedCompressor::compress(self, block, rule_based_bound(block, target))
-    }
-
-    fn try_compress_block_at(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        _block_index: u64,
-    ) -> Result<Vec<u8>, CodecError> {
-        Ok(self.try_compress(block, rule_based_bound(block, target))?)
-    }
-
-    fn compress_block_scratch(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        _block_index: u64,
+        job: &BlockJob<'_>,
         scratch: &mut CodecScratch,
-    ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(scratch.frame_capacity_hint());
-        self.compress_into(
-            block,
-            rule_based_bound(block, target),
-            &mut scratch.zfp,
-            &mut out,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        scratch.note_frame_len(out.len());
-        out
+    ) -> Result<EncodedBlock, CodecError> {
+        let mut frame = Vec::with_capacity(scratch.frame_capacity_hint());
+        let bound = rule_based_bound(job.block, job.target);
+        self.compress_into_shared(job.block, bound, job.model, &mut scratch.zfp, &mut frame)?;
+        scratch.note_frame_len(frame.len());
+        Ok(EncodedBlock {
+            frame,
+            sq_err: None,
+        })
     }
 
-    fn compress_block_shared(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        _block_index: u64,
-        scratch: &mut CodecScratch,
-        model: &HistogramModel,
-    ) -> Vec<u8> {
-        let mut out = Vec::with_capacity(scratch.frame_capacity_hint());
-        self.compress_into_shared(
-            block,
-            rule_based_bound(block, target),
-            Some(model),
-            &mut scratch.zfp,
-            &mut out,
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        scratch.note_frame_len(out.len());
-        out
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+        self.decompress_shared(frame, model)
     }
 
     fn frame_model(&self, frame: &[u8]) -> Option<HistogramModel> {
         gld_baselines::embedded_frame_model(frame)
-    }
-
-    fn decompress_block(&self, frame: &[u8]) -> Tensor {
-        ErrorBoundedCompressor::decompress(self, frame)
-    }
-
-    fn decompress_block_shared(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
-        self.decompress_shared(frame, model)
     }
 }
 
@@ -988,17 +829,16 @@ impl Codec for LearnedBaseline<'_> {
         }
     }
 
-    fn compress_block_at(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        _block_index: u64,
-    ) -> Vec<u8> {
+    fn encode(&self, job: &BlockJob<'_>, _: &mut CodecScratch) -> Result<EncodedBlock, CodecError> {
+        let block = job.block;
+        if block.rank() != 3 {
+            return Err(CodecError::UnsupportedRank { rank: block.rank() });
+        }
         let latent = self.compress(block);
         // All learned methods share the paper's PCA error-bound
         // post-processing (§4.1): the correction stream rides along in the
         // frame so the bound survives the round trip.
-        let aux = match target {
+        let aux = match job.target {
             Some(t) => {
                 let recon = self.decompress(&latent);
                 let module = PcaErrorBound::new(ErrorBoundConfig::default());
@@ -1011,10 +851,13 @@ impl Codec for LearnedBaseline<'_> {
         let mut frame = Vec::with_capacity(16 + latent.len() + aux.len());
         write_section(&mut frame, &latent);
         write_section(&mut frame, &aux);
-        frame
+        Ok(EncodedBlock {
+            frame,
+            sq_err: None,
+        })
     }
 
-    fn decompress_block(&self, frame: &[u8]) -> Tensor {
+    fn decode(&self, frame: &[u8], _: Option<&HistogramModel>) -> Tensor {
         let mut reader = ByteReader::new(frame);
         let latent = reader
             .read_section()

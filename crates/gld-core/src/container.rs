@@ -1292,7 +1292,7 @@ impl ContainerFormat {
 /// as it arrives, so a multi-block variable can stream to a file or socket
 /// while later blocks are still being compressed — frames never accumulate
 /// in memory.  This is the sink the streaming block executor emits into
-/// (`Codec::compress_variable_into`); the executor stages frames on its
+/// ([`crate::compress_variable_to_writer_fmt`]); the executor stages frames on its
 /// worker threads and hands them to [`ContainerWriter::write_staged_frame`],
 /// while [`ContainerWriter::write_frame`] stages inline for callers without
 /// a scratch.

@@ -14,11 +14,11 @@
 //!   most `queue_depth` blocks exist between materialisation and emission,
 //!   so in-flight blocks are O(depth), not O(variable);
 //! * **one-shot worker jobs** — each claims at most one window, runs
-//!   [`Codec::compress_block_measured`] with the window's index (the
-//!   per-block derived seed keeps output bit-identical to the sequential
-//!   reference; the codec reports the reconstruction error with the frame,
-//!   so nothing is decoded to account it), posts the outcome to the reorder
-//!   buffer and exits.  A job that finds
+//!   [`Codec::encode`] with the window's index (the per-block derived seed
+//!   keeps output bit-identical to the sequential reference; SZ and GLD
+//!   report the reconstruction error with the frame, so nothing is decoded
+//!   to account it), posts the outcome to the reorder buffer and exits.
+//!   A job that finds
 //!   the ticket window full exits immediately instead of parking, so the
 //!   executor never blocks a pool thread and concurrent executors
 //!   interleave fairly on the shared pool;
@@ -36,7 +36,7 @@
 //! [`Codec::decompress_container`], needs none of that flow control: it
 //! returns every block, so it fans them over the same pool as one batch.
 
-use crate::codec::{Codec, CodecScratch, ErrorTarget};
+use crate::codec::{squared_error, BlockJob, Codec, CodecScratch, EncodedBlock, ErrorTarget};
 use crate::container::{Container, DictMode, EntropyProfile};
 use gld_datasets::{blocks, Variable};
 use gld_entropy::HistogramModel;
@@ -179,18 +179,24 @@ pub fn fit_variable_profile<C: Codec + ?Sized>(
 ) -> WarmProfile {
     let (_, windows) = checked_windows(variable, block_frames);
     let mut scratch = CodecScratch::new();
-    let cold = {
-        let window = blocks::temporal_window_at(variable, block_frames, 0);
-        codec.compress_block_scratch(&window.data, target, 0, &mut scratch)
+    // Unmeasured: an unbounded GLD fit runs no sampler.
+    let mut encode = |index: usize, model: Option<&HistogramModel>| {
+        let window = blocks::temporal_window_at(variable, block_frames, index);
+        let job = BlockJob {
+            model,
+            ..BlockJob::new(&window.data, target, index as u64)
+        };
+        match codec.encode(&job, &mut scratch) {
+            Ok(encoded) => encoded.frame,
+            Err(e) => panic!("{e}"),
+        }
     };
+    let cold = encode(0, None);
     let model = codec.frame_model(&cold).map(|first| {
         let mut models = vec![first];
         // Window 0 is already fitted.
         for index in sampled_windows(windows).skip(1) {
-            let window = blocks::temporal_window_at(variable, block_frames, index);
-            let frame =
-                codec.compress_block_scratch(&window.data, target, index as u64, &mut scratch);
-            if let Some(m) = codec.frame_model(&frame) {
+            if let Some(m) = codec.frame_model(&encode(index, None)) {
                 models.push(m);
             }
         }
@@ -201,8 +207,7 @@ pub fn fit_variable_profile<C: Codec + ?Sized>(
     let frame0 = match model.as_ref() {
         Some(m) => {
             m.prepare_decode();
-            let window = blocks::temporal_window_at(variable, block_frames, 0);
-            codec.compress_block_shared(&window.data, target, 0, &mut scratch, m)
+            encode(0, Some(m))
         }
         None => cold,
     };
@@ -285,10 +290,11 @@ fn block_histogram(cell: &'static BlockHistogram, family: &str) -> &'static gld_
     cell.get_or_init(|| gld_obs::registry::histogram(family, &[]))
 }
 
-/// Compresses one window through `codec`, which reports the reconstruction
-/// error with the frame ([`Codec::compress_block_measured`]) — the single
-/// definition both the sequential reference and the streaming
-/// executor share, which is what makes them bit-identical.
+/// Compresses one window through [`Codec::encode`] with `measure` set and
+/// accounts its reconstruction error — the codec's own measurement, or a
+/// decode of the frame when the codec returned none — the single definition
+/// both the sequential reference and the streaming executor share, which is
+/// what makes them bit-identical.
 pub(crate) fn compress_window_outcome<C: Codec + ?Sized>(
     codec: &C,
     window: &Tensor,
@@ -301,7 +307,19 @@ pub(crate) fn compress_window_outcome<C: Codec + ?Sized>(
     let _span = gld_obs::span::SpanGuard::enter("block.encode", 0, index);
     let t0_ns = gld_obs::now_ns();
     let model = stage.profile().0.first().and_then(|p| p.model.as_ref());
-    let (frame, sq_err) = codec.compress_block_measured(window, target, index, scratch, model);
+    let job = BlockJob {
+        model,
+        measure: true,
+        ..BlockJob::new(window, target, index)
+    };
+    let EncodedBlock { frame, sq_err } = match codec.encode(&job, scratch) {
+        Ok(encoded) => encoded,
+        Err(e) => panic!("{e}"),
+    };
+    // A codec that did not hold the decoder's reconstruction leaves the
+    // measurement here: decode the frame once and sum against that.
+    let sq_err =
+        sq_err.unwrap_or_else(|| squared_error(window.data(), codec.decode(&frame, model).data()));
     block_histogram(&ENCODE_NS, "gld_block_encode_ns")
         .record(gld_obs::now_ns().saturating_sub(t0_ns));
     let lz = match stage {
@@ -355,7 +373,7 @@ pub(crate) fn decompress_blocks<C: Codec + ?Sized>(
         let model = container
             .profile_for_block(index)
             .and_then(|p| p.model.as_ref());
-        let block = codec.decompress_block_shared(frame, model);
+        let block = codec.decode(frame, model);
         decode_ns.record(gld_obs::now_ns().saturating_sub(t0_ns));
         block
     };

@@ -38,8 +38,8 @@ pub mod pipeline;
 pub mod sweep;
 
 pub use codec::{
-    compress_variable_to_writer, compress_variable_to_writer_fmt, compress_variable_to_writer_with,
-    Codec, CodecError, CodecScratch, ErrorTarget, StreamWriteError, VariableStats,
+    compress_variable_to_writer_fmt, compress_variable_to_writer_with, BlockJob, Codec, CodecError,
+    CodecScratch, EncodedBlock, ErrorTarget, StreamWriteError, VariableStats,
 };
 pub use container::{
     CodecId, Container, ContainerError, ContainerFormat, ContainerWriter, DictMode, EntropyProfile,

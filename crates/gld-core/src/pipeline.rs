@@ -19,9 +19,9 @@
 //! The compression ratio follows Eq. 11: original bytes divided by the sum of
 //! the latent bitstream and the auxiliary correction stream.
 
-use crate::codec::{squared_error, Codec, CodecScratch, ErrorTarget};
+use crate::codec::{squared_error, BlockJob, Codec, CodecError, CodecScratch, EncodedBlock};
 use crate::container::{write_section, ByteReader, CodecId, ContainerError};
-use crate::error_bound::{ErrorBoundConfig, ErrorBoundOutcome, PcaErrorBound};
+use crate::error_bound::{ErrorBoundConfig, PcaErrorBound};
 use crate::keyframes::KeyframeStrategy;
 use gld_datasets::Variable;
 use gld_diffusion::{ConditionalDiffusion, DiffusionConfig, DiffusionTrainer, FramePartition};
@@ -438,110 +438,6 @@ impl GldCompressor {
         Tensor::concat(&refs, 0)
     }
 
-    /// Compresses one block `[N, H, W]`.  When `nrmse_target` is given the
-    /// error-bound module adds a correction stream guaranteeing that the
-    /// decompressed block satisfies the bound.  Standalone blocks use
-    /// temporal index 0; multi-block paths go through
-    /// [`Codec::compress_variable`] which passes each window's real index.
-    ///
-    /// Note: this inherent method (structured [`CompressedBlock`] in/out)
-    /// shadows [`Codec::compress_block`] (byte frames in/out) on the
-    /// concrete type; call the trait method via UFCS or a `&dyn Codec` when
-    /// you want the framed-bytes interface.
-    pub fn compress_block(&self, block: &Tensor, nrmse_target: Option<f32>) -> CompressedBlock {
-        let (compressed, _) = self.compress_block_with_outcome(block, nrmse_target);
-        compressed
-    }
-
-    /// Like [`GldCompressor::compress_block`], also returning the error-bound
-    /// diagnostics (when a bound was requested).
-    pub fn compress_block_with_outcome(
-        &self,
-        block: &Tensor,
-        nrmse_target: Option<f32>,
-    ) -> (CompressedBlock, Option<ErrorBoundOutcome>) {
-        self.compress_block_with_outcome_at(block, nrmse_target, 0)
-    }
-
-    /// Index-aware compression: the sampling seed is derived from the config
-    /// seed and `block_index` so distinct blocks of one variable never share
-    /// a noise realisation (the derived seed is stored in the block, keeping
-    /// decompression deterministic).
-    pub fn compress_block_with_outcome_at(
-        &self,
-        block: &Tensor,
-        nrmse_target: Option<f32>,
-        block_index: u64,
-    ) -> (CompressedBlock, Option<ErrorBoundOutcome>) {
-        let (compressed, outcome, _) = self.encode_block(block, nrmse_target, block_index, false);
-        (compressed, outcome)
-    }
-
-    /// Encodes one block.  With a target, or when `measure` is set, also
-    /// returns what [`GldCompressor::decompress_block`] will return for it,
-    /// from the one decoder replay the encoder runs.
-    fn encode_block(
-        &self,
-        block: &Tensor,
-        nrmse_target: Option<f32>,
-        block_index: u64,
-        measure: bool,
-    ) -> (CompressedBlock, Option<ErrorBoundOutcome>, Option<Tensor>) {
-        assert_eq!(block.rank(), 3, "block must be [N, H, W]");
-        assert_eq!(
-            block.dim(0),
-            self.config.block_frames,
-            "block must have N = {} frames",
-            self.config.block_frames
-        );
-        let partition = self.config.partition();
-        let (normalized, norms) = Self::normalize_frames(block);
-        let y_all = self.vae.quantize_latent(&normalized);
-        let y_key = y_all.index_select(0, &partition.conditioning);
-        let keyframe_bytes = LatentCodec::new(&self.vae).compress(&y_key);
-
-        let sampling_seed = derive_block_seed(self.config.seed, block_index);
-        let mut compressed = CompressedBlock {
-            frames: block.dim(0),
-            height: block.dim(1),
-            width: block.dim(2),
-            frame_norms: norms.iter().map(|n| (n.mean, n.range)).collect(),
-            latent_range: (y_key.min(), y_key.max()),
-            keyframe_bytes,
-            aux_bytes: Vec::new(),
-            sampling_seed,
-            denoising_steps: self.config.denoising_steps,
-        };
-        if nrmse_target.is_none() && !measure {
-            return (compressed, None, None);
-        }
-        // Replay the decoder on the keyframes as it will decode them: the
-        // symbols the bitstream carries, widened as `LatentCodec::decompress`
-        // widens them (a `-0.0` held here must not leak into the replay).
-        let symbols = y_key.quantized_symbols();
-        let decoded = symbols.iter().map(|&s| s as f32).collect();
-        let recon = self.reconstruct(&compressed, &Tensor::from_vec(decoded, y_key.dims()));
-        let Some(target) = nrmse_target else {
-            return (compressed, None, Some(recon));
-        };
-        // `apply` returns the tensor `apply_from_aux` rebuilds, bit for bit.
-        let tau = PcaErrorBound::tau_for_nrmse(block, target);
-        let (corrected, aux, outcome) = self.error_bound.apply(block, &recon, tau);
-        compressed.aux_bytes = aux;
-        (compressed, Some(outcome), Some(corrected))
-    }
-
-    /// Decompresses a block produced by [`GldCompressor::compress_block`].
-    pub fn decompress_block(&self, compressed: &CompressedBlock) -> Tensor {
-        let y_key = LatentCodec::new(&self.vae).decompress(&compressed.keyframe_bytes);
-        let recon = self.reconstruct(compressed, &y_key);
-        if compressed.aux_bytes.is_empty() {
-            return recon;
-        }
-        self.error_bound
-            .apply_from_aux(&recon, &compressed.aux_bytes)
-    }
-
     /// The uncorrected reconstruction from decoded keyframe latents `y_key`
     /// — everything between the entropy decoder and the correction stream.
     fn reconstruct(&self, compressed: &CompressedBlock, y_key: &Tensor) -> Tensor {
@@ -575,30 +471,6 @@ impl GldCompressor {
         let frames = self.vae.decode_latent(&y_full);
         Self::denormalize_frames(&frames, &compressed.frame_norms)
     }
-
-    /// Compresses every complete temporal window of a variable through the
-    /// unified [`Codec`] interface (streaming block executor: parallel,
-    /// container-framed, peak memory bounded by the executor queue depth),
-    /// returning the decoded per-block structures plus aggregate
-    /// `(compression_ratio, nrmse)` statistics.
-    pub fn compress_variable(
-        &self,
-        variable: &Variable,
-        nrmse_target: Option<f32>,
-    ) -> (Vec<CompressedBlock>, f64, f32) {
-        let (container, stats) = Codec::compress_variable(
-            self,
-            variable,
-            self.config.block_frames,
-            nrmse_target.map(ErrorTarget::Nrmse),
-        );
-        let blocks = container
-            .blocks()
-            .iter()
-            .map(|frame| CompressedBlock::decode(frame).expect("self-produced frame"))
-            .collect();
-        (blocks, stats.compression_ratio, stats.nrmse)
-    }
 }
 
 impl Codec for GldCompressor {
@@ -610,44 +482,85 @@ impl Codec for GldCompressor {
         CodecId::Gld
     }
 
-    fn compress_block_at(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
-    ) -> Vec<u8> {
-        let nrmse_target = target.map(|t| t.nrmse_for(block));
-        let (compressed, _) = self.compress_block_with_outcome_at(block, nrmse_target, block_index);
-        compressed.encode()
+    /// Encodes one `[N, H, W]` block.  With a target the error-bound module
+    /// adds a correction stream guaranteeing that the decoded block
+    /// satisfies the bound.  The sampling seed is derived from the config
+    /// seed and the window index (and stored in the block), so distinct
+    /// blocks of one variable never share a noise realisation.  The bounded
+    /// encode has already replayed the decoder, and a measured unbounded one
+    /// replays it on the latents it holds: neither decodes.
+    fn encode(&self, job: &BlockJob<'_>, _: &mut CodecScratch) -> Result<EncodedBlock, CodecError> {
+        let block = job.block;
+        if block.rank() != 3 {
+            return Err(CodecError::UnsupportedRank { rank: block.rank() });
+        }
+        if block.dim(0) != self.config.block_frames {
+            return Err(CodecError::FrameCount {
+                expected: self.config.block_frames,
+                got: block.dim(0),
+            });
+        }
+        let partition = self.config.partition();
+        let (normalized, norms) = Self::normalize_frames(block);
+        let y_all = self.vae.quantize_latent(&normalized);
+        let y_key = y_all.index_select(0, &partition.conditioning);
+        let keyframe_bytes = LatentCodec::new(&self.vae).compress(&y_key);
+
+        let mut compressed = CompressedBlock {
+            frames: block.dim(0),
+            height: block.dim(1),
+            width: block.dim(2),
+            frame_norms: norms.iter().map(|n| (n.mean, n.range)).collect(),
+            latent_range: (y_key.min(), y_key.max()),
+            keyframe_bytes,
+            aux_bytes: Vec::new(),
+            sampling_seed: derive_block_seed(self.config.seed, job.index),
+            denoising_steps: self.config.denoising_steps,
+        };
+        let mut sq_err = None;
+        if job.target.is_some() || job.measure {
+            // Replay the decoder on the keyframes as it will decode them:
+            // the symbols the bitstream carries, widened as
+            // `LatentCodec::decompress` widens them (a `-0.0` held here must
+            // not leak into the replay).
+            let symbols = y_key.quantized_symbols();
+            let decoded = symbols.iter().map(|&s| s as f32).collect();
+            let mut recon = self.reconstruct(&compressed, &Tensor::from_vec(decoded, y_key.dims()));
+            if let Some(target) = job.target {
+                // `apply` returns the tensor `apply_from_aux` rebuilds, bit
+                // for bit.
+                let tau = PcaErrorBound::tau_for_nrmse(block, target.nrmse_for(block));
+                let (corrected, aux, _) = self.error_bound.apply(block, &recon, tau);
+                compressed.aux_bytes = aux;
+                recon = corrected;
+            }
+            if job.measure {
+                sq_err = Some(squared_error(block.data(), recon.data()));
+            }
+        }
+        Ok(EncodedBlock {
+            frame: compressed.encode(),
+            sq_err,
+        })
     }
 
-    /// The bounded encode has already replayed the decoder, and the
-    /// unbounded one replays it on the latents it holds: neither decodes.
-    fn compress_block_measured(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
-        _scratch: &mut CodecScratch,
-        _model: Option<&HistogramModel>,
-    ) -> (Vec<u8>, f64) {
-        let nrmse_target = target.map(|t| t.nrmse_for(block));
-        let (compressed, _, recon) = self.encode_block(block, nrmse_target, block_index, true);
-        let recon = recon.expect("a measured encode returns its reconstruction");
-        let sq_err = squared_error(block.data(), recon.data());
-        (compressed.encode(), sq_err)
-    }
-
-    fn decompress_block(&self, frame: &[u8]) -> Tensor {
+    fn decode(&self, frame: &[u8], _: Option<&HistogramModel>) -> Tensor {
         let compressed = CompressedBlock::decode(frame)
             .unwrap_or_else(|e| panic!("invalid GLD block frame: {e}"));
-        self.decompress_block(&compressed)
+        let y_key = LatentCodec::new(&self.vae).decompress(&compressed.keyframe_bytes);
+        let recon = self.reconstruct(&compressed, &y_key);
+        if compressed.aux_bytes.is_empty() {
+            return recon;
+        }
+        self.error_bound
+            .apply_from_aux(&recon, &compressed.aux_bytes)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ErrorTarget;
     use gld_datasets::{generate, DatasetKind, FieldSpec};
     use gld_tensor::stats::nrmse;
 
@@ -658,15 +571,26 @@ mod tests {
         (compressor, ds.variables.into_iter().next().unwrap())
     }
 
+    /// The frame of `block` at window 0 under an NRMSE target, parsed.
+    fn compress(c: &GldCompressor, block: &Tensor, target: Option<f32>) -> CompressedBlock {
+        let job = BlockJob::new(block, target.map(ErrorTarget::Nrmse), 0);
+        let frame = c.encode(&job, &mut CodecScratch::new()).unwrap().frame;
+        CompressedBlock::decode(&frame).unwrap()
+    }
+
+    fn decompress(c: &GldCompressor, compressed: &CompressedBlock) -> Tensor {
+        c.decode(&compressed.encode(), None)
+    }
+
     #[test]
     fn roundtrip_preserves_shape_and_keyframe_structure() {
         let (compressor, variable) = quick_compressor();
         let block = variable.frames.slice_axis(0, 0, 8);
-        let compressed = compressor.compress_block(&block, None);
+        let compressed = compress(&compressor, &block, None);
         assert_eq!(compressed.frames, 8);
         assert!(compressed.total_bytes() > 0);
         assert!(compressed.total_bytes() < compressed.original_bytes());
-        let recon = compressor.decompress_block(&compressed);
+        let recon = decompress(&compressor, &compressed);
         assert_eq!(recon.dims(), block.dims());
         assert!(recon.data().iter().all(|v| v.is_finite()));
         // Without the error-bound stream reconstruction error is bounded but
@@ -678,9 +602,9 @@ mod tests {
     fn decompression_is_deterministic() {
         let (compressor, variable) = quick_compressor();
         let block = variable.frames.slice_axis(0, 0, 8);
-        let compressed = compressor.compress_block(&block, None);
-        let a = compressor.decompress_block(&compressed);
-        let b = compressor.decompress_block(&compressed);
+        let compressed = compress(&compressor, &block, None);
+        let a = decompress(&compressor, &compressed);
+        let b = decompress(&compressor, &compressed);
         assert_eq!(a, b, "decompression must be reproducible (stored seed)");
     }
 
@@ -689,10 +613,14 @@ mod tests {
         let (compressor, variable) = quick_compressor();
         let block = variable.frames.slice_axis(0, 0, 8);
         let target = 5e-3;
-        let (compressed, outcome) = compressor.compress_block_with_outcome(&block, Some(target));
-        assert!(outcome.is_some());
-        assert!(!compressed.aux_bytes.is_empty() || outcome.unwrap().coefficients == 0);
-        let recon = compressor.decompress_block(&compressed);
+        let compressed = compress(&compressor, &block, Some(target));
+        // An empty correction stream means the module needed no
+        // coefficient: the uncorrected reconstruction already holds.
+        if compressed.aux_bytes.is_empty() {
+            let plain = decompress(&compressor, &compress(&compressor, &block, None));
+            assert!(nrmse(&block, &plain) <= target);
+        }
+        let recon = decompress(&compressor, &compressed);
         let achieved = nrmse(&block, &recon);
         assert!(
             achieved <= target * 1.01,
@@ -707,7 +635,7 @@ mod tests {
         // same VAE.
         let (compressor, variable) = quick_compressor();
         let block = variable.frames.slice_axis(0, 0, 8);
-        let ours = compressor.compress_block(&block, None).total_bytes();
+        let ours = compress(&compressor, &block, None).total_bytes();
         let all_frames = gld_vae::FrameCodec::new(compressor.vae())
             .compress(&block)
             .len();
@@ -721,19 +649,21 @@ mod tests {
     fn tighter_bound_costs_more_and_achieves_more() {
         let (compressor, variable) = quick_compressor();
         let block = variable.frames.slice_axis(0, 0, 8);
-        let loose = compressor.compress_block(&block, Some(2e-2));
-        let tight = compressor.compress_block(&block, Some(2e-3));
+        let loose = compress(&compressor, &block, Some(2e-2));
+        let tight = compress(&compressor, &block, Some(2e-3));
         assert!(tight.total_bytes() >= loose.total_bytes());
-        let recon_tight = compressor.decompress_block(&tight);
-        let recon_loose = compressor.decompress_block(&loose);
+        let recon_tight = decompress(&compressor, &tight);
+        let recon_loose = decompress(&compressor, &loose);
         assert!(nrmse(&block, &recon_tight) <= nrmse(&block, &recon_loose) + 1e-6);
     }
 
     #[test]
     fn compress_variable_aggregates_blocks() {
         let (compressor, variable) = quick_compressor();
-        let (blocks, ratio, err) = compressor.compress_variable(&variable, Some(1e-2));
-        assert_eq!(blocks.len(), 2); // 16 frames / N = 8
+        let (container, stats) =
+            compressor.compress_variable(&variable, 8, Some(ErrorTarget::Nrmse(1e-2)));
+        assert_eq!(container.blocks().len(), 2); // 16 frames / N = 8
+        let (ratio, err) = (stats.compression_ratio, stats.nrmse);
         assert!(ratio > 1.0, "aggregate ratio {ratio}");
         assert!(err <= 1e-2 * 1.01, "aggregate NRMSE {err}");
     }

@@ -17,7 +17,7 @@
 //!   per-connection admission control (outstanding bound + optional token
 //!   bucket → [`Status::RateLimited`]), per-shard worker threads behind
 //!   bounded in-flight admission windows, compress responses streamed
-//!   straight from `gld_core::compress_variable_to_writer`, graceful
+//!   straight from `gld_core::compress_variable_to_writer_with`, graceful
 //!   drain-then-join shutdown.  Each server counts into a
 //!   `gld_obs::Registry` of its own, the one source behind the
 //!   [`Op::Status`] reply, [`Server::metrics`] and the metrics endpoint;

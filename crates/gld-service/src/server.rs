@@ -23,7 +23,7 @@
 //! work with [`Status::RateLimited`].
 //!
 //! Compress responses are `GLDC` containers streamed straight from
-//! [`gld_core::compress_variable_to_writer`] into the response body (capped
+//! [`gld_core::compress_variable_to_writer_with`] into the response body (capped
 //! by `max_body`; an over-limit container aborts mid-stream and the
 //! diagnostic reports how many frames were emitted).  Graceful shutdown —
 //! [`Server::shutdown`], or a wire [`Op::Shutdown`] — stops accepting,

@@ -9,7 +9,7 @@
 //! ```
 
 use gld_baselines::{compression_ratio, ErrorBoundedCompressor, SzCompressor, ZfpLikeCompressor};
-use gld_core::{GldCompressor, GldConfig, GldTrainingBudget};
+use gld_core::{Codec, ErrorTarget, GldCompressor, GldConfig, GldTrainingBudget};
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_tensor::stats::{max_abs_error, nrmse};
 
@@ -33,7 +33,9 @@ fn main() {
     println!("\n{:<18} {:>14} {:>12}", "method", "ratio", "NRMSE");
     let mut ours_ratio = 0.0;
     for variable in &dataset.variables {
-        let (_, ratio, err) = compressor.compress_variable(variable, Some(target_nrmse));
+        let target = Some(ErrorTarget::Nrmse(target_nrmse));
+        let (_, stats) = compressor.compress_variable(variable, config.block_frames, target);
+        let (ratio, err) = (stats.compression_ratio, stats.nrmse);
         ours_ratio += ratio / dataset.variables.len() as f64;
         println!(
             "{:<18} {:>13.1}x {:>12.2e}  ({})",

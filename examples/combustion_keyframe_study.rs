@@ -7,7 +7,9 @@
 //! cargo run --release --example combustion_keyframe_study
 //! ```
 
-use gld_core::{GldCompressor, GldConfig, GldTrainingBudget, KeyframeStrategy};
+use gld_core::{
+    BlockJob, Codec, CodecScratch, GldCompressor, GldConfig, GldTrainingBudget, KeyframeStrategy,
+};
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_tensor::stats::nrmse;
 
@@ -37,8 +39,12 @@ fn main() {
         let block = dataset.variables[0]
             .frames
             .slice_axis(0, 0, config.block_frames);
-        let compressed = compressor.compress_block(&block, None);
-        let recon = compressor.decompress_block(&compressed);
+        let job = BlockJob::new(&block, None, 0);
+        let frame = compressor
+            .encode(&job, &mut CodecScratch::new())
+            .expect("an [N, H, W] block")
+            .frame;
+        let recon = compressor.decode(&frame, None);
 
         let partition = config.partition();
         print!("per-frame NRMSE: ");
@@ -60,7 +66,7 @@ fn main() {
         println!("\n(* = keyframe)   mean generated-frame NRMSE: {generated_err:.2e}");
         println!(
             "compression ratio without post-processing: {:.1}x",
-            compressed.compression_ratio()
+            (block.numel() * 4) as f64 / frame.len() as f64
         );
     }
     println!("\nSee `cargo run -p gld-bench --bin fig2_keyframe_strategies` for the full Figure 2 reproduction.");

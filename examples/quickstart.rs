@@ -7,7 +7,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use gld_core::{GldCompressor, GldConfig, GldTrainingBudget};
+use gld_core::{
+    BlockJob, Codec, CodecScratch, CompressedBlock, ErrorTarget, GldCompressor, GldConfig,
+    GldTrainingBudget,
+};
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_tensor::stats::nrmse;
 
@@ -49,8 +52,13 @@ fn main() {
         .frames
         .slice_axis(0, 0, config.block_frames);
     let target = 5e-3;
-    let compressed = compressor.compress_block(&block, Some(target));
-    let recon = compressor.decompress_block(&compressed);
+    let job = BlockJob::new(&block, Some(ErrorTarget::Nrmse(target)), 0);
+    let frame = compressor
+        .encode(&job, &mut CodecScratch::new())
+        .expect("an [N, H, W] block")
+        .frame;
+    let recon = compressor.decode(&frame, None);
+    let compressed = CompressedBlock::decode(&frame).expect("a frame we just wrote");
 
     println!("--- results ---");
     println!("original size     : {} bytes", compressed.original_bytes());

@@ -8,7 +8,10 @@
 //! cargo run --release --example turbulence_error_bound
 //! ```
 
-use gld_core::{GldCompressor, GldConfig, GldTrainingBudget};
+use gld_core::{
+    BlockJob, Codec, CodecScratch, CompressedBlock, ErrorTarget, GldCompressor, GldConfig,
+    GldTrainingBudget,
+};
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_tensor::stats::nrmse;
 
@@ -34,8 +37,13 @@ fn main() {
         "target", "achieved", "ratio", "keyframe bytes", "aux bytes"
     );
     for target in [2e-2f32, 1e-2, 5e-3, 2e-3, 1e-3] {
-        let (compressed, outcome) = compressor.compress_block_with_outcome(&block, Some(target));
-        let recon = compressor.decompress_block(&compressed);
+        let job = BlockJob::new(&block, Some(ErrorTarget::Nrmse(target)), 0);
+        let frame = compressor
+            .encode(&job, &mut CodecScratch::new())
+            .expect("an [N, H, W] block")
+            .frame;
+        let recon = compressor.decode(&frame, None);
+        let compressed = CompressedBlock::decode(&frame).expect("a frame we just wrote");
         let achieved = nrmse(&block, &recon);
         assert!(achieved <= target * 1.01, "bound violated");
         println!(
@@ -46,9 +54,6 @@ fn main() {
             compressed.keyframe_bytes.len(),
             compressed.aux_bytes.len()
         );
-        if let Some(outcome) = outcome {
-            assert!(outcome.achieved <= outcome.tau * 1.001);
-        }
     }
     println!("\nevery row satisfied its bound; tighter bounds pay with a larger correction stream");
 }

@@ -5,11 +5,19 @@
 
 use gld_baselines::{SzCompressor, ZfpLikeCompressor};
 use gld_core::{
-    Codec, ErrorTarget, GldCompressor, GldConfig, GldTrainingBudget, LearnedBaseline,
-    LearnedBaselineKind,
+    BlockJob, Codec, CodecScratch, CompressedBlock, ErrorTarget, GldCompressor, GldConfig,
+    GldTrainingBudget, LearnedBaseline, LearnedBaselineKind,
 };
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_tensor::stats::{max_abs_error, nrmse};
+use gld_tensor::Tensor;
+
+/// The frame of `block` at window 0.
+fn encode(codec: &dyn Codec, block: &Tensor, target: Option<ErrorTarget>) -> Vec<u8> {
+    let job = BlockJob::new(block, target, 0);
+    let encoded = codec.encode(&job, &mut CodecScratch::new());
+    encoded.expect("an [N, H, W] block").frame
+}
 
 #[test]
 fn every_codec_family_meets_the_bound_through_the_unified_interface() {
@@ -38,8 +46,8 @@ fn every_codec_family_meets_the_bound_through_the_unified_interface() {
     let codecs: [&dyn Codec; 5] = [&compressor, &vae_sr, &cdc_x, &sz, &zfp];
 
     for codec in codecs {
-        let frame = codec.compress_block(&block, Some(ErrorTarget::Nrmse(target)));
-        let recon = codec.decompress_block(&frame);
+        let frame = encode(codec, &block, Some(ErrorTarget::Nrmse(target)));
+        let recon = codec.decode(&frame, None);
         assert_eq!(recon.dims(), block.dims(), "{}", codec.name());
         let err = nrmse(&block, &recon);
         assert!(
@@ -51,7 +59,8 @@ fn every_codec_family_meets_the_bound_through_the_unified_interface() {
 
     // Keyframe-only storage: the proposed method's latent stream is smaller
     // than what the per-frame baselines store through the same VAE.
-    let ours = compressor.compress_block(&block, Some(target));
+    let ours = encode(&compressor, &block, Some(ErrorTarget::Nrmse(target)));
+    let ours = CompressedBlock::decode(&ours).expect("decode frame");
     let ours_latent_bytes = ours.keyframe_bytes.len();
     for (name, baseline) in [("VAE-SR", &vae_sr), ("CDC-X", &cdc_x)] {
         let latent_bytes = baseline.compress(&block).len();
@@ -74,8 +83,8 @@ fn rule_based_codecs_respect_their_bound_on_every_dataset() {
         let range = frames.max() - frames.min();
         for codec in [&sz as &dyn Codec, &zfp as &dyn Codec] {
             let eb = 1e-3 * range;
-            let frame = codec.compress_block(&frames, Some(ErrorTarget::PointwiseAbs(eb)));
-            let recon = codec.decompress_block(&frame);
+            let frame = encode(codec, &frames, Some(ErrorTarget::PointwiseAbs(eb)));
+            let recon = codec.decode(&frame, None);
             assert!(
                 max_abs_error(&frames, &recon) <= eb * 1.0001,
                 "{} violated its bound on {kind:?}",
@@ -95,11 +104,11 @@ fn learned_baselines_share_storage_structure_but_not_bitstreams() {
     let block = ds.variables[0].frames.slice_axis(0, 0, 8);
     let cdc = LearnedBaseline::new(LearnedBaselineKind::CdcX, &vae, None);
     let vaesr = LearnedBaseline::new(LearnedBaselineKind::VaeSr, &vae, None);
-    let cdc_frame = Codec::compress_block(&cdc, &block, None);
-    let vaesr_frame = Codec::compress_block(&vaesr, &block, None);
+    let cdc_frame = encode(&cdc, &block, None);
+    let vaesr_frame = encode(&vaesr, &block, None);
     assert_ne!(cdc_frame, vaesr_frame);
-    let a = Codec::decompress_block(&cdc, &cdc_frame);
-    let b = Codec::decompress_block(&vaesr, &vaesr_frame);
+    let a = cdc.decode(&cdc_frame, None);
+    let b = vaesr.decode(&vaesr_frame, None);
     assert_eq!(a.dims(), block.dims());
     assert_eq!(b.dims(), block.dims());
 }
@@ -112,8 +121,8 @@ fn all_four_learned_kinds_roundtrip_through_the_codec_trait() {
     for kind in LearnedBaselineKind::all() {
         let baseline = LearnedBaseline::new(kind, &vae, None);
         let codec: &dyn Codec = &baseline;
-        let frame = codec.compress_block(&block, None);
-        let recon = codec.decompress_block(&frame);
+        let frame = encode(codec, &block, None);
+        let recon = codec.decode(&frame, None);
         assert_eq!(recon.dims(), block.dims(), "{kind:?}");
         assert!(recon.data().iter().all(|v| v.is_finite()), "{kind:?}");
         assert!(frame.len() < block.numel() * 4, "{kind:?} did not compress");

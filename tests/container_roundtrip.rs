@@ -7,11 +7,13 @@
 
 use gld_baselines::SzCompressor;
 use gld_core::{
-    derive_block_seed, Codec, CodecId, CompressedBlock, Container, ContainerError, ErrorTarget,
-    GldCompressor, GldConfig, LearnedBaseline, LearnedBaselineKind, StreamConfig,
+    derive_block_seed, BlockJob, Codec, CodecId, CodecScratch, CompressedBlock, Container,
+    ContainerError, ErrorTarget, GldCompressor, GldConfig, LearnedBaseline, LearnedBaselineKind,
+    StreamConfig,
 };
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_diffusion::ConditionalDiffusion;
+use gld_tensor::Tensor;
 use gld_vae::{Vae, VaeConfig};
 
 /// An untrained (but fully functional and deterministic) pipeline — the
@@ -25,14 +27,23 @@ fn untrained_compressor() -> GldCompressor {
     )
 }
 
+/// The frame of `block` at window 0.
+fn encode(codec: &dyn Codec, block: &Tensor, target: Option<ErrorTarget>) -> Vec<u8> {
+    let job = BlockJob::new(block, target, 0);
+    let encoded = codec.encode(&job, &mut CodecScratch::new());
+    encoded.expect("an [N, H, W] block").frame
+}
+
 #[test]
 fn block_frame_roundtrips_and_total_bytes_is_the_serialized_length() {
     let compressor = untrained_compressor();
     let ds = generate(DatasetKind::E3sm, &FieldSpec::tiny(), 5);
     let block = ds.variables[0].frames.slice_axis(0, 0, 8);
     for target in [None, Some(1e-2)] {
-        let compressed = compressor.compress_block(&block, target);
+        let written = encode(&compressor, &block, target.map(ErrorTarget::Nrmse));
+        let compressed = CompressedBlock::decode(&written).expect("frame decodes");
         let frame = compressed.encode();
+        assert_eq!(frame, written, "the structure re-encodes to its own bytes");
         assert_eq!(
             frame.len(),
             compressed.total_bytes(),
@@ -48,8 +59,8 @@ fn block_frame_roundtrips_and_total_bytes_is_the_serialized_length() {
         assert_eq!(decoded.denoising_steps, compressed.denoising_steps);
         // The round-tripped block decompresses to the identical tensor.
         assert_eq!(
-            compressor.decompress_block(&decoded),
-            compressor.decompress_block(&compressed)
+            compressor.decode(&decoded.encode(), None),
+            compressor.decode(&written, None)
         );
     }
 }
@@ -120,7 +131,7 @@ fn containers_reject_magic_version_and_codec_mismatches() {
     // A block frame whose declared frame count exceeds the bytes present is
     // rejected as truncated without attempting a huge allocation.
     let block = ds.variables[0].frames.slice_axis(0, 0, 8);
-    let mut frame = compressor.compress_block(&block, None).encode();
+    let mut frame = encode(&compressor, &block, None);
     frame[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
     assert!(matches!(
         CompressedBlock::decode(&frame),

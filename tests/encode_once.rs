@@ -1,25 +1,25 @@
-//! `Codec::compress_block_measured` — the encoder reporting its own error —
+//! A measured `Codec::encode` — the encoder reporting its own error —
 //! against the decode-and-sum it replaced.
 //!
 //! * **Per block**: for every codec × shared model × input class × scratch
-//!   state the method returns the frame `compress_block_shared/_scratch`
-//!   returns and a squared error whose bits equal those of summing against
-//!   `decompress_block_shared`'s output.
+//!   state a measured encode returns the frame an unmeasured one returns,
+//!   SZ and GLD report a squared error whose bits equal those of summing
+//!   against `Codec::decode`'s output, and the other codecs report none.
 //! * **Per variable**: every compress path reports `VariableStats` equal,
 //!   field by field and bit by bit, to the stats computed by decoding the
 //!   container it returned.
-//! * **Counted**: SZ and GLD decode nothing while compressing, a codec on
-//!   the provided default decodes each block exactly once, and a bounded
-//!   GLD block runs the diffusion sampler once.
+//! * **Counted**: SZ and GLD decode nothing while compressing, a codec that
+//!   reports no error is decoded exactly once per block (to the same NRMSE
+//!   bits), and a bounded GLD block runs the diffusion sampler once.
 //!
 //! CI runs the suite under `RAYON_NUM_THREADS=1` and `=8`; the executor
 //! configurations below cover the worker-count axis inside one process too.
 
 use gld_baselines::{SzCompressor, ZfpLikeCompressor};
 use gld_core::{
-    compress_variable_to_writer_fmt, fit_variable_profile, Codec, CodecId, CodecScratch, Container,
-    ContainerFormat, ErrorTarget, GldCompressor, GldConfig, LearnedBaseline, LearnedBaselineKind,
-    StreamConfig, VariableStats,
+    compress_variable_to_writer_fmt, fit_variable_profile, BlockJob, Codec, CodecError, CodecId,
+    CodecScratch, Container, ContainerFormat, EncodedBlock, ErrorTarget, GldCompressor, GldConfig,
+    LearnedBaseline, LearnedBaselineKind, StreamConfig, VariableStats,
 };
 use gld_datasets::blocks::temporal_windows;
 use gld_datasets::{generate, DatasetKind, FieldSpec, Variable};
@@ -93,8 +93,15 @@ fn poisoned_block() -> Tensor {
     block
 }
 
+/// `codec.encode(job)`, on a block every codec takes.
+fn encode(codec: &dyn Codec, job: BlockJob<'_>, scratch: &mut CodecScratch) -> EncodedBlock {
+    codec.encode(&job, scratch).expect("a rank-3 block")
+}
+
 /// Checks one `(codec, block, target, model)` cell: fresh and dirty scratch
-/// both return the reference frame and the reference sum, bit for bit.
+/// both return the reference frame and — measured by the codec, or by the
+/// executor's decode-and-sum where the codec reports none — the reference
+/// sum, bit for bit.
 fn assert_measured_equals_reference(
     what: &str,
     codec: &dyn Codec,
@@ -103,21 +110,32 @@ fn assert_measured_equals_reference(
     model: Option<&HistogramModel>,
     dirty: &mut CodecScratch,
 ) {
+    let measures_itself = matches!(codec.id(), CodecId::SzLike | CodecId::Gld);
     for index in [0u64, 3] {
-        let mut fresh = CodecScratch::new();
-        let frame = match model {
-            Some(m) => codec.compress_block_shared(block, target, index, &mut fresh, m),
-            None => codec.compress_block_scratch(block, target, index, &mut fresh),
+        let job = BlockJob {
+            model,
+            ..BlockJob::new(block, target, index)
         };
-        let recon = codec.decompress_block_shared(&frame, model);
+        let reference = encode(codec, job, &mut CodecScratch::new());
+        assert_eq!(reference.sq_err, None, "{what}: unmeasured, yet measured");
+        let frame = reference.frame;
+        let recon = codec.decode(&frame, model);
         let sq_err = decode_and_sum(block, &recon);
         for (scratch, state) in [(&mut CodecScratch::new(), "fresh"), (&mut *dirty, "dirty")] {
-            let (measured_frame, measured) =
-                codec.compress_block_measured(block, target, index, scratch, model);
+            let measured = encode(
+                codec,
+                BlockJob {
+                    measure: true,
+                    ..job
+                },
+                scratch,
+            );
             assert_eq!(
-                measured_frame, frame,
+                measured.frame, frame,
                 "{what}, block {index}, {state} scratch: frame differs"
             );
+            assert_eq!(measured.sq_err.is_some(), measures_itself, "{what}");
+            let measured = measured.sq_err.unwrap_or(sq_err);
             assert_eq!(
                 measured.to_bits(),
                 sq_err.to_bits(),
@@ -132,7 +150,12 @@ fn assert_measured_equals_reference(
 /// escape or the embedded-fit fallback.
 fn shared_models(codec: &dyn Codec, block: &Tensor) -> Vec<(&'static str, HistogramModel)> {
     let fitted = |block: &Tensor| {
-        let frame = codec.compress_block(block, None);
+        let frame = encode(
+            codec,
+            BlockJob::new(block, None, 0),
+            &mut CodecScratch::new(),
+        )
+        .frame;
         let model = codec.frame_model(&frame)?.with_escape();
         model.prepare_decode();
         Some(model)
@@ -225,12 +248,16 @@ fn the_narrow_model_reaches_both_the_overflow_escape_and_the_embedded_fallback()
         &[4, 8, 8],
     );
     let mut scratch = CodecScratch::new();
-    let escaped = sz.compress_block_shared(&noise, tight, 0, &mut scratch, &narrow);
+    let shared = |block| BlockJob {
+        model: Some(&narrow),
+        ..BlockJob::new(block, tight, 0)
+    };
+    let escaped = encode(&sz, shared(&noise), &mut scratch).frame;
     assert!(
         sz.frame_model(&escaped).is_none(),
         "stays on the shared model"
     );
-    let fallen = sz.compress_block_shared(&board, tight, 0, &mut scratch, &narrow);
+    let fallen = encode(&sz, shared(&board), &mut scratch).frame;
     assert!(
         sz.frame_model(&fallen).is_some(),
         "falls back to its own fit"
@@ -360,12 +387,12 @@ fn every_compress_path_reports_the_stats_of_the_container_it_returned() {
     }
 }
 
-/// Generates a counting wrapper: every block-level method forwards to the
-/// inner codec and counts the call.  The `$measured` arm decides whether the
-/// wrapper forwards `compress_block_measured` too, or keeps the provided
-/// default — which then runs on the wrapper's own counted methods.
+/// Generates a counting wrapper: `encode` and `decode` forward to the inner
+/// codec and count the call.  With `$measures` false the wrapper is a codec
+/// that never measures itself: it encodes unmeasured and reports no error,
+/// which leaves the measurement to the executor's decode.
 macro_rules! counting_codec {
-    ($name:ident $(, $measured:item)?) => {
+    ($name:ident, $measures:expr) => {
         struct $name<'a> {
             inner: &'a dyn Codec,
             measured: AtomicUsize,
@@ -400,73 +427,32 @@ macro_rules! counting_codec {
             fn id(&self) -> CodecId {
                 self.inner.id()
             }
-            fn compress_block_at(
+            fn encode(
                 &self,
-                block: &Tensor,
-                target: Option<ErrorTarget>,
-                block_index: u64,
-            ) -> Vec<u8> {
-                self.compressed.fetch_add(1, Ordering::SeqCst);
-                self.inner.compress_block_at(block, target, block_index)
-            }
-            fn compress_block_scratch(
-                &self,
-                block: &Tensor,
-                target: Option<ErrorTarget>,
-                block_index: u64,
+                job: &BlockJob<'_>,
                 scratch: &mut CodecScratch,
-            ) -> Vec<u8> {
-                self.compressed.fetch_add(1, Ordering::SeqCst);
-                self.inner
-                    .compress_block_scratch(block, target, block_index, scratch)
-            }
-            fn compress_block_shared(
-                &self,
-                block: &Tensor,
-                target: Option<ErrorTarget>,
-                block_index: u64,
-                scratch: &mut CodecScratch,
-                model: &HistogramModel,
-            ) -> Vec<u8> {
-                self.compressed.fetch_add(1, Ordering::SeqCst);
-                self.inner
-                    .compress_block_shared(block, target, block_index, scratch, model)
+            ) -> Result<EncodedBlock, CodecError> {
+                let counter = match job.measure {
+                    true => &self.measured,
+                    false => &self.compressed,
+                };
+                counter.fetch_add(1, Ordering::SeqCst);
+                let measure = job.measure && $measures;
+                self.inner.encode(&BlockJob { measure, ..*job }, scratch)
             }
             fn frame_model(&self, frame: &[u8]) -> Option<HistogramModel> {
                 self.inner.frame_model(frame)
             }
-            fn decompress_block(&self, frame: &[u8]) -> Tensor {
-                self.decompress_block_shared(frame, None)
-            }
-            fn decompress_block_shared(
-                &self,
-                frame: &[u8],
-                model: Option<&HistogramModel>,
-            ) -> Tensor {
+            fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
                 self.decoded.fetch_add(1, Ordering::SeqCst);
-                self.inner.decompress_block_shared(frame, model)
+                self.inner.decode(frame, model)
             }
-            $($measured)?
         }
     };
 }
 
-counting_codec!(
-    Forwarding,
-    fn compress_block_measured(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
-        scratch: &mut CodecScratch,
-        model: Option<&HistogramModel>,
-    ) -> (Vec<u8>, f64) {
-        self.measured.fetch_add(1, Ordering::SeqCst);
-        self.inner
-            .compress_block_measured(block, target, block_index, scratch, model)
-    }
-);
-counting_codec!(Defaulted);
+counting_codec!(Forwarding, true);
+counting_codec!(Unmeasured, false);
 
 #[test]
 fn sz_and_gld_decode_nothing_while_compressing_and_the_default_decodes_each_block_once() {
@@ -477,7 +463,8 @@ fn sz_and_gld_decode_nothing_while_compressing_and_the_default_decodes_each_bloc
     let variable = variable(DatasetKind::E3sm, 4, 59);
     let generates = gld_obs::registry::counter("gld_diffusion_generate_total", &[]);
 
-    // The overriders: four measured encodes, no decode, nothing else.
+    // The codecs that measure themselves: four measured encodes, no decode,
+    // nothing else.
     let overriders: [(&str, &dyn Codec, Option<ErrorTarget>); 4] = [
         ("sz", &sz, None),
         ("sz bounded", &sz, BOUNDED),
@@ -487,7 +474,7 @@ fn sz_and_gld_decode_nothing_while_compressing_and_the_default_decodes_each_bloc
     for (name, codec, target) in overriders {
         let counting = Forwarding::new(codec);
         let before = generates.get();
-        let (container, _) = counting.compress_variable(&variable, BLOCK_FRAMES, target);
+        let (container, stats) = counting.compress_variable(&variable, BLOCK_FRAMES, target);
         assert_eq!(
             counting.counts(),
             (4, 0, 0),
@@ -518,18 +505,25 @@ fn sz_and_gld_decode_nothing_while_compressing_and_the_default_decodes_each_bloc
                 .encode()
         );
         assert_eq!(profiled.blocks().len(), 4);
+        // The same codec reporting no error is decoded once per block, to
+        // the NRMSE bits it reported itself.
+        let unmeasured = Unmeasured::new(codec);
+        let (same, same_stats) = unmeasured.compress_variable(&variable, BLOCK_FRAMES, target);
+        assert_eq!(unmeasured.counts(), (4, 0, 4), "{name}, unmeasured");
+        assert_eq!(same.encode(), container.encode());
+        assert_stats_bit_equal(&format!("{name}, unmeasured"), &same_stats, &stats);
     }
 
-    // ZFP keeps the provided default, and so does a wrapper that does not
-    // forward the new method: one compress and exactly one decode per block.
+    // ZFP reports no error, and neither does a wrapper that drops it: one
+    // compress and exactly one decode per block.
     let inner = Forwarding::new(&zfp);
     inner.compress_variable(&variable, BLOCK_FRAMES, BOUNDED);
-    assert_eq!(inner.counts(), (4, 0, 0), "zfp's own decodes are its own");
-    let defaulted = Defaulted::new(&zfp);
+    assert_eq!(inner.counts(), (4, 0, 4), "zfp is decoded once per block");
+    let defaulted = Unmeasured::new(&zfp);
     let (container, stats) = defaulted.compress_variable(&variable, BLOCK_FRAMES, BOUNDED);
     assert_eq!(
         defaulted.counts(),
-        (0, 4, 4),
+        (4, 0, 4),
         "default: (measured, plain, decoded)"
     );
     let (direct, direct_stats) = zfp.compress_variable(&variable, BLOCK_FRAMES, BOUNDED);

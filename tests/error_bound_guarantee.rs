@@ -3,7 +3,10 @@
 //! post-processing step must always deliver the requested error bound, and
 //! the auxiliary stream must be decodable on the decoder side.
 
-use gld_core::{ErrorBoundConfig, GldCompressor, GldConfig, GldTrainingBudget, PcaErrorBound};
+use gld_core::{
+    BlockJob, Codec, CodecScratch, ErrorBoundConfig, ErrorTarget, GldCompressor, GldConfig,
+    GldTrainingBudget, PcaErrorBound,
+};
 use gld_datasets::{generate, DatasetKind, FieldSpec};
 use gld_tensor::stats::nrmse;
 use gld_tensor::{Tensor, TensorRng};
@@ -24,8 +27,9 @@ fn bound_holds_across_targets_and_datasets() {
         let compressor = GldCompressor::train(config, &ds.variables, budget);
         let block = ds.variables[0].frames.slice_axis(0, 0, config.block_frames);
         for target in [2e-2f32, 5e-3, 1e-3] {
-            let compressed = compressor.compress_block(&block, Some(target));
-            let recon = compressor.decompress_block(&compressed);
+            let job = BlockJob::new(&block, Some(ErrorTarget::Nrmse(target)), 0);
+            let encoded = compressor.encode(&job, &mut CodecScratch::new());
+            let recon = compressor.decode(&encoded.expect("an [N, H, W] block").frame, None);
             let achieved = nrmse(&block, &recon);
             assert!(
                 achieved <= target * 1.01,

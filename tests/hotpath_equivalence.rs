@@ -13,8 +13,8 @@
 //!   quantisation (`SzCompressor`) and the tiled ZFP-like path produce
 //!   byte-identical frames to `gld_baselines::reference` driven over the
 //!   same range back end, and decompress to bit-identical tensors;
-//! * **arena** — `compress_block_scratch` with an arbitrarily dirty
-//!   `CodecScratch` equals `compress_block_at`, and the streaming executor
+//! * **arena** — `Codec::encode` with an arbitrarily dirty `CodecScratch`
+//!   equals the same encode with a fresh one, and the streaming executor
 //!   (whose workers reuse thread-local arenas) emits containers
 //!   byte-identical to the sequential reference across worker counts and
 //!   queue depths.  CI runs this file on both `RAYON_NUM_THREADS` legs;
@@ -25,13 +25,18 @@
 //!   suite with `GLD_KERNEL_BACKEND=scalar`.
 
 use gld_baselines::{reference, ErrorBoundedCompressor, SzCompressor, ZfpLikeCompressor};
-use gld_core::{Codec, CodecError, CodecScratch, Container, ErrorTarget, StreamConfig};
+use gld_core::{
+    BlockJob, Codec, CodecError, CodecScratch, Container, ErrorTarget, GldCompressor, GldConfig,
+    LearnedBaseline, LearnedBaselineKind, StreamConfig,
+};
 use gld_datasets::Variable;
+use gld_diffusion::ConditionalDiffusion;
 use gld_entropy::{
     ArithmeticBackend, EntropyBackend, EntropyEncoder, HistogramModel, RangeBackend, RangeDecoder,
     RangeEncoder,
 };
 use gld_tensor::{Tensor, TensorRng};
+use gld_vae::{Vae, VaeConfig};
 use proptest::prelude::*;
 
 fn random_tensor(seed: u64, dims: &[usize]) -> Tensor {
@@ -208,8 +213,8 @@ fn dirty_codec_scratch_never_changes_frames() {
                 Some(ErrorTarget::PointwiseAbs(0.01)),
                 Some(ErrorTarget::Nrmse(1e-3)),
             ] {
-                let fresh = codec.compress_block_at(&block, target, 0);
-                let reused = codec.compress_block_scratch(&block, target, 0, &mut scratch);
+                let fresh = encode(codec, &block, target, &mut CodecScratch::new());
+                let reused = encode(codec, &block, target, &mut scratch);
                 assert_eq!(fresh, reused, "codec {} dims {dims:?}", codec.name());
             }
         }
@@ -244,33 +249,77 @@ fn streaming_executor_with_arenas_matches_sequential_reference() {
     }
 }
 
+/// The frame of an unmeasured, cold encode.
+fn encode(
+    codec: &dyn Codec,
+    block: &Tensor,
+    target: Option<ErrorTarget>,
+    scratch: &mut CodecScratch,
+) -> Vec<u8> {
+    let job = BlockJob::new(block, target, 0);
+    codec
+        .encode(&job, scratch)
+        .expect("a supported block")
+        .frame
+}
+
 #[test]
 fn rank5_block_is_a_typed_codec_error_through_the_trait() {
-    let block = Tensor::zeros(&[2, 2, 2, 2, 2]);
-    for codec in [
-        &SzCompressor::new() as &dyn Codec,
-        &ZfpLikeCompressor::new(),
-    ] {
-        let err = codec
-            .try_compress_block_at(&block, None, 0)
-            .expect_err("rank-5 must be rejected");
-        assert_eq!(
-            err,
-            CodecError::UnsupportedRank { rank: 5 },
-            "codec {}",
-            codec.name()
-        );
-        assert!(err.to_string().contains("rank 5"));
+    let vae = Vae::new(VaeConfig::tiny());
+    let config = GldConfig::tiny();
+    let gld = GldCompressor::from_parts(
+        config,
+        Vae::new(config.vae),
+        ConditionalDiffusion::new(config.diffusion),
+    );
+    let families: [(&dyn Codec, &[usize]); 5] = [
+        (&SzCompressor::new(), &[5]),
+        (&ZfpLikeCompressor::new(), &[5]),
+        (
+            &LearnedBaseline::new(LearnedBaselineKind::VaeSr, &vae, None),
+            &[2, 4, 5],
+        ),
+        (
+            &LearnedBaseline::new(LearnedBaselineKind::CdcX, &vae, None),
+            &[2, 4, 5],
+        ),
+        (&gld, &[2, 4, 5]),
+    ];
+    for (codec, ranks) in families {
+        for &rank in ranks {
+            let block = Tensor::zeros(&[2, 2, 2, 2, 2][..rank]);
+            let job = BlockJob::new(&block, None, 0);
+            let err = codec
+                .encode(&job, &mut CodecScratch::new())
+                .expect_err("the rank must be rejected");
+            assert_eq!(
+                err,
+                CodecError::UnsupportedRank { rank },
+                "codec {}",
+                codec.name()
+            );
+            assert!(err.to_string().contains(&format!("rank {rank}")));
+        }
     }
+    // GLD codes blocks of exactly N frames.
+    let block = Tensor::zeros(&[config.block_frames / 2, 16, 16]);
+    let err = gld
+        .encode(&BlockJob::new(&block, None, 0), &mut CodecScratch::new())
+        .expect_err("a short block must be rejected");
+    assert_eq!(
+        err,
+        CodecError::FrameCount {
+            expected: config.block_frames,
+            got: config.block_frames / 2
+        }
+    );
 }
 
 #[test]
 fn rank4_block_still_compresses_through_the_try_path() {
     let block = random_tensor(9, &[2, 2, 6, 6]);
     let sz = SzCompressor::new();
-    let frame = sz
-        .try_compress_block_at(&block, None, 0)
-        .expect("rank-4 is supported");
+    let frame = encode(&sz, &block, None, &mut CodecScratch::new());
     assert_eq!(frame, sz.compress_block_at(&block, None, 0));
 }
 
@@ -385,11 +434,11 @@ fn dirty_scratch_reused_across_backends_is_identical() {
     for (i, dims) in shape_matrix().into_iter().enumerate() {
         let block = random_tensor(300 + i as u64, &dims);
         for codec in [&sz as &dyn Codec, &zfp] {
-            let fresh = codec.compress_block_at(&block, None, 0);
+            let fresh = encode(codec, &block, None, &mut CodecScratch::new());
             // Rotate through every backend with the same dirty scratch.
             for &backend in &backends {
                 gld_kernels::force(backend).expect("available");
-                let reused = codec.compress_block_scratch(&block, None, 0, &mut scratch);
+                let reused = encode(codec, &block, None, &mut scratch);
                 assert_eq!(
                     reused,
                     fresh,

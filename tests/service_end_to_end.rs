@@ -14,7 +14,8 @@
 
 use gld_baselines::{SzCompressor, ZfpLikeCompressor};
 use gld_core::{
-    Codec, CodecId, CodecScratch, Container, ErrorTarget, GldCompressor, GldConfig, StreamConfig,
+    BlockJob, Codec, CodecError, CodecId, CodecScratch, Container, EncodedBlock, ErrorTarget,
+    GldCompressor, GldConfig, StreamConfig,
 };
 use gld_datasets::{generate, DatasetKind, FieldSpec, Variable};
 use gld_diffusion::ConditionalDiffusion;
@@ -384,17 +385,16 @@ impl Codec for GatedCodec {
     fn id(&self) -> CodecId {
         CodecId::Gld
     }
-    fn compress_block_at(
+    fn encode(
         &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
-    ) -> Vec<u8> {
+        job: &BlockJob<'_>,
+        scratch: &mut CodecScratch,
+    ) -> Result<EncodedBlock, CodecError> {
         self.wait_open();
-        self.inner.compress_block_at(block, target, block_index)
+        self.inner.encode(job, scratch)
     }
-    fn decompress_block(&self, frame: &[u8]) -> Tensor {
-        self.inner.decompress_block(frame)
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+        self.inner.decode(frame, model)
     }
 }
 
@@ -1070,44 +1070,23 @@ impl Codec for CountingSz {
     fn id(&self) -> CodecId {
         CodecId::SzLike
     }
-    fn compress_block_at(
+    fn encode(
         &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
-    ) -> Vec<u8> {
-        self.plain.fetch_add(1, Ordering::SeqCst);
-        self.inner.compress_block_at(block, target, block_index)
-    }
-    fn compress_block_shared(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
+        job: &BlockJob<'_>,
         scratch: &mut CodecScratch,
-        model: &HistogramModel,
-    ) -> Vec<u8> {
-        self.plain.fetch_add(1, Ordering::SeqCst);
-        self.inner
-            .compress_block_shared(block, target, block_index, scratch, model)
-    }
-    fn compress_block_measured(
-        &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
-        scratch: &mut CodecScratch,
-        model: Option<&HistogramModel>,
-    ) -> (Vec<u8>, f64) {
-        self.measured.fetch_add(1, Ordering::SeqCst);
-        self.inner
-            .compress_block_measured(block, target, block_index, scratch, model)
+    ) -> Result<EncodedBlock, CodecError> {
+        let counter = match job.measure {
+            true => &self.measured,
+            false => &self.plain,
+        };
+        counter.fetch_add(1, Ordering::SeqCst);
+        self.inner.encode(job, scratch)
     }
     fn frame_model(&self, frame: &[u8]) -> Option<HistogramModel> {
         self.inner.frame_model(frame)
     }
-    fn decompress_block(&self, frame: &[u8]) -> Tensor {
-        self.inner.decompress_block(frame)
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+        self.inner.decode(frame, model)
     }
 }
 

@@ -11,9 +11,11 @@
 //! `RAYON_NUM_THREADS=1` and `=8` to exercise the claim in real processes.
 
 use gld_baselines::{SzCompressor, ZfpLikeCompressor};
+use gld_core::ContainerFormat::V3;
 use gld_core::{
-    Codec, CodecId, Container, ContainerError, ErrorTarget, GldCompressor, GldConfig,
-    LearnedBaseline, LearnedBaselineKind, StreamConfig,
+    compress_variable_to_writer_fmt, BlockJob, Codec, CodecError, CodecId, CodecScratch, Container,
+    ContainerError, EncodedBlock, ErrorTarget, GldCompressor, GldConfig, LearnedBaseline,
+    LearnedBaselineKind, StreamConfig,
 };
 use gld_datasets::{generate, DatasetKind, FieldSpec, Variable};
 use gld_diffusion::ConditionalDiffusion;
@@ -147,9 +149,10 @@ fn writer_sink_streams_the_exact_container_encoding() {
     let variable = &ds.variables[0];
     let sz = SzCompressor::new();
     let (buffered, buffered_stats) = Codec::compress_variable(&sz, variable, 8, None);
-    let (streamed, streamed_stats, metrics) = sz
-        .compress_variable_into(variable, 8, None, StreamConfig::default(), Vec::new())
-        .expect("in-memory writer cannot fail");
+    let config = StreamConfig::default();
+    let (streamed, streamed_stats, metrics) =
+        compress_variable_to_writer_fmt(&sz, variable, 8, None, config, V3, Vec::new())
+            .expect("in-memory writer cannot fail");
     assert_eq!(streamed, buffered.encode());
     assert_eq!(streamed_stats, buffered_stats);
     assert_eq!(metrics.blocks, 3);
@@ -183,18 +186,19 @@ fn sink_errors_abort_the_stream_instead_of_compressing_on() {
     let ds = generate(DatasetKind::E3sm, &FieldSpec::new(1, 64, 16, 16), 37);
     let variable = &ds.variables[0];
     let sz = SzCompressor::new();
-    let err = sz
-        .compress_variable_into(
-            variable,
-            4,
-            None,
-            StreamConfig {
-                queue_depth: 2,
-                workers: 1,
-            },
-            FailAfterHeader { written: 0 },
-        )
-        .expect_err("the failing sink must surface its error");
+    let err = compress_variable_to_writer_fmt(
+        &sz,
+        variable,
+        4,
+        None,
+        StreamConfig {
+            queue_depth: 2,
+            workers: 1,
+        },
+        V3,
+        FailAfterHeader { written: 0 },
+    )
+    .expect_err("the failing sink must surface its error");
     assert_eq!(err.error.kind(), std::io::ErrorKind::WriteZero);
     assert_eq!(
         err.frames_emitted, 0,
@@ -233,21 +237,22 @@ fn sink_error_reports_how_many_frames_were_completely_written() {
     let ds = generate(DatasetKind::E3sm, &FieldSpec::new(1, 64, 16, 16), 41);
     let variable = &ds.variables[0];
     let sz = SzCompressor::new();
-    let err = sz
-        .compress_variable_into(
-            variable,
-            4,
-            None,
-            StreamConfig {
-                queue_depth: 1,
-                workers: 1,
-            },
-            FailOnNthWrite {
-                calls: 0,
-                fail_at: 1 + 2 + 1,
-            },
-        )
-        .expect_err("the failing sink must surface its error");
+    let err = compress_variable_to_writer_fmt(
+        &sz,
+        variable,
+        4,
+        None,
+        StreamConfig {
+            queue_depth: 1,
+            workers: 1,
+        },
+        V3,
+        FailOnNthWrite {
+            calls: 0,
+            fail_at: 1 + 2 + 1,
+        },
+    )
+    .expect_err("the failing sink must surface its error");
     assert_eq!(err.error.kind(), std::io::ErrorKind::BrokenPipe);
     assert_eq!(err.frames_emitted, 2, "two frames were fully written");
     // The error's display ties both together for diagnostics.
@@ -301,19 +306,18 @@ fn codec_panics_propagate_with_their_original_payload() {
         fn id(&self) -> gld_core::CodecId {
             gld_core::CodecId::SzLike
         }
-        fn compress_block_at(
+        fn encode(
             &self,
-            block: &gld_tensor::Tensor,
-            target: Option<ErrorTarget>,
-            block_index: u64,
-        ) -> Vec<u8> {
-            if block_index == 2 {
+            job: &BlockJob<'_>,
+            scratch: &mut CodecScratch,
+        ) -> Result<EncodedBlock, CodecError> {
+            if job.index == 2 {
                 panic!("codec exploded at block 2");
             }
-            self.0.compress_block_at(block, target, block_index)
+            self.0.encode(job, scratch)
         }
-        fn decompress_block(&self, frame: &[u8]) -> gld_tensor::Tensor {
-            self.0.decompress_block(frame)
+        fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> gld_tensor::Tensor {
+            self.0.decode(frame, model)
         }
     }
 
@@ -382,7 +386,7 @@ fn decode_sequentially(codec: &dyn Codec, container: &Container) -> Vec<Tensor> 
             let model = container
                 .profile_for_block(index)
                 .and_then(|p| p.model.as_ref());
-            codec.decompress_block_shared(frame, model)
+            codec.decode(frame, model)
         })
         .collect()
 }
@@ -440,23 +444,19 @@ impl Codec for Probe<'_> {
     fn id(&self) -> CodecId {
         self.id
     }
-    fn compress_block_at(
+    fn encode(
         &self,
-        block: &Tensor,
-        target: Option<ErrorTarget>,
-        block_index: u64,
-    ) -> Vec<u8> {
-        self.inner.compress_block_at(block, target, block_index)
+        job: &BlockJob<'_>,
+        scratch: &mut CodecScratch,
+    ) -> Result<EncodedBlock, CodecError> {
+        self.inner.encode(job, scratch)
     }
-    fn decompress_block(&self, frame: &[u8]) -> Tensor {
-        self.decompress_block_shared(frame, None)
-    }
-    fn decompress_block_shared(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
         if self.exploding_frame.as_deref() == Some(frame) {
             panic!("codec exploded on its frame");
         }
         self.decoded.fetch_add(1, Ordering::SeqCst);
-        self.inner.decompress_block_shared(frame, model)
+        self.inner.decode(frame, model)
     }
 }
 
@@ -514,7 +514,7 @@ fn decompress_container_equals_the_sequential_map_bit_for_bit() {
 
 #[test]
 fn two_blocks_are_in_flight_at_once_even_on_a_one_worker_pool() {
-    // Each `decompress_block` waits (bounded, so a serial decode is a test
+    // Each `decode` waits (bounded, so a serial decode is a test
     // failure and not a hung job) until a second one has started: the
     // caller and one pool worker must both be inside the codec.
     struct Rendezvous {
@@ -530,15 +530,14 @@ fn two_blocks_are_in_flight_at_once_even_on_a_one_worker_pool() {
         fn id(&self) -> CodecId {
             CodecId::SzLike
         }
-        fn compress_block_at(
+        fn encode(
             &self,
-            block: &Tensor,
-            target: Option<ErrorTarget>,
-            block_index: u64,
-        ) -> Vec<u8> {
-            self.inner.compress_block_at(block, target, block_index)
+            job: &BlockJob<'_>,
+            scratch: &mut CodecScratch,
+        ) -> Result<EncodedBlock, CodecError> {
+            self.inner.encode(job, scratch)
         }
-        fn decompress_block(&self, frame: &[u8]) -> Tensor {
+        fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
             let mut arrived = self.arrived.lock().unwrap();
             *arrived += 1;
             self.second_arrived.notify_all();
@@ -550,7 +549,7 @@ fn two_blocks_are_in_flight_at_once_even_on_a_one_worker_pool() {
                 self.decoded_alone.store(true, Ordering::SeqCst);
             }
             drop(arrived);
-            self.inner.decompress_block(frame)
+            self.inner.decode(frame, model)
         }
     }
 
@@ -561,8 +560,9 @@ fn two_blocks_are_in_flight_at_once_even_on_a_one_worker_pool() {
         decoded_alone: AtomicBool::new(false),
     };
     let variable = smooth_variable(2, 61);
-    // Written by the inner codec: compressing decodes every block once to
-    // account its error, and that lone decode would wait here too.
+    // Written by the inner codec: a compress-side decode (the executor's
+    // fallback for a codec that does not measure itself) would wait here
+    // too.
     let (container, _) = codec.inner.compress_variable_sequential(&variable, 8, None);
     let blocks = codec
         .decompress_container(&container)
@@ -703,16 +703,14 @@ fn decode_panics_keep_their_payload_and_the_pool_keeps_its_workers() {
     }
 
     // The real thing: an undecodable frame among good ones leaves with the
-    // text `decompress_block` itself panics with.
+    // text `decode` itself panics with.
     let gld = untrained_compressor();
     let (good, _) = gld.compress_variable_sequential(&smooth_variable(3, 89), 8, None);
     let mut frames = good.blocks().to_vec();
     let half = frames[1].len() / 2;
     frames[1].truncate(half);
-    let alone = catch_unwind(AssertUnwindSafe(|| {
-        Codec::decompress_block(&gld, &frames[1])
-    }))
-    .expect_err("half a frame does not decode");
+    let alone = catch_unwind(AssertUnwindSafe(|| gld.decode(&frames[1], None)))
+        .expect_err("half a frame does not decode");
     let damaged = Container::from_blocks(CodecId::Gld, frames);
     let fanned = catch_unwind(AssertUnwindSafe(|| gld.decompress_container(&damaged)))
         .expect_err("nor does a container holding it");
