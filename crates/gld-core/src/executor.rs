@@ -1,40 +1,30 @@
 //! Streaming block executor: bounded-memory parallel compression of a
 //! variable's temporal windows.
 //!
-//! The buffered pipeline this replaces materialised every window result
-//! before packing the container, so the pipeline's working set grew with
-//! the variable.  Here three roles run concurrently on the persistent pool
-//! (`rayon::scope`):
+//! The paper codes each temporal block on its own (keyframes to latents,
+//! the rest generated, the seed derived per block), so blocks share no
+//! state and both directions are an ordered map over windows.  One private
+//! primitive, `pool_map`, runs such a map on the persistent pool: a lone
+//! job runs inline, two or more are one `rayon::pool::join_all` batch that
+//! the calling thread drains beside the workers, and results land in index
+//! order.
 //!
-//! * a **producer** — a claim counter advanced under the flow lock; the
-//!   claimed window itself is materialised (`temporal_window_at`) *outside*
-//!   the lock, so block-sized copies never serialise the other roles.
-//!   Claims are gated by a ticket window: index `i` may only be claimed
-//!   while `i < emitted + queue_depth`, which is the bounded queue — at
-//!   most `queue_depth` blocks exist between materialisation and emission,
-//!   so in-flight blocks are O(depth), not O(variable);
-//! * **one-shot worker jobs** — each claims at most one window, runs
-//!   [`Codec::encode`] with the window's index (the per-block derived seed
-//!   keeps output bit-identical to the sequential reference; SZ and GLD
-//!   report the reconstruction error with the frame, so nothing is decoded
-//!   to account it), posts the outcome to the reorder buffer and exits.
-//!   A job that finds
-//!   the ticket window full exits immediately instead of parking, so the
-//!   executor never blocks a pool thread and concurrent executors
-//!   interleave fairly on the shared pool;
-//! * an **ordered collector** (the calling thread) emits outcomes strictly
-//!   in temporal order, tops the pool up with one fresh job per emission,
-//!   and — while its next index is still in flight — helps by claiming and
-//!   compressing blocks itself, so the executor finishes even if every
-//!   pool worker is busy elsewhere.
+//! * **Encode** ([`stream_compress_variable`]) is one loop of batches: each
+//!   batch covers the next `queue_depth` windows, each job materialises its
+//!   window (`temporal_window_at`), runs [`Codec::encode`] with the window's
+//!   index (the per-block derived seed keeps output bit-identical to the
+//!   sequential reference; SZ and GLD report the reconstruction error with
+//!   the frame, so nothing is decoded to account it) and drops the window,
+//!   and the calling thread then emits the batch's outcomes in temporal
+//!   order.  At most `queue_depth` blocks exist between materialisation and
+//!   emission, so in-flight blocks are O(depth), not O(variable).
+//! * **Decode** (`decompress_blocks` under [`Codec::decompress_container`])
+//!   returns every block, so the whole container is one batch.
 //!
-//! Emission order equals claim order equals temporal order, so containers,
-//! statistics and every byte are identical across worker counts, queue
-//! depths and `RAYON_NUM_THREADS` settings (`tests/streaming_executor.rs`).
-//!
-//! The read side, `decompress_blocks` under
-//! [`Codec::decompress_container`], needs none of that flow control: it
-//! returns every block, so it fans them over the same pool as one batch.
+//! Emission order is temporal order, so containers, statistics and every
+//! byte are identical across queue depths and `RAYON_NUM_THREADS` settings
+//! (`tests/streaming_executor.rs`).  A codec panic leaves with its original
+//! payload once every sibling job of its batch has finished.
 
 use crate::codec::{squared_error, BlockJob, Codec, CodecScratch, EncodedBlock, ErrorTarget};
 use crate::container::{Container, DictMode, EntropyProfile};
@@ -43,13 +33,11 @@ use gld_entropy::HistogramModel;
 use gld_lz::LzProfile;
 use gld_tensor::Tensor;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 thread_local! {
     /// Per-worker scratch arena: pool workers are persistent, so buffers
-    /// reused across one-shot jobs stop the hot path from allocating per
+    /// reused across batch jobs stop the hot path from allocating per
     /// block.  Frames are bit-identical to the fresh-scratch path, so reuse
     /// never leaks state between blocks (or between interleaved executors
     /// sharing a pool thread).
@@ -224,28 +212,21 @@ pub fn fit_variable_profile<C: Codec + ?Sized>(
 /// Tuning for the streaming executor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct StreamConfig {
-    /// Maximum blocks simultaneously resident between materialisation and
-    /// ordered emission (the bounded queue).  Clamped to at least 1.
+    /// Windows per pool batch, and so the most blocks ever resident between
+    /// materialisation and ordered emission (the bounded queue).  Clamped to
+    /// at least 1.
     pub queue_depth: usize,
-    /// Upper bound on one-shot worker jobs kept in flight on the pool; `0`
-    /// means one per pool thread.  The collector always helps, so any
-    /// value makes progress.
-    pub workers: usize,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
-            // Two tickets per thread that compresses — the pool's workers
-            // *and* the helping collector — without letting memory balloon.
-            // Counting only the workers stalls a one-thread pool: whenever
-            // the collector finished block 0 before the worker finished
-            // block 1, the worker's next job found the window full and
-            // exited, and the collector compressed three blocks of four.
-            // Which way that race went changed an encode's wall time by a
-            // third from one call to the next.
+            // Two windows per thread that compresses — the pool's workers
+            // *and* the calling thread, which drains each batch beside
+            // them — without letting memory balloon.  Every window of a
+            // batch is a queued job that whichever thread is free takes
+            // next, so no thread idles while its batch has work left.
             queue_depth: 2 * (rayon::current_num_threads() + 1),
-            workers: 0,
         }
     }
 }
@@ -256,20 +237,21 @@ impl Default for StreamConfig {
 pub struct StreamMetrics {
     /// Blocks compressed and emitted.
     pub blocks: usize,
-    /// Peak number of simultaneously resident blocks (claimed but not yet
-    /// emitted).  Bounded by [`StreamConfig::queue_depth`] by construction.
+    /// Peak number of simultaneously resident blocks (materialised but not
+    /// yet emitted): the largest batch, so at most
+    /// [`StreamConfig::queue_depth`].
     pub peak_resident: usize,
 }
 
-/// Everything the collector needs from one compressed window: the container
+/// Everything emission needs from one compressed window: the container
 /// frame plus the error/range partials the shared accounting aggregates.
 pub struct BlockOutcome {
     /// The encoded container frame (unstaged codec bytes).
     pub frame: Vec<u8>,
     /// The frame's `gld-lz` stage stream when it is strictly smaller than
-    /// the frame (the container v3 per-frame stage decision), computed on
-    /// the worker thread through the scratch's `LzScratch` so the ordered
-    /// collector never serialises stage compression.  `None` when the frame
+    /// the frame (the container v3 per-frame stage decision), computed in
+    /// the block's pool job through the scratch's `LzScratch` so ordered
+    /// emission never serialises stage compression.  `None` when the frame
     /// did not shrink or the caller asked for a stage-free stream.
     pub lz: Option<Vec<u8>>,
     /// Sum of squared reconstruction errors over the window.
@@ -351,21 +333,16 @@ pub(crate) fn compress_window_outcome<C: Codec + ?Sized>(
 /// Decodes every frame of `container` (already checked against `codec` by
 /// [`Codec::decompress_container`]) and returns the blocks in temporal order.
 ///
-/// Blocks share no state, so a container of two or more goes to the pool as
-/// **one batch**: one submission and one wake-up, the calling thread starts
-/// on block 0 and keeps draining the batch beside the workers (so the call
-/// completes with every worker busy, and from inside a pool job), and each
-/// block lands in its own slot — the same floats in the same order as a
-/// sequential map.  No ticket window: the call returns every block, so
-/// memory is O(variable) by contract.  A codec panic leaves with its
-/// original payload once every sibling block has finished.
+/// The whole container is one `pool_map` batch: the call returns every
+/// block, so memory is O(variable) by contract.
 pub(crate) fn decompress_blocks<C: Codec + ?Sized>(
     codec: &C,
     container: &Container,
 ) -> Vec<Tensor> {
     static DECODE_NS: BlockHistogram = OnceLock::new();
     let decode_ns = block_histogram(&DECODE_NS, "gld_block_decode_ns");
-    let decode = |index: usize, frame: &[u8]| {
+    let frames = container.blocks();
+    pool_map(frames.len(), |index| {
         let _span = gld_obs::span::SpanGuard::enter("block.decode", 0, index as u64);
         let t0_ns = gld_obs::now_ns();
         // Frames of a profiled (v4) container may reference the container's
@@ -373,30 +350,43 @@ pub(crate) fn decompress_blocks<C: Codec + ?Sized>(
         let model = container
             .profile_for_block(index)
             .and_then(|p| p.model.as_ref());
-        let block = codec.decode(frame, model);
+        let block = codec.decode(&frames[index], model);
         decode_ns.record(gld_obs::now_ns().saturating_sub(t0_ns));
         block
-    };
-    let frames = container.blocks();
-    if frames.len() < 2 {
-        // Nothing to run beside: a lone block never touches the pool.
-        return frames.iter().map(|frame| decode(0, frame)).collect();
+    })
+}
+
+/// Runs `job` for every index in `0..count` on the persistent pool and
+/// returns the results in index order — the one pool primitive under both
+/// directions.  A lone job runs inline and never touches the pool; two or
+/// more are **one batch**: one submission and one wake-up, the calling
+/// thread starts on job 0 and keeps draining the batch beside the workers
+/// (so the call completes with every worker busy, and from inside a pool
+/// job), and each result lands in its own slot — the same values in the
+/// same order as a sequential map.  A panic leaves with its original
+/// payload once every sibling job has finished.
+fn pool_map<T, F>(count: usize, job: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if count < 2 {
+        return (0..count).map(job).collect();
     }
-    let mut slots: Vec<Option<Tensor>> = Vec::new();
-    slots.resize_with(frames.len(), || None);
-    let decode = &decode;
-    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = frames
-        .iter()
-        .zip(slots.iter_mut())
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(count, || None);
+    let job = &job;
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = slots
+        .iter_mut()
         .enumerate()
-        .map(|(index, (frame, slot))| {
-            Box::new(move || *slot = Some(decode(index, frame))) as Box<dyn FnOnce() + Send + '_>
+        .map(|(index, slot)| {
+            Box::new(move || *slot = Some(job(index))) as Box<dyn FnOnce() + Send + '_>
         })
         .collect();
     rayon::pool::join_all(jobs);
     slots
         .into_iter()
-        .map(|slot| slot.expect("pool batch completed every block"))
+        .map(|slot| slot.expect("pool batch completed every job"))
         .collect()
 }
 
@@ -419,122 +409,21 @@ pub(crate) fn checked_windows(
     (windows, count)
 }
 
-/// Shared flow-control state: the claim counter, the ticket window and the
-/// reorder buffer, all under one lock.
-struct FlowState {
-    /// Lowest unclaimed window index; claims advance it in temporal order.
-    next: usize,
-    emitted: usize,
-    resident: usize,
-    peak_resident: usize,
-    ready: BTreeMap<usize, BlockOutcome>,
-    worker_panicked: bool,
-    /// Set when the emit callback cancels the stream (e.g. the sink hit an
-    /// I/O error): remaining windows are abandoned, not compressed.
-    cancelled: bool,
-}
-
-struct Flow<'a> {
-    variable: &'a Variable,
-    block_frames: usize,
-    count: usize,
-    depth: usize,
-    state: Mutex<FlowState>,
-    /// Collector waits here for the next in-order outcome.
-    outcome_posted: Condvar,
-}
-
-impl Flow<'_> {
-    /// Claims the next window if the ticket window has room, materialising
-    /// the block copy *after* releasing the lock.  Claim order under the
-    /// lock *is* temporal order.  Returns `None` when the window is full or
-    /// every index is claimed — callers exit or wait on the reorder buffer;
-    /// nothing ever parks on a claim.
-    fn try_claim(&self) -> Option<(usize, Tensor)> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.next >= self.count
-            || state.worker_panicked
-            || state.cancelled
-            || state.next >= state.emitted + self.depth
-        {
-            return None;
-        }
-        let index = state.next;
-        state.next += 1;
-        state.resident += 1;
-        state.peak_resident = state.peak_resident.max(state.resident);
-        drop(state);
-        let window = blocks::temporal_window_at(self.variable, self.block_frames, index);
-        Some((index, window.data))
-    }
-
-    /// Posts a finished outcome into the reorder buffer.
-    fn post(&self, index: usize, outcome: BlockOutcome) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.ready.insert(index, outcome);
-        drop(state);
-        self.outcome_posted.notify_all();
-    }
-
-    /// Marks the run failed so the collector stops instead of waiting for a
-    /// block that will never arrive.
-    fn poison(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.worker_panicked = true;
-        drop(state);
-        self.outcome_posted.notify_all();
-    }
-
-    /// Stops the stream early: no further windows are claimed; outstanding
-    /// jobs drain out as no-ops.
-    fn cancel(&self) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.cancelled = true;
-        drop(state);
-        self.outcome_posted.notify_all();
-    }
-}
-
-/// One pool job: claim at most one window, compress it, post the outcome.
-/// Never blocks — a full ticket window or a drained variable makes it a
-/// no-op (the collector tops jobs up as tickets free).  A codec panic
-/// poisons the flow before re-throwing so the collector stops cleanly and
-/// the pool's scope re-throws the original payload.
-fn worker_step<C: Codec + ?Sized>(
-    flow: &Flow<'_>,
-    codec: &C,
-    target: Option<ErrorTarget>,
-    stage: &StageMode,
-) {
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        if let Some((index, window)) = flow.try_claim() {
-            let outcome =
-                compress_window_outcome_pooled(codec, &window, target, index as u64, stage);
-            drop(window);
-            flow.post(index, outcome);
-        }
-    }));
-    if let Err(payload) = run {
-        flow.poison();
-        resume_unwind(payload);
-    }
-}
-
 /// Streams every complete temporal window of `variable` through `codec` and
 /// hands the outcomes to `emit` strictly in temporal order, holding at most
-/// `config.queue_depth` blocks in flight.  `emit` runs on the calling
-/// thread; emitting early frames overlaps with compressing later ones.
-/// Returning `false` from `emit` cancels the stream: no further windows are
-/// claimed or compressed (the sink writer uses this to abort on the first
+/// `config.queue_depth` blocks in flight.  The windows run as consecutive
+/// pool batches of `queue_depth`; `emit` runs on the calling thread after
+/// each batch.  Returning `false` from `emit` cancels the stream: no later
+/// batch is compressed (the sink writer uses this to abort on the first
 /// I/O error instead of compressing the rest of the variable for nothing).
 ///
-/// `stage` selects how the workers run the container's lossless stage per
+/// `stage` selects how each job runs the container's lossless stage per
 /// frame (posted in [`BlockOutcome::lz`]): cold per-frame fits for a v3
 /// stream, warm shared-profile coding for a v4 stream, or no staging at all
 /// for a v2 stream.
 ///
-/// A panic inside the codec — on a worker job or on the collector's helping
-/// path — propagates out of this call with its original payload.
+/// A panic inside the codec or in `emit` propagates out of this call with
+/// its original payload.
 pub fn stream_compress_variable<C, F>(
     codec: &C,
     variable: &Variable,
@@ -548,108 +437,24 @@ where
     C: Codec + ?Sized,
     F: FnMut(usize, BlockOutcome) -> bool,
 {
-    let stage = &stage;
     let (_, count) = checked_windows(variable, block_frames);
     let depth = config.queue_depth.max(1);
-    let lookahead = match config.workers {
-        0 => rayon::current_num_threads(),
-        n => n,
-    }
-    .min(depth)
-    .min(count)
-    .max(1);
-
-    let flow = Flow {
-        variable,
-        block_frames,
-        count,
-        depth,
-        state: Mutex::new(FlowState {
-            next: 0,
-            emitted: 0,
-            resident: 0,
-            peak_resident: 0,
-            ready: BTreeMap::new(),
-            worker_panicked: false,
-            cancelled: false,
-        }),
-        outcome_posted: Condvar::new(),
-    };
-
-    rayon::scope(|scope| {
-        // Guarded like the worker jobs: if `emit` or the helping-path codec
-        // call panics, the flow must be stopped before the panic unwinds
-        // into the scope so outstanding jobs drain as no-ops and the
-        // original payload is re-thrown.
-        let flow = &flow;
-        let collect = catch_unwind(AssertUnwindSafe(|| {
-            let mut spawned = 0usize;
-            let spawn_one = |spawned: &mut usize| {
-                if *spawned < count {
-                    *spawned += 1;
-                    scope.spawn(move || worker_step(flow, codec, target, stage));
-                }
-            };
-            for _ in 0..lookahead {
-                spawn_one(&mut spawned);
+    let mut metrics = StreamMetrics::default();
+    for start in (0..count).step_by(depth) {
+        let batch = depth.min(count - start);
+        let outcomes = pool_map(batch, |offset| {
+            let index = start + offset;
+            let window = blocks::temporal_window_at(variable, block_frames, index);
+            compress_window_outcome_pooled(codec, &window.data, target, index as u64, &stage)
+        });
+        metrics.peak_resident = metrics.peak_resident.max(batch);
+        for (index, outcome) in (start..).zip(outcomes) {
+            // Counted before `emit`: a cancelling emission still took it.
+            metrics.blocks += 1;
+            if !emit(index, outcome) {
+                return metrics;
             }
-
-            let mut next_emit = 0usize;
-            while next_emit < count {
-                let mut state = flow.state.lock().unwrap_or_else(|e| e.into_inner());
-                if state.worker_panicked {
-                    // Exit without panicking: the worker's original payload
-                    // is held by its pool batch, and the surrounding scope
-                    // re-throws it once the jobs have drained — panicking
-                    // here would mask the real error with a generic one.
-                    break;
-                }
-                if let Some(outcome) = state.ready.remove(&next_emit) {
-                    state.emitted += 1;
-                    state.resident -= 1;
-                    drop(state);
-                    if !emit(next_emit, outcome) {
-                        flow.cancel();
-                        break;
-                    }
-                    next_emit += 1;
-                    // A ticket just freed: keep the pool topped up with one
-                    // job per emission (one-shot jobs never park, so this
-                    // is the only replenishment point).
-                    spawn_one(&mut spawned);
-                    continue;
-                }
-                drop(state);
-                // The next block is not ready.  Help: claim and compress
-                // one ourselves; if the ticket window is full or everything
-                // is claimed, the block we need is in flight — wait for a
-                // post.
-                if let Some((index, window)) = flow.try_claim() {
-                    let outcome =
-                        compress_window_outcome_pooled(codec, &window, target, index as u64, stage);
-                    drop(window);
-                    flow.post(index, outcome);
-                } else {
-                    let mut state = flow.state.lock().unwrap_or_else(|e| e.into_inner());
-                    while !state.worker_panicked && !state.ready.contains_key(&next_emit) {
-                        state = flow
-                            .outcome_posted
-                            .wait(state)
-                            .unwrap_or_else(|e| e.into_inner());
-                    }
-                }
-            }
-        }));
-        if let Err(payload) = collect {
-            flow.cancel();
-            resume_unwind(payload);
         }
-    });
-
-    let state = flow.state.into_inner().unwrap_or_else(|e| e.into_inner());
-    debug_assert!(state.cancelled || state.worker_panicked || state.emitted == count);
-    StreamMetrics {
-        blocks: state.emitted,
-        peak_resident: state.peak_resident,
     }
+    metrics
 }

@@ -512,54 +512,8 @@ pub fn read_frame<R: Read>(
     Ok(Ok((header, body)))
 }
 
-/// Bounds-checked body reader with protocol-typed errors (a thin shim over
-/// the container crate's [`ByteReader`]).
-struct BodyReader<'a> {
-    inner: ByteReader<'a>,
-}
-
-impl<'a> BodyReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        BodyReader {
-            inner: ByteReader::new(bytes),
-        }
-    }
-
-    fn remaining(&self) -> usize {
-        self.inner.remaining()
-    }
-
-    fn take(&mut self, len: usize) -> Result<&'a [u8], ProtocolError> {
-        Ok(self.inner.take(len)?)
-    }
-
-    fn read_u8(&mut self) -> Result<u8, ProtocolError> {
-        Ok(self.inner.read_u8()?)
-    }
-
-    fn read_u16(&mut self) -> Result<u16, ProtocolError> {
-        Ok(self.inner.read_u16()?)
-    }
-
-    fn read_u32(&mut self) -> Result<u32, ProtocolError> {
-        Ok(self.inner.read_u32()?)
-    }
-
-    fn read_u64(&mut self) -> Result<u64, ProtocolError> {
-        Ok(self.inner.read_u64()?)
-    }
-
-    fn read_f32(&mut self) -> Result<f32, ProtocolError> {
-        Ok(self.inner.read_f32()?)
-    }
-
-    fn expect_end(&self) -> Result<(), ProtocolError> {
-        Ok(self.inner.expect_end()?)
-    }
-}
-
 /// Reads a `u16` length-prefixed UTF-8 key.
-fn read_key(reader: &mut BodyReader<'_>) -> Result<String, ProtocolError> {
+fn read_key(reader: &mut ByteReader<'_>) -> Result<String, ProtocolError> {
     let len = reader.read_u16()? as usize;
     let bytes = reader.take(len)?;
     String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::Malformed("key is not UTF-8"))
@@ -588,7 +542,7 @@ fn write_target(out: &mut Vec<u8>, target: Option<ErrorTarget>) {
     }
 }
 
-fn read_target(reader: &mut BodyReader<'_>) -> Result<Option<ErrorTarget>, ProtocolError> {
+fn read_target(reader: &mut ByteReader<'_>) -> Result<Option<ErrorTarget>, ProtocolError> {
     let kind = reader.read_u8()?;
     if kind == 0 {
         return Ok(None);
@@ -659,7 +613,7 @@ impl CompressRequest {
     /// Parses a request body, validating every field before any sized
     /// allocation.
     pub fn decode_body(bytes: &[u8]) -> Result<Self, ProtocolError> {
-        let mut reader = BodyReader::new(bytes);
+        let mut reader = ByteReader::new(bytes);
         let key = read_key(&mut reader)?;
         let block_frames = reader.read_u32()?;
         if block_frames == 0 {
@@ -729,7 +683,7 @@ impl DecompressRequest {
 
     /// Parses a request body.
     pub fn decode_body(bytes: &[u8]) -> Result<Self, ProtocolError> {
-        let mut reader = BodyReader::new(bytes);
+        let mut reader = ByteReader::new(bytes);
         let key = read_key(&mut reader)?;
         let container = reader.take(reader.remaining())?.to_vec();
         Ok(DecompressRequest { key, container })
@@ -755,7 +709,7 @@ impl HelloRequest {
 
     /// Parses a request body.
     pub fn decode_body(bytes: &[u8]) -> Result<Self, ProtocolError> {
-        let mut reader = BodyReader::new(bytes);
+        let mut reader = ByteReader::new(bytes);
         let count = reader.read_u8()? as usize;
         if count == 0 {
             return Err(ProtocolError::Malformed("hello proposes no codecs"));
@@ -790,7 +744,7 @@ impl HelloResponse {
 
     /// Parses a response body.
     pub fn decode_body(bytes: &[u8]) -> Result<Self, ProtocolError> {
-        let mut reader = BodyReader::new(bytes);
+        let mut reader = ByteReader::new(bytes);
         let shards = reader.read_u32()?;
         let shard_window = reader.read_u32()?;
         let queue_depth = reader.read_u32()?;
@@ -953,7 +907,7 @@ impl StatusResponse {
     /// a legacy body ending at the shard table decodes with
     /// `summaries: None`.
     pub fn decode_body(bytes: &[u8]) -> Result<Self, ProtocolError> {
-        let mut reader = BodyReader::new(bytes);
+        let mut reader = ByteReader::new(bytes);
         let count = reader.read_u32()? as usize;
         let connections_active = reader.read_u64()?;
         let connections_opened = reader.read_u64()?;
@@ -1170,7 +1124,7 @@ pub fn encode_blocks_body(blocks: &[Tensor]) -> Vec<u8> {
 /// validated against the available bytes before any allocation, so a
 /// corrupt count or dimension cannot trigger a huge reservation.
 pub fn decode_blocks_body(bytes: &[u8]) -> Result<Vec<Tensor>, ProtocolError> {
-    let mut reader = BodyReader::new(bytes);
+    let mut reader = ByteReader::new(bytes);
     let count = reader.read_u32()? as usize;
     let mut blocks = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {

@@ -12,8 +12,8 @@
 //! (admitted but not yet completed), so a congested shard queues *its own*
 //! submitters' requests while every other shard keeps flowing.  All shards
 //! share the one persistent `rayon` pool underneath: compress requests run
-//! the bounded-memory streaming executor (`gld_core::executor`) whose
-//! collector helps from the shard thread, so no shard can be starved by
+//! the bounded-memory streaming executor (`gld_core::executor`), whose pool
+//! batches the shard thread drains itself, so no shard can be starved by
 //! another's pool usage.
 //!
 //! Connections are kept alive and **pipelined**: a client may have up to

@@ -318,13 +318,15 @@ mod tests {
 
     #[test]
     fn off_disarms_and_bad_specs_are_typed_errors() {
+        // Every `configure` call stays inside the gate: one after it would
+        // reset the registry under whichever test holds the gate next.
         with_config("a=err_io;a=off", || {
             assert!(!active(), "the later `off` wins and nothing is armed");
+            assert!(configure("nonsense").is_err());
+            assert!(configure("a=explode").is_err());
+            assert!(configure("a=delay").is_err(), "delay needs a duration");
+            assert!(configure("a=err_io:200%").is_err());
+            configure("").unwrap();
         });
-        assert!(configure("nonsense").is_err());
-        assert!(configure("a=explode").is_err());
-        assert!(configure("a=delay").is_err(), "delay needs a duration");
-        assert!(configure("a=err_io:200%").is_err());
-        configure("").unwrap();
     }
 }

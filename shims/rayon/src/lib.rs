@@ -28,14 +28,15 @@
 //!   block per item), exactly as before — it bounds the minimum items per
 //!   piece like rayon's and marks the iterator as worth parallelising
 //!   regardless of the weight heuristic;
-//! * [`scope`] exposes the pool directly for long-lived concurrent jobs (the
-//!   streaming block executor's worker/collector pair in `gld-core`).
+//! * [`pool::join_all`] exposes the pool directly as one fork-join batch of
+//!   borrowing jobs (the block executor in `gld-core` runs both directions
+//!   on it).
 
 #![deny(unsafe_code)]
 
 pub mod pool;
 
-pub use pool::{current_num_threads, scope, Scope, ThreadPool};
+pub use pool::{current_num_threads, ThreadPool};
 
 use std::ops::Range;
 

@@ -22,22 +22,23 @@
 //!   condvar; submissions bump a generation counter under the same lock
 //!   before notifying, which makes the lost-wakeup race impossible (the
 //!   worker re-checks the generation before sleeping).
-//! * **Caller helping.**  [`scope`] runs its closure on the calling thread,
-//!   then the caller drains the batch's remaining jobs itself before
-//!   blocking.  Two consequences: a terminal op completes even if every pool
-//!   worker is busy (no starvation deadlock — the submitter can always
-//!   finish its own batch), and nested parallelism from inside a worker job
-//!   is safe for the same reason.
+//! * **Caller helping.**  [`join_all`] submits its batch, then the caller
+//!   drains the batch's remaining jobs itself before blocking.  Two
+//!   consequences: a terminal op completes even if every pool worker is
+//!   busy (no starvation deadlock — the submitter can always finish its own
+//!   batch), and nested parallelism from inside a worker job is safe for
+//!   the same reason.
 //!
 //! # Safety
 //!
 //! This module contains the crate's only `unsafe` code: the lifetime erasure
 //! that lets borrowing closures run on the persistent workers
-//! (`erase_lifetime`).  Soundness rests on one invariant, upheld by
-//! [`scope`]: **a scope never returns — not even by panic — before every job
-//! of its batch has finished running.**  The borrowed environment therefore
-//! strictly outlives every use.  This is the same contract real rayon's
-//! scopes implement.
+//! (`erase_lifetime`), called from one place, [`join_all`].  Soundness rests
+//! on one invariant, upheld there: **`join_all` never returns — not even by
+//! panic — before every job of its batch has finished running.**  Job panics
+//! are caught inside the batch and re-thrown only after the completion
+//! wait, so the borrowed environment strictly outlives every use.  This is
+//! the same contract real rayon's scopes implement.
 
 #![allow(unsafe_code)]
 
@@ -47,8 +48,8 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// A unit of work queued on the pool.  `'static` because the pool workers
-/// outlive any caller; borrowing closures are admitted through the scoped
-/// lifetime erasure in [`scope`], which guarantees completion-before-return.
+/// outlive any caller; borrowing closures are admitted through the lifetime
+/// erasure in [`join_all`], which guarantees completion-before-return.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A submitted collection of jobs plus its completion latch.
@@ -260,76 +261,17 @@ pub fn current_num_threads() -> usize {
 /// # Safety
 ///
 /// The caller must guarantee the job has *finished running* (or been dropped)
-/// before `'env` ends.  [`scope`] upholds this by draining and then waiting
-/// on the batch before returning, on both the normal and the panic path.
+/// before `'env` ends.  [`join_all`] upholds this by draining and then
+/// waiting on the batch before returning, on both the normal and the panic
+/// path.
 unsafe fn erase_lifetime<'env>(job: Box<dyn FnOnce() + Send + 'env>) -> Job {
     std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job)
 }
 
-/// A scope handle for spawning borrowing jobs onto the persistent pool.
-///
-/// Unlike the fork-join [`join_all`], spawned jobs **start immediately** —
-/// they run on the pool concurrently with the rest of the scope closure.
-/// This is what lets the streaming executor run its collector loop on the
-/// calling thread while worker jobs are already compressing blocks.
-pub struct Scope<'scope, 'env: 'scope> {
-    batches: std::cell::RefCell<Vec<Arc<Batch>>>,
-    marker: std::marker::PhantomData<&'scope mut &'env ()>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Submits `job` to the pool right away.  Jobs may borrow from `'env`.
-    pub fn spawn<F: FnOnce() + Send + 'env>(&self, job: F) {
-        // SAFETY: `scope` drains and waits on every spawned batch before
-        // returning (on the panic path too), so the `'env` borrows inside
-        // `job` outlive its execution.
-        let job = unsafe { erase_lifetime(Box::new(job)) };
-        let batch = Batch::new(VecDeque::from([job]));
-        global().submit(&batch);
-        self.batches.borrow_mut().push(batch);
-    }
-}
-
-/// Runs `f` on the calling thread while its spawned jobs execute on the
-/// persistent pool, and returns `f`'s result once **all** jobs finished.
-///
-/// After `f` returns, the calling thread helps drain any not-yet-started
-/// jobs itself, so the scope completes even when every pool worker is
-/// occupied (this is what makes nested parallelism deadlock-free).  Panics —
-/// from `f` or from any job — are re-thrown here, after the completion wait.
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
-{
-    let scope_handle = Scope {
-        batches: std::cell::RefCell::new(Vec::new()),
-        marker: std::marker::PhantomData,
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| f(&scope_handle)));
-    // The completion wait is unconditional — it is what makes the lifetime
-    // erasure in `spawn` sound, so it must run even when `f` panicked.
-    let batches = scope_handle.batches.into_inner();
-    for batch in &batches {
-        while batch.run_one() {}
-    }
-    let mut first_panic = None;
-    for batch in &batches {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| batch.wait())) {
-            first_panic.get_or_insert(payload);
-        }
-    }
-    match result {
-        Ok(value) => match first_panic {
-            None => value,
-            Some(payload) => resume_unwind(payload),
-        },
-        Err(payload) => resume_unwind(payload),
-    }
-}
-
-/// Fork-join entry used by the terminal ops: runs every closure in `jobs`
-/// (potentially borrowing) to completion across the pool, helping from the
-/// calling thread.
+/// Fork-join entry used by the terminal ops and `gld-core`'s block executor:
+/// runs every closure in `jobs` (potentially borrowing) to completion across
+/// the pool as one batch, helping from the calling thread.  A job panic is
+/// re-thrown here with its original payload once every job has finished.
 pub fn join_all<'env>(jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {
     if jobs.is_empty() {
         return;
@@ -367,56 +309,57 @@ mod tests {
         assert_eq!(counter.load(Ordering::Relaxed), (1..=64).sum::<u64>());
     }
 
+    /// Boxes each closure as one borrowing `join_all` job.
+    fn batch<'env>(
+        jobs: impl IntoIterator<Item = impl FnOnce() + Send + 'env>,
+    ) -> Vec<Box<dyn FnOnce() + Send + 'env>> {
+        jobs.into_iter()
+            .map(|job| Box::new(job) as Box<dyn FnOnce() + Send + 'env>)
+            .collect()
+    }
+
     #[test]
-    fn scope_spawn_borrows_locals() {
+    fn join_all_jobs_borrow_locals() {
         let data: Vec<u64> = (0..100).collect();
         let total = AtomicU64::new(0);
-        scope(|s| {
-            for chunk in data.chunks(7) {
-                let total = &total;
-                s.spawn(move || {
-                    total.fetch_add(chunk.iter().sum::<u64>(), Ordering::Relaxed);
-                });
+        let total_ref = &total;
+        join_all(batch(data.chunks(7).map(|chunk| {
+            move || {
+                total_ref.fetch_add(chunk.iter().sum::<u64>(), Ordering::Relaxed);
             }
-        });
+        })));
         assert_eq!(total.load(Ordering::Relaxed), (0..100).sum::<u64>());
     }
 
     #[test]
-    fn nested_scopes_complete() {
+    fn nested_join_all_completes() {
         let total = AtomicU64::new(0);
-        scope(|outer| {
-            for _ in 0..8 {
-                let total = &total;
-                outer.spawn(move || {
-                    scope(|inner| {
-                        for _ in 0..8 {
-                            inner.spawn(move || {
-                                total.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                    });
-                });
+        let total = &total;
+        join_all(batch((0..8).map(|_| {
+            move || {
+                join_all(batch((0..8).map(|_| {
+                    move || {
+                        total.fetch_add(1, Ordering::Relaxed);
+                    }
+                })));
             }
-        });
+        })));
         assert_eq!(total.load(Ordering::Relaxed), 64);
     }
 
     #[test]
-    fn panics_propagate_after_completion() {
+    fn join_all_panics_propagate_after_completion() {
         let finished = AtomicU64::new(0);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            scope(|s| {
-                let finished = &finished;
-                s.spawn(|| panic!("boom"));
-                for _ in 0..16 {
-                    s.spawn(move || {
-                        finished.fetch_add(1, Ordering::Relaxed);
-                    });
-                }
-            });
-        }));
-        assert!(result.is_err(), "job panic must surface at the scope");
+        let finished_ref = &finished;
+        let mut jobs: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(|| panic!("boom"))];
+        jobs.extend(batch((0..16).map(|_| {
+            move || {
+                finished_ref.fetch_add(1, Ordering::Relaxed);
+            }
+        })));
+        let payload = catch_unwind(AssertUnwindSafe(|| join_all(jobs)))
+            .expect_err("job panic must surface at join_all");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("boom"));
         assert_eq!(
             finished.load(Ordering::Relaxed),
             16,

@@ -337,14 +337,8 @@ fn every_compress_path_reports_the_stats_of_the_container_it_returned() {
         ("gld", &gld, None, DatasetKind::E3sm),
         ("gld bounded", &gld, BOUNDED, DatasetKind::E3sm),
     ];
-    let narrow = StreamConfig {
-        queue_depth: 1,
-        workers: 1,
-    };
-    let wide = StreamConfig {
-        queue_depth: 16,
-        workers: 8,
-    };
+    let narrow = StreamConfig { queue_depth: 1 };
+    let wide = StreamConfig { queue_depth: 16 };
     for (name, codec, target, kind) in cases {
         let variable = variable(kind, 4, 41);
         let check = |path: &str, encoded: Vec<u8>, stats: VariableStats| {
@@ -359,13 +353,13 @@ fn every_compress_path_reports_the_stats_of_the_container_it_returned() {
         let (container, stats) =
             codec.compress_variable_profiled_sequential(&variable, BLOCK_FRAMES, target);
         check("profiled sequential", container.encode(), stats);
-        for (workers, config) in [("1 worker", narrow), ("8 workers", wide)] {
+        for (depth, config) in [("depth 1", narrow), ("depth 16", wide)] {
             let (container, stats, _) =
                 codec.compress_variable_streaming(&variable, BLOCK_FRAMES, target, config);
-            check(&format!("streaming, {workers}"), container.encode(), stats);
+            check(&format!("streaming, {depth}"), container.encode(), stats);
             let (container, stats, _) =
                 codec.compress_variable_profiled(&variable, BLOCK_FRAMES, target, config);
-            check(&format!("profiled, {workers}"), container.encode(), stats);
+            check(&format!("profiled, {depth}"), container.encode(), stats);
             for format in [
                 ContainerFormat::V2,
                 ContainerFormat::V3,
@@ -381,7 +375,7 @@ fn every_compress_path_reports_the_stats_of_the_container_it_returned() {
                     Vec::new(),
                 )
                 .expect("a Vec sink cannot fail");
-                check(&format!("writer {format:?}, {workers}"), encoded, stats);
+                check(&format!("writer {format:?}, {depth}"), encoded, stats);
             }
         }
     }

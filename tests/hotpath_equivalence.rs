@@ -16,8 +16,8 @@
 //! * **arena** — `Codec::encode` with an arbitrarily dirty `CodecScratch`
 //!   equals the same encode with a fresh one, and the streaming executor
 //!   (whose workers reuse thread-local arenas) emits containers
-//!   byte-identical to the sequential reference across worker counts and
-//!   queue depths.  CI runs this file on both `RAYON_NUM_THREADS` legs;
+//!   byte-identical to the sequential reference across queue depths.  CI
+//!   runs this file on both `RAYON_NUM_THREADS` legs;
 //! * **backends** — every SIMD kernel backend the host supports produces
 //!   byte-identical frames, containers and LZ stage streams to the forced
 //!   scalar backend, through the full compressors, across dirty scratch
@@ -229,23 +229,10 @@ fn streaming_executor_with_arenas_matches_sequential_reference() {
     let sz = SzCompressor::new();
     let (seq, seq_stats) = sz.compress_variable_sequential(&variable, 3, None);
     for depth in [1, 2, 7] {
-        for workers in [0, 1, 3] {
-            let (streamed, stats, _) = sz.compress_variable_streaming(
-                &variable,
-                3,
-                None,
-                StreamConfig {
-                    queue_depth: depth,
-                    workers,
-                },
-            );
-            assert_eq!(
-                streamed.encode(),
-                seq.encode(),
-                "depth {depth} workers {workers}"
-            );
-            assert_eq!(stats, seq_stats, "depth {depth} workers {workers}");
-        }
+        let (streamed, stats, _) =
+            sz.compress_variable_streaming(&variable, 3, None, StreamConfig { queue_depth: depth });
+        assert_eq!(streamed.encode(), seq.encode(), "depth {depth}");
+        assert_eq!(stats, seq_stats, "depth {depth}");
     }
 }
 
@@ -492,18 +479,9 @@ fn streaming_executor_matches_sequential_with_simd_forced() {
     gld_kernels::force(Backend::Scalar).expect("scalar always available");
     let (seq, seq_stats) = sz.compress_variable_sequential(&variable, 3, None);
     gld_kernels::force(gld_kernels::best_available()).expect("best backend is available");
-    for workers in [0, 1, 3] {
-        let (streamed, stats, _) = sz.compress_variable_streaming(
-            &variable,
-            3,
-            None,
-            StreamConfig {
-                queue_depth: 2,
-                workers,
-            },
-        );
-        assert_eq!(streamed.encode(), seq.encode(), "workers {workers}");
-        assert_eq!(stats, seq_stats, "workers {workers}");
-    }
+    let (streamed, stats, _) =
+        sz.compress_variable_streaming(&variable, 3, None, StreamConfig { queue_depth: 2 });
+    assert_eq!(streamed.encode(), seq.encode());
+    assert_eq!(stats, seq_stats);
     gld_kernels::clear_force();
 }

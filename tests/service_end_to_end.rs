@@ -417,7 +417,6 @@ fn overloaded_shard_respects_its_window_while_other_shards_flow() {
             shard_window: WINDOW,
             stream: StreamConfig {
                 queue_depth: QUEUE_DEPTH,
-                workers: 0,
             },
             ..ServiceConfig::default()
         },

@@ -1,14 +1,15 @@
 //! Contract tests for the streaming block executor: bounded resident-block
-//! count, ordered emission, bit-identical output across worker counts and
-//! queue depths, and the incremental container writer — and for its decode
+//! count, one pool batch per `queue_depth` windows, ordered emission,
+//! bit-identical output across queue depths and pool sizes, and the
+//! incremental container writer — and for its decode
 //! half, `Codec::decompress_container`'s one-batch fan-out: bit-identity
 //! with the sequential map, real concurrency, nesting, panics and refusals.
 //!
 //! Cross-process determinism (the `RAYON_NUM_THREADS=1` vs default-pool leg)
 //! follows transitively: every configuration below is asserted equal to the
 //! single-threaded sequential reference, which is trivially independent of
-//! the pool size — and CI runs this whole suite under both
-//! `RAYON_NUM_THREADS=1` and `=8` to exercise the claim in real processes.
+//! the pool size — and CI runs this whole suite under `RAYON_NUM_THREADS`
+//! 1, 3 and 8 to exercise the claim in real processes.
 
 use gld_baselines::{SzCompressor, ZfpLikeCompressor};
 use gld_core::ContainerFormat::V3;
@@ -48,7 +49,6 @@ proptest! {
         block_frames in 1usize..9,
         slack in 0usize..8,
         depth in 1usize..6,
-        workers in 0usize..5,
         seed in 0u64..1_000,
     ) {
         // `slack` adds a partial trailing window, which tiling must drop.
@@ -60,7 +60,7 @@ proptest! {
         );
         let variable = &ds.variables[0];
         let sz = SzCompressor::new();
-        let config = StreamConfig { queue_depth: depth, workers };
+        let config = StreamConfig { queue_depth: depth };
         let (container, stats, metrics) =
             sz.compress_variable_streaming(variable, block_frames, None, config);
         let (reference, ref_stats) =
@@ -90,26 +90,22 @@ fn output_is_bit_identical_across_worker_counts_and_depths() {
     for target in [None, Some(ErrorTarget::Nrmse(1e-2))] {
         let (reference, ref_stats) = compressor.compress_variable_sequential(variable, 8, target);
         let reference_bytes = reference.encode();
-        for workers in [1usize, 2, 8] {
-            for queue_depth in [1usize, 3, 16] {
-                let (container, stats, metrics) = compressor.compress_variable_streaming(
-                    variable,
-                    8,
-                    target,
-                    StreamConfig {
-                        queue_depth,
-                        workers,
-                    },
-                );
-                assert_eq!(
-                    container.encode(),
-                    reference_bytes,
-                    "workers={workers} depth={queue_depth}: output differs from sequential"
-                );
-                assert_eq!(stats.nrmse, ref_stats.nrmse);
-                assert_eq!(stats.compression_ratio, ref_stats.compression_ratio);
-                assert!(metrics.peak_resident <= queue_depth);
-            }
+        // The pool size is the other axis: CI runs this at several.
+        for queue_depth in [1usize, 3, 16] {
+            let (container, stats, metrics) = compressor.compress_variable_streaming(
+                variable,
+                8,
+                target,
+                StreamConfig { queue_depth },
+            );
+            assert_eq!(
+                container.encode(),
+                reference_bytes,
+                "depth={queue_depth}: output differs from sequential"
+            );
+            assert_eq!(stats.nrmse, ref_stats.nrmse);
+            assert_eq!(stats.compression_ratio, ref_stats.compression_ratio);
+            assert!(metrics.peak_resident <= queue_depth);
         }
     }
 }
@@ -121,15 +117,8 @@ fn peak_resident_blocks_stay_within_the_queue_depth() {
     let ds = generate(DatasetKind::S3d, &FieldSpec::new(1, 64, 16, 16), 23);
     let variable = &ds.variables[0];
     let sz = SzCompressor::new();
-    let (container, stats, metrics) = sz.compress_variable_streaming(
-        variable,
-        4,
-        None,
-        StreamConfig {
-            queue_depth: 2,
-            workers: 0,
-        },
-    );
+    let (container, stats, metrics) =
+        sz.compress_variable_streaming(variable, 4, None, StreamConfig { queue_depth: 2 });
     assert_eq!(metrics.blocks, 16);
     assert_eq!(stats.blocks, 16);
     assert_eq!(container.blocks().len(), 16);
@@ -141,6 +130,35 @@ fn peak_resident_blocks_stay_within_the_queue_depth() {
     // Sanity: with a roomy queue the executor does use the headroom — the
     // gauge is live, not vacuously zero.
     assert!(metrics.peak_resident >= 1);
+}
+
+#[test]
+fn a_variable_is_one_pool_batch_per_queue_depth_windows() {
+    // 16 four-frame windows at depth 4: four batches of four.  Blocks this
+    // small keep every tensor op under the pool's inline threshold, so the
+    // executor's batches are the only submissions this thread makes.
+    let ds = generate(DatasetKind::S3d, &FieldSpec::new(1, 64, 16, 16), 97);
+    let variable = &ds.variables[0];
+    let sz = SzCompressor::new();
+    let config = StreamConfig { queue_depth: 4 };
+    let before = batches_submitted_by_this_thread();
+    let (container, _, metrics) = sz.compress_variable_streaming(variable, 4, None, config);
+    assert_eq!(batches_submitted_by_this_thread() - before, 4);
+    assert_eq!(metrics.blocks, 16);
+    assert_eq!(metrics.peak_resident, 4);
+    assert_eq!(
+        container.encode(),
+        sz.compress_variable_sequential(variable, 4, None)
+            .0
+            .encode()
+    );
+
+    // A one-window variable runs inline and never touches the pool.
+    let lone = generate(DatasetKind::S3d, &FieldSpec::new(1, 4, 16, 16), 97);
+    let before = batches_submitted_by_this_thread();
+    let (_, _, metrics) = sz.compress_variable_streaming(&lone.variables[0], 4, None, config);
+    assert_eq!(batches_submitted_by_this_thread() - before, 0);
+    assert_eq!((metrics.blocks, metrics.peak_resident), (1, 1));
 }
 
 #[test]
@@ -191,10 +209,7 @@ fn sink_errors_abort_the_stream_instead_of_compressing_on() {
         variable,
         4,
         None,
-        StreamConfig {
-            queue_depth: 2,
-            workers: 1,
-        },
+        StreamConfig { queue_depth: 2 },
         V3,
         FailAfterHeader { written: 0 },
     )
@@ -242,10 +257,7 @@ fn sink_error_reports_how_many_frames_were_completely_written() {
         variable,
         4,
         None,
-        StreamConfig {
-            queue_depth: 1,
-            workers: 1,
-        },
+        StreamConfig { queue_depth: 1 },
         V3,
         FailOnNthWrite {
             calls: 0,
@@ -261,9 +273,9 @@ fn sink_error_reports_how_many_frames_were_completely_written() {
 
 #[test]
 fn collector_side_panics_propagate_instead_of_hanging() {
-    // The emit callback always runs on the collector thread; a panic there
-    // must cancel the flow (waking parked workers) and re-throw with the
-    // original payload — a regression here deadlocks instead of failing.
+    // The emit callback always runs on the calling thread; a panic there
+    // must stop the stream and re-throw with the original payload — a
+    // regression here deadlocks instead of failing.
     let ds = generate(DatasetKind::E3sm, &FieldSpec::new(1, 64, 16, 16), 43);
     let variable = &ds.variables[0];
     let sz = SzCompressor::new();
@@ -273,10 +285,7 @@ fn collector_side_panics_propagate_instead_of_hanging() {
             variable,
             4,
             None,
-            StreamConfig {
-                queue_depth: 2,
-                workers: 2,
-            },
+            StreamConfig { queue_depth: 2 },
             gld_core::StageMode::PerFrame,
             |index, _outcome| {
                 if index == 1 {
@@ -296,8 +305,9 @@ fn collector_side_panics_propagate_instead_of_hanging() {
 
 #[test]
 fn codec_panics_propagate_with_their_original_payload() {
-    // A codec panic may fire on a pool worker or on the collector's helping
-    // path; both must surface the codec's own message, not a generic one.
+    // A codec panic may fire on a pool worker or on the calling thread
+    // draining its batch; both must surface the codec's own message, not a
+    // generic one.
     struct ExplodingCodec(SzCompressor);
     impl Codec for ExplodingCodec {
         fn name(&self) -> &str {
@@ -325,15 +335,7 @@ fn codec_panics_propagate_with_their_original_payload() {
     let variable = &ds.variables[0];
     let codec = ExplodingCodec(SzCompressor::new());
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        codec.compress_variable_streaming(
-            variable,
-            4,
-            None,
-            StreamConfig {
-                queue_depth: 2,
-                workers: 2,
-            },
-        )
+        codec.compress_variable_streaming(variable, 4, None, StreamConfig { queue_depth: 2 })
     }));
     let payload = result.expect_err("codec panic must propagate");
     assert_eq!(
@@ -587,12 +589,16 @@ fn decompress_container_nests_in_pool_jobs_and_races_a_streaming_compress() {
     // From inside pool jobs: the inner batch is drained by whoever runs the
     // outer job, so this finishes even when that is the pool's only worker.
     let mut nested: [Option<Vec<Tensor>>; 2] = [None, None];
-    rayon::scope(|scope| {
-        for slot in nested.iter_mut() {
-            let (gld, container) = (&gld, &container);
-            scope.spawn(move || *slot = Some(gld.decompress_container(container).unwrap()));
-        }
-    });
+    let (gld_ref, container_ref) = (&gld, &container);
+    rayon::pool::join_all(
+        nested
+            .iter_mut()
+            .map(|slot| {
+                Box::new(move || *slot = Some(gld_ref.decompress_container(container_ref).unwrap()))
+                    as Box<dyn FnOnce() + Send + '_>
+            })
+            .collect(),
+    );
     for blocks in nested {
         assert_eq!(bits(&blocks.expect("the pool job ran")), expected);
     }
