@@ -1,5 +1,14 @@
 //! Compressed-stream headers shared by the rule-based codecs.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
+use crate::BaselineError;
+use gld_entropy::{write_dims, ByteReader, ReadError};
 use gld_tensor::Tensor;
 
 /// Magic byte identifying the codec that produced a stream.
@@ -12,12 +21,24 @@ pub enum Codec {
 }
 
 impl Codec {
-    fn from_u8(v: u8) -> Codec {
+    fn from_u8(v: u8) -> Result<Codec, ReadError> {
         match v {
-            1 => Codec::SzLike,
-            2 => Codec::ZfpLike,
-            other => panic!("unknown codec id {other}"),
+            1 => Ok(Codec::SzLike),
+            2 => Ok(Codec::ZfpLike),
+            _ => Err(ReadError::Malformed("unknown rule-based codec id")),
         }
+    }
+}
+
+/// A rank 1–4 shape read as the `[planes, rows, cols]` volume both codecs
+/// walk: trailing dimensions stay spatial.  Any other rank is a typed error.
+pub(crate) fn volume_dims(dims: &[usize]) -> Result<(usize, usize, usize), BaselineError> {
+    match *dims {
+        [cols] => Ok((1, 1, cols)),
+        [rows, cols] => Ok((1, rows, cols)),
+        [planes, rows, cols] => Ok((planes, rows, cols)),
+        [outer, planes, rows, cols] => Ok((outer * planes, rows, cols)),
+        _ => Err(BaselineError::UnsupportedRank { rank: dims.len() }),
     }
 }
 
@@ -55,34 +76,25 @@ impl BlockHeader {
     /// Writes the header at the start of `out`.
     pub fn write(&self, out: &mut Vec<u8>) {
         out.push(self.codec as u8);
-        out.push(self.dims.len() as u8);
-        for &d in &self.dims {
-            out.extend_from_slice(&(d as u32).to_le_bytes());
-        }
+        write_dims(out, &self.dims);
         out.extend_from_slice(&self.abs_error.to_le_bytes());
     }
 
-    /// Reads a header, returning it and the number of bytes consumed.
-    pub fn read(bytes: &[u8]) -> (Self, usize) {
-        assert!(bytes.len() >= 2, "truncated header");
-        let codec = Codec::from_u8(bytes[0]);
-        let rank = bytes[1] as usize;
-        let mut off = 2;
-        let mut dims = Vec::with_capacity(rank);
-        for _ in 0..rank {
-            dims.push(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize);
-            off += 4;
+    /// Reads a header written by [`BlockHeader::write`]: a known codec, a
+    /// rank of 1–4 and a shape within [`gld_entropy::MAX_SHAPE_ELEMENTS`],
+    /// or the typed refusal.
+    pub fn read(reader: &mut ByteReader<'_>) -> Result<Self, ReadError> {
+        let codec = Codec::from_u8(reader.read_u8()?)?;
+        let dims = reader.read_dims()?;
+        if volume_dims(&dims).is_err() {
+            return Err(ReadError::Malformed("rule-based frame rank outside 1-4"));
         }
-        let abs_error = f32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-        off += 4;
-        (
-            BlockHeader {
-                codec,
-                dims,
-                abs_error,
-            },
-            off,
-        )
+        let abs_error = reader.read_f32()?;
+        Ok(BlockHeader {
+            codec,
+            dims,
+            abs_error,
+        })
     }
 
     /// Total element count of the described tensor.
@@ -102,16 +114,18 @@ mod tests {
         let mut buf = Vec::new();
         h.write(&mut buf);
         assert_eq!(buf.len(), h.byte_len());
-        let (back, used) = BlockHeader::read(&buf);
-        assert_eq!(used, buf.len());
-        assert_eq!(back, h);
-        assert_eq!(back.numel(), 3 * 16 * 16);
+        let mut reader = ByteReader::new(&buf);
+        assert_eq!(BlockHeader::read(&mut reader), Ok(h.clone()));
+        assert_eq!(reader.position(), buf.len());
+        assert_eq!(h.numel(), 3 * 16 * 16);
     }
 
     #[test]
-    #[should_panic(expected = "unknown codec")]
     fn unknown_codec_rejected() {
         let bytes = [99u8, 1, 4, 0, 0, 0, 0, 0, 0, 0];
-        let _ = BlockHeader::read(&bytes);
+        assert_eq!(
+            BlockHeader::read(&mut ByteReader::new(&bytes)),
+            Err(ReadError::Malformed("unknown rule-based codec id"))
+        );
     }
 }

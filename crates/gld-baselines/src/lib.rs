@@ -33,8 +33,9 @@ pub use header::BlockHeader;
 pub use szlike::{SzCompressor, SzScratch};
 pub use zfplike::{ZfpLikeCompressor, ZfpScratch};
 
-use gld_entropy::HistogramModel;
+use gld_entropy::{write_u32_section, ByteReader, HistogramModel, ReadError};
 use gld_tensor::Tensor;
+use header::Codec;
 use std::borrow::Cow;
 use std::fmt;
 
@@ -95,44 +96,46 @@ pub(crate) fn write_model_section<'a>(
             }
         }
     }
-    let bytes = embedded.to_bytes();
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&bytes);
+    write_u32_section(out, &embedded.to_bytes());
     ModelSection {
         model: Cow::Owned(embedded),
         overflow: None,
     }
 }
 
-/// Reads one frame's model section: the embedded model, or the caller's
-/// shared profile model (with the overflow convention active) when the
-/// frame carries the sentinel.  The container layer validates the profile
-/// before any payload decodes, so a sentinel frame decoded without a model
-/// is caller misuse, not stream corruption — it panics like the other
-/// malformed-frame asserts on this path.
-pub(crate) fn read_model_section<'a>(
-    bytes: &[u8],
-    off: &mut usize,
+/// Parses a `codec` frame into its header, model section and entropy-coded
+/// stream (a `u32`-length section), which must fill `bytes` exactly.  The
+/// model section is the embedded model, or the caller's shared profile
+/// model (with the overflow convention active) when the frame carries the
+/// sentinel; a sentinel frame decoded without a shared model is refused.
+pub(crate) fn read_frame<'a>(
+    bytes: &'a [u8],
+    codec: Codec,
     shared: Option<&'a HistogramModel>,
-) -> ModelSection<'a> {
-    let model_len = u32::from_le_bytes(bytes[*off..*off + 4].try_into().unwrap());
-    *off += 4;
-    if model_len == SHARED_MODEL_SENTINEL {
-        let model =
-            shared.expect("frame references the container's shared model, but none was provided");
-        return ModelSection {
-            overflow: Some(model.min_symbol()),
-            model: Cow::Borrowed(model),
-        };
+) -> Result<(BlockHeader, ModelSection<'a>, &'a [u8]), ReadError> {
+    let mut reader = ByteReader::new(bytes);
+    let header = BlockHeader::read(&mut reader)?;
+    if header.codec != codec {
+        return Err(ReadError::Malformed("frame of another rule-based codec"));
     }
-    let model_len = model_len as usize;
-    let (model, used) = HistogramModel::from_bytes(&bytes[*off..*off + model_len]);
-    assert_eq!(used, model_len);
-    *off += model_len;
-    ModelSection {
-        model: Cow::Owned(model),
-        overflow: None,
-    }
+    let section = match reader.read_u32()? {
+        SHARED_MODEL_SENTINEL => {
+            let model = shared.ok_or(ReadError::Malformed(
+                "frame references a shared model, but none was provided",
+            ))?;
+            ModelSection {
+                overflow: Some(model.min_symbol()),
+                model: Cow::Borrowed(model),
+            }
+        }
+        len => ModelSection {
+            model: Cow::Owned(HistogramModel::from_section(reader.take(len as usize)?)?),
+            overflow: None,
+        },
+    };
+    let stream = reader.read_u32_section()?;
+    reader.expect_end()?;
+    Ok((header, section, stream))
 }
 
 /// Decodes one code from a model-section stream: the symbol itself, or —
@@ -152,20 +155,17 @@ pub(crate) fn read_code(
 }
 
 /// Parses the histogram model embedded in a rule-codec frame — `None` when
-/// the frame references a shared profile model through the sentinel.  This
-/// is how a container-level entropy profile is seeded: compress the first
-/// window cold, lift its embedded model out, and share it with the rest of
-/// the variable.
+/// the frame references a shared profile model through the sentinel, or is
+/// not a well-formed rule-codec frame.  This is how a container-level
+/// entropy profile is seeded: compress the first window cold, lift its
+/// embedded model out, and share it with the rest of the variable.
 pub fn embedded_frame_model(frame: &[u8]) -> Option<HistogramModel> {
-    let (_, mut off) = BlockHeader::read(frame);
-    let model_len = u32::from_le_bytes(frame[off..off + 4].try_into().unwrap());
-    if model_len == SHARED_MODEL_SENTINEL {
-        return None;
+    let mut reader = ByteReader::new(frame);
+    BlockHeader::read(&mut reader).ok()?;
+    match reader.read_u32().ok()? {
+        SHARED_MODEL_SENTINEL => None,
+        len => HistogramModel::from_section(reader.take(len as usize).ok()?).ok(),
     }
-    off += 4;
-    let (model, used) = HistogramModel::from_bytes(&frame[off..off + model_len as usize]);
-    assert_eq!(used, model_len as usize);
-    Some(model)
 }
 
 /// Typed failure of a rule-based codec.
@@ -197,19 +197,27 @@ pub trait ErrorBoundedCompressor {
     fn name(&self) -> &'static str;
 
     /// Compresses `data` so that every reconstructed value differs from the
-    /// original by at most `abs_error`.
-    fn compress(&self, data: &Tensor, abs_error: f32) -> Vec<u8>;
+    /// original by at most `abs_error`; unsupported inputs (e.g. a rank-5
+    /// tensor) surface as a typed [`BaselineError`] instead of a panic.
+    fn try_compress(&self, data: &Tensor, abs_error: f32) -> Result<Vec<u8>, BaselineError>;
 
-    /// Fallible variant of [`ErrorBoundedCompressor::compress`]: unsupported
-    /// inputs (e.g. a rank-5 tensor) surface as a typed [`BaselineError`]
-    /// instead of a panic.
-    fn try_compress(&self, data: &Tensor, abs_error: f32) -> Result<Vec<u8>, BaselineError> {
-        Ok(self.compress(data, abs_error))
+    /// [`ErrorBoundedCompressor::try_compress`], panicking on an
+    /// unsupported input.
+    fn compress(&self, data: &Tensor, abs_error: f32) -> Vec<u8> {
+        self.try_compress(data, abs_error)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Reconstructs the tensor from a buffer produced by
-    /// [`ErrorBoundedCompressor::compress`].
-    fn decompress(&self, bytes: &[u8]) -> Tensor;
+    /// [`ErrorBoundedCompressor::compress`], or the typed reason the buffer
+    /// is not one.
+    fn try_decompress(&self, bytes: &[u8]) -> Result<Tensor, ReadError>;
+
+    /// [`ErrorBoundedCompressor::try_decompress`], panicking on a malformed
+    /// buffer.  Kept only because the `perf/` benchmark calls it by name.
+    fn decompress(&self, bytes: &[u8]) -> Tensor {
+        self.try_decompress(bytes).unwrap_or_else(|e| panic!("{e}"))
+    }
 
     /// Convenience helper returning `(reconstruction, compressed_size)`.
     fn roundtrip(&self, data: &Tensor, abs_error: f32) -> (Tensor, usize) {

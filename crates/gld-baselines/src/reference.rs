@@ -17,8 +17,10 @@
 //!
 //! Do not "improve" this module; its value is that it does not change.
 
-use crate::header::{BlockHeader, Codec};
-use gld_entropy::{EntropyBackend, EntropyDecoder, EntropyEncoder, HistogramModel};
+use crate::header::{volume_dims, BlockHeader, Codec};
+use gld_entropy::{
+    write_u32_section, ByteReader, EntropyBackend, EntropyDecoder, EntropyEncoder, HistogramModel,
+};
 use gld_tensor::Tensor;
 
 const SZ_MAX_CODE: i32 = 4096;
@@ -30,13 +32,7 @@ const ZFP_ESCAPE: i32 = ZFP_MAX_CODE + 1;
 const ZFP_ERROR_AMPLIFICATION: f32 = 8.0;
 
 fn as_volume_dims(dims: &[usize]) -> (usize, usize, usize) {
-    match dims.len() {
-        1 => (1, 1, dims[0]),
-        2 => (1, dims[0], dims[1]),
-        3 => (dims[0], dims[1], dims[2]),
-        4 => (dims[0] * dims[1], dims[2], dims[3]),
-        r => panic!("unsupported rank {r}"),
-    }
+    volume_dims(dims).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// The pre-optimisation per-symbol decode shape: a one-element vector per
@@ -113,9 +109,7 @@ pub fn sz_compress<B: EntropyBackend>(data: &Tensor, abs_error: f32) -> Vec<u8> 
     let model = HistogramModel::fit(&codes);
     let mut out = Vec::new();
     BlockHeader::new(Codec::SzLike, data, abs_error).write(&mut out);
-    let model_bytes = model.to_bytes();
-    out.extend_from_slice(&(model_bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&model_bytes);
+    write_u32_section(&mut out, &model.to_bytes());
     let mut enc = B::encoder();
     let mut raw_iter = raw_values.iter();
     for &c in &codes {
@@ -126,23 +120,25 @@ pub fn sz_compress<B: EntropyBackend>(data: &Tensor, abs_error: f32) -> Vec<u8> 
         }
     }
     let stream = enc.finish();
-    out.extend_from_slice(&(stream.len() as u32).to_le_bytes());
-    out.extend_from_slice(&stream);
+    write_u32_section(&mut out, &stream);
     out
+}
+
+/// Parses a frame the reference encoders wrote: header, embedded model and
+/// stream.  The oracle only ever reads its own frames, so a malformed one is
+/// a bug here, not input.
+fn read_frame(bytes: &[u8], codec: Codec) -> (BlockHeader, HistogramModel, &[u8]) {
+    let mut reader = ByteReader::new(bytes);
+    let header = BlockHeader::read(&mut reader).expect("oracle frame header");
+    assert_eq!(header.codec, codec, "frame of another codec");
+    let model = reader.read_model().expect("oracle frame model");
+    let stream = reader.read_u32_section().expect("oracle frame stream");
+    (header, model, stream)
 }
 
 /// Reference SZ3-like decompression (matches [`sz_compress`]).
 pub fn sz_decompress<B: EntropyBackend>(bytes: &[u8]) -> Tensor {
-    let (header, mut off) = BlockHeader::read(bytes);
-    assert_eq!(header.codec, Codec::SzLike, "not an SZ3-like stream");
-    let model_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-    off += 4;
-    let (model, used) = HistogramModel::from_bytes(&bytes[off..off + model_len]);
-    assert_eq!(used, model_len);
-    off += model_len;
-    let stream_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-    off += 4;
-    let stream = &bytes[off..off + stream_len];
+    let (header, model, stream) = read_frame(bytes, Codec::SzLike);
 
     let dims = as_volume_dims(&header.dims);
     let (d0, d1, d2) = dims;
@@ -279,9 +275,7 @@ pub fn zfp_compress<B: EntropyBackend>(data: &Tensor, abs_error: f32) -> Vec<u8>
     let model = HistogramModel::fit(&codes);
     let mut out = Vec::new();
     BlockHeader::new(Codec::ZfpLike, data, abs_error).write(&mut out);
-    let model_bytes = model.to_bytes();
-    out.extend_from_slice(&(model_bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&model_bytes);
+    write_u32_section(&mut out, &model.to_bytes());
     let mut enc = B::encoder();
     let mut esc_iter = escapes.iter();
     for &c in &codes {
@@ -292,23 +286,13 @@ pub fn zfp_compress<B: EntropyBackend>(data: &Tensor, abs_error: f32) -> Vec<u8>
         }
     }
     let stream = enc.finish();
-    out.extend_from_slice(&(stream.len() as u32).to_le_bytes());
-    out.extend_from_slice(&stream);
+    write_u32_section(&mut out, &stream);
     out
 }
 
 /// Reference ZFP-like decompression (matches [`zfp_compress`]).
 pub fn zfp_decompress<B: EntropyBackend>(bytes: &[u8]) -> Tensor {
-    let (header, mut off) = BlockHeader::read(bytes);
-    assert_eq!(header.codec, Codec::ZfpLike, "not a ZFP-like stream");
-    let model_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-    off += 4;
-    let (model, used) = HistogramModel::from_bytes(&bytes[off..off + model_len]);
-    assert_eq!(used, model_len);
-    off += model_len;
-    let stream_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-    off += 4;
-    let stream = &bytes[off..off + stream_len];
+    let (header, model, stream) = read_frame(bytes, Codec::ZfpLike);
 
     let (d0, d1, d2) = as_volume_dims(&header.dims);
     let (p0, p1, p2) = (

@@ -26,9 +26,9 @@
 //! Like SZ3 itself the method excels on smooth fields, where almost every
 //! residual lands in the zero bin.
 
-use crate::header::{BlockHeader, Codec};
+use crate::header::{volume_dims, BlockHeader, Codec};
 use crate::{BaselineError, ErrorBoundedCompressor};
-use gld_entropy::{HistogramModel, RangeDecoder, RangeEncoder};
+use gld_entropy::{write_u32_section, HistogramModel, RangeDecoder, RangeEncoder, ReadError};
 use gld_kernels::{kernels, sz_quantize_cell, SzPlane};
 use gld_tensor::Tensor;
 
@@ -71,26 +71,6 @@ impl SzCompressor {
         SzCompressor
     }
 
-    /// Reinterprets an arbitrary rank-1..4 tensor as a 3-D volume
-    /// `[planes, rows, cols]` without copying semantics that matter for
-    /// prediction quality: trailing dimensions remain spatial.  Rank 5+ is
-    /// a typed error.
-    pub(crate) fn try_as_volume_dims(
-        dims: &[usize],
-    ) -> Result<(usize, usize, usize), BaselineError> {
-        match dims.len() {
-            1 => Ok((1, 1, dims[0])),
-            2 => Ok((1, dims[0], dims[1])),
-            3 => Ok((dims[0], dims[1], dims[2])),
-            4 => Ok((dims[0] * dims[1], dims[2], dims[3])),
-            rank => Err(BaselineError::UnsupportedRank { rank }),
-        }
-    }
-
-    fn as_volume_dims(dims: &[usize]) -> (usize, usize, usize) {
-        Self::try_as_volume_dims(dims).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Compresses `data` into `out` (appended), reusing `scratch` for every
     /// intermediate buffer.  This is the allocation-free hot path behind
     /// both [`ErrorBoundedCompressor::compress`] and the streaming
@@ -123,7 +103,7 @@ impl SzCompressor {
         out: &mut Vec<u8>,
     ) -> Result<(), BaselineError> {
         assert!(abs_error > 0.0, "absolute error bound must be positive");
-        let dims = Self::try_as_volume_dims(data.dims())?;
+        let dims = volume_dims(data.dims())?;
         let (d0, d1, d2) = dims;
         let n = d0 * d1 * d2;
         assert_eq!(n, data.numel());
@@ -215,8 +195,7 @@ impl SzCompressor {
             }
         }
         let stream = enc.finish();
-        out.extend_from_slice(&(stream.len() as u32).to_le_bytes());
-        out.extend_from_slice(&stream);
+        write_u32_section(out, &stream);
         Ok(())
     }
 }
@@ -252,18 +231,13 @@ impl ErrorBoundedCompressor for SzCompressor {
         "SZ3-like"
     }
 
-    fn compress(&self, data: &Tensor, abs_error: f32) -> Vec<u8> {
-        self.try_compress(data, abs_error)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn try_compress(&self, data: &Tensor, abs_error: f32) -> Result<Vec<u8>, BaselineError> {
         let mut out = Vec::new();
         self.compress_into(data, abs_error, &mut SzScratch::new(), &mut out)?;
         Ok(out)
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Tensor {
+    fn try_decompress(&self, bytes: &[u8]) -> Result<Tensor, ReadError> {
         self.decompress_shared(bytes, None)
     }
 }
@@ -273,22 +247,26 @@ impl SzCompressor {
     /// histogram model: required for frames written through
     /// [`SzCompressor::compress_into_shared`] that carry the shared-model
     /// sentinel, ignored by frames embedding their own model.
-    pub fn decompress_shared(&self, bytes: &[u8], shared: Option<&HistogramModel>) -> Tensor {
-        let (header, mut off) = BlockHeader::read(bytes);
-        assert_eq!(header.codec, Codec::SzLike, "not an SZ3-like stream");
-        let section = crate::read_model_section(bytes, &mut off, shared);
+    pub fn decompress_shared(
+        &self,
+        bytes: &[u8],
+        shared: Option<&HistogramModel>,
+    ) -> Result<Tensor, ReadError> {
+        let (header, section, stream) = crate::read_frame(bytes, Codec::SzLike, shared)?;
         let model = section.model.as_ref();
         let overflow = section.overflow;
-        let stream_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        let stream = &bytes[off..off + stream_len];
 
-        let dims = Self::as_volume_dims(&header.dims);
+        let dims = volume_dims(&header.dims).expect("BlockHeader::read checked the rank");
         let (d0, d1, d2) = dims;
         let n = header.numel();
         let two_eb = 2.0 * header.abs_error;
         let mut dec = RangeDecoder::new(stream);
         let mut recon = vec![0.0f32; n];
+        if n == 0 {
+            // Nothing was coded, and the row walk below assumes non-empty
+            // rows.
+            return Ok(Tensor::from_vec(recon, &header.dims));
+        }
         let plane = d1 * d2;
         for i in 0..d0 {
             for j in 0..d1 {
@@ -334,7 +312,7 @@ impl SzCompressor {
                 }
             }
         }
-        Tensor::from_vec(recon, &header.dims)
+        Ok(Tensor::from_vec(recon, &header.dims))
     }
 }
 
@@ -478,7 +456,7 @@ mod tests {
             cold.len()
         );
         assert!(crate::embedded_frame_model(&shared).is_none());
-        let recon = sz.decompress_shared(&shared, Some(&model));
+        let recon = sz.decompress_shared(&shared, Some(&model)).unwrap();
         assert_eq!(recon.data(), sz.decompress(&cold).data());
     }
 
@@ -527,7 +505,7 @@ mod tests {
             cold.len()
         );
         assert!(crate::embedded_frame_model(&shared).is_none());
-        let recon = sz.decompress_shared(&shared, Some(&narrow));
+        let recon = sz.decompress_shared(&shared, Some(&narrow)).unwrap();
         assert_eq!(recon.data(), sz.decompress(&cold).data());
     }
 

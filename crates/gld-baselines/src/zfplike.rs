@@ -21,9 +21,9 @@
 //! backend the host supports; and the per-block code/escape vectors come
 //! from a caller-provided [`ZfpScratch`].
 
-use crate::header::{BlockHeader, Codec};
+use crate::header::{volume_dims, BlockHeader, Codec};
 use crate::{BaselineError, ErrorBoundedCompressor};
-use gld_entropy::{HistogramModel, RangeDecoder, RangeEncoder};
+use gld_entropy::{write_u32_section, HistogramModel, RangeDecoder, RangeEncoder, ReadError};
 use gld_kernels::kernels;
 use gld_tensor::Tensor;
 use std::sync::OnceLock;
@@ -61,22 +61,6 @@ impl ZfpLikeCompressor {
         ZfpLikeCompressor
     }
 
-    pub(crate) fn try_as_volume_dims(
-        dims: &[usize],
-    ) -> Result<(usize, usize, usize), BaselineError> {
-        match dims.len() {
-            1 => Ok((1, 1, dims[0])),
-            2 => Ok((1, dims[0], dims[1])),
-            3 => Ok((dims[0], dims[1], dims[2])),
-            4 => Ok((dims[0] * dims[1], dims[2], dims[3])),
-            rank => Err(BaselineError::UnsupportedRank { rank }),
-        }
-    }
-
-    fn as_volume_dims(dims: &[usize]) -> (usize, usize, usize) {
-        Self::try_as_volume_dims(dims).unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// Compresses `data` into `out` (appended), reusing `scratch`.  Output
     /// bytes are independent of the scratch's previous contents.
     pub fn compress_into(
@@ -104,7 +88,7 @@ impl ZfpLikeCompressor {
         out: &mut Vec<u8>,
     ) -> Result<(), BaselineError> {
         assert!(abs_error > 0.0, "absolute error bound must be positive");
-        let (d0, d1, d2) = Self::try_as_volume_dims(data.dims())?;
+        let (d0, d1, d2) = volume_dims(data.dims())?;
         let (p0, p1, p2) = (
             d0.div_ceil(BLOCK) * BLOCK,
             d1.div_ceil(BLOCK) * BLOCK,
@@ -178,8 +162,7 @@ impl ZfpLikeCompressor {
             }
         }
         let stream = enc.finish();
-        out.extend_from_slice(&(stream.len() as u32).to_le_bytes());
-        out.extend_from_slice(&stream);
+        write_u32_section(out, &stream);
         Ok(())
     }
 }
@@ -220,18 +203,13 @@ impl ErrorBoundedCompressor for ZfpLikeCompressor {
         "ZFP-like"
     }
 
-    fn compress(&self, data: &Tensor, abs_error: f32) -> Vec<u8> {
-        self.try_compress(data, abs_error)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     fn try_compress(&self, data: &Tensor, abs_error: f32) -> Result<Vec<u8>, BaselineError> {
         let mut out = Vec::new();
         self.compress_into(data, abs_error, &mut ZfpScratch::new(), &mut out)?;
         Ok(out)
     }
 
-    fn decompress(&self, bytes: &[u8]) -> Tensor {
+    fn try_decompress(&self, bytes: &[u8]) -> Result<Tensor, ReadError> {
         self.decompress_shared(bytes, None)
     }
 }
@@ -241,17 +219,16 @@ impl ZfpLikeCompressor {
     /// histogram model: required for frames written through
     /// [`ZfpLikeCompressor::compress_into_shared`] that carry the
     /// shared-model sentinel, ignored by frames embedding their own model.
-    pub fn decompress_shared(&self, bytes: &[u8], shared: Option<&HistogramModel>) -> Tensor {
-        let (header, mut off) = BlockHeader::read(bytes);
-        assert_eq!(header.codec, Codec::ZfpLike, "not a ZFP-like stream");
-        let section = crate::read_model_section(bytes, &mut off, shared);
+    pub fn decompress_shared(
+        &self,
+        bytes: &[u8],
+        shared: Option<&HistogramModel>,
+    ) -> Result<Tensor, ReadError> {
+        let (header, section, stream) = crate::read_frame(bytes, Codec::ZfpLike, shared)?;
         let model = section.model.as_ref();
         let overflow = section.overflow;
-        let stream_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        let stream = &bytes[off..off + stream_len];
 
-        let (d0, d1, d2) = Self::as_volume_dims(&header.dims);
+        let (d0, d1, d2) = volume_dims(&header.dims).expect("BlockHeader::read checked the rank");
         let (p0, p1, p2) = (
             d0.div_ceil(BLOCK) * BLOCK,
             d1.div_ceil(BLOCK) * BLOCK,
@@ -298,7 +275,7 @@ impl ZfpLikeCompressor {
                 }
             }
         }
-        Tensor::from_vec(recon, &header.dims)
+        Ok(Tensor::from_vec(recon, &header.dims))
     }
 }
 
@@ -359,7 +336,7 @@ mod tests {
             cold.len()
         );
         assert!(crate::embedded_frame_model(&shared).is_none());
-        let recon = zfp.decompress_shared(&shared, Some(&model));
+        let recon = zfp.decompress_shared(&shared, Some(&model)).unwrap();
         assert_eq!(recon.data(), zfp.decompress(&cold).data());
     }
 
@@ -407,7 +384,7 @@ mod tests {
             cold.len()
         );
         assert!(crate::embedded_frame_model(&shared).is_none());
-        let recon = zfp.decompress_shared(&shared, Some(&narrow));
+        let recon = zfp.decompress_shared(&shared, Some(&narrow)).unwrap();
         assert_eq!(recon.data(), zfp.decompress(&cold).data());
     }
 

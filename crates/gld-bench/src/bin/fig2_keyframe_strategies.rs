@@ -33,7 +33,7 @@ fn main() {
         let job = BlockJob::new(&block, None, 0);
         let encoded = compressor.encode(&job, &mut CodecScratch::new());
         let frame = encoded.expect("a bench block").frame;
-        let recon = compressor.decode(&frame, None);
+        let recon = compressor.decode(&frame, None).expect("own frame");
         let partition = config.partition();
 
         print!("{label:<15}");

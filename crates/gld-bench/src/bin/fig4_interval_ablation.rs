@@ -34,7 +34,7 @@ fn main() {
         let job = BlockJob::new(&block, None, 0);
         let encoded = compressor.encode(&job, &mut CodecScratch::new());
         let frame = encoded.expect("a bench block").frame;
-        let recon = compressor.decode(&frame, None);
+        let recon = compressor.decode(&frame, None).expect("own frame");
         let partition = config.partition();
         let mut generated_mean = 0.0f32;
         for t in 0..config.block_frames {

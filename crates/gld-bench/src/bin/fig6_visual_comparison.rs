@@ -74,7 +74,7 @@ fn main() {
     for codec in codecs {
         let encoded = codec.encode(&job, &mut CodecScratch::new());
         let frame = encoded.expect("a bench block").frame;
-        let recon = codec.decode(&frame, None);
+        let recon = codec.decode(&frame, None).expect("own frame");
         let ratio = (block.numel() * 4) as f64 / frame.len() as f64;
         report(codec.name(), &dir, &block, &recon, frame_idx, ratio);
     }

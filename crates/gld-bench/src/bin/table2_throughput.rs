@@ -47,7 +47,7 @@ fn throughput(
     );
     let dec = time(
         || {
-            let _ = codec.decode(&frame, None);
+            let _ = codec.decode(&frame, None).expect("own frame");
         },
         dec_repeats,
     );

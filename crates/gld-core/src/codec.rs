@@ -30,9 +30,7 @@
 //! [`compress_variable_to_writer_fmt`] streams the encoded container straight
 //! into any `io::Write` without buffering frames at all.
 
-use crate::container::{
-    write_section, ByteReader, CodecId, Container, ContainerError, ContainerFormat, ContainerWriter,
-};
+use crate::container::{CodecId, Container, ContainerError, ContainerFormat, ContainerWriter};
 use crate::error_bound::{ErrorBoundConfig, PcaErrorBound};
 use crate::executor::{
     checked_windows, compress_window_outcome, decompress_blocks, fit_variable_profile,
@@ -41,16 +39,17 @@ use crate::executor::{
 use crate::learned_baselines::{LearnedBaseline, LearnedBaselineKind};
 use gld_baselines::{BaselineError, SzCompressor, SzScratch, ZfpLikeCompressor, ZfpScratch};
 use gld_datasets::Variable;
-use gld_entropy::HistogramModel;
+use gld_entropy::{write_section, ByteReader, HistogramModel, ReadError};
 use gld_lz::LzScratch;
 use gld_tensor::Tensor;
 use std::fmt;
 use std::io::Write;
 use std::sync::Arc;
 
-/// Typed failure of [`Codec::encode`] — unsupported inputs surface here
-/// instead of panicking (e.g. a rank-5 tensor handed to a rule-based codec,
-/// or a block of the wrong length handed to the GLD pipeline).
+/// Typed failure of [`Codec::encode`] and [`Codec::decode`] — unsupported
+/// inputs surface here instead of panicking (e.g. a rank-5 tensor handed to
+/// a rule-based codec, a block of the wrong length handed to the GLD
+/// pipeline, or a frame whose payload its codec's reader refuses).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
     /// The block's tensor rank is outside what the codec supports.
@@ -65,6 +64,9 @@ pub enum CodecError {
         /// Frames in the offending block.
         got: usize,
     },
+    /// The frame's payload is not one this codec wrote: the reader's typed
+    /// refusal.
+    Frame(ReadError),
 }
 
 impl fmt::Display for CodecError {
@@ -76,11 +78,18 @@ impl fmt::Display for CodecError {
             CodecError::FrameCount { expected, got } => {
                 write!(f, "codec takes blocks of {expected} frames, got {got}")
             }
+            CodecError::Frame(e) => write!(f, "malformed frame: {e}"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
+
+impl From<ReadError> for CodecError {
+    fn from(e: ReadError) -> Self {
+        CodecError::Frame(e)
+    }
+}
 
 impl From<BaselineError> for CodecError {
     fn from(e: BaselineError) -> Self {
@@ -464,8 +473,10 @@ pub trait Codec: Sync {
     /// Reconstructs a block from a frame produced by [`Codec::encode`], with
     /// the shared model the frame may reference.  Frames that embed their
     /// own model ignore `model`, so this is safe to call on every frame of a
-    /// profiled container.
-    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor;
+    /// profiled container.  Bytes that are not such a frame — however they
+    /// got past the container's checksum — are refused with a typed
+    /// [`CodecError`], never a panic.
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Result<Tensor, CodecError>;
 
     /// The histogram model embedded in a frame this codec produced, if its
     /// format embeds one — the seed for a container-level shared entropy
@@ -493,10 +504,11 @@ pub trait Codec: Sync {
         }
     }
 
-    /// [`Codec::decode`] without a shared model.  Kept only because the
-    /// `perf/` benchmark calls it by name; it goes once `perf/` stops.
+    /// [`Codec::decode`] without a shared model; panics on a
+    /// [`CodecError`].  Kept only because the `perf/` benchmark calls it by
+    /// name; it goes once `perf/` stops.
     fn decompress_block(&self, frame: &[u8]) -> Tensor {
-        self.decode(frame, None)
+        self.decode(frame, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Compresses every complete temporal window of `variable` through the
@@ -600,7 +612,8 @@ pub trait Codec: Sync {
     /// the workers), returning the blocks in temporal order — bit-identical
     /// to decoding the frames one after another.  A container this codec
     /// cannot read is refused with a typed error before any block is
-    /// decoded.
+    /// decoded; a frame the codec refuses fails the call with
+    /// [`ContainerError::Block`], the first such frame in frame order.
     fn decompress_container(&self, container: &Container) -> Result<Vec<Tensor>, ContainerError> {
         if container.codec() != self.id() {
             return Err(ContainerError::Corrupt(
@@ -611,7 +624,7 @@ pub trait Codec: Sync {
         // coder, so running today's entropy decoder over its payloads would
         // produce garbage — refuse by name instead.
         container.check_entropy_compat()?;
-        Ok(decompress_blocks(self, container))
+        decompress_blocks(self, container)
     }
 }
 
@@ -771,8 +784,8 @@ impl Codec for SzCompressor {
         Ok(EncodedBlock { frame, sq_err })
     }
 
-    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
-        self.decompress_shared(frame, model)
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Result<Tensor, CodecError> {
+        Ok(self.decompress_shared(frame, model)?)
     }
 
     fn frame_model(&self, frame: &[u8]) -> Option<HistogramModel> {
@@ -804,8 +817,8 @@ impl Codec for ZfpLikeCompressor {
         })
     }
 
-    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
-        self.decompress_shared(frame, model)
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Result<Tensor, CodecError> {
+        Ok(self.decompress_shared(frame, model)?)
     }
 
     fn frame_model(&self, frame: &[u8]) -> Option<HistogramModel> {
@@ -840,7 +853,7 @@ impl Codec for LearnedBaseline<'_> {
         // frame so the bound survives the round trip.
         let aux = match job.target {
             Some(t) => {
-                let recon = self.decompress(&latent);
+                let recon = self.decompress(&latent)?;
                 let module = PcaErrorBound::new(ErrorBoundConfig::default());
                 let tau = PcaErrorBound::tau_for_nrmse(block, t.nrmse_for(block));
                 let (_, aux, _) = module.apply(block, &recon, tau);
@@ -857,22 +870,16 @@ impl Codec for LearnedBaseline<'_> {
         })
     }
 
-    fn decode(&self, frame: &[u8], _: Option<&HistogramModel>) -> Tensor {
+    fn decode(&self, frame: &[u8], _: Option<&HistogramModel>) -> Result<Tensor, CodecError> {
         let mut reader = ByteReader::new(frame);
-        let latent = reader
-            .read_section()
-            .expect("learned baseline frame: latent section");
-        let aux = reader
-            .read_section()
-            .expect("learned baseline frame: correction section");
-        reader
-            .expect_end()
-            .expect("learned baseline frame: trailing bytes");
-        let recon = self.decompress(latent);
+        let latent = reader.read_section()?;
+        let aux = reader.read_section()?;
+        reader.expect_end()?;
+        let recon = self.decompress(latent)?;
         if aux.is_empty() {
-            recon
-        } else {
-            PcaErrorBound::new(ErrorBoundConfig::default()).apply_from_aux(&recon, aux)
+            return Ok(recon);
         }
+        let module = PcaErrorBound::new(ErrorBoundConfig::default());
+        Ok(module.try_apply_from_aux(&recon, aux)?)
     }
 }

@@ -103,10 +103,9 @@
 
 mod frame;
 
-pub use frame::{write_section, ByteReader};
-
+use crate::codec::CodecError;
 use frame::{decode_header, destage, encode_header, FrameDamage, FrameLayout};
-use gld_entropy::HistogramModel;
+use gld_entropy::{write_section, ByteReader, HistogramModel, ReadError};
 use gld_lz::{LzProfile, LzScratch};
 use std::borrow::Cow;
 use std::cell::RefCell;
@@ -417,7 +416,7 @@ pub enum ContainerError {
         /// Index of the offending profile entry (0-based).
         profile: usize,
         /// The model deserialiser's typed failure.
-        error: gld_entropy::ModelDecodeError,
+        error: ReadError,
     },
     /// A profile entry's stage warm-start snapshot failed to deserialise.
     ProfileStage {
@@ -433,6 +432,14 @@ pub enum ContainerError {
     },
     /// A block frame violated its own invariants.
     Corrupt(&'static str),
+    /// A frame that the container carried intact did not decode: the codec's
+    /// own typed refusal of its payload.
+    Block {
+        /// Index of the offending block (the first in frame order).
+        block: usize,
+        /// The codec's typed failure.
+        error: CodecError,
+    },
 }
 
 impl fmt::Display for ContainerError {
@@ -516,11 +523,27 @@ impl fmt::Display for ContainerError {
                 write!(f, "profile table stage payload failed to decode: {error}")
             }
             ContainerError::Corrupt(what) => write!(f, "corrupt block frame: {what}"),
+            ContainerError::Block { block, error } => {
+                write!(f, "block {block} did not decode: {error}")
+            }
         }
     }
 }
 
 impl std::error::Error for ContainerError {}
+
+impl From<ReadError> for ContainerError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated { needed, available } => {
+                ContainerError::Truncated { needed, available }
+            }
+            ReadError::TrailingBytes(n) => ContainerError::TrailingBytes(n),
+            ReadError::Malformed(what) => ContainerError::Corrupt(what),
+            _ => ContainerError::Corrupt("malformed embedded field"),
+        }
+    }
+}
 
 /// De-stage allocation cap for a v4 profile table: far above any real table
 /// ([`MAX_PROFILES`] entries of a few KiB each), far below harm.
@@ -609,7 +632,7 @@ fn parse_profile_entries(
     }
     let mut raw = Vec::with_capacity(count);
     for _ in 0..count {
-        let head: [u8; 3] = body_reader.take(3)?.try_into().unwrap();
+        let head: [u8; 3] = body_reader.take_array()?;
         let model = body_reader.read_section()?;
         let lz = body_reader.read_section()?;
         raw.push((head, model, lz));
@@ -633,17 +656,12 @@ fn parse_profile_entries(
         let model = if model.is_empty() {
             None
         } else {
-            let (parsed, used) = HistogramModel::try_from_bytes(model).map_err(|error| {
+            let parsed = HistogramModel::from_section(model).map_err(|error| {
                 ContainerError::ProfileModel {
                     profile: index,
                     error,
                 }
             })?;
-            if used != model.len() {
-                return Err(ContainerError::Corrupt(
-                    "profile model section has trailing bytes",
-                ));
-            }
             // Build the decode LUT once, here: every frame that references
             // this profile decodes against the same warm clone.
             parsed.prepare_decode();

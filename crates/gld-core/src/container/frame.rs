@@ -12,86 +12,7 @@ use super::{
     MAGIC, STAGE_LZ, STAGE_NONE, VERSION, VERSION_V1, VERSION_V2, VERSION_V4,
 };
 use crate::crc32::Crc32;
-
-/// Bounds-checked little-endian reader over a byte slice, shared by the
-/// container and block-frame decoders.
-pub struct ByteReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> ByteReader<'a> {
-    /// Starts reading at the beginning of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        ByteReader { bytes, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Takes the next `len` raw bytes.
-    pub fn take(&mut self, len: usize) -> Result<&'a [u8], ContainerError> {
-        if self.remaining() < len {
-            return Err(ContainerError::Truncated {
-                // Saturate: `len` may be a corrupt u64 length prefix near
-                // usize::MAX, and a corrupt frame must surface as an error,
-                // never as an arithmetic-overflow panic.
-                needed: self.pos.saturating_add(len),
-                available: self.bytes.len(),
-            });
-        }
-        let out = &self.bytes[self.pos..self.pos + len];
-        self.pos += len;
-        Ok(out)
-    }
-
-    /// Reads one byte.
-    pub fn read_u8(&mut self) -> Result<u8, ContainerError> {
-        Ok(self.take(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    pub fn read_u16(&mut self) -> Result<u16, ContainerError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u32`.
-    pub fn read_u32(&mut self) -> Result<u32, ContainerError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `u64`.
-    pub fn read_u64(&mut self) -> Result<u64, ContainerError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a little-endian `f32`.
-    pub fn read_f32(&mut self) -> Result<f32, ContainerError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    /// Reads a length-prefixed byte section (`u64` length + payload).
-    pub fn read_section(&mut self) -> Result<&'a [u8], ContainerError> {
-        let len = self.read_u64()? as usize;
-        self.take(len)
-    }
-
-    /// Asserts that the whole input was consumed.
-    pub fn expect_end(&self) -> Result<(), ContainerError> {
-        if self.remaining() != 0 {
-            return Err(ContainerError::TrailingBytes(self.remaining()));
-        }
-        Ok(())
-    }
-}
-
-/// Appends a length-prefixed byte section (`u64` length + payload).
-pub fn write_section(out: &mut Vec<u8>, payload: &[u8]) {
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(payload);
-}
+use gld_entropy::{write_section, ByteReader, ReadError};
 
 /// Whether `version`'s flags byte declares the entropy-coder generation
 /// (v3 and later; before that the byte is reserved and must be zero).
@@ -135,7 +56,7 @@ pub(super) struct Header {
 /// strict and salvage decode.
 pub(super) fn decode_header(bytes: &[u8]) -> Result<Header, ContainerError> {
     let mut reader = ByteReader::new(bytes);
-    let magic: [u8; 4] = reader.take(4)?.try_into().unwrap();
+    let magic = reader.take_array::<4>()?;
     if magic != MAGIC {
         return Err(ContainerError::BadMagic(magic));
     }
@@ -154,7 +75,7 @@ pub(super) fn decode_header(bytes: &[u8]) -> Result<Header, ContainerError> {
         return Err(ContainerError::IncompatibleEntropyCoder { version, codec });
     }
     let declared = reader.read_u32()? as usize;
-    debug_assert_eq!(reader.pos, HEADER_LEN);
+    debug_assert_eq!(reader.position(), HEADER_LEN);
     let count = declared.min(reader.remaining() / layout.frame_len(0) + 1);
     Ok(Header {
         version,
@@ -280,9 +201,9 @@ impl FrameLayout {
         pos: usize,
         block: usize,
     ) -> Result<WireFrame<'_>, FrameDamage> {
-        let mut reader = ByteReader { bytes, pos };
-        let hard = |error| FrameDamage {
-            error,
+        let mut reader = ByteReader::at(bytes, pos);
+        let hard = |error: ReadError| FrameDamage {
+            error: error.into(),
             skip_to: None,
         };
         // One byte at a time: a cut between the two head bytes must report
@@ -291,7 +212,7 @@ impl FrameLayout {
         let stage = stage.map_err(hard)?;
         let profile = self.profile.then(|| reader.read_u8()).transpose();
         let profile = profile.map_err(hard)?.unwrap_or(0);
-        let head = &bytes[pos..reader.pos];
+        let head = &bytes[pos..reader.position()];
         let payload = reader.read_section().map_err(hard)?;
         if self.crc {
             let stored = reader.read_u32().map_err(hard)?;
@@ -306,20 +227,20 @@ impl FrameLayout {
                         stored,
                         computed,
                     },
-                    skip_to: Some(reader.pos),
+                    skip_to: Some(reader.position()),
                 });
             }
         }
         match stage {
             Some(stage) if stage > STAGE_LZ => Err(FrameDamage {
                 error: ContainerError::UnknownStage { block, stage },
-                skip_to: Some(reader.pos),
+                skip_to: Some(reader.position()),
             }),
             _ => Ok(WireFrame {
                 stage,
                 profile,
                 payload,
-                next: reader.pos,
+                next: reader.position(),
             }),
         }
     }

@@ -16,7 +16,9 @@
 //! coefficients, their indices and per-chunk counts are entropy-coded into
 //! the auxiliary stream whose size enters the compression ratio (Eq. 11).
 
-use gld_entropy::{HistogramModel, RangeDecoder, RangeEncoder};
+use gld_entropy::{
+    write_u32_section, ByteReader, HistogramModel, RangeDecoder, RangeEncoder, ReadError,
+};
 use gld_tensor::eig::principal_components;
 use gld_tensor::Tensor;
 
@@ -183,9 +185,7 @@ impl PcaErrorBound {
         let index_model = HistogramModel::fit(if indices.is_empty() { &[0] } else { &indices });
         let code_model = HistogramModel::fit(if codes.is_empty() { &[0] } else { &codes });
         for model in [&count_model, &index_model, &code_model] {
-            let b = model.to_bytes();
-            aux.extend_from_slice(&(b.len() as u32).to_le_bytes());
-            aux.extend_from_slice(&b);
+            write_u32_section(&mut aux, &model.to_bytes());
         }
         let mut enc = RangeEncoder::new();
         count_model.encode(&mut enc, &count_syms);
@@ -194,8 +194,7 @@ impl PcaErrorBound {
             code_model.encode(&mut enc, &codes);
         }
         let stream = enc.finish();
-        aux.extend_from_slice(&(stream.len() as u32).to_le_bytes());
-        aux.extend_from_slice(&stream);
+        write_u32_section(&mut aux, &stream);
 
         let outcome = ErrorBoundOutcome {
             tau,
@@ -207,39 +206,59 @@ impl PcaErrorBound {
     }
 
     /// Rebuilds the corrected reconstruction from the auxiliary stream (the
-    /// decoder-side counterpart of [`PcaErrorBound::apply`]).
+    /// decoder-side counterpart of [`PcaErrorBound::apply`]), panicking on a
+    /// malformed stream.  Kept only because the `perf/` benchmark calls it
+    /// by name; [`PcaErrorBound::try_apply_from_aux`] is the typed form.
     pub fn apply_from_aux(&self, reconstruction: &Tensor, aux: &[u8]) -> Tensor {
+        self.try_apply_from_aux(reconstruction, aux)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PcaErrorBound::apply_from_aux`], or the typed reason `aux` is not a
+    /// correction stream for `reconstruction`: its chunk count must tile
+    /// the reconstruction, each chunk may keep at most `chunk` terms, and
+    /// each term must name a basis vector.
+    pub fn try_apply_from_aux(
+        &self,
+        reconstruction: &Tensor,
+        aux: &[u8],
+    ) -> Result<Tensor, ReadError> {
         let d = self.config.chunk;
-        let tau = f32::from_le_bytes(aux[0..4].try_into().unwrap());
-        let n_chunks = u32::from_le_bytes(aux[4..8].try_into().unwrap()) as usize;
-        let step = (tau / ((n_chunks * d) as f32).sqrt()).max(1e-30);
-        let mut off = 8;
-        let mut models = Vec::with_capacity(3);
-        for _ in 0..3 {
-            let len = u32::from_le_bytes(aux[off..off + 4].try_into().unwrap()) as usize;
-            off += 4;
-            let (m, used) = HistogramModel::from_bytes(&aux[off..off + len]);
-            assert_eq!(used, len);
-            models.push(m);
-            off += len;
+        let mut reader = ByteReader::new(aux);
+        let tau = reader.read_f32()?;
+        let n_chunks = reader.read_u32()? as usize;
+        let [count_model, index_model, code_model] = [
+            reader.read_model()?,
+            reader.read_model()?,
+            reader.read_model()?,
+        ];
+        let stream = reader.read_u32_section()?;
+        reader.expect_end()?;
+        let n_values = reconstruction.numel();
+        if n_chunks != n_values.div_ceil(d) {
+            return Err(ReadError::Malformed(
+                "correction chunk count does not tile the reconstruction",
+            ));
         }
-        let stream_len = u32::from_le_bytes(aux[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        let stream = &aux[off..off + stream_len];
+        let step = (tau / ((n_chunks * d) as f32).sqrt()).max(1e-30);
         let mut dec = RangeDecoder::new(stream);
-        let counts = models[0].decode(&mut dec, n_chunks);
+        let counts = count_model.decode(&mut dec, n_chunks);
+        if counts.iter().any(|&c| !(0..=d as i32).contains(&c)) {
+            return Err(ReadError::Malformed(
+                "correction chunk keeps more terms than it has",
+            ));
+        }
+        // A stream without terms codes none (and decoding none reads none).
         let total_coeffs: usize = counts.iter().map(|&c| c as usize).sum();
-        let (indices, codes) = if total_coeffs > 0 {
-            (
-                models[1].decode(&mut dec, total_coeffs),
-                models[2].decode(&mut dec, total_coeffs),
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let indices = index_model.decode(&mut dec, total_coeffs);
+        let codes = code_model.decode(&mut dec, total_coeffs);
+        if indices.iter().any(|&j| !(0..d as i32).contains(&j)) {
+            return Err(ReadError::Malformed(
+                "correction term names no basis vector",
+            ));
+        }
 
         let mut corrected = finite_or_zero(reconstruction);
-        let n_values = corrected.numel();
         let corr_data = corrected.data_mut();
         let mut cursor = 0usize;
         for (chunk_idx, &count) in counts.iter().enumerate() {
@@ -250,7 +269,7 @@ impl PcaErrorBound {
             self.add_terms(&mut corr_data[start..end], step, terms);
             cursor += count as usize;
         }
-        corrected
+        Ok(corrected)
     }
 
     /// Adds one chunk's kept terms `U_j · (code · step)` into the block, term

@@ -27,7 +27,7 @@
 //! payload once every sibling job of its batch has finished.
 
 use crate::codec::{squared_error, BlockJob, Codec, CodecScratch, EncodedBlock, ErrorTarget};
-use crate::container::{Container, DictMode, EntropyProfile};
+use crate::container::{Container, ContainerError, DictMode, EntropyProfile};
 use gld_datasets::{blocks, Variable};
 use gld_entropy::HistogramModel;
 use gld_lz::LzProfile;
@@ -300,8 +300,10 @@ pub(crate) fn compress_window_outcome<C: Codec + ?Sized>(
     };
     // A codec that did not hold the decoder's reconstruction leaves the
     // measurement here: decode the frame once and sum against that.
-    let sq_err =
-        sq_err.unwrap_or_else(|| squared_error(window.data(), codec.decode(&frame, model).data()));
+    let sq_err = sq_err.unwrap_or_else(|| match codec.decode(&frame, model) {
+        Ok(recon) => squared_error(window.data(), recon.data()),
+        Err(e) => panic!("a frame this codec just encoded does not decode: {e}"),
+    });
     block_histogram(&ENCODE_NS, "gld_block_encode_ns")
         .record(gld_obs::now_ns().saturating_sub(t0_ns));
     let lz = match stage {
@@ -331,14 +333,15 @@ pub(crate) fn compress_window_outcome<C: Codec + ?Sized>(
 }
 
 /// Decodes every frame of `container` (already checked against `codec` by
-/// [`Codec::decompress_container`]) and returns the blocks in temporal order.
+/// [`Codec::decompress_container`]) and returns the blocks in temporal order,
+/// or the first frame in frame order that the codec refused.
 ///
 /// The whole container is one `pool_map` batch: the call returns every
 /// block, so memory is O(variable) by contract.
 pub(crate) fn decompress_blocks<C: Codec + ?Sized>(
     codec: &C,
     container: &Container,
-) -> Vec<Tensor> {
+) -> Result<Vec<Tensor>, ContainerError> {
     static DECODE_NS: BlockHistogram = OnceLock::new();
     let decode_ns = block_histogram(&DECODE_NS, "gld_block_decode_ns");
     let frames = container.blocks();
@@ -352,8 +355,13 @@ pub(crate) fn decompress_blocks<C: Codec + ?Sized>(
             .and_then(|p| p.model.as_ref());
         let block = codec.decode(&frames[index], model);
         decode_ns.record(gld_obs::now_ns().saturating_sub(t0_ns));
-        block
+        block.map_err(|error| ContainerError::Block {
+            block: index,
+            error,
+        })
     })
+    .into_iter()
+    .collect()
 }
 
 /// Runs `job` for every index in `0..count` on the persistent pool and

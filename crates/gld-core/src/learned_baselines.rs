@@ -21,9 +21,11 @@
 //!   block, making it the slowest decoder.
 
 use gld_diffusion::{ConditionalDiffusion, FramePartition};
-use gld_entropy::{HistogramModel, RangeDecoder, RangeEncoder};
+use gld_entropy::{
+    write_dims, write_u32_section, ByteReader, HistogramModel, RangeDecoder, RangeEncoder,
+    ReadError,
+};
 use gld_tensor::{Tensor, TensorRng};
-use gld_vae::codec::{read_dims, write_dims};
 use gld_vae::{FrameCodec, Vae};
 
 /// Which baseline a [`LearnedBaseline`] instance emulates.
@@ -125,54 +127,45 @@ impl<'a> LearnedBaseline<'a> {
                 out.extend_from_slice(&norm.mean.to_le_bytes());
                 out.extend_from_slice(&norm.range.to_le_bytes());
             }
-            let model_bytes = model.to_bytes();
-            out.extend_from_slice(&(model_bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&model_bytes);
+            write_u32_section(&mut out, &model.to_bytes());
             let mut enc = RangeEncoder::new();
             model.encode(&mut enc, &symbols);
             let stream = enc.finish();
-            out.extend_from_slice(&(stream.len() as u32).to_le_bytes());
-            out.extend_from_slice(&stream);
+            write_u32_section(&mut out, &stream);
             out
         }
     }
 
-    /// Decompresses a block produced by [`LearnedBaseline::compress`].
-    pub fn decompress(&self, bytes: &[u8]) -> Tensor {
+    /// Decompresses a block produced by [`LearnedBaseline::compress`], or
+    /// the typed reason `bytes` are not such a block.
+    pub fn decompress(&self, bytes: &[u8]) -> Result<Tensor, ReadError> {
         let decoded = if self.kind.uses_hyperprior_coding() {
-            FrameCodec::new(self.vae).decompress(bytes)
+            FrameCodec::new(self.vae).decompress(bytes)?
         } else {
-            self.decompress_histogram(bytes)
+            self.decompress_histogram(bytes)?
         };
-        self.refine(decoded)
+        Ok(self.refine(decoded))
     }
 
-    fn decompress_histogram(&self, bytes: &[u8]) -> Tensor {
-        let (block_dims, used) = read_dims(bytes);
-        let n = block_dims[0];
-        let mut off = used;
-        let (y_dims, used) = read_dims(&bytes[off..]);
-        off += used;
-        let mut norms = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mean = f32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            let range = f32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-            norms.push(gld_vae::codec::FrameNorm { mean, range });
-            off += 8;
-        }
-        let model_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        let (model, used) = HistogramModel::from_bytes(&bytes[off..off + model_len]);
-        assert_eq!(used, model_len);
-        off += model_len;
-        let stream_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        let mut dec = RangeDecoder::new(&bytes[off..off + stream_len]);
+    fn decompress_histogram(&self, bytes: &[u8]) -> Result<Tensor, ReadError> {
+        let codec = FrameCodec::new(self.vae);
+        let mut reader = ByteReader::new(bytes);
+        let block_dims = reader.read_dims()?;
+        let y_dims = reader.read_dims()?;
+        let Some(&n) = block_dims.first() else {
+            return Err(ReadError::Malformed("block shape has rank 0"));
+        };
+        codec.check_latent_dims(&y_dims, n)?;
+        let norms = FrameCodec::read_norms(&mut reader, n)?;
+        let model = reader.read_model()?;
+        let stream = reader.read_u32_section()?;
+        reader.expect_end()?;
+        let mut dec = RangeDecoder::new(stream);
         let count: usize = y_dims.iter().product();
         let symbols = model.decode(&mut dec, count);
         let y = Tensor::from_vec(symbols.iter().map(|&s| s as f32).collect(), &y_dims);
         let frames = self.vae.decode_latent(&y);
-        FrameCodec::new(self.vae).denormalize(&frames, &norms)
+        Ok(codec.denormalize(&frames, &norms))
     }
 
     /// Data-space diffusion refinement (the expensive part of CDC/GCD
@@ -227,7 +220,7 @@ mod tests {
         for kind in LearnedBaselineKind::all() {
             let baseline = LearnedBaseline::new(kind, &vae, None);
             let bytes = baseline.compress(&block);
-            let recon = baseline.decompress(&bytes);
+            let recon = baseline.decompress(&bytes).unwrap();
             assert_eq!(recon.dims(), block.dims(), "{kind:?}");
             assert!(recon.data().iter().all(|v| v.is_finite()), "{kind:?}");
             assert!(bytes.len() < block.numel() * 4, "{kind:?} did not compress");
@@ -256,8 +249,8 @@ mod tests {
         let with = LearnedBaseline::new(LearnedBaselineKind::CdcEps, &vae, Some(&refiner));
         let without = LearnedBaseline::new(LearnedBaselineKind::CdcEps, &vae, None);
         let bytes = with.compress(&block);
-        let refined = with.decompress(&bytes);
-        let plain = without.decompress(&bytes);
+        let refined = with.decompress(&bytes).unwrap();
+        let plain = without.decompress(&bytes).unwrap();
         assert_ne!(refined, plain, "refinement had no effect");
         // The blend keeps the reconstruction in the right ballpark even with
         // an untrained refiner.

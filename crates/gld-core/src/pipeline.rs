@@ -20,12 +20,12 @@
 //! the latent bitstream and the auxiliary correction stream.
 
 use crate::codec::{squared_error, BlockJob, Codec, CodecError, CodecScratch, EncodedBlock};
-use crate::container::{write_section, ByteReader, CodecId, ContainerError};
+use crate::container::{CodecId, ContainerError};
 use crate::error_bound::{ErrorBoundConfig, PcaErrorBound};
 use crate::keyframes::KeyframeStrategy;
 use gld_datasets::Variable;
 use gld_diffusion::{ConditionalDiffusion, DiffusionConfig, DiffusionTrainer, FramePartition};
-use gld_entropy::HistogramModel;
+use gld_entropy::{write_section, ByteReader, HistogramModel, ReadError};
 use gld_tensor::{Tensor, TensorRng};
 use gld_vae::codec::FrameNorm;
 use gld_vae::{LatentCodec, Vae, VaeConfig, VaeTrainer};
@@ -201,6 +201,12 @@ impl CompressedBlock {
 
     /// Parses a frame produced by [`CompressedBlock::encode`].
     pub fn decode(frame: &[u8]) -> Result<Self, ContainerError> {
+        Ok(Self::read(frame)?)
+    }
+
+    /// [`CompressedBlock::decode`] with the reader's own error — what
+    /// [`Codec::decode`] reports.
+    fn read(frame: &[u8]) -> Result<Self, ReadError> {
         let mut reader = ByteReader::new(frame);
         let frames = reader.read_u32()? as usize;
         let height = reader.read_u32()? as usize;
@@ -209,21 +215,11 @@ impl CompressedBlock {
         let sampling_seed = reader.read_u64()?;
         let latent_range = (reader.read_f32()?, reader.read_f32()?);
         if frames == 0 {
-            return Err(ContainerError::Corrupt("block frame declares zero frames"));
+            return Err(ReadError::Malformed("block frame declares zero frames"));
         }
-        // Validate the declared count against the bytes actually present
-        // before allocating: a corrupt frame must surface as `Truncated`,
-        // not as a multi-gigabyte allocation.
-        if reader.remaining() / 8 < frames {
-            return Err(ContainerError::Truncated {
-                needed: frames.saturating_mul(8),
-                available: reader.remaining(),
-            });
-        }
-        let mut frame_norms = Vec::with_capacity(frames);
-        for _ in 0..frames {
-            frame_norms.push((reader.read_f32()?, reader.read_f32()?));
-        }
+        let values = reader.read_f32s(frames.saturating_mul(2))?;
+        let (norms, _) = values.as_chunks();
+        let frame_norms = norms.iter().map(|&[mean, range]| (mean, range)).collect();
         let keyframe_bytes = reader.read_section()?.to_vec();
         let aux_bytes = reader.read_section()?.to_vec();
         reader.expect_end()?;
@@ -544,16 +540,31 @@ impl Codec for GldCompressor {
         })
     }
 
-    fn decode(&self, frame: &[u8], _: Option<&HistogramModel>) -> Tensor {
-        let compressed = CompressedBlock::decode(frame)
-            .unwrap_or_else(|e| panic!("invalid GLD block frame: {e}"));
-        let y_key = LatentCodec::new(&self.vae).decompress(&compressed.keyframe_bytes);
+    /// Decodes one block.  The frame must declare the configured block
+    /// length and carry one latent per keyframe, or it is refused before the
+    /// sampler runs.
+    fn decode(&self, frame: &[u8], _: Option<&HistogramModel>) -> Result<Tensor, CodecError> {
+        let compressed = CompressedBlock::read(frame)?;
+        let partition = self.config.partition();
+        if compressed.frames != partition.total {
+            return Err(CodecError::FrameCount {
+                expected: partition.total,
+                got: compressed.frames,
+            });
+        }
+        let y_key = LatentCodec::new(&self.vae).try_decompress(&compressed.keyframe_bytes)?;
+        if y_key.dim(0) != partition.num_conditioning() {
+            return Err(
+                ReadError::Malformed("keyframe latent count differs from the strategy's").into(),
+            );
+        }
         let recon = self.reconstruct(&compressed, &y_key);
         if compressed.aux_bytes.is_empty() {
-            return recon;
+            return Ok(recon);
         }
-        self.error_bound
-            .apply_from_aux(&recon, &compressed.aux_bytes)
+        Ok(self
+            .error_bound
+            .try_apply_from_aux(&recon, &compressed.aux_bytes)?)
     }
 }
 
@@ -579,7 +590,7 @@ mod tests {
     }
 
     fn decompress(c: &GldCompressor, compressed: &CompressedBlock) -> Tensor {
-        c.decode(&compressed.encode(), None)
+        c.decode(&compressed.encode(), None).unwrap()
     }
 
     #[test]

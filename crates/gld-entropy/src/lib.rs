@@ -19,6 +19,9 @@
 //!   replay identical updates); the `gld-lz` general lossless stage codes
 //!   its LZ sequences with these.
 //! * [`gaussian`] — numerically careful normal CDF / inverse utilities.
+//! * [`reader`] — the one bounds-checked [`ByteReader`] every container,
+//!   protocol and codec payload is parsed with, and its typed
+//!   [`ReadError`].
 //! * [`models`] — the symbol models on top of the coder: the
 //!   **Gaussian conditional** model used for VAE latents `y` (whose per
 //!   element mean/scale come from the hyperprior, paper Eq. 1–2), the
@@ -39,13 +42,15 @@ pub mod backend;
 pub mod gaussian;
 pub mod models;
 pub mod range;
+pub mod reader;
 
 pub use adaptive::{AdaptiveBitModel, AdaptiveTreeModel};
 pub use arith::{ArithmeticDecoder, ArithmeticEncoder};
 pub use backend::{
     ArithmeticBackend, EntropyBackend, EntropyDecoder, EntropyEncoder, RangeBackend,
 };
-pub use models::{
-    BitCounter, BypassCoder, GaussianConditionalModel, HistogramModel, ModelDecodeError,
-};
+pub use models::{BitCounter, BypassCoder, GaussianConditionalModel, HistogramModel};
 pub use range::{RangeDecoder, RangeEncoder};
+pub use reader::{
+    write_dims, write_section, write_u32_section, ByteReader, ReadError, MAX_SHAPE_ELEMENTS,
+};

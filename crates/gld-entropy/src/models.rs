@@ -17,6 +17,7 @@
 use crate::arith::MAX_TOTAL;
 use crate::backend::{EntropyDecoder, EntropyEncoder};
 use crate::gaussian::{normal_cdf, quantized_gaussian_bits};
+use crate::reader::{ByteReader, ReadError};
 use std::sync::OnceLock;
 
 /// Total frequency budget used when quantising probability models.
@@ -300,55 +301,6 @@ pub struct HistogramModel {
     lut: OnceLock<DecodeLut>,
 }
 
-/// Typed failure of [`HistogramModel::try_from_bytes`] on untrusted input
-/// (profile tables, corrupted containers).  Every variant is a parse-time
-/// rejection — the hardened path never panics and never allocates more than
-/// the model budget allows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelDecodeError {
-    /// The serialised header or its entry list ends early.
-    Truncated,
-    /// The declared bin count exceeds what a fitted model can produce, so
-    /// the allocation it implies is rejected before being made.
-    OversizedBins {
-        /// Declared number of bins.
-        bins: usize,
-        /// Largest bin count a fitted model can carry.
-        max: usize,
-    },
-    /// A non-zero entry points outside the declared bin range.
-    BadOffset {
-        /// The offending bin offset.
-        offset: usize,
-        /// Number of declared bins.
-        bins: usize,
-    },
-    /// The frequencies sum to zero or overflow the coder's budget.
-    BadTotal,
-}
-
-impl std::fmt::Display for ModelDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ModelDecodeError::Truncated => write!(f, "truncated histogram model"),
-            ModelDecodeError::OversizedBins { bins, max } => {
-                write!(f, "histogram model declares {bins} bins (max {max})")
-            }
-            ModelDecodeError::BadOffset { offset, bins } => {
-                write!(f, "histogram entry offset {offset} outside {bins} bins")
-            }
-            ModelDecodeError::BadTotal => {
-                write!(
-                    f,
-                    "histogram frequencies sum to zero or overflow the coder budget"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for ModelDecodeError {}
-
 /// `slots[target >> shift]` is the index of the first bin whose cumulative
 /// interval can contain `target`; the true bin is found by scanning forward
 /// from there (never backward).  The scan runs on the kernel backend that
@@ -551,71 +503,47 @@ impl HistogramModel {
         out
     }
 
-    /// Deserialises a model written by [`HistogramModel::to_bytes`].
-    /// Returns the model and the number of bytes consumed.
-    pub fn from_bytes(bytes: &[u8]) -> (Self, usize) {
-        assert!(bytes.len() >= 12, "truncated histogram header");
-        let min = i32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        let len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        let nonzero = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let mut freqs = vec![0u32; len];
-        let mut off = 12;
-        for _ in 0..nonzero {
-            let idx = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-            let f = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-            freqs[idx] = f;
-            off += 8;
-        }
-        (Self::from_freqs(min, freqs), off)
-    }
-
-    /// Hardened deserialiser for **untrusted** bytes (profile tables inside
-    /// containers arriving over the wire).  Unlike
-    /// [`HistogramModel::from_bytes`] — which trusts its caller and panics
-    /// on malformed input — this path bounds-checks every read, rejects bin
-    /// counts larger than a fitted model can produce *before* allocating,
-    /// and verifies the frequency total is usable by the coder.
-    pub fn try_from_bytes(bytes: &[u8]) -> Result<(Self, usize), ModelDecodeError> {
-        if bytes.len() < 12 {
-            return Err(ModelDecodeError::Truncated);
-        }
-        let min = i32::from_le_bytes(bytes[0..4].try_into().unwrap());
-        let len = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        let nonzero = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+    /// Deserialises a model written by [`HistogramModel::to_bytes`] from
+    /// **untrusted** bytes, returning it and the number of bytes consumed.
+    /// Every read is bounds-checked, bin counts larger than a fitted model
+    /// can produce are rejected *before* allocating, and the frequency total
+    /// is verified usable by the coder.
+    pub fn try_from_bytes(bytes: &[u8]) -> Result<(Self, usize), ReadError> {
+        let mut reader = ByteReader::new(bytes);
+        let min = reader.read_u32()? as i32;
+        let len = reader.read_u32()? as usize;
+        let nonzero = reader.read_u32()?;
         let max_bins = (MODEL_TOTAL / 2) as usize;
         if len == 0 || len > max_bins {
-            return Err(ModelDecodeError::OversizedBins {
+            return Err(ReadError::OversizedBins {
                 bins: len,
                 max: max_bins,
             });
         }
-        let need = nonzero
-            .checked_mul(8)
-            .and_then(|n| n.checked_add(12))
-            .ok_or(ModelDecodeError::Truncated)?;
-        if bytes.len() < need {
-            return Err(ModelDecodeError::Truncated);
-        }
         let mut freqs = vec![0u32; len];
-        let mut off = 12;
         for _ in 0..nonzero {
-            let idx = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-            let f = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-            if idx >= len {
-                return Err(ModelDecodeError::BadOffset {
-                    offset: idx,
-                    bins: len,
-                });
-            }
-            freqs[idx] = f;
-            off += 8;
+            let offset = reader.read_u32()? as usize;
+            let freq = reader.read_u32()?;
+            *freqs
+                .get_mut(offset)
+                .ok_or(ReadError::BadOffset { offset, bins: len })? = freq;
         }
         // Duplicate offsets overwrite, so sum what the model actually holds.
         let total: u64 = freqs.iter().map(|&f| u64::from(f)).sum();
         if total == 0 || total > u64::from(MAX_TOTAL) {
-            return Err(ModelDecodeError::BadTotal);
+            return Err(ReadError::BadTotal);
         }
-        Ok((Self::from_freqs(min, freqs), off))
+        Ok((Self::from_freqs(min, freqs), reader.position()))
+    }
+
+    /// [`HistogramModel::try_from_bytes`] over a section the model must
+    /// fill exactly — the model table of a codec payload.
+    pub fn from_section(bytes: &[u8]) -> Result<Self, ReadError> {
+        let (model, used) = Self::try_from_bytes(bytes)?;
+        match bytes.len() - used {
+            0 => Ok(model),
+            extra => Err(ReadError::TrailingBytes(extra)),
+        }
     }
 
     /// Whether `s` can be coded under this model (inside the fitted range
@@ -985,7 +913,7 @@ mod tests {
         let symbols: Vec<i32> = (0..5000).map(|_| rng.gen_range(-12..13)).collect();
         let model = HistogramModel::fit(&symbols);
         let bytes = model.to_bytes();
-        let (restored, used) = HistogramModel::from_bytes(&bytes);
+        let (restored, used) = HistogramModel::try_from_bytes(&bytes).expect("valid model");
         assert_eq!(used, bytes.len());
         assert_eq!(restored, model);
 
@@ -1072,7 +1000,7 @@ mod tests {
         huge[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             HistogramModel::try_from_bytes(&huge),
-            Err(ModelDecodeError::OversizedBins { .. })
+            Err(ReadError::OversizedBins { .. })
         ));
         // Entry offset outside the declared bins.
         let mut bad_off = good.clone();
@@ -1080,7 +1008,7 @@ mod tests {
         bad_off[entry0..entry0 + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             HistogramModel::try_from_bytes(&bad_off),
-            Err(ModelDecodeError::BadOffset { .. })
+            Err(ReadError::BadOffset { .. })
         ));
         // All-zero mass is unusable by the coder.
         let mut zeroed = good.clone();
@@ -1091,7 +1019,7 @@ mod tests {
         }
         assert!(matches!(
             HistogramModel::try_from_bytes(&zeroed),
-            Err(ModelDecodeError::BadTotal)
+            Err(ReadError::BadTotal)
         ));
     }
 

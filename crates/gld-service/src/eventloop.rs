@@ -31,8 +31,8 @@ use crate::protocol::{
     StatusSummaries, StreamEvent, StreamParser,
 };
 use crate::server::{
-    prepare_compress, prepare_decompress, Completion, Prepared, ServerShared, Session, ShardJob,
-    ShardState,
+    prepare_compress, prepare_decompress, run_trapped, Completion, Prepared, ServerShared, Session,
+    ShardJob, ShardState,
 };
 use epoll::{Event, Interest, Poller};
 use gld_core::StreamMetrics;
@@ -109,6 +109,8 @@ pub(crate) struct LoopObs {
     deadlines: Arc<Counter>,
     rejected_other: Arc<Counter>,
     reaped_idle: Arc<Counter>,
+    /// `glds_codec_panics_total`: panics the shard jobs' bug trap caught.
+    pub(crate) codec_panics: Arc<Counter>,
     pub(crate) shards: Vec<ShardObs>,
     /// Per-op totals, indexed by `Op as u8 - 1`.
     totals: [Arc<Histogram>; 6],
@@ -153,6 +155,7 @@ impl LoopObs {
             deadlines: counter("glds_deadlines_exceeded_total"),
             rejected_other: counter("glds_rejected_other_total"),
             reaped_idle: counter("glds_connections_reaped_idle_total"),
+            codec_panics: counter("glds_codec_panics_total"),
             shards,
             totals: std::array::from_fn(|index| {
                 let op = Op::from_u8(index as u8 + 1).expect("op bytes are 1..=6");
@@ -979,7 +982,7 @@ impl EventLoop {
             let wrapped: Box<dyn FnOnce(&mut ShardState) + Send> = Box::new(move |state| {
                 let result = {
                     let _guard = gld_obs::span!("shard.execute", conn, request_id);
-                    job(state)
+                    run_trapped(job, state, &shared.obs.codec_panics)
                 };
                 shared.push_completion(Completion {
                     conn,

@@ -56,8 +56,8 @@
 //! (`tests/protocol_fuzz.rs` and the cross-crate `service_end_to_end` suite
 //! fuzz this promise).
 
-use gld_core::container::{ByteReader, ContainerError};
 use gld_core::ErrorTarget;
+use gld_entropy::{ByteReader, ReadError};
 use gld_tensor::Tensor;
 use std::fmt;
 use std::io::{Read, Write};
@@ -75,6 +75,10 @@ pub const HEADER_LEN: usize = 32;
 /// rejected before any allocation; servers typically configure a lower
 /// limit on top.
 pub const MAX_BODY_LEN: u64 = 1 << 30;
+
+// The codecs' shape cap is sized to this bound: every block they decode
+// carries in a reply body.
+const _: () = assert!(gld_entropy::MAX_SHAPE_ELEMENTS as u64 * 4 <= MAX_BODY_LEN);
 
 /// Header feature bit (byte 9, bit 0): the sender understands the container
 /// v3 per-frame lossless stage.  Set by stage-capable clients in `Hello`
@@ -163,13 +167,16 @@ pub enum Status {
     NoCommonCodec = 4,
     /// The requested codec id is not registered on this server.
     UnknownCodec = 5,
-    /// A decompress body was not a valid `GLDC` container.
+    /// A decompress body was not a valid `GLDC` container, or carried a
+    /// frame its codec refuses.
     BadContainer = 6,
     /// The request or response body exceeds the configured limit.
     FrameTooLarge = 7,
     /// The server is draining and no longer admits work.
     ShuttingDown = 8,
-    /// The codec failed internally (the diagnostic names the failure).
+    /// The server failed internally: a codec bug the shard job's trap
+    /// caught (counted in `glds_codec_panics_total`), or an injected fault.
+    /// The diagnostic names the failure.
     Internal = 9,
     /// The connection exceeded its admission budget (token bucket); the
     /// request was refused without being admitted.  Retry later — the
@@ -266,15 +273,15 @@ impl fmt::Display for ProtocolError {
 
 impl std::error::Error for ProtocolError {}
 
-impl From<ContainerError> for ProtocolError {
-    fn from(e: ContainerError) -> Self {
+impl From<ReadError> for ProtocolError {
+    fn from(e: ReadError) -> Self {
         match e {
-            ContainerError::Truncated { needed, available } => {
+            ReadError::Truncated { needed, available } => {
                 ProtocolError::Truncated { needed, available }
             }
-            ContainerError::TrailingBytes(n) => ProtocolError::TrailingBytes(n),
-            ContainerError::UnknownCodec(id) => ProtocolError::UnknownCodec(id),
-            _ => ProtocolError::Malformed("embedded container field"),
+            ReadError::TrailingBytes(n) => ProtocolError::TrailingBytes(n),
+            ReadError::Malformed(what) => ProtocolError::Malformed(what),
+            _ => ProtocolError::Malformed("embedded payload field"),
         }
     }
 }
@@ -646,10 +653,7 @@ impl CompressRequest {
                 (remaining - declared) as usize,
             ));
         }
-        let mut data = Vec::with_capacity(numel as usize);
-        for chunk in reader.take(declared as usize)?.chunks_exact(4) {
-            data.push(f32::from_le_bytes(chunk.try_into().expect("fixed chunk")));
-        }
+        let data = reader.read_f32s(numel as usize)?;
         reader.expect_end()?;
         Ok(CompressRequest {
             key,
@@ -1154,10 +1158,7 @@ pub fn decode_blocks_body(bytes: &[u8]) -> Result<Vec<Tensor>, ProtocolError> {
                 available: bytes.len(),
             });
         }
-        let mut data = Vec::with_capacity(numel as usize);
-        for chunk in reader.take(byte_len as usize)?.chunks_exact(4) {
-            data.push(f32::from_le_bytes(chunk.try_into().expect("fixed chunk")));
-        }
+        let data = reader.read_f32s(numel as usize)?;
         blocks.push(Tensor::from_vec(data, &dims));
     }
     reader.expect_end()?;

@@ -484,6 +484,12 @@ impl Server {
         self.shared.obs.status(true)
     }
 
+    /// Codec panics the shard workers' bug trap has caught
+    /// (`glds_codec_panics_total`); zero unless a codec has a bug.
+    pub fn codec_panics(&self) -> u64 {
+        self.shared.obs.codec_panics.get()
+    }
+
     /// Graceful shutdown: stop accepting, drain every admitted request
     /// (responses are written), then join every thread.
     pub fn shutdown(mut self) -> StatusResponse {
@@ -664,6 +670,27 @@ fn frames(blocks: usize) -> StreamMetrics {
     }
 }
 
+/// Runs one shard job behind the service's one codec bug trap.  Every
+/// failure a request can cause — a malformed frame included — is a typed
+/// status the job returns itself; a panic that reaches this point is a bug
+/// in a codec.  It is answered `Internal` and counted in
+/// `glds_codec_panics_total` instead of taking the shard worker down.
+pub(crate) fn run_trapped(
+    job: ShardJob,
+    state: &mut ShardState,
+    panics: &gld_obs::Counter,
+) -> ShardResult {
+    catch_unwind(AssertUnwindSafe(|| job(state))).unwrap_or_else(|payload| {
+        panics.inc();
+        ShardResult {
+            status: Status::Internal,
+            codec: 0,
+            body: panic_message(payload.as_ref()).into_bytes(),
+            stream: StreamMetrics::default(),
+        }
+    })
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -716,52 +743,44 @@ pub(crate) fn prepare_compress(
     let session = *session;
 
     let job: ShardJob = Box::new(move |state| {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // Profile-negotiated sessions get the v4 (shared coding profile)
-            // container — fitted once per key and shard while the variable
-            // keeps coming back — stage-negotiated sessions the v3
-            // (per-frame gld-lz stage) one; everyone else gets the
-            // stage-free v2 stream their decoder predates the stage for.
-            let stage = if session.profiles {
-                StageMode::Shared(state.profile(codec.as_ref(), &variable, block_frames, target))
-            } else if session.stage {
-                StageMode::PerFrame
-            } else {
-                StageMode::Off
-            };
-            compress_variable_to_writer_with(
-                codec.as_ref(),
-                &variable,
-                block_frames,
-                target,
-                stream_config,
-                stage,
-                LimitedSink {
-                    buf: Vec::new(),
-                    limit,
-                },
-            )
-        }));
-        match outcome {
-            Ok(Ok((sink, _stats, metrics))) => ShardResult {
+        // Profile-negotiated sessions get the v4 (shared coding profile)
+        // container — fitted once per key and shard while the variable
+        // keeps coming back — stage-negotiated sessions the v3 (per-frame
+        // gld-lz stage) one; everyone else gets the stage-free v2 stream
+        // their decoder predates the stage for.
+        let stage = if session.profiles {
+            StageMode::Shared(state.profile(codec.as_ref(), &variable, block_frames, target))
+        } else if session.stage {
+            StageMode::PerFrame
+        } else {
+            StageMode::Off
+        };
+        let written = compress_variable_to_writer_with(
+            codec.as_ref(),
+            &variable,
+            block_frames,
+            target,
+            stream_config,
+            stage,
+            LimitedSink {
+                buf: Vec::new(),
+                limit,
+            },
+        );
+        match written {
+            Ok((sink, _stats, metrics)) => ShardResult {
                 status: Status::Ok,
                 codec: codec_byte,
                 body: sink.buf,
                 stream: metrics,
             },
-            Ok(Err(e)) => ShardResult {
+            Err(e) => ShardResult {
                 // The partial-write diagnostic: how far the container got
                 // before the sink refused (`StreamWriteError::frames_emitted`).
                 status: Status::FrameTooLarge,
                 codec: codec_byte,
                 body: e.to_string().into_bytes(),
                 stream: frames(e.frames_emitted),
-            },
-            Err(payload) => ShardResult {
-                status: Status::Internal,
-                codec: codec_byte,
-                body: panic_message(payload.as_ref()).into_bytes(),
-                stream: StreamMetrics::default(),
             },
         }
     });
@@ -803,41 +822,33 @@ pub(crate) fn prepare_decompress(shared: &ServerShared, body: &[u8]) -> Prepared
     let limit = shared.config.max_body as usize;
 
     let job: ShardJob = Box::new(move |_| {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let container = Container::decode(&container_bytes)
-                .map_err(|e| (Status::BadContainer, e.to_string()))?;
-            let blocks = codec
-                .decompress_container(&container)
-                .map_err(|e| (Status::BadContainer, e.to_string()))?;
-            let body = protocol::encode_blocks_body(&blocks);
-            if body.len() > limit {
-                return Err((
-                    Status::FrameTooLarge,
-                    format!(
-                        "decompressed body of {} bytes exceeds the {limit}-byte limit",
-                        body.len()
-                    ),
-                ));
-            }
-            Ok((body, blocks.len()))
-        }));
-        match outcome {
-            Ok(Ok((body, blocks))) => ShardResult {
+        let decoded = Container::decode(&container_bytes)
+            .and_then(|container| codec.decompress_container(&container))
+            .map_err(|e| (Status::BadContainer, e.to_string()))
+            .and_then(|blocks| {
+                let body = protocol::encode_blocks_body(&blocks);
+                if body.len() > limit {
+                    return Err((
+                        Status::FrameTooLarge,
+                        format!(
+                            "decompressed body of {} bytes exceeds the {limit}-byte limit",
+                            body.len()
+                        ),
+                    ));
+                }
+                Ok((body, blocks.len()))
+            });
+        match decoded {
+            Ok((body, blocks)) => ShardResult {
                 status: Status::Ok,
                 codec: codec_byte,
                 body,
                 stream: frames(blocks),
             },
-            Ok(Err((status, message))) => ShardResult {
+            Err((status, message)) => ShardResult {
                 status,
                 codec: codec_byte,
                 body: message.into_bytes(),
-                stream: StreamMetrics::default(),
-            },
-            Err(payload) => ShardResult {
-                status: Status::Internal,
-                codec: codec_byte,
-                body: panic_message(payload.as_ref()).into_bytes(),
                 stream: StreamMetrics::default(),
             },
         }

@@ -10,7 +10,10 @@
 //! directly.
 
 use crate::model::Vae;
-use gld_entropy::{GaussianConditionalModel, HistogramModel, RangeDecoder, RangeEncoder};
+use gld_entropy::{
+    write_dims, write_u32_section, ByteReader, GaussianConditionalModel, HistogramModel,
+    RangeDecoder, RangeEncoder, ReadError,
+};
 use gld_tensor::Tensor;
 
 fn tensor_to_symbols(t: &Tensor) -> Vec<i32> {
@@ -20,28 +23,6 @@ fn tensor_to_symbols(t: &Tensor) -> Vec<i32> {
 
 fn symbols_to_tensor(symbols: &[i32], dims: &[usize]) -> Tensor {
     Tensor::from_vec(symbols.iter().map(|&s| s as f32).collect(), dims)
-}
-
-/// Appends a rank-prefixed dimension list (`u8` rank + `u32` per dim) —
-/// the framing every latent bitstream in the stack uses for tensor shapes.
-pub fn write_dims(out: &mut Vec<u8>, dims: &[usize]) {
-    out.push(dims.len() as u8);
-    for &d in dims {
-        out.extend_from_slice(&(d as u32).to_le_bytes());
-    }
-}
-
-/// Parses a dimension list written by [`write_dims`], returning the dims and
-/// the number of bytes consumed.
-pub fn read_dims(bytes: &[u8]) -> (Vec<usize>, usize) {
-    let rank = bytes[0] as usize;
-    let mut dims = Vec::with_capacity(rank);
-    let mut off = 1;
-    for _ in 0..rank {
-        dims.push(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize);
-        off += 4;
-    }
-    (dims, off)
 }
 
 /// Compresses quantised latents with the hyperprior bitstream layout.
@@ -69,41 +50,54 @@ impl<'a> LatentCodec<'a> {
         let mut out = Vec::new();
         write_dims(&mut out, y_quantized.dims());
         write_dims(&mut out, z.dims());
-        let model_bytes = z_model.to_bytes();
-        out.extend_from_slice(&(model_bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&model_bytes);
+        write_u32_section(&mut out, &z_model.to_bytes());
 
         let mut enc = RangeEncoder::new();
         z_model.encode(&mut enc, &z_symbols);
         GaussianConditionalModel::new().encode(&mut enc, &y_symbols, mu.data(), sigma.data());
         let stream = enc.finish();
-        out.extend_from_slice(&(stream.len() as u32).to_le_bytes());
-        out.extend_from_slice(&stream);
+        write_u32_section(&mut out, &stream);
         out
     }
 
-    /// Decompresses latents produced by [`LatentCodec::compress`].
+    /// Decompresses latents produced by [`LatentCodec::compress`], panicking
+    /// on a malformed bitstream.  Kept only because the `perf/` benchmark
+    /// calls it by name; [`LatentCodec::try_decompress`] is the typed form.
     pub fn decompress(&self, bytes: &[u8]) -> Tensor {
-        let (y_dims, used) = read_dims(bytes);
-        let mut off = used;
-        let (z_dims, used) = read_dims(&bytes[off..]);
-        off += used;
-        let model_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        let (z_model, consumed) = HistogramModel::from_bytes(&bytes[off..off + model_len]);
-        assert_eq!(consumed, model_len);
-        off += model_len;
-        let stream_len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        off += 4;
-        let stream = &bytes[off..off + stream_len];
+        self.try_decompress(bytes).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Decompresses latents produced by [`LatentCodec::compress`], or the
+    /// typed reason `bytes` are not such a bitstream.  The hyper-latent's
+    /// shape is checked against the model before the hyper-decoder runs,
+    /// and the latent's against the μ it predicts before any symbol of it
+    /// is decoded.
+    pub fn try_decompress(&self, bytes: &[u8]) -> Result<Tensor, ReadError> {
+        let mut reader = ByteReader::new(bytes);
+        let y_dims = reader.read_dims()?;
+        let z_dims = reader.read_dims()?;
+        let z_model = reader.read_model()?;
+        let stream = reader.read_u32_section()?;
+        reader.expect_end()?;
+        let hyper_channels = self.vae.config().hyper_channels;
+        if z_dims.len() != 4 || z_dims[1] != hyper_channels || z_dims.contains(&0) {
+            return Err(ReadError::Malformed(
+                "hyper-latent shape does not fit the model",
+            ));
+        }
 
         let mut dec = RangeDecoder::new(stream);
         let z_count: usize = z_dims.iter().product();
         let z_symbols = z_model.decode(&mut dec, z_count);
         let z = symbols_to_tensor(&z_symbols, &z_dims);
         let (mu, sigma) = self.vae.predict_gaussian(&z);
+        if mu.dims() != y_dims.as_slice() {
+            return Err(ReadError::Malformed(
+                "latent shape differs from the hyperprior's",
+            ));
+        }
         let y_symbols = GaussianConditionalModel::new().decode(&mut dec, mu.data(), sigma.data());
-        symbols_to_tensor(&y_symbols, &y_dims)
+        Ok(symbols_to_tensor(&y_symbols, &y_dims))
     }
 }
 
@@ -181,22 +175,43 @@ impl<'a> FrameCodec<'a> {
         out
     }
 
-    /// Decompresses frames produced by [`FrameCodec::compress`].
-    pub fn decompress(&self, bytes: &[u8]) -> Tensor {
-        let n = u32::from_le_bytes(bytes[0..4].try_into().unwrap()) as usize;
-        let _h = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        let _w = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-        let mut off = 12;
-        let mut norms = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mean = f32::from_le_bytes(bytes[off..off + 4].try_into().unwrap());
-            let range = f32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-            norms.push(FrameNorm { mean, range });
-            off += 8;
-        }
-        let y = LatentCodec::new(self.vae).decompress(&bytes[off..]);
+    /// Decompresses frames produced by [`FrameCodec::compress`], or the
+    /// typed reason `bytes` are not such a payload.
+    pub fn decompress(&self, bytes: &[u8]) -> Result<Tensor, ReadError> {
+        let mut reader = ByteReader::new(bytes);
+        let n = reader.read_u32()? as usize;
+        // Height and width: the latents' shape is what decodes.
+        reader.take(8)?;
+        let norms = Self::read_norms(&mut reader, n)?;
+        let rest = reader.take(reader.remaining())?;
+        let y = LatentCodec::new(self.vae).try_decompress(rest)?;
+        self.check_latent_dims(y.dims(), n)?;
         let decoded = self.vae.decode_latent(&y);
-        self.denormalize(&decoded, &norms)
+        Ok(self.denormalize(&decoded, &norms))
+    }
+
+    /// Reads `n` per-frame normalisation records, refusing a count the
+    /// input cannot hold before allocating for it.
+    pub fn read_norms(reader: &mut ByteReader<'_>, n: usize) -> Result<Vec<FrameNorm>, ReadError> {
+        let values = reader.read_f32s(n.saturating_mul(2))?;
+        let (norms, _) = values.as_chunks();
+        Ok(norms
+            .iter()
+            .map(|&[mean, range]| FrameNorm { mean, range })
+            .collect())
+    }
+
+    /// Checks that latents of shape `y_dims` decode to the `n >= 1` frames
+    /// their normalisation records describe:
+    /// `[n, latent_channels, h, w]` with non-zero `h` and `w`.
+    pub fn check_latent_dims(&self, y_dims: &[usize], n: usize) -> Result<(), ReadError> {
+        let channels = self.vae.config().latent_channels;
+        match y_dims {
+            &[frames, c, h, w] if frames == n && c == channels && n * h * w > 0 => Ok(()),
+            _ => Err(ReadError::Malformed(
+                "latent shape does not match the frames",
+            )),
+        }
     }
 }
 
@@ -235,7 +250,7 @@ mod tests {
         let frames = ds.variables[0].frames.slice_axis(0, 0, 3);
         let codec = FrameCodec::new(&vae);
         let bytes = codec.compress(&frames);
-        let recon = codec.decompress(&bytes);
+        let recon = codec.decompress(&bytes).expect("own payload");
         assert_eq!(recon.dims(), frames.dims());
         // Even an untrained VAE must reproduce the right order of magnitude
         // because normalisation metadata is stored exactly.

@@ -44,7 +44,7 @@ fn main() {
             .encode(&job, &mut CodecScratch::new())
             .expect("an [N, H, W] block")
             .frame;
-        let recon = compressor.decode(&frame, None);
+        let recon = compressor.decode(&frame, None).expect("own frame");
 
         let partition = config.partition();
         print!("per-frame NRMSE: ");

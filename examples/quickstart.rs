@@ -57,7 +57,7 @@ fn main() {
         .encode(&job, &mut CodecScratch::new())
         .expect("an [N, H, W] block")
         .frame;
-    let recon = compressor.decode(&frame, None);
+    let recon = compressor.decode(&frame, None).expect("own frame");
     let compressed = CompressedBlock::decode(&frame).expect("a frame we just wrote");
 
     println!("--- results ---");

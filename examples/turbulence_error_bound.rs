@@ -42,7 +42,7 @@ fn main() {
             .encode(&job, &mut CodecScratch::new())
             .expect("an [N, H, W] block")
             .frame;
-        let recon = compressor.decode(&frame, None);
+        let recon = compressor.decode(&frame, None).expect("own frame");
         let compressed = CompressedBlock::decode(&frame).expect("a frame we just wrote");
         let achieved = nrmse(&block, &recon);
         assert!(achieved <= target * 1.01, "bound violated");

@@ -47,7 +47,7 @@ fn every_codec_family_meets_the_bound_through_the_unified_interface() {
 
     for codec in codecs {
         let frame = encode(codec, &block, Some(ErrorTarget::Nrmse(target)));
-        let recon = codec.decode(&frame, None);
+        let recon = codec.decode(&frame, None).expect("frame decodes");
         assert_eq!(recon.dims(), block.dims(), "{}", codec.name());
         let err = nrmse(&block, &recon);
         assert!(
@@ -84,7 +84,7 @@ fn rule_based_codecs_respect_their_bound_on_every_dataset() {
         for codec in [&sz as &dyn Codec, &zfp as &dyn Codec] {
             let eb = 1e-3 * range;
             let frame = encode(codec, &frames, Some(ErrorTarget::PointwiseAbs(eb)));
-            let recon = codec.decode(&frame, None);
+            let recon = codec.decode(&frame, None).expect("frame decodes");
             assert!(
                 max_abs_error(&frames, &recon) <= eb * 1.0001,
                 "{} violated its bound on {kind:?}",
@@ -107,8 +107,8 @@ fn learned_baselines_share_storage_structure_but_not_bitstreams() {
     let cdc_frame = encode(&cdc, &block, None);
     let vaesr_frame = encode(&vaesr, &block, None);
     assert_ne!(cdc_frame, vaesr_frame);
-    let a = cdc.decode(&cdc_frame, None);
-    let b = vaesr.decode(&vaesr_frame, None);
+    let a = cdc.decode(&cdc_frame, None).expect("frame decodes");
+    let b = vaesr.decode(&vaesr_frame, None).expect("frame decodes");
     assert_eq!(a.dims(), block.dims());
     assert_eq!(b.dims(), block.dims());
 }
@@ -122,7 +122,7 @@ fn all_four_learned_kinds_roundtrip_through_the_codec_trait() {
         let baseline = LearnedBaseline::new(kind, &vae, None);
         let codec: &dyn Codec = &baseline;
         let frame = encode(codec, &block, None);
-        let recon = codec.decode(&frame, None);
+        let recon = codec.decode(&frame, None).expect("frame decodes");
         assert_eq!(recon.dims(), block.dims(), "{kind:?}");
         assert!(recon.data().iter().all(|v| v.is_finite()), "{kind:?}");
         assert!(frame.len() < block.numel() * 4, "{kind:?} did not compress");

@@ -106,7 +106,7 @@ fn encode_measured(
 }
 
 fn decode(codec: &dyn Codec, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
-    codec.decode(frame, model)
+    codec.decode(frame, model).expect("frame decodes")
 }
 
 /// Codes every case on the active backend and returns `(label, pinned,

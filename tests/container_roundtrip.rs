@@ -59,8 +59,10 @@ fn block_frame_roundtrips_and_total_bytes_is_the_serialized_length() {
         assert_eq!(decoded.denoising_steps, compressed.denoising_steps);
         // The round-tripped block decompresses to the identical tensor.
         assert_eq!(
-            compressor.decode(&decoded.encode(), None),
-            compressor.decode(&written, None)
+            compressor
+                .decode(&decoded.encode(), None)
+                .expect("frame decodes"),
+            compressor.decode(&written, None).expect("frame decodes")
         );
     }
 }

@@ -119,7 +119,7 @@ fn assert_measured_equals_reference(
         let reference = encode(codec, job, &mut CodecScratch::new());
         assert_eq!(reference.sq_err, None, "{what}: unmeasured, yet measured");
         let frame = reference.frame;
-        let recon = codec.decode(&frame, model);
+        let recon = codec.decode(&frame, model).expect("frame decodes");
         let sq_err = decode_and_sum(block, &recon);
         for (scratch, state) in [(&mut CodecScratch::new(), "fresh"), (&mut *dirty, "dirty")] {
             let measured = encode(
@@ -437,7 +437,11 @@ macro_rules! counting_codec {
             fn frame_model(&self, frame: &[u8]) -> Option<HistogramModel> {
                 self.inner.frame_model(frame)
             }
-            fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+            fn decode(
+                &self,
+                frame: &[u8],
+                model: Option<&HistogramModel>,
+            ) -> Result<Tensor, CodecError> {
                 self.decoded.fetch_add(1, Ordering::SeqCst);
                 self.inner.decode(frame, model)
             }

@@ -35,7 +35,7 @@ fn pipeline_runs_on_every_synthetic_dataset() {
         let block = ds.variables[0].frames.slice_axis(0, 0, config.block_frames);
         let frame = encode(&compressor, &block, Some(1e-2));
         let compressed = CompressedBlock::decode(&frame).expect("decode frame");
-        let recon = compressor.decode(&frame, None);
+        let recon = compressor.decode(&frame, None).expect("frame decodes");
         assert_eq!(recon.dims(), block.dims(), "{kind:?}");
         let err = nrmse(&block, &recon);
         assert!(
@@ -62,8 +62,10 @@ fn compressed_blocks_are_self_describing() {
     let restored = CompressedBlock::decode(&frame).expect("decode frame");
     assert_eq!(frame.len(), restored.total_bytes());
     assert_eq!(restored.encode(), frame);
-    let a = compressor.decode(&frame, None);
-    let b = compressor.decode(&restored.encode(), None);
+    let a = compressor.decode(&frame, None).expect("frame decodes");
+    let b = compressor
+        .decode(&restored.encode(), None)
+        .expect("frame decodes");
     assert_eq!(a, b);
 }
 
@@ -81,7 +83,7 @@ fn denoising_step_count_trades_speed_for_error() {
         let frame = encode(&compressor, &block, None);
         let compressed = CompressedBlock::decode(&frame).expect("decode frame");
         assert_eq!(compressed.denoising_steps, steps);
-        let recon = compressor.decode(&frame, None);
+        let recon = compressor.decode(&frame, None).expect("frame decodes");
         let err = nrmse(&block, &recon);
         assert!(err.is_finite());
         errors.push(err);

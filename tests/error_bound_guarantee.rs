@@ -29,7 +29,9 @@ fn bound_holds_across_targets_and_datasets() {
         for target in [2e-2f32, 5e-3, 1e-3] {
             let job = BlockJob::new(&block, Some(ErrorTarget::Nrmse(target)), 0);
             let encoded = compressor.encode(&job, &mut CodecScratch::new());
-            let recon = compressor.decode(&encoded.expect("an [N, H, W] block").frame, None);
+            let recon = compressor
+                .decode(&encoded.expect("an [N, H, W] block").frame, None)
+                .expect("frame decodes");
             let achieved = nrmse(&block, &recon);
             assert!(
                 achieved <= target * 1.01,

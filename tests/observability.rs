@@ -342,13 +342,18 @@ fn two_servers_in_one_process_report_only_their_own_traffic() {
 }
 
 /// Every `glds_*` counter and gauge the endpoint renders, as `(series,
-/// value)`, with the histogram families and the profile-memo counters (which
-/// `Status` does not carry) left out.
+/// value)`, with the histogram families and the shard workers' own counters
+/// — the profile memo's and the codec bug trap's, which `Status` does not
+/// carry — left out.
 fn status_backed_series(body: &str) -> Vec<(String, u64)> {
     let mut series: Vec<(String, u64)> = body
         .lines()
         .filter(|line| line.starts_with("glds_"))
-        .filter(|line| !line.contains("_duration_ns") && !line.starts_with("glds_profile_memo_"))
+        .filter(|line| {
+            !line.contains("_duration_ns")
+                && !line.starts_with("glds_profile_memo_")
+                && !line.starts_with("glds_codec_panics_total")
+        })
         .map(|line| {
             let (name, value) = line.rsplit_once(' ').expect("series and value");
             (name.to_string(), value.parse().expect("integer value"))
@@ -514,6 +519,8 @@ fn endpoint_and_status_read_one_source_for_every_counter() {
             .sum()
     };
     assert!(memo("hits") >= 1 && memo("misses") >= 1, "v4 hit and miss");
+    let panics = protocol_scrape(&body, "glds_codec_panics_total", "", &[]);
+    assert_eq!((panics, server.codec_panics()), (Some(0.0), 0));
     let rejected = protocol_scrape(&body, "glds_requests_rejected_total", "", &[]).unwrap();
     let rate_limited = protocol_scrape(&body, "glds_requests_rate_limited_total", "", &[]).unwrap();
     let deadlines = protocol_scrape(&body, "glds_deadlines_exceeded_total", "", &[]).unwrap();

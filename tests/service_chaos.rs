@@ -131,6 +131,7 @@ fn mixed_workload_through_chaos_is_bit_identical_and_error_free() {
         "the fault schedule must actually have fired for this test to mean anything"
     );
     proxy.stop();
+    assert_eq!(server.codec_panics(), 0, "chaos reached no codec bug");
     let metrics: StatusResponse = server.shutdown();
     assert!(metrics.completed() >= 2 * ds.variables.len() as u64);
 }
@@ -211,6 +212,7 @@ fn corruption_is_survived_and_the_workload_self_heals_once_the_budget_is_spent()
     assert_eq!(bytes, reference, "the self-healed run is bit-identical");
 
     proxy.stop();
+    assert_eq!(server.codec_panics(), 0, "corruption reached no codec bug");
     server.shutdown();
 }
 

@@ -337,6 +337,8 @@ fn live_server_survives_garbage_and_typed_error_paths() {
     // The same connection still serves real work after every refusal.
     let blocks = client.decompress("k", &good).expect("valid decompress");
     assert_eq!(blocks.len(), 2);
+    // Every refusal was typed: the codec bug trap never fired.
+    assert_eq!(server.codec_panics(), 0);
     let metrics = server.shutdown();
     // Protocol/container refusals land in the disjoint `rejected_other`
     // cause bucket (nothing here was rate-limited or expired), and the
@@ -393,7 +395,7 @@ impl Codec for GatedCodec {
         self.wait_open();
         self.inner.encode(job, scratch)
     }
-    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Result<Tensor, CodecError> {
         self.inner.decode(frame, model)
     }
 }
@@ -1084,7 +1086,7 @@ impl Codec for CountingSz {
     fn frame_model(&self, frame: &[u8]) -> Option<HistogramModel> {
         self.inner.frame_model(frame)
     }
-    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Result<Tensor, CodecError> {
         self.inner.decode(frame, model)
     }
 }
@@ -1236,6 +1238,36 @@ fn pre_range_coder_containers_get_a_typed_service_refusal() {
     // The connection keeps serving after the refusal.
     client.ping().expect("connection still alive");
     drop(client);
+    server.shutdown();
+}
+
+#[test]
+fn a_frame_declaring_a_2_15_cubed_block_gets_a_typed_service_refusal() {
+    // A CRC-valid SZ container whose one frame declares a 2¹⁵ × 2¹⁵ × 2¹⁵
+    // block: the payload reader refuses the shape before any buffer is
+    // sized from it, so the server answers BadContainer instead of
+    // aborting on a 128 TiB allocation.
+    let server = start_server(ServiceConfig::default(), CodecRegistry::rule_based());
+    let ds = generate(DatasetKind::E3sm, &FieldSpec::new(1, 8, 16, 16), 79);
+    let (container, _) = Codec::compress_variable(&SzCompressor::new(), &ds.variables[0], 8, None);
+    let mut frame = container.blocks()[0].clone();
+    assert_eq!(frame[1], 3, "codec byte, then a rank-3 shape");
+    for at in [2, 6, 10] {
+        frame[at..at + 4].copy_from_slice(&(1u32 << 15).to_le_bytes());
+    }
+    let hostile = Container::from_blocks(CodecId::SzLike, vec![frame]).encode_v2();
+
+    let mut client = ServiceClient::connect(server.local_addr()).expect("connect");
+    match client.decompress("hostile/var", &hostile) {
+        Err(ClientError::Server { status, message }) => {
+            assert_eq!(status, Status::BadContainer);
+            assert!(message.contains("shape"), "names the shape: {message}");
+        }
+        other => panic!("expected a typed BadContainer refusal, got {other:?}"),
+    }
+    client.ping().expect("connection still alive");
+    drop(client);
+    assert_eq!(server.codec_panics(), 0);
     server.shutdown();
 }
 

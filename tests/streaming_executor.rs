@@ -326,7 +326,11 @@ fn codec_panics_propagate_with_their_original_payload() {
             }
             self.0.encode(job, scratch)
         }
-        fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> gld_tensor::Tensor {
+        fn decode(
+            &self,
+            frame: &[u8],
+            model: Option<&HistogramModel>,
+        ) -> Result<gld_tensor::Tensor, CodecError> {
             self.0.decode(frame, model)
         }
     }
@@ -388,7 +392,7 @@ fn decode_sequentially(codec: &dyn Codec, container: &Container) -> Vec<Tensor> 
             let model = container
                 .profile_for_block(index)
                 .and_then(|p| p.model.as_ref());
-            codec.decode(frame, model)
+            codec.decode(frame, model).expect("frame decodes")
         })
         .collect()
 }
@@ -453,7 +457,7 @@ impl Codec for Probe<'_> {
     ) -> Result<EncodedBlock, CodecError> {
         self.inner.encode(job, scratch)
     }
-    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+    fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Result<Tensor, CodecError> {
         if self.exploding_frame.as_deref() == Some(frame) {
             panic!("codec exploded on its frame");
         }
@@ -539,7 +543,11 @@ fn two_blocks_are_in_flight_at_once_even_on_a_one_worker_pool() {
         ) -> Result<EncodedBlock, CodecError> {
             self.inner.encode(job, scratch)
         }
-        fn decode(&self, frame: &[u8], model: Option<&HistogramModel>) -> Tensor {
+        fn decode(
+            &self,
+            frame: &[u8],
+            model: Option<&HistogramModel>,
+        ) -> Result<Tensor, CodecError> {
             let mut arrived = self.arrived.lock().unwrap();
             *arrived += 1;
             self.second_arrived.notify_all();
@@ -669,18 +677,6 @@ fn a_container_is_one_pool_batch_and_a_refused_one_is_none() {
     assert_eq!(learned.decoded.load(Ordering::SeqCst), 0);
 }
 
-/// The text a panic carried, whether it was raised with a literal or a
-/// formatted message.
-fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(text) => *text,
-        Err(payload) => payload
-            .downcast_ref::<&str>()
-            .map(|text| text.to_string())
-            .expect("a panic raised with a message"),
-    }
-}
-
 #[test]
 fn decode_panics_keep_their_payload_and_the_pool_keeps_its_workers() {
     let sz = SzCompressor::new();
@@ -709,18 +705,26 @@ fn decode_panics_keep_their_payload_and_the_pool_keeps_its_workers() {
     }
 
     // The real thing: an undecodable frame among good ones leaves with the
-    // text `decode` itself panics with.
+    // typed error `decode` itself returns, under the frame's index.
     let gld = untrained_compressor();
     let (good, _) = gld.compress_variable_sequential(&smooth_variable(3, 89), 8, None);
     let mut frames = good.blocks().to_vec();
     let half = frames[1].len() / 2;
     frames[1].truncate(half);
-    let alone = catch_unwind(AssertUnwindSafe(|| gld.decode(&frames[1], None)))
+    let alone = gld
+        .decode(&frames[1], None)
         .expect_err("half a frame does not decode");
     let damaged = Container::from_blocks(CodecId::Gld, frames);
-    let fanned = catch_unwind(AssertUnwindSafe(|| gld.decompress_container(&damaged)))
+    let fanned = gld
+        .decompress_container(&damaged)
         .expect_err("nor does a container holding it");
-    assert_eq!(panic_text(fanned), panic_text(alone));
+    assert_eq!(
+        fanned,
+        ContainerError::Block {
+            block: 1,
+            error: alone
+        }
+    );
     assert_eq!(
         bits(&gld.decompress_container(&good).unwrap()),
         bits(&decode_sequentially(&gld, &good))
