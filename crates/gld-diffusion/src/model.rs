@@ -154,6 +154,13 @@ impl ConditionalDiffusion {
     /// `y_cond` must contain the clean keyframe latents at the conditioning
     /// indices; the content of the generated indices is ignored.  The result
     /// contains the keyframes untouched and the generated frames filled in.
+    ///
+    /// Algorithm 1 runs the network on the whole spliced block and then
+    /// splices the clean keyframes over whatever a step made of them.  Here
+    /// the keyframes are spliced in once and never stepped: the network
+    /// predicts the noise of the generated frames only
+    /// ([`SpaceTimeUnet::forward_frames`]) and the DDIM step, element-wise,
+    /// updates those frames alone — the same floats for less work.
     pub fn generate(
         &self,
         y_cond: &Tensor,
@@ -168,14 +175,15 @@ impl ConditionalDiffusion {
         // Nothing differentiates through sampling: no graph, and each
         // step's activations are freed as the network moves past them.
         let tape = Tape::inference();
+        let generated = &partition.generated;
         for (i, &t) in timesteps.iter().enumerate() {
-            let y_t = tape.constant(y);
-            let eps_hat = self.unet.forward(&tape, &y_t, t);
+            let y_t = tape.constant(y.clone());
+            let eps_hat = self.unet.forward_frames(&tape, &y_t, t, generated);
             let t_prev = timesteps.get(i + 1).copied();
-            y = self
-                .schedule
-                .ddim_step(y_t.tensor(), eps_hat.tensor(), t, t_prev);
-            restore_keyframes(&mut y, y_cond, partition);
+            let stepped =
+                self.schedule
+                    .ddim_step(&y.index_select(0, generated), eps_hat.tensor(), t, t_prev);
+            y.index_assign(0, generated, &stepped);
         }
         y
     }
@@ -187,6 +195,97 @@ mod tests {
 
     fn partition() -> FramePartition {
         FramePartition::from_conditioning(8, &[0, 3, 7])
+    }
+
+    /// The sampler as Algorithm 1 writes it, kept as the oracle for
+    /// [`ConditionalDiffusion::generate`]: the network on every frame, the
+    /// DDIM step on every frame, the clean keyframes spliced back after each
+    /// step.
+    fn generate_by_full_forward(
+        model: &ConditionalDiffusion,
+        y_cond: &Tensor,
+        partition: &FramePartition,
+        num_steps: usize,
+        rng: &mut TensorRng,
+    ) -> Tensor {
+        let timesteps = model.schedule.respaced_timesteps(num_steps);
+        let mut y = rng.randn(y_cond.dims());
+        restore_keyframes(&mut y, y_cond, partition);
+        let tape = Tape::inference();
+        for (i, &t) in timesteps.iter().enumerate() {
+            let y_t = tape.constant(y);
+            let eps_hat = model.unet.forward(&tape, &y_t, t);
+            let t_prev = timesteps.get(i + 1).copied();
+            y = model
+                .schedule
+                .ddim_step(y_t.tensor(), eps_hat.tensor(), t, t_prev);
+            restore_keyframes(&mut y, y_cond, partition);
+        }
+        y
+    }
+
+    fn bits(t: &Tensor) -> (Vec<usize>, Vec<u32>) {
+        (
+            t.dims().to_vec(),
+            t.data().iter().map(|v| v.to_bits()).collect(),
+        )
+    }
+
+    /// A tiny model after a few training steps, so its attention is no
+    /// longer the near-uniform attention of fresh weights.
+    fn briefly_trained(frames: usize) -> ConditionalDiffusion {
+        let mut rng = TensorRng::new(41);
+        let blocks: Vec<Tensor> = (0..4)
+            .map(|_| rng.rand_uniform(&[frames, 3, 4, 4], -1.0, 1.0))
+            .collect();
+        let mut trainer = crate::DiffusionTrainer::new(DiffusionConfig::tiny());
+        let partition = FramePartition::from_conditioning(frames, &[0, frames - 1]);
+        trainer.train(&blocks, &partition, 12);
+        trainer.into_model()
+    }
+
+    #[test]
+    fn generate_equals_the_full_forward_oracle_on_every_backend() {
+        const FRAMES: usize = 8;
+        let model = briefly_trained(FRAMES);
+        // gld-core's keyframe strategies at N = 8: interpolation with
+        // interval 3, prediction from 3 leading frames, mixed with 3.
+        let strategies: [&[usize]; 3] = [&[0, 3, 6, 7], &[0, 1, 2], &[0, 1, 7]];
+        let mut rng = TensorRng::new(5);
+        let y_cond = rng.rand_uniform(&[FRAMES, 3, 4, 4], -1.0, 1.0);
+        for backend in gld_kernels::available_backends() {
+            gld_kernels::force(backend).expect("available");
+            for (case, conditioning) in strategies.iter().enumerate() {
+                let p = FramePartition::from_conditioning(FRAMES, conditioning);
+                let seed = 100 + case as u64;
+                let got = model.generate(&y_cond, &p, 4, &mut TensorRng::new(seed));
+                let want =
+                    generate_by_full_forward(&model, &y_cond, &p, 4, &mut TensorRng::new(seed));
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{backend}: keyframes {conditioning:?}"
+                );
+            }
+        }
+        gld_kernels::clear_force();
+    }
+
+    #[test]
+    fn forward_frames_equals_the_rows_of_forward() {
+        let model = briefly_trained(6);
+        let mut rng = TensorRng::new(8);
+        let y = rng.randn(&[6, 3, 4, 4]);
+        let keep = [1, 2, 4];
+        for tape in [Tape::inference(), Tape::new()] {
+            let y = tape.constant(y.clone());
+            let full = model.unet.forward(&tape, &y, 30);
+            let kept = model.unet.forward_frames(&tape, &y, 30, &keep);
+            assert_eq!(
+                bits(kept.tensor()),
+                bits(&full.tensor().index_select(0, &keep))
+            );
+        }
     }
 
     #[test]

@@ -73,13 +73,22 @@ impl SpaceTimeAttention {
         }
     }
 
-    fn forward(&self, tape: &Tape, x: &Var) -> Var {
+    /// `[N, C, h, w]` in; out, the frames `keep` (all `N` when `None`), in
+    /// that order.  Temporal attention reads every frame's keys and values
+    /// but takes queries only at the kept frames; spatial attention is per
+    /// frame and runs on the kept ones.
+    fn forward(&self, tape: &Tape, x: &Var, keep: Option<&[usize]>) -> Var {
         let dims = x.dims();
-        let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
+        let (c, h, w) = (dims[1], dims[2], dims[3]);
         // Temporal attention: [(h·w), N, C].
-        let t_in = x.permute(&[2, 3, 0, 1]).reshape(&[h * w, n, c]);
-        let t_out = self.temporal.forward(tape, &t_in);
-        let t_res = t_in.add(&t_out);
+        let t_in = x.permute(&[2, 3, 0, 1]).reshape(&[h * w, dims[0], c]);
+        let t_kept = match keep {
+            Some(keep) => t_in.index_select(1, keep),
+            None => t_in.clone(),
+        };
+        let t_out = self.temporal.attend(tape, &t_kept, &t_in);
+        let t_res = t_kept.add(&t_out);
+        let n = t_res.dim(1);
         // Back to [N, C, h, w].
         let x = t_res.reshape(&[h, w, n, c]).permute(&[2, 3, 0, 1]);
         // Spatial attention: [N, (h·w), C].
@@ -158,6 +167,24 @@ impl SpaceTimeUnet {
 
     /// Predicts the noise for a latent block `[N, C, h, w]` at timestep `t`.
     pub fn forward(&self, tape: &Tape, y_t: &Var, t: usize) -> Var {
+        self.predict(tape, y_t, t, None)
+    }
+
+    /// The noise prediction for the frames `keep` of a latent block only,
+    /// `[keep.len(), C, h, w]`: to the bit, those frames of
+    /// [`SpaceTimeUnet::forward`]'s output, for less work.
+    ///
+    /// Everything up to `attn2`'s temporal attention mixes frames and runs
+    /// on all of them.  That attention takes queries only at `keep` (keys
+    /// and values from every frame), and every layer after it — spatial
+    /// attention, the one-group norms, SiLU, the 3×3 output convolution —
+    /// is per frame, so it runs on the kept frames alone.  Each of them
+    /// computes a frame's rows independently of the other frames'.
+    pub fn forward_frames(&self, tape: &Tape, y_t: &Var, t: usize, keep: &[usize]) -> Var {
+        self.predict(tape, y_t, t, Some(keep))
+    }
+
+    fn predict(&self, tape: &Tape, y_t: &Var, t: usize, keep: Option<&[usize]>) -> Var {
         assert_eq!(
             y_t.dim(1),
             self.config.latent_channels,
@@ -166,9 +193,9 @@ impl SpaceTimeUnet {
         let temb = self.time_embed.forward(tape, &[t]); // [1, td]
         let h = self.conv_in.forward(tape, y_t);
         let h = self.res1.forward(tape, &h, &temb);
-        let h = self.attn1.forward(tape, &h);
+        let h = self.attn1.forward(tape, &h, None);
         let h = self.res2.forward(tape, &h, &temb);
-        let h = self.attn2.forward(tape, &h);
+        let h = self.attn2.forward(tape, &h, keep);
         let h = self.norm_out.forward(tape, &h).silu();
         self.conv_out.forward(tape, &h)
     }

@@ -4,9 +4,10 @@
 //! compression stack: the SZ Lorenzo predict/quantise walk, the ZFP-like
 //! DCT tile transform and coefficient quantiser, the histogram model's
 //! decode-side bin search, the `gld-lz` match finder's prefix scan and
-//! hash precomputation, and the `f32` GEMM ([`KernelBackend::gemm_f32`])
+//! hash precomputation, the `f32` GEMM ([`KernelBackend::gemm_f32`])
 //! under every `gld-tensor` matrix product — `Linear`, `conv2d`, attention
-//! and the backward rules of the learned codec's networks.
+//! and the backward rules of the learned codec's networks — and the
+//! exponential ([`KernelBackend::exp_f32`]) under softmax, sigmoid and SiLU.
 //!
 //! The design follows the device/backend split used by tensor frameworks:
 //! consumers call through the [`KernelBackend`] trait (or the convenience
@@ -27,6 +28,8 @@
 //! SIMD paths therefore avoid every value-changing shortcut:
 //!
 //! * no FMA contraction (separate multiply and add, exactly like scalar);
+//!   the fused multiply-adds of [`KernelBackend::exp_f32`] are the scalar
+//!   replica's own `f64::mul_add`s;
 //! * `f32::round` (half away from zero) is emulated exactly on top of
 //!   round-to-nearest-even plus an exact tie fix-up (the difference
 //!   `x - rint(x)` is exact by Sterbenz's lemma, so ties are detected
@@ -170,6 +173,15 @@ pub trait KernelBackend: Send + Sync {
     ) {
         check_gemm_dims(a, b, out, dims);
         scalar::gemm_f32(a, b, out, dims, a_max);
+    }
+
+    /// Replaces every element `x` of `xs` by `eˣ`, bit for bit as glibc
+    /// 2.36's `expf` computes it on a CPU with FMA — its `__expf_fma`
+    /// variant, replicated in plain `f64` fused multiply-adds and a 32-entry
+    /// table, so the result does not depend on the host's libm.  NaN stays
+    /// NaN (`x + x`), above `ln 2¹²⁸` is `+∞`, below `ln 2⁻¹⁵⁰` is `+0`.
+    fn exp_f32(&self, xs: &mut [f32]) {
+        xs.iter_mut().for_each(|x| *x = scalar::expf(*x));
     }
 }
 

@@ -223,7 +223,7 @@ pub(crate) fn matmul_ikj(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usi
 }
 
 /// `2^e` for a normal exponent.
-const fn pow2(e: i64) -> f64 {
+pub(crate) const fn pow2(e: i64) -> f64 {
     f64::from_bits(((1023 + e) as u64) << 52)
 }
 
@@ -290,4 +290,96 @@ fn lift(v: f32) -> f32 {
 #[cold]
 fn lifted_subnormal_product(a: f32, b: f32) -> f32 {
     ((a as f64 * b as f64 + LIFTED_ROUNDER) - LIFTED_ROUNDER) as f32
+}
+
+// ----------------------------------------------------------------------
+// expf
+// ----------------------------------------------------------------------
+
+/// `2^(i/32)` for `i = 0..32`, as the bit pattern of the nearest `f64` less
+/// `i << 47`: adding `k << 47` for a `k ≡ i (mod 32)` then yields
+/// `2^(k/32)`, the exponent `k / 32` carried into the exponent field.
+pub(crate) const EXP2_TABLE: [u64; 32] = [
+    0x3ff0000000000000,
+    0x3fefd9b0d3158574,
+    0x3fefb5586cf9890f,
+    0x3fef9301d0125b51,
+    0x3fef72b83c7d517b,
+    0x3fef54873168b9aa,
+    0x3fef387a6e756238,
+    0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb,
+    0x3feedea64c123422,
+    0x3feece086061892d,
+    0x3feebfdad5362a27,
+    0x3feeb42b569d4f82,
+    0x3feeab07dd485429,
+    0x3feea47eb03a5585,
+    0x3feea09e667f3bcd,
+    0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187,
+    0x3feea589994cce13,
+    0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5,
+    0x3feec49182a3f090,
+    0x3feed503b23e255d,
+    0x3feee89f995ad3ad,
+    0x3feeff76f2fb5e47,
+    0x3fef199bdd85529c,
+    0x3fef3720dcef9069,
+    0x3fef5818dcfba487,
+    0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da,
+    0x3fefd0765b6e4540,
+];
+/// `32 / ln 2`.
+pub(crate) const EXP_INV_LN2_N: f64 = f64::from_bits(0x40471547652b82fe);
+/// `1.5 · 2⁵²`: adding it rounds to an integer, ties to even, and leaves
+/// that integer in the low bits of the pattern.
+pub(crate) const EXP_SHIFT: f64 = f64::from_bits(0x4338000000000000);
+/// The polynomial for `2^(r/32)`: `C0·r³ + C1·r² + C2·r + 1`.
+pub(crate) const EXP_C: [f64; 3] = [
+    f64::from_bits(0x3ebc6af84b912394),
+    f64::from_bits(0x3f2ebfce50fac4f3),
+    f64::from_bits(0x3f962e42ff0c52d6),
+];
+/// Above this (`ln 2¹²⁸`, rounded) `expf` overflows to infinity.
+pub(crate) const EXP_OVERFLOW: f32 = f32::from_bits(0x42b17217);
+/// Below this (`ln 2⁻¹⁵⁰`, rounded) `expf` underflows to zero.
+pub(crate) const EXP_UNDERFLOW: f32 = f32::from_bits(0xc2cff1b4);
+
+/// `eˣ`, computed as glibc 2.36's `__expf_fma` computes it, and therefore
+/// equal, bit for bit, to the libm `expf` that glibc selects on a CPU with
+/// FMA and AVX2 (checked over all 2³² inputs by the `expf_exhaustive`
+/// example).
+///
+/// `x·32/ln 2 = k + r`, with `k` rounded to an integer, ties to even;
+/// `eˣ = 2^(k/32) · 2^(r/32)`, the first factor from [`EXP2_TABLE`], the
+/// second a cubic.  Every fused multiply-add below is one in `__expf_fma`:
+/// the reduction in particular rounds `x·32/ln 2` only once, and a replica
+/// that rounds it first differs on two inputs, one of them `-63.09946`.
+pub(crate) fn expf(x: f32) -> f32 {
+    // `|x| ≥ 88` or NaN: only these can overflow, underflow or be special.
+    if (x.to_bits() >> 20) & 0x7ff >= 0x42b {
+        if x.is_nan() {
+            return x + x;
+        }
+        if x > EXP_OVERFLOW {
+            return f32::INFINITY;
+        }
+        if x < EXP_UNDERFLOW {
+            return 0.0;
+        }
+    }
+    let xd = x as f64;
+    let kd = EXP_INV_LN2_N.mul_add(xd, EXP_SHIFT);
+    let ki = kd.to_bits();
+    let kd = kd - EXP_SHIFT;
+    let r = EXP_INV_LN2_N.mul_add(xd, -kd);
+    let s = f64::from_bits(EXP2_TABLE[(ki % 32) as usize].wrapping_add(ki << 47));
+    let z = EXP_C[0].mul_add(r, EXP_C[1]);
+    let y = EXP_C[2].mul_add(r, 1.0);
+    let y = z.mul_add(r * r, y);
+    (y * s) as f32
 }

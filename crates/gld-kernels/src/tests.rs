@@ -424,3 +424,152 @@ fn selection_parsing_and_forcing() {
     }
     assert!(!cpu_features().is_empty());
 }
+
+// ----------------------------------------------------------------------
+// expf
+// ----------------------------------------------------------------------
+
+/// `(x, f32::exp(x))` as bit patterns, read from glibc 2.36's libm on a CPU
+/// with FMA and AVX2: the input the reduction must not round (`-63.09946`),
+/// the overflow and underflow thresholds and the one where the result stops
+/// being subnormal, each with its neighbours, signed zeros, infinities,
+/// quiet and signalling NaNs, subnormal inputs, the largest finite values
+/// and a stride through the softmax's range `[-104, 0]`.
+#[rustfmt::skip]
+const EXPF_KNOWN: [(u32, u32); 362] = [
+    (0xc27c65d9, 0x11fa2993), (0x4202422f, 0x56fc9f1c), (0x42b17216, 0x7f7fff04), (0x42b17217, 0x7f7fff84),
+    (0x42b17218, 0x7f800000), (0xc2cff1b3, 0x00000001), (0xc2cff1b4, 0x00000001), (0xc2cff1b5, 0x00000000),
+    (0xc2ce8ece, 0x00000001), (0xc2ce8ecf, 0x00000001), (0xc2ce8ed0, 0x00000001), (0x00000000, 0x3f800000),
+    (0x80000000, 0x3f800000), (0x7f800000, 0x7f800000), (0xff800000, 0x00000000), (0x7fc00000, 0x7fc00000),
+    (0xffc00000, 0xffc00000), (0x7f800001, 0x7fc00001), (0xffa00001, 0xffe00001), (0x00000001, 0x3f800000),
+    (0x00400000, 0x3f800000), (0x007fffff, 0x3f800000), (0x80000001, 0x3f800000), (0x80400000, 0x3f800000),
+    (0x807fffff, 0x3f800000), (0x7f7fffff, 0x7f800000), (0xff7fffff, 0x00000000), (0x3f800000, 0x402df854),
+    (0xbf800000, 0x3ebc5ab2), (0x3f000000, 0x3fd3094c), (0x42b00000, 0x7ef882b7), (0xc2b00000, 0x0041edc4),
+    (0xc2aeac50, 0x007fffe6), (0xc2aeac4f, 0x00800026), (0xc2d00000, 0x00000000), (0xc2cf5d8b, 0x00000001),
+    (0xc2cebb16, 0x00000001), (0xc2ce18a1, 0x00000001), (0xc2cd762c, 0x00000002), (0xc2ccd3b7, 0x00000002),
+    (0xc2cc3142, 0x00000003), (0xc2cb8ecd, 0x00000004), (0xc2caec58, 0x00000006), (0xc2ca49e3, 0x00000008),
+    (0xc2c9a76e, 0x0000000c), (0xc2c904f9, 0x00000010), (0xc2c86284, 0x00000016), (0xc2c7c00f, 0x0000001e),
+    (0xc2c71d9a, 0x00000029), (0xc2c67b25, 0x00000039), (0xc2c5d8b0, 0x0000004e), (0xc2c5363b, 0x0000006b),
+    (0xc2c493c6, 0x00000093), (0xc2c3f151, 0x000000ca), (0xc2c34edc, 0x00000115), (0xc2c2ac67, 0x0000017d),
+    (0xc2c209f2, 0x0000020b), (0xc2c1677d, 0x000002ce), (0xc2c0c508, 0x000003da), (0xc2c02293, 0x0000054b),
+    (0xc2bf801e, 0x00000745), (0xc2bedda9, 0x000009fb), (0xc2be3b34, 0x00000db6), (0xc2bd98bf, 0x000012d4),
+    (0xc2bcf64a, 0x000019dc), (0xc2bc53d5, 0x00002384), (0xc2bbb160, 0x000030c8), (0xc2bb0eeb, 0x000042ff),
+    (0xc2ba6c76, 0x00005c03), (0xc2b9ca01, 0x00007e5f), (0xc2b9278c, 0x0000ad8f), (0xc2b88517, 0x0000ee5e),
+    (0xc2b7e2a2, 0x00014760), (0xc2b7402d, 0x0001c19f), (0xc2b69db8, 0x00026985), (0xc2b5fb43, 0x0003501b),
+    (0xc2b558ce, 0x00048ccd), (0xc2b4b659, 0x00063fc1), (0xc2b413e4, 0x0008951f), (0xc2b3716f, 0x000bc98e),
+    (0xc2b2cefa, 0x0010305a), (0xc2b22c85, 0x00163be8), (0xc2b18a10, 0x001e8956), (0xc2b0e79b, 0x0029f06e),
+    (0xc2b04526, 0x0039998e), (0xc2afa2b1, 0x004f1bbc), (0xc2af003c, 0x006ca5ff), (0xc2ae5dc7, 0x0095381b),
+    (0xc2adbb52, 0x00ccf086), (0xc2ad18dd, 0x010cbbbb), (0xc2ac7668, 0x014148f4), (0xc2abd3f3, 0x0184bae4),
+    (0xc2ab317e, 0x01b64b0d), (0xc2aa8f09, 0x01fa5d23), (0xc2a9ec94, 0x022bed2c), (0xc2a94a1f, 0x026c2044),
+    (0xc2a8a7aa, 0x02a22638), (0xc2a80535, 0x02deb2ac), (0xc2a762c0, 0x0318ed99), (0xc2a6c04b, 0x03520892),
+    (0xc2a61dd6, 0x03903b3a), (0xc2a57b61, 0x03c616d7), (0xc2a4d8ec, 0x04080776), (0xc2a43677, 0x043ad2ff),
+    (0xc2a39402, 0x04804b1c), (0xc2a2f18d, 0x04b03328), (0xc2a24f18, 0x04f1fec1), (0xc2a1aca3, 0x05262dfc),
+    (0xc2a10a2e, 0x05643bb7), (0xc2a067b9, 0x059cbab1), (0xc29fc544, 0x05d74107), (0xc29f22cf, 0x0613d0fb),
+    (0xc29e805a, 0x064b034c), (0xc29ddde5, 0x068b6907), (0xc29d3b70, 0x06bf77c6), (0xc29c98fb, 0x07037b73),
+    (0xc29bf686, 0x07349454), (0xc29b5411, 0x07780296), (0xc29ab19c, 0x07aa4f66), (0xc29a0f27, 0x07e9e7fb),
+    (0xc2996cb2, 0x08209ff9), (0xc298ca3d, 0x085c9ab4), (0xc29827c8, 0x08977d8c), (0xc2978553, 0x08d00f15),
+    (0xc296e2de, 0x090ee01b), (0xc2964069, 0x09443a19), (0xc2959df4, 0x0986c015), (0xc294fb7f, 0x09b9115e),
+    (0xc294590a, 0x09fe2cb1), (0xc293b695, 0x0a2e8b18), (0xc2931420, 0x0a6fb858), (0xc29271ab, 0x0aa49e0a),
+    (0xc291cf36, 0x0ae2166d), (0xc2912cc1, 0x0b1b417e), (0xc2908a4c, 0x0b553afa), (0xc28fe7d7, 0x0b926d3b),
+    (0xc28f4562, 0x0bc91ab4), (0xc28ea2ed, 0x0c0a1982), (0xc28e0078, 0x0c3daaf8), (0xc28d5e03, 0x0c823f03),
+    (0xc28cbb8e, 0x0cb2e1ba), (0xc28c1919, 0x0cf5adb3), (0xc28b76a4, 0x0d28b583), (0xc28ad42f, 0x0d67b50a),
+    (0xc28a31ba, 0x0d9f1d65), (0xc2898f45, 0x0dda87c7), (0xc288ecd0, 0x0e1610f4), (0xc2884a5b, 0x0e4e1a58),
+    (0xc287a7e6, 0x0e8d883f), (0xc2870571, 0x0ec261d6), (0xc28662fc, 0x0f057bc7), (0xc285c087, 0x0f3753f7),
+    (0xc2851e12, 0x0f7bc8f8), (0xc2847b9d, 0x0face705), (0xc283d928, 0x0fed7768), (0xc28336b3, 0x102311db),
+    (0xc282943e, 0x105ff64d), (0xc281f1c9, 0x1099cbd6), (0xc2814f54, 0x10d339cb), (0xc280acdf, 0x11110cd3),
+    (0xc2800a6a, 0x114736b5), (0xc27ecfea, 0x1188cd25), (0xc27d8b00, 0x11bbe27e), (0xc27c4616, 0x1201058c),
+    (0xc27b012c, 0x12313336), (0xc279bc42, 0x12735e6d), (0xc2787758, 0x12a71f7b), (0xc277326e, 0x12e58763),
+    (0xc275ed84, 0x131d9e74), (0xc274a89a, 0x135879d7), (0xc27363b0, 0x1394a7ca), (0xc2721ec6, 0x13cc2a51),
+    (0xc270d9dc, 0x140c339f), (0xc26f94f2, 0x14408e05), (0xc26e5008, 0x14843a86), (0xc26d0b1e, 0x14b59ac0),
+    (0xc26bc634, 0x14f96b00), (0xc26a814a, 0x152b46e5), (0xc2693c60, 0x156b3be6), (0xc267f776, 0x15a18965),
+    (0xc266b28c, 0x15dddb4a), (0xc2656da2, 0x161859b2), (0xc26428b8, 0x16513d70), (0xc262e3ce, 0x168fafbc),
+    (0xc2619ee4, 0x16c55742), (0xc26059fa, 0x170783e7), (0xc25f1510, 0x173a1e50), (0xc25dd026, 0x177f9e10),
+    (0xc25c8b3c, 0x17af88be), (0xc25b4652, 0x17f114b5), (0xc25a0168, 0x18258d44), (0xc258bc7e, 0x18635efb),
+    (0xc2577794, 0x189c231d), (0xc25632aa, 0x18d670d8), (0xc254edc0, 0x19134205), (0xc253a8d6, 0x194a3ef4),
+    (0xc25263ec, 0x198ae232), (0xc2511f02, 0x19bebe99), (0xc24fda18, 0x1a02fc4a), (0xc24e952e, 0x1a33e5ae),
+    (0xc24d5044, 0x1a7712b9), (0xc24c0b5a, 0x1aa9aaaf), (0xc24ac670, 0x1ae905c2), (0xc2498186, 0x1b2004a0),
+    (0xc2483c9c, 0x1b5bc559), (0xc246f7b2, 0x1b96eb09), (0xc245b2c8, 0x1bcf45dc), (0xc2446dde, 0x1c0e55ec),
+    (0xc24328f4, 0x1c437c51), (0xc241e40a, 0x1c863dc2), (0xc2409f20, 0x1cb85e61), (0xc23f5a36, 0x1cfd36de),
+    (0xc23e154c, 0x1d2de249), (0xc23cd062, 0x1d6ed080), (0xc23b8b78, 0x1da3fed5), (0xc23a468e, 0x1de13bc4),
+    (0xc23901a4, 0x1e1aab56), (0xc237bcba, 0x1e546cc0), (0xc23677d0, 0x1e91df9d), (0xc23532e6, 0x1ec85835),
+    (0xc233edfc, 0x1f0993f2), (0xc232a912, 0x1f3cf388), (0xc2316428, 0x1f81c10c), (0xc2301f3e, 0x1fb234b9),
+    (0xc22eda54, 0x1ff4c018), (0xc22d956a, 0x20281259), (0xc22c5080, 0x2066d4f2), (0xc22b0b96, 0x209e8382),
+    (0xc229c6ac, 0x20d9b46d), (0xc22881c2, 0x21157fd2), (0xc2273cd8, 0x214d5304), (0xc225f7ee, 0x218cff5d),
+    (0xc224b304, 0x21c1a5d8), (0xc2236e1a, 0x2204faae), (0xc2222930, 0x2236a2a9), (0xc220e446, 0x227ad575),
+    (0xc21f9f5c, 0x22ac3fcc), (0xc21e5a72, 0x22ec91be), (0xc21d1588, 0x23227425), (0xc21bd09e, 0x235f1db2),
+    (0xc21a8bb4, 0x23993718), (0xc21946ca, 0x23d26d82), (0xc21801e0, 0x2410808b), (0xc216bcf6, 0x2446760a),
+    (0xc215780c, 0x248848d6), (0xc2143322, 0x24bb2cc8), (0xc212ee38, 0x250088c4), (0xc211a94e, 0x253087d5),
+    (0xc2106464, 0x2572730d), (0xc20f1f7a, 0x25a67dd9), (0xc20dda90, 0x25e4a967), (0xc20c95a6, 0x261d0604),
+    (0xc20b50bc, 0x2657a87a), (0xc20a0bd2, 0x26941805), (0xc208c6e8, 0x26cb64dc), (0xc20781fe, 0x270bac06),
+    (0xc2063d14, 0x273fd3ca), (0xc204f82a, 0x2783baa3), (0xc203b340, 0x27b4eb1c), (0xc2026e56, 0x27f879c6),
+    (0xc201296c, 0x282aa13f), (0xc1ffc903, 0x286a5882), (0xc1fd3f2e, 0x28a0ed53), (0xc1fab559, 0x28dd050c),
+    (0xc1f82b84, 0x2917c6a6), (0xc1f5a1af, 0x29507394), (0xc1f317da, 0x298f2530), (0xc1f08e05, 0x29c49913),
+    (0xc1ee0430, 0x2a07015e), (0xc1eb7a5b, 0x2a396b1f), (0xc1e8f086, 0x2a7ea816), (0xc1e666b1, 0x2aaedfeb),
+    (0xc1e3dcdc, 0x2af02cf5), (0xc1e15307, 0x2b24ee33), (0xc1dec932, 0x2b6284a1), (0xc1dc3f5d, 0x2b9b8d3f),
+    (0xc1d9b588, 0x2bd5a31f), (0xc1d72bb3, 0x2c12b4d2), (0xc1d4a1de, 0x2c497d1f), (0xc1d21809, 0x2c8a5d29),
+    (0xc1cf8e34, 0x2cbe07f9), (0xc1cd045f, 0x2d027ef2), (0xc1ca7a8a, 0x2d33399f), (0xc1c7f0b5, 0x2d762688),
+    (0xc1c566e0, 0x2da90892), (0xc1c2dd0b, 0x2de8273a), (0xc1c05336, 0x2e1f6be3), (0xc1bdc961, 0x2e5af3af),
+    (0xc1bb3f8c, 0x2e965b21), (0xc1b8b5b7, 0x2ece8052), (0xc1b62be2, 0x2f0dce57), (0xc1b3a20d, 0x2f42c234),
+    (0xc1b11838, 0x2f85be04), (0xc1ae8e63, 0x2fb7af07), (0xc1ac048e, 0x2ffc4629), (0xc1a97ab9, 0x302d3d13),
+    (0xc1a6f0e4, 0x306dedb7), (0xc1a4670f, 0x30a3632d), (0xc1a1dd3a, 0x30e06619), (0xc19f5365, 0x311a18af),
+    (0xc19cc990, 0x3153a370), (0xc19a3fbb, 0x31915572), (0xc197b5e6, 0x31c79a8a), (0xc1952c11, 0x320911c4),
+    (0xc192a23c, 0x323c40d5), (0xc1901867, 0x32814665), (0xc18d8e92, 0x32b18c5c), (0xc18b04bd, 0x32f3d8fb),
+    (0xc1887ae8, 0x332773b9), (0xc185f113, 0x3365fb33), (0xc183673e, 0x339dee0f), (0xc180dd69, 0x33d8e746),
+    (0xc17ca729, 0x3414f2fa), (0xc1779380, 0x344c91a1), (0xc1727fd7, 0x348c7a9a), (0xc16d6c2e, 0x34c0ef8d),
+    (0xc1685885, 0x35047d88), (0xc16344dc, 0x3535f6d2), (0xc15e3133, 0x3579e984), (0xc1591d8a, 0x35ab9dd1),
+    (0xc15409e1, 0x35ebb356), (0xc14ef638, 0x3621db74), (0xc149e28f, 0x365e4c0b), (0xc144cee6, 0x3698a729),
+    (0xc13fbb3d, 0x36d1a7e1), (0xc13aa794, 0x370ff8dd), (0xc13593eb, 0x3745bbbf), (0xc1308042, 0x3787c8f1),
+    (0xc12b6c99, 0x37ba7d2d), (0xc12658f0, 0x38001035), (0xc1214547, 0x382fe24c), (0xc11c319e, 0x38718fc3),
+    (0xc1171df5, 0x38a5e1cf), (0xc1120a4c, 0x38e3d326), (0xc10cf6a3, 0x391c72ec), (0xc107e2fa, 0x3956de83),
+    (0xc102cf51, 0x39938d5e), (0xc0fb7750, 0x39caa67b), (0xc0f14ffe, 0x3a0b2953), (0xc0e728ac, 0x3a3f2055),
+    (0xc0dd015a, 0x3a833f6f), (0xc0d2da08, 0x3ab441f2), (0xc0c8b2b6, 0x3af79180), (0xc0be8b64, 0x3b2a01c9),
+    (0xc0b46412, 0x3b697d71), (0xc0aa3cc0, 0x3ba056da), (0xc0a0156e, 0x3bdc3655), (0xc095ee1c, 0x3c1738a8),
+    (0xc08bc6ca, 0x3c4fb085), (0xc0819f78, 0x3c8e9f34), (0xc06ef04b, 0x3cc3e105), (0xc05aa1a6, 0x3d0682f4),
+    (0xc0465301, 0x3d38bd78), (0xc032045c, 0x3d7db98a), (0xc01db5b7, 0x3dae3c12), (0xc0096712, 0x3def4be3),
+    (0xbfea30db, 0x3e24539b), (0xbfc19392, 0x3e61b043), (0xbf98f649, 0x3e9afb60), (0xbf60b200, 0x3ed4dabd),
+    (0xbf0f776e, 0x3f122b2f), (0xbe78f36e, 0x3f48c00d),
+];
+
+fn expf_inputs() -> Vec<f32> {
+    EXPF_KNOWN.iter().map(|&(x, _)| f32::from_bits(x)).collect()
+}
+
+#[test]
+fn exp_f32_reproduces_libm_on_every_backend() {
+    for backend in available_backends() {
+        let mut out = expf_inputs();
+        kernels_for(backend).exp_f32(&mut out);
+        for (&(x, want), got) in EXPF_KNOWN.iter().zip(&out) {
+            assert_eq!(
+                got.to_bits(),
+                want,
+                "{backend}: exp({:e}) ({x:#010x})",
+                f32::from_bits(x)
+            );
+        }
+    }
+}
+
+#[test]
+fn exp_f32_simd_equals_scalar_at_every_length_and_offset() {
+    const GUARD: f32 = 12345.0;
+    let inputs = expf_inputs();
+    for backend in simd_backends() {
+        for len in 0..=17 {
+            for offset in 0..8 {
+                let mut got = vec![GUARD; offset + len + 8];
+                got[offset..offset + len].copy_from_slice(&inputs[offset * 11..][..len]);
+                let mut want = got.clone();
+                kernels_for(Backend::Scalar).exp_f32(&mut want[offset..offset + len]);
+                backend.exp_f32(&mut got[offset..offset + len]);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{} at length {len}, offset {offset}",
+                    backend.backend()
+                );
+            }
+        }
+    }
+}

@@ -22,9 +22,13 @@
 //!   difference is never observable.
 //! * Multiplies and adds are separate intrinsics — LLVM does not contract
 //!   them into FMA without fast-math, so lane arithmetic matches scalar
-//!   IEEE ops exactly, in the same association order.
+//!   IEEE ops exactly, in the same association order.  The `expf` kernel's
+//!   `vfmadd`s are the scalar replica's `f64::mul_add`s, one for one.
 
-use crate::scalar::{LIFT, LIFTED_MIN_NORMAL, LIFTED_ROUNDER, LIFTED_SPACING};
+use crate::scalar::{
+    EXP2_TABLE, EXP_C, EXP_INV_LN2_N, EXP_OVERFLOW, EXP_SHIFT, EXP_UNDERFLOW, LIFT,
+    LIFTED_MIN_NORMAL, LIFTED_ROUNDER, LIFTED_SPACING,
+};
 use crate::{
     scalar, Backend, KernelBackend, SzPlane, SZ_MAX_CODE, SZ_UNPREDICTABLE, ZFP_ESCAPE,
     ZFP_MAX_CODE,
@@ -38,7 +42,8 @@ pub(crate) struct Sse2Kernels;
 
 /// AVX2 kernels (runtime-detected): adds the gathered anti-diagonal Lorenzo
 /// wavefront, 8-wide tile quantisation, 8-wide bin scan, 32-byte match
-/// extension and the interleaved hash batch.
+/// extension, the interleaved hash batch, the register-tiled GEMM and, where
+/// the CPU has FMA too, the four-lane `expf` replica.
 pub(crate) struct Avx2Kernels;
 
 impl KernelBackend for Sse2Kernels {
@@ -150,6 +155,16 @@ impl KernelBackend for Avx2Kernels {
                 (Some(t), 6) => gemm_thin_avx2::<6>(a, b, out, m, k, t),
                 (Some(t), _) => gemm_thin_avx2::<7>(a, b, out, m, k, t),
             }
+        }
+    }
+
+    fn exp_f32(&self, xs: &mut [f32]) {
+        // `Backend::Avx2` promises AVX2 only; the replica needs FMA too.
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: AVX2 detected (dispatcher invariant), FMA just now.
+            unsafe { exp_f32_avx2(xs) }
+        } else {
+            xs.iter_mut().for_each(|x| *x = scalar::expf(*x));
         }
     }
 }
@@ -788,3 +803,97 @@ unsafe fn lifted_subnormal_product_avx2(a: __m256, b: f32) -> __m256 {
     let hi = _mm256_sub_pd(_mm256_add_pd(hi, rounder), rounder);
     _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo))
 }
+
+// ----------------------------------------------------------------------
+// expf
+// ----------------------------------------------------------------------
+
+/// `scalar::expf` on every element, eight at a time; a tail shorter than
+/// eight runs as one padded group.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp_f32_avx2(xs: &mut [f32]) {
+    let mut eights = xs.chunks_exact_mut(8);
+    for chunk in &mut eights {
+        let e = exp8_avx2(_mm256_loadu_ps(chunk.as_ptr()));
+        _mm256_storeu_ps(chunk.as_mut_ptr(), e);
+    }
+    let tail = eights.into_remainder();
+    if !tail.is_empty() {
+        let mut lanes = [0.0f32; 8];
+        lanes[..tail.len()].copy_from_slice(tail);
+        _mm256_storeu_ps(
+            lanes.as_mut_ptr(),
+            exp8_avx2(_mm256_loadu_ps(lanes.as_ptr())),
+        );
+        tail.copy_from_slice(&lanes[..tail.len()]);
+    }
+}
+
+/// `scalar::expf` on eight lanes, run as two groups of four `f64` lanes.
+/// Lanes are clamped into `[EXP_UNDERFLOW, EXP_OVERFLOW]` first, so the
+/// exponent added to the table entry cannot wrap; overflowing,
+/// underflowing and NaN lanes take their result from the comparisons
+/// afterwards.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp8_avx2(x: __m256) -> __m256 {
+    let over = _mm256_cmp_ps::<_CMP_GT_OQ>(x, _mm256_set1_ps(EXP_OVERFLOW));
+    let under = _mm256_cmp_ps::<_CMP_LT_OQ>(x, _mm256_set1_ps(EXP_UNDERFLOW));
+    let nan = _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x);
+    // `maxps` returns its second operand for a NaN lane.
+    let clamped = _mm256_min_ps(
+        _mm256_max_ps(x, _mm256_set1_ps(EXP_UNDERFLOW)),
+        _mm256_set1_ps(EXP_OVERFLOW),
+    );
+    let lo = exp4_avx2(_mm256_cvtps_pd(_mm256_castps256_ps128(clamped)));
+    let hi = exp4_avx2(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(clamped)));
+    let e = _mm256_castsi256_ps(_mm256_set_m128i(hi, lo));
+    let e = _mm256_blendv_ps(
+        _mm256_andnot_ps(under, e),
+        _mm256_set1_ps(f32::INFINITY),
+        over,
+    );
+    _mm256_blendv_ps(e, _mm256_add_ps(x, x), nan)
+}
+
+/// The replica's arithmetic on four `f64` lanes, the same fused
+/// multiply-adds in the same order, rounded to `f32` bit patterns.
+///
+/// Converting a result below 2⁻¹²⁶ to `f32` would stall, so the conversion
+/// sees at least 2⁻¹²⁶, and the result is also rounded as a whole number of
+/// 2⁻¹⁴⁹ units, which for a subnormal is its bit pattern.  The unsigned
+/// minimum of the two picks: below 2⁻¹²⁶ the units (at most 2²³, the
+/// pattern of 2⁻¹²⁶); in `[2⁻¹²⁶, 2⁻¹²⁵)` both are the same pattern; above,
+/// the units outgrow the pattern or overflow the conversion to `0x8000_0000`.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp4_avx2(xd: __m256d) -> __m128i {
+    let (inv_ln2_n, shift) = (_mm256_set1_pd(EXP_INV_LN2_N), _mm256_set1_pd(EXP_SHIFT));
+    let kd = _mm256_fmadd_pd(inv_ln2_n, xd, shift);
+    let ki = _mm256_castpd_si256(kd);
+    let kd = _mm256_sub_pd(kd, shift);
+    let r = _mm256_fmsub_pd(inv_ln2_n, xd, kd);
+    // Masked to `0..32`, so every lane reads inside the table.
+    let index = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+    let t = _mm256_i64gather_epi64::<8>(EXP2_TABLE.as_ptr().cast(), index);
+    let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+    let z = _mm256_fmadd_pd(_mm256_set1_pd(EXP_C[0]), r, _mm256_set1_pd(EXP_C[1]));
+    let y = _mm256_fmadd_pd(_mm256_set1_pd(EXP_C[2]), r, _mm256_set1_pd(1.0));
+    let y = _mm256_mul_pd(_mm256_fmadd_pd(z, _mm256_mul_pd(r, r), y), s);
+    let normal = _mm256_max_pd(y, _mm256_set1_pd(f32::MIN_POSITIVE as f64));
+    let pattern = _mm_castps_si128(_mm256_cvtpd_ps(normal));
+    let units = _mm256_cvtpd_epi32(_mm256_mul_pd(y, _mm256_set1_pd(SUBNORMAL_UNITS)));
+    _mm_min_epu32(pattern, units)
+}
+
+/// 2¹⁴⁹: a subnormal `f32` times this is its bit pattern.
+const SUBNORMAL_UNITS: f64 = scalar::pow2(149);

@@ -318,14 +318,24 @@ impl SelfAttention {
 
     /// Applies scaled dot-product self-attention.
     pub fn forward(&self, tape: &Tape, x: &Var) -> Var {
-        let dims = x.dims();
-        assert_eq!(
-            dims.len(),
-            3,
-            "attention input must be [batch, len, channels]"
-        );
-        assert_eq!(dims[2], self.channels, "attention channel mismatch");
-        let q = self.wq.forward(tape, x);
+        self.attend(tape, x, x)
+    }
+
+    /// Self-attention's output at some positions of `x` only: the queries
+    /// come from `queries` (`[batch, len_q, channels]`, those positions of
+    /// `x`), the keys and values from all of `x`.  Equal, to the bit, to
+    /// those positions of [`SelfAttention::forward`]'s output.
+    pub fn attend(&self, tape: &Tape, queries: &Var, x: &Var) -> Var {
+        for input in [queries, x] {
+            let dims = input.dims();
+            assert_eq!(
+                dims.len(),
+                3,
+                "attention input must be [batch, len, channels]"
+            );
+            assert_eq!(dims[2], self.channels, "attention channel mismatch");
+        }
+        let q = self.wq.forward(tape, queries);
         let k = self.wk.forward(tape, x);
         let v = self.wv.forward(tape, x);
         self.wo.forward(tape, &q.attention(&k, &v, self.heads))

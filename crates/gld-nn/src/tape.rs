@@ -485,6 +485,25 @@ impl Var {
         })
     }
 
+    /// Selects the given distinct `indices` along `axis`, in their order.
+    ///
+    /// # Panics
+    /// Panics if an index repeats or is out of range.
+    pub fn index_select(&self, axis: usize, indices: &[usize]) -> Var {
+        let mut seen = indices.to_vec();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), indices.len(), "index_select: repeated index");
+        self.unary(self.value.index_select(axis, indices), |_| {
+            let (dims, indices) = (self.dims(), indices.to_vec());
+            move |g| {
+                let mut full = Tensor::zeros(&dims);
+                full.index_assign(axis, &indices, g);
+                full
+            }
+        })
+    }
+
     // ------------------------------------------------------------------
     // Reductions
     // ------------------------------------------------------------------
@@ -563,9 +582,10 @@ impl Var {
         })
     }
 
-    /// Multi-head scaled dot-product attention: `self`, `k` and `v` are
-    /// `[batch, len, channels]` queries, keys and values, the channels
-    /// `heads` contiguous head slices; the result has the same shape.
+    /// Multi-head scaled dot-product attention: `self` holds `[batch, len_q,
+    /// channels]` queries, `k` and `v` `[batch, len_k, channels]` keys and
+    /// values, the channels `heads` contiguous head slices; the result has
+    /// the queries' shape.
     ///
     /// A recording tape records the chain of ops this stands for — split the
     /// heads, `q · kᵀ`, scale, softmax, `· v`, merge the heads — node for
@@ -577,21 +597,22 @@ impl Var {
                 .tape
                 .constant(attention(&self.value, &k.value, &v.value, heads));
         }
-        let (b, l, c) = (self.dim(0), self.dim(1), self.dim(2));
+        let (b, lq, c) = (self.dim(0), self.dim(1), self.dim(2));
         let dh = c / heads;
         let split_heads = |x: &Var| -> Var {
             // [B, L, C] -> [B, L, H, dh] -> [B, H, L, dh] -> [B*H, L, dh]
+            let l = x.dim(1);
             x.reshape(&[b, l, heads, dh])
                 .permute(&[0, 2, 1, 3])
                 .reshape(&[b * heads, l, dh])
         };
         let (q, k, v) = (split_heads(self), split_heads(k), split_heads(v));
         let scale = 1.0 / (dh as f32).sqrt();
-        let scores = q.matmul(&k.permute(&[0, 2, 1])).scale(scale); // [B*H, L, L]
-        let ctx = scores.softmax_last().matmul(&v); // [B*H, L, dh]
-        ctx.reshape(&[b, heads, l, dh])
+        let scores = q.matmul(&k.permute(&[0, 2, 1])).scale(scale); // [B*H, Lq, Lk]
+        let ctx = scores.softmax_last().matmul(&v); // [B*H, Lq, dh]
+        ctx.reshape(&[b, heads, lq, dh])
             .permute(&[0, 2, 1, 3])
-            .reshape(&[b, l, c])
+            .reshape(&[b, lq, c])
     }
 
     // ------------------------------------------------------------------

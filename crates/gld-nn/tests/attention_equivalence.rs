@@ -141,3 +141,29 @@ fn recording_tape_records_and_differentiates_the_composed_chain() {
         }
     }
 }
+
+#[test]
+fn a_subset_of_queries_gets_its_rows_of_the_full_attention() {
+    for (case, &shape) in SHAPES.iter().enumerate() {
+        for (spread, poison) in [(1.0, false), (12.0, false), (12.0, true)] {
+            let [q, k, v] = inputs(shape, spread, poison, 31 + case as u64);
+            let heads = shape.3;
+            let keep: Vec<usize> = (0..shape.1).filter(|i| i % 3 != 1).collect();
+            let full = Tape::inference();
+            let [fq, fk, fv] = [&q, &k, &v].map(|t| full.constant(t.clone()));
+            let want = fq
+                .attention(&fk, &fv, heads)
+                .tensor()
+                .index_select(1, &keep);
+            for tape in [Tape::inference(), Tape::new()] {
+                let [q, k, v] = [&q, &k, &v].map(|t| tape.constant(t.clone()));
+                let got = q.index_select(1, &keep).attention(&k, &v, heads);
+                assert_eq!(
+                    exact(got.tensor()),
+                    exact(&want),
+                    "shape {shape:?}, spread {spread}, poison {poison}"
+                );
+            }
+        }
+    }
+}

@@ -151,6 +151,7 @@ fn gradcheck_shape_ops() {
     check_gradient(&|_t, v| v.reshape(&[6, 4]).square().sum(), &x, 2e-2);
     check_gradient(&|_t, v| v.permute(&[2, 0, 1]).square().sum(), &x, 2e-2);
     check_gradient(&|_t, v| v.slice_axis(1, 1, 3).square().sum(), &x, 2e-2);
+    check_gradient(&|_t, v| v.index_select(2, &[3, 0]).square().sum(), &x, 2e-2);
     let other = rng.randn(&[2, 2, 4]);
     check_gradient(
         &move |t, v| {

@@ -84,9 +84,9 @@ impl Tensor {
         out
     }
 
-    /// Element-wise logistic sigmoid.
+    /// Element-wise logistic sigmoid, `1 / (1 + e⁻ˣ)`.
     pub fn sigmoid(&self) -> Tensor {
-        self.map(|x| 1.0 / (1.0 + (-x).exp()))
+        self.map_with_exp_neg(|_, e| 1.0 / (1.0 + e))
     }
 
     /// Element-wise hyperbolic tangent.
@@ -99,10 +99,32 @@ impl Tensor {
         self.map(|x| x.max(0.0))
     }
 
-    /// Element-wise SiLU (`x * sigmoid(x)`), the activation used throughout
-    /// the UNet and VAE.
+    /// Element-wise SiLU (`x * sigmoid(x)`, computed as `x / (1 + e⁻ˣ)`),
+    /// the activation used throughout the UNet and VAE.
     pub fn silu(&self) -> Tensor {
-        self.map(|x| x / (1.0 + (-x).exp()))
+        self.map_with_exp_neg(|x, e| x / (1.0 + e))
+    }
+
+    /// `f(x, e⁻ˣ)` for every element, the exponentials from the kernels'
+    /// [`exp_f32`](gld_kernels::KernelBackend::exp_f32).  Each chunk of the
+    /// result holds `-x`, then `e⁻ˣ`, then `f`: no scratch besides the
+    /// result itself.
+    fn map_with_exp_neg(&self, f: impl Fn(f32, f32) -> f32 + Sync + Send) -> Tensor {
+        const CHUNK: usize = 1024;
+        let kernels = gld_kernels::kernels();
+        let mut out = vec![0.0f32; self.numel()];
+        out.par_chunks_mut(CHUNK)
+            .zip(self.data().par_chunks(CHUNK))
+            .for_each(|(out, x)| {
+                for (o, &x) in out.iter_mut().zip(x) {
+                    *o = -x;
+                }
+                kernels.exp_f32(out);
+                for (o, &x) in out.iter_mut().zip(x) {
+                    *o = f(x, *o);
+                }
+            });
+        Tensor::from_vec(out, self.dims())
     }
 
     /// Element-wise GELU (tanh approximation).
@@ -113,11 +135,12 @@ impl Tensor {
         })
     }
 
-    /// Softmax along the last axis: every row through [`softmax_row_inplace`].
+    /// Softmax along the last axis: the rows through [`softmax_rows_inplace`].
     pub fn softmax_last(&self) -> Tensor {
         let row = *self.dims().last().expect("softmax requires rank >= 1");
         let mut out = self.data().to_vec();
-        out.par_chunks_mut(row).for_each(softmax_row_inplace);
+        out.par_chunks_mut(row * SOFTMAX_ROWS)
+            .for_each(|rows| softmax_rows_inplace(rows, row, 1.0));
         Tensor::from_vec(out, self.dims())
     }
 
@@ -192,42 +215,105 @@ impl Tensor {
     }
 }
 
-/// Softmax of one row, in place, with the usual max-subtraction trick for
-/// stability.
+/// Rows [`Tensor::softmax_last`] hands to one [`softmax_rows_inplace`] call.
+const SOFTMAX_ROWS: usize = 16;
+
+/// Softmax of every `len`-element row of `rows`, in place, over the logits
+/// `scale · x` (attention's `1/√dh`; `1.0` for a plain softmax), with the
+/// usual max-subtraction for stability.
 ///
-/// A peaked row (attention over a trained network) is mostly tail:
-/// exponentials that underflow to zero or land among the subnormals, where
-/// both `exp` and the multiply by `1/sum` run ~100x slower than on normal
-/// numbers.  Both are stepped around without changing a bit: a difference
-/// below -104 is not sent to `exp` (`e⁻¹⁰⁴ < 2⁻¹⁵⁰` rounds to zero), and a
-/// subnormal exponential is scaled in integer units of 2⁻¹⁴⁹
-/// (`scale_subnormal`) — in a pass of its own, so that a row without one
-/// is normalised by a plain multiply.
-pub fn softmax_row_inplace(row: &mut [f32]) {
-    let m = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    let mut subnormals = false;
-    for x in row.iter_mut() {
-        let d = *x - m;
-        let e = if d < -104.0 { 0.0 } else { d.exp() };
-        // Non-negative, so: zero wraps, and a subnormal is what stays small.
-        subnormals |= e.to_bits().wrapping_sub(1) < f32::MIN_POSITIVE.to_bits() - 1;
-        *x = e;
-        sum += e;
+/// The result is the one the textbook loop computes — per row, `s = x ·
+/// scale`, `m = max s`, `e = exp(s - m)`, `sum` of the `e` in index order,
+/// then `e · (1 / sum)` — to the bit, with the exponentials from the
+/// kernels' [`exp_f32`](gld_kernels::KernelBackend::exp_f32), which is libm's
+/// `expf` on an FMA host.  The work is arranged around it:
+///
+/// * all rows' exponentials are one `exp_f32` call, vectorised across
+///   rows;
+/// * each row keeps its own sequential sum, and several rows are summed in
+///   step, so their dependency chains overlap;
+/// * a peaked row (attention over a trained network) is mostly tail:
+///   exponentials that underflow to zero or land among the subnormals.  An
+///   `f32` multiply that takes or produces a subnormal runs far slower than
+///   one on normal numbers (the exponential itself does not: the kernel
+///   rounds subnormal results in integer units).  So a row with a subnormal
+///   exponential is normalised by selecting, element by element, between
+///   the plain product of a normal `e` and the integer-unit product of a
+///   subnormal one (`scale_subnormal`); a row without one is a plain
+///   multiply.
+///
+/// # Panics
+/// Panics if `len` is zero or `rows.len()` is not a multiple of it.
+pub fn softmax_rows_inplace(rows: &mut [f32], len: usize, scale: f32) {
+    assert!(
+        len > 0 && rows.len().is_multiple_of(len),
+        "softmax: {} elements are not rows of {len}",
+        rows.len()
+    );
+    for row in rows.chunks_exact_mut(len) {
+        row.iter_mut().for_each(|x| *x *= scale);
+        let m = row_max(row);
+        row.iter_mut().for_each(|x| *x -= m);
     }
-    let inv = 1.0 / sum;
-    // `sum ≥ e⁰ = 1`, so `inv ≤ 1`; anything else is a NaN row.
-    if subnormals && inv <= 1.0 {
-        for x in row.iter_mut() {
-            if x.to_bits() < f32::MIN_POSITIVE.to_bits() {
-                *x = scale_subnormal(*x, inv);
-            } else {
+    gld_kernels::kernels().exp_f32(rows);
+    const STEP: usize = 4;
+    let mut groups = rows.chunks_exact_mut(STEP * len);
+    for group in &mut groups {
+        normalize_rows::<STEP>(group, len);
+    }
+    for row in groups.into_remainder().chunks_exact_mut(len) {
+        normalize_rows::<1>(row, len);
+    }
+}
+
+/// The largest element of `row` that is not NaN (`-∞` if there is none),
+/// in eight running maxima: the order does not change the maximum, only,
+/// between equal zeros, its sign, and `x - (±0)` is the same for every
+/// non-zero `x` and `exp(±0)` the same for a zero.
+fn row_max(row: &[f32]) -> f32 {
+    let mut lanes = [f32::NEG_INFINITY; 8];
+    let (chunks, tail) = row.as_chunks::<8>();
+    for chunk in chunks {
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            *m = m.max(x);
+        }
+    }
+    lanes
+        .into_iter()
+        .chain(tail.iter().copied())
+        .fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// Divides each of the `R` rows of `rows` by its sum, the sums taken in
+/// step (see [`softmax_rows_inplace`]).
+fn normalize_rows<const R: usize>(rows: &mut [f32], len: usize) {
+    let mut sums = [0.0f32; R];
+    let mut subnormals = [false; R];
+    let each: [&[f32]; R] = std::array::from_fn(|r| &rows[r * len..][..len]);
+    for j in 0..len {
+        let column = each.map(|row| row[j]);
+        for ((sum, subnormal), e) in sums.iter_mut().zip(&mut subnormals).zip(column) {
+            *sum += e;
+            // Non-negative, so: zero wraps, and a subnormal is what stays
+            // small.
+            *subnormal |= e.to_bits().wrapping_sub(1) < f32::MIN_POSITIVE.to_bits() - 1;
+        }
+    }
+    for ((row, sum), subnormals) in rows.chunks_exact_mut(len).zip(sums).zip(subnormals) {
+        let inv = 1.0 / sum;
+        // `sum ≥ e⁰ = 1`, so `inv ≤ 1`; anything else is a NaN row.
+        if subnormals && inv <= 1.0 {
+            for x in row.iter_mut() {
+                let subnormal = x.to_bits() < f32::MIN_POSITIVE.to_bits();
+                // Each operand is kept to its own kind: a zero is both.
+                let product = if subnormal { 0.0 } else { *x } * inv;
+                let units = scale_subnormal(if subnormal { *x } else { 0.0 }, inv);
+                *x = if subnormal { units } else { product };
+            }
+        } else {
+            for x in row.iter_mut() {
                 *x *= inv;
             }
-        }
-    } else {
-        for x in row.iter_mut() {
-            *x *= inv;
         }
     }
 }
