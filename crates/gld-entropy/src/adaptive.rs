@@ -24,9 +24,12 @@
 
 use crate::backend::{EntropyDecoder, EntropyEncoder};
 
+/// Bits of an adaptive binary model's probabilities.
+pub(crate) const PROB_BITS: u32 = 12;
+
 /// Total frequency of an adaptive binary model (12-bit probabilities, well
 /// under [`crate::arith::MAX_TOTAL`]).
-pub const PROB_TOTAL: u32 = 1 << 12;
+pub const PROB_TOTAL: u32 = 1 << PROB_BITS;
 
 /// Initial (uniform) probability of a zero bit.
 const PROB_INIT: u16 = (PROB_TOTAL / 2) as u16;
@@ -94,6 +97,20 @@ impl AdaptiveBitModel {
         }
     }
 
+    /// [`AdaptiveBitModel::update`] without a branch, for the decoder: both
+    /// results are computed and the bit's mask picks one, so a bit the
+    /// model cannot predict costs no misprediction.  (The encoder keeps the
+    /// branch: its speed is the cold baseline the warm-profile encoder is
+    /// measured against.)
+    #[inline]
+    fn update_masked(&mut self, bit: bool) {
+        let p0 = self.p0;
+        let one = 0u16.wrapping_sub(u16::from(bit));
+        let down = p0 - (p0 >> ADAPT_SHIFT);
+        let up = p0 + ((PROB_TOTAL as u16 - p0) >> ADAPT_SHIFT);
+        self.p0 = (down & one) | (up & !one);
+    }
+
     /// Encodes one bit and adapts.
     #[inline]
     pub fn encode<E: EntropyEncoder>(&mut self, enc: &mut E, bit: bool) {
@@ -109,14 +126,8 @@ impl AdaptiveBitModel {
     /// Decodes one bit and adapts (mirror of [`AdaptiveBitModel::encode`]).
     #[inline]
     pub fn decode<D: EntropyDecoder>(&mut self, dec: &mut D) -> bool {
-        let p0 = u32::from(self.p0);
-        let bit = dec.decode_target(PROB_TOTAL) >= p0;
-        if bit {
-            dec.decode_update(p0, PROB_TOTAL, PROB_TOTAL);
-        } else {
-            dec.decode_update(0, p0, PROB_TOTAL);
-        }
-        self.update(bit);
+        let bit = dec.decode_bit(u32::from(self.p0));
+        self.update_masked(bit);
         bit
     }
 }
@@ -223,6 +234,19 @@ mod tests {
         let mut dec = B::decoder(&stream);
         for &b in &bits {
             assert_eq!(model.decode(&mut dec), b);
+        }
+    }
+
+    #[test]
+    fn masked_update_equals_the_branching_one() {
+        for p0 in 1..PROB_TOTAL as u16 {
+            for bit in [false, true] {
+                let (mut branching, mut masked) =
+                    (AdaptiveBitModel { p0 }, AdaptiveBitModel { p0 });
+                branching.update(bit);
+                masked.update_masked(bit);
+                assert_eq!(branching, masked, "p0 {p0}, bit {bit}");
+            }
         }
     }
 

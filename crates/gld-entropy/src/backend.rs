@@ -8,6 +8,7 @@
 //! identical symbol streams, and the hot-path benchmark uses it to measure
 //! the optimized kernels against the exact pre-optimisation coding path.
 
+use crate::adaptive::PROB_TOTAL;
 use crate::arith::{ArithmeticDecoder, ArithmeticEncoder};
 use crate::range::{RangeDecoder, RangeEncoder};
 
@@ -41,6 +42,24 @@ pub trait EntropyDecoder {
 
     /// Decodes `bits` bypass bits into an unsigned value, MSB first.
     fn decode_bits_raw(&mut self, bits: u32) -> u64;
+
+    /// Decodes one binary decision coded as the interval `[0, p0)` (a zero)
+    /// or `[p0, PROB_TOTAL)` (a one) out of
+    /// [`PROB_TOTAL`], for `p0` in
+    /// `1..PROB_TOTAL`: the adaptive and frozen bit models of `gld-lz` code
+    /// every flag and tree node this way.  Provided as the interval path
+    /// (`decode_target` then `decode_update`); a coder may override it with
+    /// a cheaper form that consumes exactly the same stream state.
+    #[inline]
+    fn decode_bit(&mut self, p0: u32) -> bool {
+        let bit = self.decode_target(PROB_TOTAL) >= p0;
+        if bit {
+            self.decode_update(p0, PROB_TOTAL, PROB_TOTAL);
+        } else {
+            self.decode_update(0, p0, PROB_TOTAL);
+        }
+        bit
+    }
 }
 
 /// A matched encoder/decoder pair, used to parameterise whole compression
@@ -149,6 +168,28 @@ mod tests {
             dec.decode_update(cdf[got], cdf[got + 1], 30);
             assert_eq!(dec.decode_bits_raw(7), s as u64);
         }
+    }
+
+    /// The arithmetic coder keeps the provided `decode_bit`: it decodes the
+    /// bits its encoder wrote as intervals, through the trait.
+    #[test]
+    fn arithmetic_backend_decodes_bits_through_the_provided_method() {
+        let p0s: Vec<u32> = (0..2000u32)
+            .map(|i| 1 + i.wrapping_mul(2_654_435_761) % 4095)
+            .collect();
+        let bits: Vec<bool> = (0..2000u32).map(|i| i * 40503 % 7 < 3).collect();
+        let mut enc = ArithmeticBackend::encoder();
+        for (&p0, &bit) in p0s.iter().zip(&bits) {
+            if bit {
+                enc.encode(p0, PROB_TOTAL, PROB_TOTAL);
+            } else {
+                enc.encode(0, p0, PROB_TOTAL);
+            }
+        }
+        let bytes = EntropyEncoder::finish(enc);
+        let mut dec = ArithmeticBackend::decoder(&bytes);
+        let decoded: Vec<bool> = p0s.iter().map(|&p0| dec.decode_bit(p0)).collect();
+        assert_eq!(decoded, bits);
     }
 
     #[test]

@@ -1,19 +1,13 @@
 //! Normal-distribution utilities used by the Gaussian conditional entropy
 //! model (paper Eq. 1–2) and by the rate estimates in `gld-vae`.
+//!
+//! There is one error function: [`erf`] is `gld_kernels::erf`, the
+//! Abramowitz & Stegun 7.1.26 formula over a replica of glibc 2.36's
+//! `__exp_fma`, so its bits do not depend on the host's libm.  The entropy
+//! model's bin edges run the same arithmetic four lanes wide through
+//! `KernelBackend::erf_f64`, with the same result on every backend.
 
-/// Error function via the Abramowitz & Stegun 7.1.26 rational approximation
-/// (absolute error < 1.5e-7, ample for frequency quantisation).
-pub fn erf(x: f64) -> f64 {
-    let sign = if x < 0.0 { -1.0 } else { 1.0 };
-    let x = x.abs();
-    let t = 1.0 / (1.0 + 0.3275911 * x);
-    let y = 1.0
-        - (((((1.061405429 * t - 1.453152027) * t) + 1.421413741) * t - 0.284496736) * t
-            + 0.254829592)
-            * t
-            * (-x * x).exp();
-    sign * y
-}
+pub use gld_kernels::erf;
 
 /// Standard normal cumulative distribution function.
 pub fn std_normal_cdf(x: f64) -> f64 {

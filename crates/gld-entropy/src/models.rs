@@ -16,8 +16,9 @@
 
 use crate::arith::MAX_TOTAL;
 use crate::backend::{EntropyDecoder, EntropyEncoder};
-use crate::gaussian::{normal_cdf, quantized_gaussian_bits};
+use crate::gaussian::quantized_gaussian_bits;
 use crate::reader::{ByteReader, ReadError};
+use gld_kernels::KernelBackend;
 use std::sync::OnceLock;
 
 /// Total frequency budget used when quantising probability models.
@@ -88,13 +89,21 @@ const LOWER_TAIL_SIGMAS: f64 = 4.2;
 /// shortcut.  (Needs `σ` in the hundreds of millions.)
 const MIN_SPAN: f64 = 1e-6;
 
+/// Bin edges a [`Window`] evaluates per kernel call, ahead of its fill.
+const EDGE_BATCH: usize = 16;
+
 /// The quantised CDF of one element: an integer window centred at the
 /// predicted mean, each symbol's frequency proportional to its Gaussian mass,
 /// then an escape bin holding what is left of [`MODEL_TOTAL`].
 ///
-/// A window is up to 511 bins and every bin edge costs an `exp`, so the table
-/// is filled from the bottom only as far as a query needs: up to the coded
-/// symbol, or up to the decoder's target.
+/// A window is up to 511 bins and every bin edge costs an `erf`, so the
+/// table is filled from the bottom only as far as a query needs: up to the
+/// coded symbol, or up to the decoder's target.  The edges themselves are
+/// evaluated [`EDGE_BATCH`] at a time through `KernelBackend::erf_f64`
+/// (four lanes wide on AVX2): each is a pure function of its index, so the
+/// ones past where the fill stops are simply dropped.  A window of
+/// `σ = +∞` puts every edge at the same CDF, so every bin has frequency 1
+/// and no edge is evaluated at all.
 struct Window<'a> {
     mean: f64,
     std: f64,
@@ -106,22 +115,34 @@ struct Window<'a> {
     /// below symbol `lo + i`.
     cum: &'a mut [u32; MAX_SYMBOLS + 1],
     filled: usize,
-    /// CDF at the upper edge of the last filled bin.
+    /// CDF at the upper edge of the last filled bin, or of the last bin
+    /// evaluated ahead.
     edge: f64,
     /// Sum of the fractions of `p·budget` lost to truncation so far (only
     /// read when `span ≥ MIN_SPAN`, where every share fits a `u32`).
     slack: f64,
+    /// The shares `p·budget` of bins `ahead_from..ahead_end`.
+    ahead: [f64; EDGE_BATCH],
+    ahead_from: usize,
+    ahead_end: usize,
+    kernels: &'static dyn KernelBackend,
 }
 
 impl<'a> Window<'a> {
-    fn new(mean: f64, std: f64, cum: &'a mut [u32; MAX_SYMBOLS + 1]) -> Self {
+    /// The window of `N(mean, std²)`.  Its integer bounds wrap like the
+    /// two's-complement arithmetic they are, so an infinite or NaN mean
+    /// gives a window every symbol escapes from rather than an overflow.
+    fn new(
+        mean: f64,
+        std: f64,
+        cum: &'a mut [u32; MAX_SYMBOLS + 1],
+        kernels: &'static dyn KernelBackend,
+    ) -> Self {
         let std = std.max(1e-3);
         let centre = mean.round() as i64;
         let half = ((std * TAIL_SIGMAS).ceil() as i64).clamp(1, MAX_HALF_WIDTH);
-        let (lo, hi) = (centre - half, centre + half);
-        let symbols = (hi - lo + 1) as usize;
-        let edge = normal_cdf(lo as f64 - 0.5, mean, std);
-        let span = (normal_cdf(hi as f64 + 0.5, mean, std) - edge).max(1e-12);
+        let (lo, hi) = (centre.wrapping_sub(half), centre.wrapping_add(half));
+        let symbols = (2 * half + 1) as usize;
         cum[0] = 0;
         let mut window = Window {
             mean,
@@ -129,26 +150,62 @@ impl<'a> Window<'a> {
             lo,
             symbols,
             budget: (MODEL_TOTAL - symbols as u32 - 1) as f64,
-            span,
+            span: 0.0,
             cum,
             filled: 0,
-            edge,
+            edge: 0.0,
             slack: 0.0,
+            ahead: [0.0; EDGE_BATCH],
+            ahead_from: 0,
+            ahead_end: 0,
+            kernels,
         };
-        window.skip_lower_tail();
+        if std == f64::INFINITY {
+            // `(x − mean)/∞` is ±0 for every edge (NaN for an infinite or
+            // NaN mean), so every share is 0.
+            for (i, c) in window.cum[..=symbols].iter_mut().enumerate() {
+                *c = i as u32;
+            }
+            window.filled = symbols;
+            return window;
+        }
+        // Both ends of the window and the end of the lower tail's stretch
+        // of all-ones bins, in one kernel call.
+        let stretch = (mean - LOWER_TAIL_SIGMAS * std - lo as f64).floor();
+        let stretch_end = lo.wrapping_add((stretch.max(0.0) as usize).min(symbols) as i64);
+        let mut edges = [
+            lo as f64 - 0.5,
+            hi as f64 + 0.5,
+            stretch_end as f64 - 0.5,
+            0.0,
+        ];
+        window.cdfs(&mut edges);
+        window.edge = edges[0];
+        window.span = (edges[1] - edges[0]).max(1e-12);
+        window.skip_lower_tail(stretch, edges[2]);
         window
     }
 
+    /// Replaces each bin edge in `xs` by its CDF.
+    fn cdfs<const N: usize>(&self, xs: &mut [f64; N]) {
+        for x in xs.iter_mut() {
+            *x = (*x - self.mean) / self.std / std::f64::consts::SQRT_2;
+        }
+        self.kernels.erf_f64(xs);
+        for x in xs.iter_mut() {
+            *x = 0.5 * (1.0 + *x);
+        }
+    }
+
     /// Far enough below the mean the bins *together* hold less than one
-    /// count of the budget, so each has frequency exactly 1: one CDF
-    /// evaluation at the end of that stretch stands in for one per bin.
-    fn skip_lower_tail(&mut self) {
-        let stretch = (self.mean - LOWER_TAIL_SIGMAS * self.std - self.lo as f64).floor();
+    /// count of the budget, so each has frequency exactly 1: the CDF at the
+    /// end of that stretch (`upper`, at `stretch` bins) stands in for one
+    /// per bin.
+    fn skip_lower_tail(&mut self, stretch: f64, upper: f64) {
         if !(stretch >= 1.0 && self.span >= MIN_SPAN) {
             return;
         }
         let stretch = (stretch as usize).min(self.symbols);
-        let upper = normal_cdf((self.lo + stretch as i64) as f64 - 0.5, self.mean, self.std);
         if (upper - self.edge) / self.span * self.budget < 0.99 {
             for (i, c) in self.cum[..=stretch].iter_mut().enumerate() {
                 *c = i as u32;
@@ -158,19 +215,43 @@ impl<'a> Window<'a> {
         }
     }
 
+    /// Evaluates the shares of the next [`EDGE_BATCH`] bins from `filled`
+    /// (past the top of the window too: those are never read).  Each
+    /// share takes the CDF below it from the lane before, the first from
+    /// `edge`, which then moves to the batch's last edge: the fill reads
+    /// every share of a batch before it asks for the next.
+    fn evaluate_ahead(&mut self) {
+        let mut cdf: [f64; EDGE_BATCH] =
+            std::array::from_fn(|j| self.lo.wrapping_add((self.filled + j) as i64) as f64 + 0.5);
+        self.cdfs(&mut cdf);
+        let (span, budget) = (self.span, self.budget);
+        let below = |j: usize| if j == 0 { self.edge } else { cdf[j - 1] };
+        self.ahead = std::array::from_fn(|j| (cdf[j] - below(j)).max(0.0) / span * budget);
+        self.edge = cdf[EDGE_BATCH - 1];
+        self.ahead_from = self.filled;
+        self.ahead_end = self.filled + EDGE_BATCH;
+    }
+
     /// Fills bins — frequency `1 + ⌊p·budget⌋` each — while `more` says so
-    /// (and there are bins left).
-    fn fill_while(&mut self, more: impl Fn(&Self) -> bool) {
-        while self.filled < self.symbols && more(self) {
-            let upper_edge = (self.lo + self.filled as i64) as f64 + 0.5;
-            let upper = normal_cdf(upper_edge, self.mean, self.std);
-            let share = (upper - self.edge).max(0.0) / self.span * self.budget;
-            self.edge = upper;
+    /// (and there are bins left).  `more` sees the bins filled so far, the
+    /// slack and the cumulative frequency at the top of the fill; the loop
+    /// keeps those three in registers.
+    fn fill_while(&mut self, more: impl Fn(usize, f64, u32) -> bool) {
+        let (mut filled, mut slack, mut top) = (self.filled, self.slack, self.cum[self.filled]);
+        while filled < self.symbols && more(filled, slack, top) {
+            if filled >= self.ahead_end {
+                self.filled = filled;
+                self.evaluate_ahead();
+            }
+            let share = self.ahead[filled - self.ahead_from];
             let whole = share as u32;
-            self.slack += share - whole as f64;
-            self.cum[self.filled + 1] = self.cum[self.filled] + 1 + whole;
-            self.filled += 1;
+            slack += share - whole as f64;
+            top += 1 + whole;
+            self.cum[filled + 1] = top;
+            filled += 1;
         }
+        self.filled = filled;
+        self.slack = slack;
     }
 
     /// The coder total: all symbol frequencies plus an escape bin of
@@ -185,7 +266,7 @@ impl<'a> Window<'a> {
     /// the end, and then the total is computed outright.
     fn total(&mut self) -> u32 {
         let shortcut = self.span >= MIN_SPAN;
-        self.fill_while(|w| !(shortcut && w.slack >= PROVEN_SLACK));
+        self.fill_while(|_, slack, _| !(shortcut && slack >= PROVEN_SLACK));
         if self.filled < self.symbols {
             return MODEL_TOTAL - 1;
         }
@@ -198,16 +279,16 @@ impl<'a> Window<'a> {
     fn interval(&mut self, index: usize) -> (u32, u32) {
         if index == self.symbols {
             let total = self.total();
-            self.fill_while(|_| true);
+            self.fill_while(|_, _, _| true);
             return (self.cum[self.symbols], total);
         }
-        self.fill_while(|w| w.filled <= index);
+        self.fill_while(|filled, _, _| filled <= index);
         (self.cum[index], self.cum[index + 1])
     }
 
     /// Window index of the bin whose interval contains `target`.
     fn find(&mut self, target: u32) -> usize {
-        self.fill_while(|w| w.cum[w.filled] <= target);
+        self.fill_while(|_, _, top| top <= target);
         self.cum[..=self.filled].partition_point(|&c| c <= target) - 1
     }
 }
@@ -228,10 +309,12 @@ impl GaussianConditionalModel {
     ) {
         assert_eq!(symbols.len(), means.len(), "means length mismatch");
         assert_eq!(symbols.len(), scales.len(), "scales length mismatch");
+        let kernels = gld_kernels::kernels();
         let mut cum = [0u32; MAX_SYMBOLS + 1];
         for ((&s, &m), &sd) in symbols.iter().zip(means).zip(scales) {
-            let mut w = Window::new(m as f64, sd as f64, &mut cum);
-            let index = usize::try_from(s as i64 - w.lo).map_or(w.symbols, |i| i.min(w.symbols));
+            let mut w = Window::new(m as f64, sd as f64, &mut cum, kernels);
+            let index = usize::try_from((s as i64).wrapping_sub(w.lo))
+                .map_or(w.symbols, |i| i.min(w.symbols));
             let (low, high) = w.interval(index);
             enc.encode(low, high, w.total());
             if index == w.symbols {
@@ -248,10 +331,11 @@ impl GaussianConditionalModel {
         scales: &[f32],
     ) -> Vec<i32> {
         assert_eq!(means.len(), scales.len(), "scales length mismatch");
+        let kernels = gld_kernels::kernels();
         let mut out = Vec::with_capacity(means.len());
         let mut cum = [0u32; MAX_SYMBOLS + 1];
         for (&m, &sd) in means.iter().zip(scales) {
-            let mut w = Window::new(m as f64, sd as f64, &mut cum);
+            let mut w = Window::new(m as f64, sd as f64, &mut cum, kernels);
             let total = w.total();
             let index = w.find(dec.decode_target(total));
             let (low, high) = w.interval(index);
@@ -259,7 +343,7 @@ impl GaussianConditionalModel {
             if index == w.symbols {
                 out.push(BypassCoder::decode_i32(dec));
             } else {
-                out.push((w.lo + index as i64) as i32);
+                out.push(w.lo.wrapping_add(index as i64) as i32);
             }
         }
         out
@@ -733,10 +817,273 @@ impl BitCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gaussian::normal_cdf;
     use crate::range::{RangeDecoder, RangeEncoder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The window as it was filled before its edges were batched: one
+    /// scalar `normal_cdf` per bin edge, at the moment the fill reaches it,
+    /// and no shortcut for `σ = +∞`.  The oracle for [`Window`].
+    struct OracleWindow {
+        mean: f64,
+        std: f64,
+        lo: i64,
+        symbols: usize,
+        budget: f64,
+        span: f64,
+        cum: [u32; MAX_SYMBOLS + 1],
+        filled: usize,
+        edge: f64,
+        slack: f64,
+    }
+
+    impl OracleWindow {
+        fn new(mean: f64, std: f64) -> Self {
+            let std = std.max(1e-3);
+            let centre = mean.round() as i64;
+            let half = ((std * TAIL_SIGMAS).ceil() as i64).clamp(1, MAX_HALF_WIDTH);
+            let (lo, hi) = (centre.wrapping_sub(half), centre.wrapping_add(half));
+            let symbols = hi.wrapping_sub(lo) as usize + 1;
+            let edge = normal_cdf(lo as f64 - 0.5, mean, std);
+            let span = (normal_cdf(hi as f64 + 0.5, mean, std) - edge).max(1e-12);
+            let mut window = OracleWindow {
+                mean,
+                std,
+                lo,
+                symbols,
+                budget: (MODEL_TOTAL - symbols as u32 - 1) as f64,
+                span,
+                cum: [0; MAX_SYMBOLS + 1],
+                filled: 0,
+                edge,
+                slack: 0.0,
+            };
+            window.skip_lower_tail();
+            window
+        }
+
+        fn skip_lower_tail(&mut self) {
+            let stretch = (self.mean - LOWER_TAIL_SIGMAS * self.std - self.lo as f64).floor();
+            if !(stretch >= 1.0 && self.span >= MIN_SPAN) {
+                return;
+            }
+            let stretch = (stretch as usize).min(self.symbols);
+            let upper = normal_cdf(
+                self.lo.wrapping_add(stretch as i64) as f64 - 0.5,
+                self.mean,
+                self.std,
+            );
+            if (upper - self.edge) / self.span * self.budget < 0.99 {
+                for (i, c) in self.cum[..=stretch].iter_mut().enumerate() {
+                    *c = i as u32;
+                }
+                self.filled = stretch;
+                self.edge = upper;
+            }
+        }
+
+        fn fill_while(&mut self, more: impl Fn(&Self) -> bool) {
+            while self.filled < self.symbols && more(self) {
+                let upper_edge = self.lo.wrapping_add(self.filled as i64) as f64 + 0.5;
+                let upper = normal_cdf(upper_edge, self.mean, self.std);
+                let share = (upper - self.edge).max(0.0) / self.span * self.budget;
+                self.edge = upper;
+                let whole = share as u32;
+                self.slack += share - whole as f64;
+                self.cum[self.filled + 1] = self.cum[self.filled] + 1 + whole;
+                self.filled += 1;
+            }
+        }
+
+        fn total(&mut self) -> u32 {
+            let shortcut = self.span >= MIN_SPAN;
+            self.fill_while(|w| !(shortcut && w.slack >= PROVEN_SLACK));
+            if self.filled < self.symbols {
+                return MODEL_TOTAL - 1;
+            }
+            let allocated = self.cum[self.symbols];
+            allocated + (MODEL_TOTAL - allocated - 1).max(1)
+        }
+
+        fn interval(&mut self, index: usize) -> (u32, u32) {
+            if index == self.symbols {
+                let total = self.total();
+                self.fill_while(|_| true);
+                return (self.cum[self.symbols], total);
+            }
+            self.fill_while(|w| w.filled <= index);
+            (self.cum[index], self.cum[index + 1])
+        }
+
+        fn find(&mut self, target: u32) -> usize {
+            self.fill_while(|w| w.cum[w.filled] <= target);
+            self.cum[..=self.filled].partition_point(|&c| c <= target) - 1
+        }
+    }
+
+    /// Every filled `cum` entry of the batched window is the oracle's.
+    /// (The `σ = +∞` window fills everything up front; the oracle fills
+    /// those entries only when asked, to the same values.)
+    fn assert_filled_agree(w: &Window<'_>, o: &OracleWindow, what: &str) {
+        let common = w.filled.min(o.filled);
+        assert!(
+            w.filled == o.filled || w.std == f64::INFINITY,
+            "{what}: filled {} vs oracle {}",
+            w.filled,
+            o.filled
+        );
+        assert_eq!(w.cum[..=common], o.cum[..=common], "{what}: cum");
+    }
+
+    /// Drives one `(μ, σ)` through the batched window on `kernels` and
+    /// through the oracle: the total, `find` over targets spread across
+    /// `[0, total)` and its ends, and `interval` for every bin (strided on
+    /// wide windows) and the escape bin, each on a fresh pair of windows.
+    fn assert_window_matches_oracle(mean: f64, std: f64, kernels: &'static dyn KernelBackend) {
+        let what = format!("{} window N({mean:e}, {std:e}²)", kernels.backend());
+        let mut cum = [0u32; MAX_SYMBOLS + 1];
+        let (symbols, total) = {
+            let mut w = Window::new(mean, std, &mut cum, kernels);
+            let mut o = OracleWindow::new(mean, std);
+            assert_eq!((w.lo, w.symbols), (o.lo, o.symbols), "{what}: bounds");
+            let total = w.total();
+            assert_eq!(total, o.total(), "{what}: total");
+            assert_filled_agree(&w, &o, &what);
+            (w.symbols, total)
+        };
+        let targets = (0..24u32)
+            .map(|i| (u64::from(total) * u64::from(i) / 24) as u32)
+            .chain([0, 1, total - 2, total - 1]);
+        for target in targets {
+            let mut w = Window::new(mean, std, &mut cum, kernels);
+            let mut o = OracleWindow::new(mean, std);
+            assert_eq!(w.total(), o.total(), "{what}: total");
+            let index = w.find(target);
+            assert_eq!(index, o.find(target), "{what}: find({target})");
+            assert_eq!(
+                w.interval(index),
+                o.interval(index),
+                "{what}: interval({index})"
+            );
+            assert_filled_agree(&w, &o, &what);
+        }
+        let stride = if symbols <= 64 { 1 } else { 7 };
+        for index in (0..symbols).step_by(stride).chain([symbols - 1, symbols]) {
+            let mut w = Window::new(mean, std, &mut cum, kernels);
+            let mut o = OracleWindow::new(mean, std);
+            assert_eq!(
+                w.interval(index),
+                o.interval(index),
+                "{what}: interval({index})"
+            );
+            assert_filled_agree(&w, &o, &what);
+            assert_eq!(
+                w.total(),
+                o.total(),
+                "{what}: total after interval({index})"
+            );
+            assert_filled_agree(&w, &o, &what);
+        }
+    }
+
+    fn every_backend() -> Vec<&'static dyn KernelBackend> {
+        gld_kernels::available_backends()
+            .into_iter()
+            .map(gld_kernels::kernels_for)
+            .collect()
+    }
+
+    #[test]
+    fn batched_window_matches_the_oracle_at_the_extremes() {
+        let scales = [
+            0.0,
+            1e-3,
+            f64::from(f32::from_bits(1)),
+            f64::NAN,
+            f64::INFINITY,
+            1e30,
+            f64::from(f32::MAX),
+            0.4,
+            3.0,
+            40.0,
+        ];
+        let means = [
+            0.0,
+            0.5,
+            -2.5,
+            1.3,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            2f64.powi(31),
+            -(2f64.powi(31)),
+            2f64.powi(31) + 0.5,
+        ];
+        for kernels in every_backend() {
+            for &std in &scales {
+                for &mean in &means {
+                    assert_window_matches_oracle(mean, std, kernels);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn prop_batched_window_matches_the_oracle(
+            mean in -300.0f64..300.0,
+            log_std in -4.0f64..3.0,
+            half_integer in 0u32..4,
+        ) {
+            // A quarter of the cases on a half-integer mean, where the
+            // window is symmetric about a bin edge.
+            let mean = if half_integer == 0 { mean.round() + 0.5 } else { mean };
+            let std = 10f64.powf(log_std);
+            for kernels in every_backend() {
+                assert_window_matches_oracle(mean, std, kernels);
+            }
+        }
+    }
+
+    /// A keyframe-sized block in which 11 % of the scales are `+∞` (the
+    /// hyperprior's overflowing `softplus`): the batched coder writes the
+    /// full-window reference's bytes and decodes them back.
+    #[test]
+    fn block_with_infinite_scales_round_trips() {
+        let mut rng = StdRng::seed_from_u64(43);
+        let n = 1536;
+        let mut means = Vec::with_capacity(n);
+        let mut scales = Vec::with_capacity(n);
+        let mut symbols = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mean: f32 = rng.gen_range(-6.0..6.0);
+            let infinite = rng.gen_range(0..100) < 11;
+            let scale = if infinite {
+                f32::INFINITY
+            } else {
+                rng.gen_range(0.05..4.0)
+            };
+            let spread = if infinite { 300.0 } else { 3.0 * scale };
+            means.push(mean);
+            scales.push(scale);
+            symbols.push((mean + rng.gen_range(-1.0..1.0) * spread).round() as i32);
+        }
+        let infinite = scales.iter().filter(|s| s.is_infinite()).count();
+        assert!((120..220).contains(&infinite), "{infinite} infinite scales");
+        let mut reference = RangeEncoder::new();
+        reference_encode(&mut reference, &symbols, &means, &scales);
+        let reference = reference.finish();
+        let model = GaussianConditionalModel::new();
+        let mut enc = RangeEncoder::new();
+        model.encode(&mut enc, &symbols, &means, &scales);
+        assert_eq!(enc.finish(), reference);
+        let decoded = model.decode(&mut RangeDecoder::new(&reference), &means, &scales);
+        assert_eq!(decoded, symbols);
+    }
 
     #[test]
     fn gaussian_model_roundtrip_typical_latents() {

@@ -15,6 +15,7 @@
 //! for arbitrary models and that both back ends decode their own streams to
 //! identical symbols.
 
+use crate::adaptive::{PROB_BITS, PROB_TOTAL};
 use crate::backend::{EntropyDecoder, EntropyEncoder};
 
 /// Maximum allowed total frequency for a coding step (shared contract with
@@ -238,6 +239,27 @@ impl<'a> RangeDecoder<'a> {
         }
     }
 
+    /// Decodes one binary decision, as [`EntropyDecoder::decode_bit`]:
+    /// zero below `p0` out of [`PROB_TOTAL`].  The interval path's integers
+    /// without its division or branch: with `r = range >> 12`,
+    /// `⌊code/r⌋ ≥ p0 ⇔ code ≥ r·p0`, and its clamp of the target to
+    /// `PROB_TOTAL − 1` never flips the bit because `p0` is below that
+    /// total; the update then selects between the two intervals' results.
+    #[inline]
+    pub fn decode_bit(&mut self, p0: u32) -> bool {
+        debug_assert!((1..PROB_TOTAL).contains(&p0), "bit probability {p0}");
+        let bound = (self.range >> PROB_BITS) * p0;
+        let bit = self.code >= bound;
+        let one = 0u32.wrapping_sub(u32::from(bit));
+        self.code -= bound & one;
+        self.range = (bound & !one) | ((self.range - bound) & one);
+        while self.range < TOP {
+            self.code = (self.code << 8) | u32::from(self.next_byte());
+            self.range <<= 8;
+        }
+        bit
+    }
+
     /// Decodes one raw (bypass) bit by range halving.
     #[inline]
     pub fn decode_bit_raw(&mut self) -> bool {
@@ -297,12 +319,75 @@ impl EntropyDecoder for RangeDecoder<'_> {
     fn decode_bits_raw(&mut self, bits: u32) -> u64 {
         RangeDecoder::decode_bits_raw(self, bits)
     }
+
+    #[inline]
+    fn decode_bit(&mut self, p0: u32) -> bool {
+        RangeDecoder::decode_bit(self, p0)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The bit as the interval path decodes it: `decode_target` then
+    /// `decode_update`, what [`EntropyDecoder::decode_bit`] provides.
+    fn interval_bit(dec: &mut RangeDecoder<'_>, p0: u32) -> bool {
+        let bit = dec.decode_target(PROB_TOTAL) >= p0;
+        if bit {
+            dec.decode_update(p0, PROB_TOTAL, PROB_TOTAL);
+        } else {
+            dec.decode_update(0, p0, PROB_TOTAL);
+        }
+        bit
+    }
+
+    /// Decodes one bit per `p0` from `bytes` by both paths, checking that
+    /// each step gives the same bit and leaves the same
+    /// `(range, code, consumed)`; returns the bits.
+    fn assert_bit_paths_agree(bytes: &[u8], p0s: &[u32]) -> Vec<bool> {
+        let mut fast = RangeDecoder::new(bytes);
+        let mut slow = RangeDecoder::new(bytes);
+        let state = |d: &RangeDecoder<'_>| (d.range, d.code, d.consumed());
+        p0s.iter()
+            .enumerate()
+            .map(|(i, &p0)| {
+                let bit = fast.decode_bit(p0);
+                assert_eq!(bit, interval_bit(&mut slow, p0), "bit {i}, p0 {p0}");
+                assert_eq!(state(&fast), state(&slow), "state after bit {i}, p0 {p0}");
+                bit
+            })
+            .collect()
+    }
+
+    /// Random `p0 ∈ [1, 4095]` (a sixth of them at the poles) and random
+    /// bits, some runs against the odds.
+    fn random_bits(seed: u64, n: usize) -> (Vec<u32>, Vec<bool>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let p0s: Vec<u32> = (0..n)
+            .map(|_| match rng.gen_range(0..6) {
+                0 => 1 + rng.gen_range(0..2) * (PROB_TOTAL - 2),
+                _ => rng.gen_range(1..PROB_TOTAL),
+            })
+            .collect();
+        let bits = p0s
+            .iter()
+            .map(|&p0| rng.gen_range(0..PROB_TOTAL) >= p0 || rng.gen_range(0..8) == 0)
+            .collect();
+        (p0s, bits)
+    }
+
+    #[test]
+    fn decode_bit_matches_the_interval_path_on_hostile_streams() {
+        let (p0s, _) = random_bits(7, 3000);
+        for len in [0usize, 1, 3, 5, 64] {
+            assert_bit_paths_agree(&vec![0xFF; len], &p0s);
+            assert_bit_paths_agree(&vec![0x00; len], &p0s);
+        }
+    }
 
     /// Encodes and decodes a symbol stream against a fixed frequency table.
     fn roundtrip(symbols: &[usize], freqs: &[u32]) -> Vec<usize> {
@@ -426,6 +511,27 @@ mod tests {
             let k = freqs.len();
             let symbols: Vec<usize> = raw_symbols.iter().map(|&s| s % k).collect();
             prop_assert_eq!(roundtrip(&symbols, &freqs), symbols);
+        }
+
+        /// `decode_bit` returns the coded bits and moves the decoder
+        /// exactly as the interval path does, on the whole stream and on
+        /// every prefix-truncation tried.
+        #[test]
+        fn prop_decode_bit_matches_the_interval_path(seed in 0u64..1_000_000, n in 1usize..600) {
+            let (p0s, bits) = random_bits(seed, n);
+            let mut enc = RangeEncoder::new();
+            for (&p0, &bit) in p0s.iter().zip(&bits) {
+                if bit {
+                    enc.encode(p0, PROB_TOTAL, PROB_TOTAL);
+                } else {
+                    enc.encode(0, p0, PROB_TOTAL);
+                }
+            }
+            let bytes = enc.finish();
+            prop_assert_eq!(assert_bit_paths_agree(&bytes, &p0s), bits);
+            for cut in [0, 1, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
+                assert_bit_paths_agree(&bytes[..cut], &p0s);
+            }
         }
 
         #[test]

@@ -6,8 +6,11 @@
 //! decode-side bin search, the `gld-lz` match finder's prefix scan and
 //! hash precomputation, the `f32` GEMM ([`KernelBackend::gemm_f32`])
 //! under every `gld-tensor` matrix product — `Linear`, `conv2d`, attention
-//! and the backward rules of the learned codec's networks — and the
-//! exponential ([`KernelBackend::exp_f32`]) under softmax, sigmoid and SiLU.
+//! and the backward rules of the learned codec's networks — the
+//! exponential ([`KernelBackend::exp_f32`]) under softmax, sigmoid and SiLU,
+//! and the `f64` exponential and error function
+//! ([`KernelBackend::exp_f64`], [`KernelBackend::erf_f64`]) under the
+//! Gaussian conditional entropy model's bin edges.
 //!
 //! The design follows the device/backend split used by tensor frameworks:
 //! consumers call through the [`KernelBackend`] trait (or the convenience
@@ -28,8 +31,9 @@
 //! SIMD paths therefore avoid every value-changing shortcut:
 //!
 //! * no FMA contraction (separate multiply and add, exactly like scalar);
-//!   the fused multiply-adds of [`KernelBackend::exp_f32`] are the scalar
-//!   replica's own `f64::mul_add`s;
+//!   the fused multiply-adds of [`KernelBackend::exp_f32`] and
+//!   [`KernelBackend::exp_f64`] are the scalar replicas' own
+//!   `f64::mul_add`s;
 //! * `f32::round` (half away from zero) is emulated exactly on top of
 //!   round-to-nearest-even plus an exact tie fix-up (the difference
 //!   `x - rint(x)` is exact by Sterbenz's lemma, so ties are detected
@@ -60,7 +64,7 @@ mod scalar;
 #[cfg(target_arch = "x86_64")]
 mod x86;
 
-pub use scalar::sz_quantize_cell;
+pub use scalar::{erf, sz_quantize_cell};
 
 /// Largest representable SZ quantisation code; residuals beyond this are
 /// stored as raw floats.  Mirrored by `gld-baselines::szlike`.
@@ -182,6 +186,24 @@ pub trait KernelBackend: Send + Sync {
     /// NaN (`x + x`), above `ln 2¹²⁸` is `+∞`, below `ln 2⁻¹⁵⁰` is `+0`.
     fn exp_f32(&self, xs: &mut [f32]) {
         xs.iter_mut().for_each(|x| *x = scalar::expf(*x));
+    }
+
+    /// Replaces every element `x` of `xs` by `eˣ`, bit for bit as glibc
+    /// 2.36's `exp` computes it on a CPU with FMA — its `__exp_fma`
+    /// variant, replicated in plain `f64` fused multiply-adds and a
+    /// 128-entry table, so the result does not depend on the host's libm.
+    /// NaN and `+∞` give `1 + x`, `−∞` gives `+0`, `|x| < 2⁻⁵⁴` gives
+    /// `1 + x`, and `512 ≤ |x| < 1024` takes glibc's overflow and
+    /// subnormal scaling.
+    fn exp_f64(&self, xs: &mut [f64]) {
+        xs.iter_mut().for_each(|x| *x = scalar::exp(*x));
+    }
+
+    /// Replaces every element `x` of `xs` by [`erf`]`(x)`: the Abramowitz &
+    /// Stegun 7.1.26 formula over [`KernelBackend::exp_f64`]'s exponential,
+    /// with the same operations in the same order on every backend.
+    fn erf_f64(&self, xs: &mut [f64]) {
+        xs.iter_mut().for_each(|x| *x = scalar::erf(*x));
     }
 }
 

@@ -573,3 +573,274 @@ fn exp_f32_simd_equals_scalar_at_every_length_and_offset() {
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// exp (f64) and erf
+// ----------------------------------------------------------------------
+
+/// `(x, f64::exp(x))` as bit patterns, read from glibc 2.36's libm on a CPU
+/// with FMA and AVX2: signed zeros, infinities, quiet and signalling NaNs,
+/// the largest finite values, subnormal inputs, and each with its
+/// neighbours the tiny-argument bound `2⁻⁵⁴`, the main path's bounds 512 and
+/// 1024, the overflow threshold, where results turn subnormal and where
+/// they underflow, and the saturation of `erf`'s argument; then a stride
+/// through `[−38.5, 0]`.  The first four are inputs on which the replica
+/// would differ from libm if its `r² · (C2 + r·C3) + (T + r)` or its final
+/// `scale + scale · tmp` were rounded twice instead of fused.
+#[rustfmt::skip]
+const EXP_F64_KNOWN: [(u64, u64); 173] = [
+    (0xc042f67bda9ffff2, 0x3c837e1365c0db22), (0xc04220e15a4fffc8, 0x3ca9daeef20bdc23),
+    (0xc0433fef14bfffc8, 0x3c75f675cf018213), (0xc0433fe354efffac, 0x3c75f879fe46092b),
+    (0x0000000000000000, 0x3ff0000000000000), (0x8000000000000000, 0x3ff0000000000000),
+    (0x7ff8000000000000, 0x7ff8000000000000), (0xfff8000000000000, 0xfff8000000000000),
+    (0x7ff0000000000001, 0x7ff8000000000001), (0xfff4000000000000, 0xfffc000000000000),
+    (0x7ff0000000000000, 0x7ff0000000000000), (0xfff0000000000000, 0x0000000000000000),
+    (0x7fefffffffffffff, 0x7ff0000000000000), (0xffefffffffffffff, 0x0000000000000000),
+    (0x0000000000000001, 0x3ff0000000000000), (0x8000000000000001, 0x3ff0000000000000),
+    (0x0010000000000000, 0x3ff0000000000000), (0x8010000000000000, 0x3ff0000000000000),
+    (0x3ff0000000000000, 0x4005bf0a8b145769), (0xbff0000000000000, 0x3fd78b56362cef38),
+    (0x3fe0000000000000, 0x3ffa61298e1e069c), (0x3c8fffffffffffff, 0x3ff0000000000000),
+    (0x3c90000000000000, 0x3ff0000000000000), (0x3c90000000000001, 0x3ff0000000000000),
+    (0xbc90000000000001, 0x3fefffffffffffff), (0xbc90000000000000, 0x3ff0000000000000),
+    (0xbc8fffffffffffff, 0x3ff0000000000000), (0x407fffffffffffff, 0x6e19476504ba839a),
+    (0x4080000000000000, 0x6e19476504ba852e), (0x4080000000000001, 0x6e19476504ba8857),
+    (0xc080000000000001, 0x11c44109edb206a9), (0xc080000000000000, 0x11c44109edb20931),
+    (0xc07fffffffffffff, 0x11c44109edb20a75), (0x408fffffffffffff, 0x7ff0000000000000),
+    (0x4090000000000000, 0x7ff0000000000000), (0x4090000000000001, 0x7ff0000000000000),
+    (0xc090000000000001, 0x0000000000000000), (0xc090000000000000, 0x0000000000000000),
+    (0xc08fffffffffffff, 0x0000000000000000), (0x40862e42fefa39ee, 0x7feffffffffffb2a),
+    (0x40862e42fefa39ef, 0x7fefffffffffff2a), (0x40862e42fefa39f0, 0x7ff0000000000000),
+    (0xc0862e42fefa39f0, 0x0003ffffffffff9b), (0xc0862e42fefa39ef, 0x000400000000001b),
+    (0xc0862e42fefa39ee, 0x000400000000009b), (0xc086232bdd7abcd3, 0x000ffffffffffe7c),
+    (0xc086232bdd7abcd2, 0x001000000000007c), (0xc086232bdd7abcd1, 0x001000000000027c),
+    (0x4086232bdd7abcd1, 0x7fcffffffffffb09), (0x4086232bdd7abcd2, 0x7fcfffffffffff09),
+    (0x4086232bdd7abcd3, 0x7fd0000000000184), (0xc0874385446d71c4, 0x0000000000000001),
+    (0xc0874385446d71c3, 0x0000000000000001), (0xc0874385446d71c2, 0x0000000000000001),
+    (0x40874385446d71c2, 0x7ff0000000000000), (0x40874385446d71c3, 0x7ff0000000000000),
+    (0x40874385446d71c4, 0x7ff0000000000000), (0xc0874910d52d3052, 0x0000000000000000),
+    (0xc0874910d52d3051, 0x0000000000000001), (0xc0874910d52d3050, 0x0000000000000001),
+    (0x40874910d52d3050, 0x7ff0000000000000), (0x40874910d52d3051, 0x7ff0000000000000),
+    (0x40874910d52d3052, 0x7ff0000000000000), (0xc043400000000001, 0x3c75f38ed3eb9baf),
+    (0xc043400000000000, 0x3c75f38ed3eb9bdb), (0xc0433fffffffffff, 0x3c75f38ed3eb9c07),
+    (0x40433fffffffffff, 0x436753025a61bfb6), (0x4043400000000000, 0x436753025a61bfe5),
+    (0x4043400000000001, 0x436753025a61c013), (0xc042b70a3d70a3d8, 0x3c8fff926d5adcf4),
+    (0xc042b70a3d70a3d7, 0x3c8fff926d5add34), (0xc042b70a3d70a3d6, 0x3c8fff926d5add74),
+    (0x4042b70a3d70a3d6, 0x43500036ca0e2c9b), (0x4042b70a3d70a3d7, 0x43500036ca0e2cbb),
+    (0x4042b70a3d70a3d8, 0x43500036ca0e2cdb), (0xbf762e42fef9fff6, 0x3fefd3c22b8f7264),
+    (0xc043400000000000, 0x3c75f38ed3eb9bdb), (0xc0430caaa9d3eb16, 0x3c80641112e4e7a0),
+    (0xc042d95553a7d62b, 0x3c887a52110be7fa), (0xc042a5fffd7bc141, 0x3c9246ff6eadce71),
+    (0xc04272aaa74fac58, 0x3c9b4b852082aaa9), (0xc0423f555123976d, 0x3ca46182943317c3),
+    (0xc0420bfffaf78283, 0x3cae6fb92b752a55), (0xc041d8aaa4cb6d99, 0x3cb6ba001fd15928),
+    (0xc041a5554e9f58ae, 0x3cc0f83de27e8337), (0xc04171fff87343c4, 0x3cc9579a2776c797),
+    (0xc0413eaaa2472edb, 0x3cd2ec39fb902d4c), (0xc0410b554c1b19f0, 0x3cdc4244ebbf2e97),
+    (0xc040d7fff5ef0506, 0x3ce519c153dc1d39), (0xc040a4aa9fc2f01c, 0x3cef82df082d58ad),
+    (0xc04071554996db31, 0x3cf787735be410a4), (0xc0403dfff36ac647, 0x3d0191a636083242),
+    (0xc0400aaa9d3eb15e, 0x3d0a3cb2a58fb9e5), (0xc03faeaa8e2538e6, 0x3d13974a370d6084),
+    (0xc03f47ffe1cd0f12, 0x3d1d41bb59615166), (0xc03ee1553574e53d, 0x3d25d881ab109a5e),
+    (0xc03e7aaa891cbb69, 0x3d304fde20ac9d45), (0xc03e13ffdcc49195, 0x3d385c27e17f8b4a),
+    (0xc03dad55306c67c0, 0x3d4230795ad81c25), (0xc03d46aa84143dec, 0x3d4b29e22f2cedef),
+    (0xc03cdfffd7bc1418, 0x3d544864e029b07d), (0xc03c79552b63ea43, 0x3d5e4a372e8a6d94),
+    (0xc03c12aa7f0bc06f, 0x3d669dfe6ae98547), (0xc03babffd2b3969b, 0x3d70e3545677a702),
+    (0xc03b4555265b6cc6, 0x3d79385f46adeafb), (0xc03adeaa7a0342f2, 0x3d82d4e849e1df04),
+    (0xc03a77ffcdab191e, 0x3d8c1f71e6bc09af), (0xc03a11552152ef49, 0x3d94ffc092bddae7),
+    (0xc039aaaa74fac575, 0x3d9f5c09f87268e8), (0xc03943ffc8a29ba1, 0x3da76a7478354fb0),
+    (0xc038dd551c4a71cc, 0x3db17bff9d7892a4), (0xc03876aa6ff247f8, 0x3dba1c5d7260befc),
+    (0xc0380fffc39a1e24, 0x3dc37f25b6d03d70), (0xc037a9551741f44f, 0x3dcd1dad83cf18ee),
+    (0xc03742aa6ae9ca7a, 0x3dd5bd95d84da754), (0xc036dbffbe91a0a7, 0x3de03bc412c6860a),
+    (0xc0367555123976d2, 0x3de83e22de3e98b9), (0xc0360eaa65e14cfd, 0x3df21a0f08bacf1d),
+    (0xc035a7ffb989232a, 0x3dfb0868b160eca6), (0xc03541550d30f955, 0x3e042f661fa74e1e),
+    (0xc034daaa60d8cf80, 0x3e0e24e36a75546c), (0xc03473ffb480a5ad, 0x3e16821f3976b500),
+    (0xc0340d5508287bd8, 0x3e20ce848fc95590), (0xc033a6aa5bd05203, 0x3e29194ae23c9ba4),
+    (0xc0333fffaf782830, 0x3e32bdb354d84b74), (0xc032d955031ffe5b, 0x3e3bfcc9cbfbdc8a),
+    (0xc03272aa56c7d486, 0x3e44e5dfdcf3ff68), (0xc0320bffaa6faab3, 0x3e4f3564c366f946),
+    (0xc031a554fe1780de, 0x3e574d994ffce132), (0xc0313eaa51bf5709, 0x3e616673b33a138d),
+    (0xc030d7ffa5672d36, 0x3e69fc3017735a34), (0xc0307154f90f0361, 0x3e73671ef7008914),
+    (0xc0300aaa4cb6d98c, 0x3e7cf9cc1c749ccf), (0xc02f47ff40bd5f71, 0x3e85a2cb328dece1),
+    (0xc02e7aa9e80d0bc8, 0x3e9027c2ca85d1cb), (0xc02dad548f5cb81f, 0x3e982042d979d4ae),
+    (0xc02cdfff36ac6477, 0x3ea203c056214c60), (0xc02c12a9ddfc10ce, 0x3eaae7187409b7bb),
+    (0xc02b4554854bbd25, 0x3eb416862c878677), (0xc02a77ff2c9b697d, 0x3ebdffbda63fe46e),
+    (0xc029aaa9d3eb15d4, 0x3ec6666260f0b1aa), (0xc028dd547b3ac22b, 0x3ed0b9ce6eb17054),
+    (0xc0280fff228a6e83, 0x3ed8fa5ccab57ec5), (0xc02742a9c9da1ada, 0x3ee2a69af9099f92),
+    (0xc02675547129c731, 0x3eebda4c669beef8), (0xc025a7ff18797389, 0x3ef4cc1f0b015161),
+    (0xc024daa9bfc91fe0, 0x3eff0eef2e122167), (0xc0240d546718cc37, 0x3f0730e1b7320fb1),
+    (0xc0233fff0e68788f, 0x3f115102566b7d6f), (0xc02272a9b5b824e6, 0x3f19dc2a63ad7263),
+    (0xc021a5545d07d13d, 0x3f234f35d2f44c33), (0xc020d7ff04577d95, 0x3f2cd616ec910da2),
+    (0xc0200aa9aba729ec, 0x3f35882190ef35bd), (0xc01e7aa8a5edac85, 0x3f4013da29637d76),
+    (0xc01cdffdf48d0537, 0x3f480287a59a779e), (0xc01b4553432c5de4, 0x3f51ed8d2101205b),
+    (0xc019aaa891cbb691, 0x3f5ac5f1445152c8), (0xc0180ffde06b0f43, 0x3f63fdc4e0d4f071),
+    (0xc01675532f0a67ec, 0x3f6ddac5a93a5598), (0xc014daa87da9c09d, 0x3f764ac7b703ae36),
+    (0xc0133ffdcc49194f, 0x3f80a531d394fbe7), (0xc011a5531ae871f8, 0x3f88db94d0e5ac52),
+    (0xc0100aa86987caa9, 0x3f928f9f1337ac1b), (0xc00cdffb704e46b5, 0x3f9bb7f981fab51f),
+    (0xc009aaa60d8cf808, 0x3fa4b27df59941ca), (0xc0067550aacba96a, 0x3faee8a8fdc3a4ef),
+    (0xc0033ffb480a5acd, 0x3fb7144d820269a2), (0xc0000aa5e5490c1f, 0x3fc13bab66541df8),
+    (0xbff9aaa1050f7b04, 0x3fc9bc4c2631707b), (0xbff33ff63f8cddc9, 0x3fd3376a262ebe4e),
+    (0xbfe9aa96f41480dd, 0x3fdcb28dbda715ef), (0xbfd9aa82d21e8cd0, 0x3fe56d98cac1ae2e),
+    (0x3ee421f5f40d8376, 0x3ff0000a10fe24ad),
+];
+
+/// `(x, erf(x))` as bit patterns, `erf` as the Gaussian model computed it
+/// before the `exp` replica: the Abramowitz & Stegun formula over glibc
+/// 2.36's libm `exp` on a CPU with FMA and AVX2.  Signed zeros, infinities,
+/// the largest finite values, subnormal and tiny inputs, the edge of `exp`'s
+/// saturation near `±6.2`, and a stride through `[−7, 7]`.
+#[rustfmt::skip]
+const ERF_KNOWN: [(u64, u64); 99] = [
+    (0x0000000000000000, 0x3e112e0be0000000), (0x8000000000000000, 0x3e112e0be0000000),
+    (0x7ff0000000000000, 0x3ff0000000000000), (0xfff0000000000000, 0xbff0000000000000),
+    (0x7fefffffffffffff, 0x3ff0000000000000), (0xffefffffffffffff, 0xbff0000000000000),
+    (0x0000000000000001, 0x3e112e0be0000000), (0x8000000000000001, 0xbe112e0be0000000),
+    (0x3e112e0be826d695, 0x3e22485ef0000000), (0xbe112e0be826d695, 0xbe22485ef0000000),
+    (0x3e40000000000000, 0x3e4433a04c000000), (0xbe40000000000000, 0xbe4433a04c000000),
+    (0x4018d1b71758e219, 0x3ff0000000000000), (0xc018d1b71758e219, 0xbff0000000000000),
+    (0x4018666666666666, 0x3ff0000000000000), (0x4018cccccccccccd, 0x3ff0000000000000),
+    (0x4019333333333333, 0x3ff0000000000000), (0x4202a05f20000000, 0x3ff0000000000000),
+    (0xc01c000000000000, 0xbff0000000000000), (0xc01b4ccc89b0ee4a, 0xbff0000000000000),
+    (0xc01a99991361dc94, 0xbff0000000000000), (0xc019e6659d12cadd, 0xbff0000000000000),
+    (0xc019333226c3b928, 0xbff0000000000000), (0xc0187ffeb074a772, 0xbff0000000000000),
+    (0xc017cccb3a2595bc, 0xbff0000000000000), (0xc0171997c3d68406, 0xbfeffffffffffffd),
+    (0xc01666644d87724f, 0xbfefffffffffffea), (0xc015b330d7386099, 0xbfefffffffffff66),
+    (0xc014fffd60e94ee4, 0xbfeffffffffffbfd), (0xc0144cc9ea9a3d2e, 0xbfefffffffffe6c6),
+    (0xc0139996744b2b78, 0xbfefffffffff6a9d), (0xc012e662fdfc19c1, 0xbfeffffffffcbef4),
+    (0xc012332f87ad080c, 0xbfefffffffeee911), (0xc0117ffc115df655, 0xbfefffffffab77c5),
+    (0xc010ccc89b0ee4a0, 0xbfeffffffe76242a), (0xc010199524bfd2ea, 0xbfeffffff93f3fe3),
+    (0xc00eccc35ce18267, 0xbfefffffe412f82e), (0xc00d665c70435efb, 0xbfefffff932ea0ca),
+    (0xc00bfff583a53b8e, 0xbfeffffe7064b6fb), (0xc00a998e97071823, 0xbfeffffa98d68864),
+    (0xc0093327aa68f4b7, 0xbfefffee5ea8998e), (0xc007ccc0bdcad14b, 0xbfefffc9c171fda3),
+    (0xc0066659d12cade0, 0xbfefff62983396de), (0xc004fff2e48e8a72, 0xbfeffe511c82e39a),
+    (0xc003998bf7f06706, 0xbfeffba6f1b0d1e3), (0xc00233250b52439a, 0xbfeff565ee330325),
+    (0xc000ccbe1eb4202f, 0xbfefe79682cadf9e), (0xbffeccae642bf986, 0xbfefcae4ed1ad9de),
+    (0xbffbffe08aefb2ab, 0xbfef92cd1bb38d2e), (0xbff93312b1b36bd4, 0xbfef2ba0caf3ef4d),
+    (0xbff66644d87724fc, 0xbfee7914445ee3ff), (0xbff39976ff3ade25, 0xbfed565b10a3abdf),
+    (0xbff0cca925fe974d, 0xbfeb98f8bf13d336), (0xbfebffb69984a0e4, 0xbfe916fdc78dfd8c),
+    (0xbfe6661ae70c1335, 0xbfe5b057e9d44f58), (0xbfe0cc7f34938587, 0xbfe1596221511d50),
+    (0xbfd665c70435efb0, 0xbfd8472c8ab99ff0), (0xbfc6651f3e89a8a4, 0xbfc903b95e37e3cc),
+    (0x3f04f8b588e368f0, 0x3f07aa1cc10b4000), (0x3fc667be553ac4f2, 0x3fc90697c5333e38),
+    (0x3fd667168f8e7dd6, 0x3fd8487b82a76aae), (0x3fe0cd26fa3fcc9a, 0x3fe159f1d5ba6443),
+    (0x3fe666c2acb85a49, 0x3fe5b0cbe3a50caa), (0x3fec005e5f30e7f7, 0x3fe91755d0faad3f),
+    (0x3ff0ccfd08d4bad3, 0x3feb99379abb4cc5), (0x3ff399cae21101ae, 0x3fed568547663c72),
+    (0x3ff66698bb4d4882, 0x3fee792eeeb6525c), (0x3ff9336694898f5d, 0x3fef2bb0a2c541d4),
+    (0x3ffc00346dc5d639, 0x3fef92d5f643e04d), (0x3ffecd0247021d0c, 0x3fefcae99481f48c),
+    (0x4000cce8101f31f4, 0x3fefe798cfd7f5df), (0x4002334efcbd555d, 0x3feff56700236b6a),
+    (0x400399b5e95b78cb, 0x3feffba769853c74), (0x4005001cd5f99c39, 0x3feffe514dd0e0b7),
+    (0x40066683c297bfa2, 0x3fefff62ab489b6b), (0x4007cceaaf35e310, 0x3fefffc9c8645c50),
+    (0x400933519bd4067a, 0x3fefffee6109927d), (0x400a99b8887229e7, 0x3feffffa999aaf7f),
+    (0x400c001f75104d55, 0x3feffffe70a02558), (0x400d668661ae70bf, 0x3fefffff933f90dd),
+    (0x400ecced4e4c942c, 0x3fefffffe417829a), (0x401019aa1d755bcb, 0x3feffffff9406503),
+    (0x4010ccdd93c46d82, 0x3feffffffe7669b2), (0x401180110a137f39, 0x3fefffffffab8748),
+    (0x40123344806290ee, 0x3fefffffffeeec52), (0x4012e677f6b1a2a4, 0x3feffffffffcbf99),
+    (0x401399ab6d00b459, 0x3fefffffffff6abb), (0x40144cdee34fc610, 0x3fefffffffffe6cb),
+    (0x40150012599ed7c7, 0x3feffffffffffbfe), (0x4015b345cfede97c, 0x3fefffffffffff66),
+    (0x40166679463cfb33, 0x3fefffffffffffea), (0x401719acbc8c0ce8, 0x3feffffffffffffd),
+    (0x4017cce032db1e9e, 0x3ff0000000000000), (0x40188013a92a3055, 0x3ff0000000000000),
+    (0x401933471f79420a, 0x3ff0000000000000), (0x4019e67a95c853c1, 0x3ff0000000000000),
+    (0x401a99ae0c176576, 0x3ff0000000000000), (0x401b4ce18266772d, 0x3ff0000000000000),
+    (0x401c0014f8b588e3, 0x3ff0000000000000),
+];
+
+#[test]
+fn exp_f64_reproduces_libm_on_every_backend() {
+    for backend in available_backends() {
+        let mut out: Vec<f64> = EXP_F64_KNOWN
+            .iter()
+            .map(|&(x, _)| f64::from_bits(x))
+            .collect();
+        kernels_for(backend).exp_f64(&mut out);
+        for (&(x, want), got) in EXP_F64_KNOWN.iter().zip(&out) {
+            assert_eq!(
+                got.to_bits(),
+                want,
+                "{backend}: exp({:e}) ({x:#018x})",
+                f64::from_bits(x)
+            );
+        }
+    }
+}
+
+#[test]
+fn erf_f64_reproduces_the_libm_formula_on_every_backend() {
+    for backend in available_backends() {
+        let mut out: Vec<f64> = ERF_KNOWN.iter().map(|&(x, _)| f64::from_bits(x)).collect();
+        kernels_for(backend).erf_f64(&mut out);
+        for (&(x, want), got) in ERF_KNOWN.iter().zip(&out) {
+            assert_eq!(
+                got.to_bits(),
+                want,
+                "{backend}: erf({:e}) ({x:#018x})",
+                f64::from_bits(x)
+            );
+            assert_eq!(erf(f64::from_bits(x)).to_bits(), want, "scalar erf");
+        }
+    }
+    // NaN stays NaN (its sign and payload are not pinned).
+    for backend in available_backends() {
+        let mut nans = [f64::NAN, -f64::NAN, f64::from_bits(0x7ff0_0000_0000_0001)];
+        kernels_for(backend).erf_f64(&mut nans);
+        assert!(nans.iter().all(|x| x.is_nan()), "{backend}: {nans:?}");
+    }
+}
+
+#[test]
+fn exp_and_erf_simd_equal_scalar_at_every_length_and_offset() {
+    const GUARD: f64 = 12345.0;
+    let inputs: Vec<f64> = EXP_F64_KNOWN
+        .iter()
+        .map(|&(x, _)| f64::from_bits(x))
+        .collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let scalar = kernels_for(Backend::Scalar);
+    for backend in simd_backends() {
+        for len in 0..=9 {
+            for offset in 0..4 {
+                let mut got = vec![GUARD; offset + len + 4];
+                got[offset..offset + len].copy_from_slice(&inputs[offset * 13..][..len]);
+                let mut want = got.clone();
+                scalar.exp_f64(&mut want[offset..offset + len]);
+                backend.exp_f64(&mut got[offset..offset + len]);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "exp on {} at length {len}, offset {offset}",
+                    backend.backend()
+                );
+                got[offset..offset + len].copy_from_slice(&inputs[offset * 13..][..len]);
+                want.copy_from_slice(&got);
+                scalar.erf_f64(&mut want[offset..offset + len]);
+                backend.erf_f64(&mut got[offset..offset + len]);
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "erf on {} at length {len}, offset {offset}: {g:e} vs {w:e}",
+                        backend.backend()
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn exp_and_erf_backends_are_bit_identical(seed in 0u64..1_000_000, n in 1usize..64) {
+        let mut rng = Rng::new(seed);
+        let xs: Vec<f64> = (0..n)
+            .map(|_| match rng.next_u64() % 4 {
+                0 => f64::from_bits(rng.next_u64()),
+                1 => -38.5 * (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64,
+                _ => 16.0 * (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64 - 8.0,
+            })
+            .collect();
+        let scalar = kernels_for(Backend::Scalar);
+        for backend in simd_backends() {
+            for kernel in [KernelBackend::exp_f64, KernelBackend::erf_f64] {
+                let (mut got, mut want) = (xs.clone(), xs.clone());
+                kernel(scalar, &mut want);
+                kernel(backend, &mut got);
+                for (g, w) in got.iter().zip(&want) {
+                    prop_assert!(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()));
+                }
+            }
+        }
+    }
+}

@@ -22,12 +22,14 @@
 //!   difference is never observable.
 //! * Multiplies and adds are separate intrinsics — LLVM does not contract
 //!   them into FMA without fast-math, so lane arithmetic matches scalar
-//!   IEEE ops exactly, in the same association order.  The `expf` kernel's
-//!   `vfmadd`s are the scalar replica's `f64::mul_add`s, one for one.
+//!   IEEE ops exactly, in the same association order.  The `vfmadd`s of
+//!   the `expf` and `f64` `exp` kernels are the scalar replicas'
+//!   `f64::mul_add`s, one for one.
 
 use crate::scalar::{
-    EXP2_TABLE, EXP_C, EXP_INV_LN2_N, EXP_OVERFLOW, EXP_SHIFT, EXP_UNDERFLOW, LIFT,
-    LIFTED_MIN_NORMAL, LIFTED_ROUNDER, LIFTED_SPACING,
+    ERF_A, ERF_P, ERF_SATURATION, EXP2_TABLE, EXP_C, EXP_F64_C, EXP_F64_INV_LN2_N, EXP_F64_LARGE,
+    EXP_F64_NEG_LN2_HI_N, EXP_F64_NEG_LN2_LO_N, EXP_F64_TABLE, EXP_INV_LN2_N, EXP_OVERFLOW,
+    EXP_SHIFT, EXP_UNDERFLOW, LIFT, LIFTED_MIN_NORMAL, LIFTED_ROUNDER, LIFTED_SPACING,
 };
 use crate::{
     scalar, Backend, KernelBackend, SzPlane, SZ_MAX_CODE, SZ_UNPREDICTABLE, ZFP_ESCAPE,
@@ -43,7 +45,7 @@ pub(crate) struct Sse2Kernels;
 /// AVX2 kernels (runtime-detected): adds the gathered anti-diagonal Lorenzo
 /// wavefront, 8-wide tile quantisation, 8-wide bin scan, 32-byte match
 /// extension, the interleaved hash batch, the register-tiled GEMM and, where
-/// the CPU has FMA too, the four-lane `expf` replica.
+/// the CPU has FMA too, the four-lane `expf`, `exp` and `erf` replicas.
 pub(crate) struct Avx2Kernels;
 
 impl KernelBackend for Sse2Kernels {
@@ -165,6 +167,24 @@ impl KernelBackend for Avx2Kernels {
             unsafe { exp_f32_avx2(xs) }
         } else {
             xs.iter_mut().for_each(|x| *x = scalar::expf(*x));
+        }
+    }
+
+    fn exp_f64(&self, xs: &mut [f64]) {
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: AVX2 detected (dispatcher invariant), FMA just now.
+            unsafe { exp_f64_avx2(xs) }
+        } else {
+            xs.iter_mut().for_each(|x| *x = scalar::exp(*x));
+        }
+    }
+
+    fn erf_f64(&self, xs: &mut [f64]) {
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: AVX2 detected (dispatcher invariant), FMA just now.
+            unsafe { erf_f64_avx2(xs) }
+        } else {
+            xs.iter_mut().for_each(|x| *x = scalar::erf(*x));
         }
     }
 }
@@ -897,3 +917,135 @@ unsafe fn exp4_avx2(xd: __m256d) -> __m128i {
 
 /// 2¹⁴⁹: a subnormal `f32` times this is its bit pattern.
 const SUBNORMAL_UNITS: f64 = scalar::pow2(149);
+
+// ----------------------------------------------------------------------
+// exp (f64) and erf
+// ----------------------------------------------------------------------
+
+/// `scalar::exp` on every element, four at a time; a tail shorter than
+/// four runs as one padded group.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp_f64_avx2(xs: &mut [f64]) {
+    let mut fours = xs.chunks_exact_mut(4);
+    for chunk in &mut fours {
+        exp4_in_place_avx2(chunk.try_into().expect("chunks of four"));
+    }
+    let tail = fours.into_remainder();
+    if !tail.is_empty() {
+        let mut lanes = [-1.0f64; 4];
+        lanes[..tail.len()].copy_from_slice(tail);
+        exp4_in_place_avx2(&mut lanes);
+        tail.copy_from_slice(&lanes[..tail.len()]);
+    }
+}
+
+/// `scalar::exp` on four lanes in place.  Lanes at or above 512 in
+/// magnitude, and NaN, are redone by the scalar replica.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp4_in_place_avx2(lanes: &mut [f64; 4]) {
+    let inputs = *lanes;
+    let x = _mm256_loadu_pd(inputs.as_ptr());
+    let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
+    let main = _mm256_cmp_pd::<_CMP_LT_OQ>(abs, _mm256_set1_pd(EXP_F64_LARGE));
+    _mm256_storeu_pd(lanes.as_mut_ptr(), exp4_f64_avx2(x));
+    let special = !_mm256_movemask_pd(main) & 0b1111;
+    if special != 0 {
+        for (i, (lane, x)) in lanes.iter_mut().zip(inputs).enumerate() {
+            if special & (1 << i) != 0 {
+                *lane = scalar::exp(x);
+            }
+        }
+    }
+}
+
+/// `scalar::erf` on every element, four at a time; a tail shorter than four
+/// runs as one padded group.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn erf_f64_avx2(xs: &mut [f64]) {
+    let mut fours = xs.chunks_exact_mut(4);
+    for chunk in &mut fours {
+        let e = erf4_avx2(_mm256_loadu_pd(chunk.as_ptr()));
+        _mm256_storeu_pd(chunk.as_mut_ptr(), e);
+    }
+    let tail = fours.into_remainder();
+    if !tail.is_empty() {
+        let mut lanes = [0.0f64; 4];
+        lanes[..tail.len()].copy_from_slice(tail);
+        let e = erf4_avx2(_mm256_loadu_pd(lanes.as_ptr()));
+        _mm256_storeu_pd(lanes.as_mut_ptr(), e);
+        tail.copy_from_slice(&lanes[..tail.len()]);
+    }
+}
+
+/// `scalar::erf` on four lanes: the same multiplies, adds and the division
+/// in the same order, unfused, around [`exp4_f64_avx2`].  The clamped
+/// exponent argument lies in `[−38.5, 0]`, all of it on `exp`'s main path
+/// (see [`exp4_f64_avx2`] for the tiny arguments).  A NaN lane stays NaN.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn erf4_avx2(x: __m256d) -> __m256d {
+    let (one, sign_bit) = (_mm256_set1_pd(1.0), _mm256_set1_pd(-0.0));
+    let negative = _mm256_cmp_pd::<_CMP_LT_OQ>(x, _mm256_setzero_pd());
+    let sign = _mm256_blendv_pd(one, _mm256_set1_pd(-1.0), negative);
+    let a = _mm256_andnot_pd(sign_bit, x);
+    let t = _mm256_div_pd(
+        one,
+        _mm256_add_pd(one, _mm256_mul_pd(_mm256_set1_pd(ERF_P), a)),
+    );
+    // `maxpd` returns its second operand for a NaN lane, as `f64::max`.
+    let arg = _mm256_max_pd(
+        _mm256_mul_pd(_mm256_xor_pd(a, sign_bit), a),
+        _mm256_set1_pd(ERF_SATURATION),
+    );
+    let e = exp4_f64_avx2(arg);
+    let [a5, a4, a3, a2, a1] = ERF_A.map(|c| _mm256_set1_pd(c));
+    let q = _mm256_sub_pd(_mm256_mul_pd(a5, t), a4);
+    let q = _mm256_add_pd(_mm256_mul_pd(q, t), a3);
+    let q = _mm256_sub_pd(_mm256_mul_pd(q, t), a2);
+    let q = _mm256_add_pd(_mm256_mul_pd(q, t), a1);
+    let q = _mm256_mul_pd(_mm256_mul_pd(q, t), e);
+    _mm256_mul_pd(sign, _mm256_sub_pd(one, q))
+}
+
+/// `scalar::exp`'s main path on four lanes, the same fused multiply-adds
+/// in the same order.  It is right for every `|x| < 512`: below `2⁻⁵⁴`,
+/// where glibc returns `1 + x` instead, `k` rounds to 0, the table entry is
+/// `(0, 1.0)` and `r = x`, and `x²·C2` is under half an ulp of `x`, so the
+/// path ends in `fma(1, x, 1)`, the same rounding of the same sum.  Lanes
+/// at or above 512, and NaN, get a value but not the right one.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn exp4_f64_avx2(x: __m256d) -> __m256d {
+    let shift = _mm256_set1_pd(EXP_SHIFT);
+    let kd = _mm256_fmadd_pd(_mm256_set1_pd(EXP_F64_INV_LN2_N), x, shift);
+    let ki = _mm256_castpd_si256(kd);
+    let kd = _mm256_sub_pd(kd, shift);
+    let r = _mm256_fmadd_pd(kd, _mm256_set1_pd(EXP_F64_NEG_LN2_HI_N), x);
+    let r = _mm256_fmadd_pd(kd, _mm256_set1_pd(EXP_F64_NEG_LN2_LO_N), r);
+    // Masked to `0..128`, so every lane reads inside the table.
+    let index = _mm256_slli_epi64::<1>(_mm256_and_si256(ki, _mm256_set1_epi64x(127)));
+    let tail = _mm256_i64gather_pd::<8>(EXP_F64_TABLE.as_ptr().cast(), index);
+    let base = _mm256_i64gather_epi64::<8>(EXP_F64_TABLE[1..].as_ptr().cast(), index);
+    let scale = _mm256_castsi256_pd(_mm256_add_epi64(base, _mm256_slli_epi64::<45>(ki)));
+    let [c2, c3, c4, c5] = EXP_F64_C.map(|c| _mm256_set1_pd(c));
+    let r2 = _mm256_mul_pd(r, r);
+    let low = _mm256_fmadd_pd(r2, _mm256_fmadd_pd(r, c3, c2), _mm256_add_pd(tail, r));
+    let tmp = _mm256_fmadd_pd(_mm256_mul_pd(r2, r2), _mm256_fmadd_pd(r, c5, c4), low);
+    _mm256_fmadd_pd(scale, tmp, scale)
+}

@@ -285,8 +285,8 @@ const STATIC_LUT_SLOTS: usize = 1024;
 
 /// One frozen binary probability: codes like [`AdaptiveBitModel`] but never
 /// adapts, so encode/decode are a single range-coder interval each.  The
-/// total stays the constant [`PROB_TOTAL`], so the coder divides by a
-/// shift.
+/// total stays the constant [`PROB_TOTAL`], so the decoder resolves the bit
+/// with a shift, a multiply and no branch (`RangeDecoder::decode_bit`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct StaticBitModel {
     p0: u16,
@@ -305,14 +305,7 @@ impl SymbolModel for &StaticBitModel {
 
     #[inline]
     fn decode(&mut self, dec: &mut RangeDecoder<'_>) -> u32 {
-        let p0 = u32::from(self.p0);
-        let bit = dec.decode_target(PROB_TOTAL) >= p0;
-        if bit {
-            dec.decode_update(p0, PROB_TOTAL, PROB_TOTAL);
-        } else {
-            dec.decode_update(0, p0, PROB_TOTAL);
-        }
-        u32::from(bit)
+        u32::from(dec.decode_bit(u32::from(self.p0)))
     }
 }
 
