@@ -88,22 +88,11 @@ impl AdaptiveBitModel {
         }
     }
 
+    /// Moves the estimate 1/32 of the way toward `bit`.  Both results are
+    /// computed and the bit's mask picks one, so a bit the model cannot
+    /// predict costs no branch misprediction.
     #[inline]
     fn update(&mut self, bit: bool) {
-        if bit {
-            self.p0 -= self.p0 >> ADAPT_SHIFT;
-        } else {
-            self.p0 += (PROB_TOTAL as u16 - self.p0) >> ADAPT_SHIFT;
-        }
-    }
-
-    /// [`AdaptiveBitModel::update`] without a branch, for the decoder: both
-    /// results are computed and the bit's mask picks one, so a bit the
-    /// model cannot predict costs no misprediction.  (The encoder keeps the
-    /// branch: its speed is the cold baseline the warm-profile encoder is
-    /// measured against.)
-    #[inline]
-    fn update_masked(&mut self, bit: bool) {
         let p0 = self.p0;
         let one = 0u16.wrapping_sub(u16::from(bit));
         let down = p0 - (p0 >> ADAPT_SHIFT);
@@ -127,7 +116,7 @@ impl AdaptiveBitModel {
     #[inline]
     pub fn decode<D: EntropyDecoder>(&mut self, dec: &mut D) -> bool {
         let bit = dec.decode_bit(u32::from(self.p0));
-        self.update_masked(bit);
+        self.update(bit);
         bit
     }
 }
@@ -234,19 +223,6 @@ mod tests {
         let mut dec = B::decoder(&stream);
         for &b in &bits {
             assert_eq!(model.decode(&mut dec), b);
-        }
-    }
-
-    #[test]
-    fn masked_update_equals_the_branching_one() {
-        for p0 in 1..PROB_TOTAL as u16 {
-            for bit in [false, true] {
-                let (mut branching, mut masked) =
-                    (AdaptiveBitModel { p0 }, AdaptiveBitModel { p0 });
-                branching.update(bit);
-                masked.update_masked(bit);
-                assert_eq!(branching, masked, "p0 {p0}, bit {bit}");
-            }
         }
     }
 

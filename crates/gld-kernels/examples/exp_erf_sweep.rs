@@ -6,9 +6,10 @@
 //! Inputs: 2³² evenly strided values in `[−38.5, 0)` (every multiple of
 //! `77·2⁻³³` there, the range the Gaussian entropy model's `erf` asks `exp`
 //! about), the doubles around both ends of every table interval in that
-//! range, `±0`, NaNs, infinities, tiny and subnormal values, the overflow
-//! and subnormal-result thresholds, and a coarse stride through every
-//! `f64` bit pattern.  `erf` runs on the same inputs; where it returns NaN
+//! range, `±0`, NaNs, infinities, tiny and subnormal values, the ends of
+//! `exp`'s domain `|x| < 512`, and a coarse stride through every `f64` bit
+//! pattern.  `exp` is compared on the inputs inside its domain, `erf` on
+//! all of them; where `erf` returns NaN
 //! any NaN matches, since the sign and payload of a NaN computed from a NaN
 //! are not fixed by the language (the compiler may commute the operands of
 //! a product of two NaNs), and the entropy model reads a NaN bin edge only
@@ -47,6 +48,11 @@ fn libm_erf(x: f64) -> f64 {
             * t
             * (-x * x).exp();
     sign * y
+}
+
+/// Inputs on which `exp_f64` promises libm's bits.
+fn in_exp_domain(x: f64) -> bool {
+    x.abs() < 512.0
 }
 
 /// Equal bits, or both NaN.
@@ -91,7 +97,7 @@ impl Sweep {
             let mut simd = inputs.to_vec();
             avx2.exp_f64(&mut simd);
             for ((&x, &r), &s) in inputs.iter().zip(&exp).zip(&simd) {
-                if r.to_bits() != s.to_bits() {
+                if in_exp_domain(x) && r.to_bits() != s.to_bits() {
                     mismatch(&mut local.exp_simd, "exp avx2/scalar", x, s, r);
                 }
             }
@@ -106,7 +112,7 @@ impl Sweep {
         if self.libm {
             for (&x, &r) in inputs.iter().zip(&exp) {
                 let e = x.exp();
-                if r.to_bits() != e.to_bits() {
+                if in_exp_domain(x) && r.to_bits() != e.to_bits() {
                     mismatch(&mut local.exp_libm, "exp scalar/libm", x, r, e);
                 }
             }
@@ -155,21 +161,9 @@ fn edge_inputs() -> Vec<f64> {
     for bits in [1u64, 2, 0x000f_ffff_ffff_ffff, 0x0008_0000_0000_0000] {
         xs.extend([f64::from_bits(bits), -f64::from_bits(bits)]);
     }
-    // The main path's bounds, overflow, the subnormal results and the
-    // saturation of `erf`'s argument, each with neighbours.
-    for centre in [
-        2f64.powi(-54),
-        2f64.powi(-27),
-        512.0,
-        1024.0,
-        709.782712893384,
-        -708.3964185322641,
-        -744.4400719213812,
-        -745.1332191019411,
-        37.43,
-        38.5,
-        6.2048,
-    ] {
+    // The ends of `exp`'s domain and the saturation of `erf`'s argument,
+    // each with neighbours.
+    for centre in [2f64.powi(-54), 2f64.powi(-27), 512.0, 37.43, 38.5, 6.2048] {
         for x in [centre, -centre] {
             let mut up = x;
             let mut down = x;

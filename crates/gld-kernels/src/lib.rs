@@ -188,13 +188,13 @@ pub trait KernelBackend: Send + Sync {
         xs.iter_mut().for_each(|x| *x = scalar::expf(*x));
     }
 
-    /// Replaces every element `x` of `xs` by `eˣ`, bit for bit as glibc
-    /// 2.36's `exp` computes it on a CPU with FMA — its `__exp_fma`
-    /// variant, replicated in plain `f64` fused multiply-adds and a
-    /// 128-entry table, so the result does not depend on the host's libm.
-    /// NaN and `+∞` give `1 + x`, `−∞` gives `+0`, `|x| < 2⁻⁵⁴` gives
-    /// `1 + x`, and `512 ≤ |x| < 1024` takes glibc's overflow and
-    /// subnormal scaling.
+    /// Replaces every element `x` of `xs` with `|x| < 512` by `eˣ`, bit for
+    /// bit as glibc 2.36's `exp` computes it on a CPU with FMA — its
+    /// `__exp_fma` variant, replicated in plain `f64` fused multiply-adds
+    /// and a 128-entry table, so the result does not depend on the host's
+    /// libm.  That covers the `[−38.5, 0]` that [`KernelBackend::erf_f64`]
+    /// asks about.  For larger `|x|`, NaN and `±∞` the result is
+    /// unspecified, though the same on every backend up to a NaN's payload.
     fn exp_f64(&self, xs: &mut [f64]) {
         xs.iter_mut().for_each(|x| *x = scalar::exp(*x));
     }

@@ -536,15 +536,16 @@ pub(crate) const EXP_F64_C: [f64; 4] = [
     f64::from_bits(0x3fa55555cf172b91),
     f64::from_bits(0x3f81111167a4d017),
 ];
-/// `|x|` from which [`exp`] takes its main path (`2⁻⁵⁴`; below it `eˣ`
-/// rounds to `1 + x`) and below which it stays there (`512`; at and above
-/// it the result may leave the normal range).
-pub(crate) const EXP_F64_TINY: f64 = pow2(-54);
-pub(crate) const EXP_F64_LARGE: f64 = pow2(9);
+/// `|x|` below which [`exp`] returns `1 + x` (`2⁻⁵⁴`; `eˣ` rounds to that).
+const EXP_F64_TINY: f64 = pow2(-54);
 
-/// `eˣ` for an `f64`, computed as glibc 2.36's `__exp_fma` computes it, and
-/// therefore equal, bit for bit, to the libm `exp` that glibc selects on a
-/// CPU with FMA and AVX2 (swept by the `exp_erf_sweep` example).
+/// `eˣ` for an `f64` with `|x| < 512`, computed as glibc 2.36's
+/// `__exp_fma` computes it, and therefore equal, bit for bit, to the libm
+/// `exp` that glibc selects on a CPU with FMA and AVX2 (swept by the
+/// `exp_erf_sweep` example).  The only caller, [`erf`], asks about
+/// `[−38.5, 0]`.  At and above 512 in magnitude glibc takes overflow and
+/// subnormal paths that are not replicated: the result there, and for NaN
+/// and `±∞`, is unspecified.
 ///
 /// `x·128/ln 2 = k + r′`, with `k` rounded to an integer, ties to even;
 /// `eˣ = 2^(k/128) · e^r` with `r = x − k·ln 2/128` in a two-part constant,
@@ -552,22 +553,8 @@ pub(crate) const EXP_F64_LARGE: f64 = pow2(9);
 /// fused multiply-add below is one the compiler contracted in
 /// `__exp_fma`, and every plain operation one it left alone.
 pub(crate) fn exp(x: f64) -> f64 {
-    let abs = x.abs();
-    // NaN fails the comparison and lands here too.
-    let special = !(EXP_F64_TINY..EXP_F64_LARGE).contains(&abs);
-    if special {
-        if abs < EXP_F64_TINY {
-            return 1.0 + x;
-        }
-        if abs.is_nan() || abs >= 2.0 * EXP_F64_LARGE {
-            if x == f64::NEG_INFINITY {
-                return 0.0;
-            }
-            if !abs.is_finite() {
-                return 1.0 + x;
-            }
-            return if x < 0.0 { 0.0 } else { f64::INFINITY };
-        }
+    if x.abs() < EXP_F64_TINY {
+        return 1.0 + x;
     }
     let kd = EXP_F64_INV_LN2_N.mul_add(x, EXP_SHIFT);
     let ki = kd.to_bits();
@@ -575,41 +562,11 @@ pub(crate) fn exp(x: f64) -> f64 {
     let r = kd.mul_add(EXP_F64_NEG_LN2_LO_N, kd.mul_add(EXP_F64_NEG_LN2_HI_N, x));
     let idx = 2 * (ki % 128) as usize;
     let tail = f64::from_bits(EXP_F64_TABLE[idx]);
-    let sbits = EXP_F64_TABLE[idx + 1].wrapping_add(ki << 45);
+    let scale = f64::from_bits(EXP_F64_TABLE[idx + 1].wrapping_add(ki << 45));
     let [c2, c3, c4, c5] = EXP_F64_C;
     let r2 = r * r;
     let tmp = (r2 * r2).mul_add(r.mul_add(c5, c4), r2.mul_add(r.mul_add(c3, c2), tail + r));
-    if special {
-        return exp_scaled(tmp, sbits, ki);
-    }
-    let scale = f64::from_bits(sbits);
     scale.mul_add(tmp, scale)
-}
-
-/// `__exp_fma`'s `specialcase`: `512 ≤ |x| < 1024`, where `2^(k/128)` may
-/// overflow the exponent field or the result may be subnormal.
-#[cold]
-fn exp_scaled(tmp: f64, sbits: u64, ki: u64) -> f64 {
-    if ki & 0x8000_0000 == 0 {
-        let scale = f64::from_bits(sbits.wrapping_sub(1009 << 52));
-        return pow2(1009) * scale.mul_add(tmp, scale);
-    }
-    let scale = f64::from_bits(sbits.wrapping_add(1022 << 52));
-    // Used twice, so glibc's compiler did not fuse it.
-    let st = scale * tmp;
-    let mut y = scale + st;
-    if y < 1.0 {
-        // Rounds `y` to its final precision before the scaling below makes
-        // it subnormal.
-        let lo = scale - y + st;
-        let hi = 1.0 + y;
-        let lo = 1.0 - hi + y + lo;
-        y = (hi + lo) - 1.0;
-        if y == 0.0 {
-            y = 0.0;
-        }
-    }
-    pow2(-1022) * y
 }
 
 /// The Abramowitz & Stegun 7.1.26 coefficients `a₅ … a₁` and `p`.

@@ -579,23 +579,18 @@ fn exp_f32_simd_equals_scalar_at_every_length_and_offset() {
 // ----------------------------------------------------------------------
 
 /// `(x, f64::exp(x))` as bit patterns, read from glibc 2.36's libm on a CPU
-/// with FMA and AVX2: signed zeros, infinities, quiet and signalling NaNs,
-/// the largest finite values, subnormal inputs, and each with its
-/// neighbours the tiny-argument bound `2⁻⁵⁴`, the main path's bounds 512 and
-/// 1024, the overflow threshold, where results turn subnormal and where
-/// they underflow, and the saturation of `erf`'s argument; then a stride
-/// through `[−38.5, 0]`.  The first four are inputs on which the replica
-/// would differ from libm if its `r² · (C2 + r·C3) + (T + r)` or its final
-/// `scale + scale · tmp` were rounded twice instead of fused.
+/// with FMA and AVX2, over the `|x| < 512` the replica covers: signed zeros,
+/// the smallest normal and subnormal inputs, and each with its neighbours
+/// the tiny-argument bound `2⁻⁵⁴`, the domain's end 512, `±38.5` and
+/// `±37.43`; then a stride through `[−38.5, 0]`.  The first four are inputs
+/// on which the replica would differ from libm if its
+/// `r² · (C2 + r·C3) + (T + r)` or its final `scale + scale · tmp` were
+/// rounded twice instead of fused.
 #[rustfmt::skip]
-const EXP_F64_KNOWN: [(u64, u64); 173] = [
+const EXP_F64_KNOWN: [(u64, u64); 131] = [
     (0xc042f67bda9ffff2, 0x3c837e1365c0db22), (0xc04220e15a4fffc8, 0x3ca9daeef20bdc23),
     (0xc0433fef14bfffc8, 0x3c75f675cf018213), (0xc0433fe354efffac, 0x3c75f879fe46092b),
     (0x0000000000000000, 0x3ff0000000000000), (0x8000000000000000, 0x3ff0000000000000),
-    (0x7ff8000000000000, 0x7ff8000000000000), (0xfff8000000000000, 0xfff8000000000000),
-    (0x7ff0000000000001, 0x7ff8000000000001), (0xfff4000000000000, 0xfffc000000000000),
-    (0x7ff0000000000000, 0x7ff0000000000000), (0xfff0000000000000, 0x0000000000000000),
-    (0x7fefffffffffffff, 0x7ff0000000000000), (0xffefffffffffffff, 0x0000000000000000),
     (0x0000000000000001, 0x3ff0000000000000), (0x8000000000000001, 0x3ff0000000000000),
     (0x0010000000000000, 0x3ff0000000000000), (0x8010000000000000, 0x3ff0000000000000),
     (0x3ff0000000000000, 0x4005bf0a8b145769), (0xbff0000000000000, 0x3fd78b56362cef38),
@@ -603,24 +598,7 @@ const EXP_F64_KNOWN: [(u64, u64); 173] = [
     (0x3c90000000000000, 0x3ff0000000000000), (0x3c90000000000001, 0x3ff0000000000000),
     (0xbc90000000000001, 0x3fefffffffffffff), (0xbc90000000000000, 0x3ff0000000000000),
     (0xbc8fffffffffffff, 0x3ff0000000000000), (0x407fffffffffffff, 0x6e19476504ba839a),
-    (0x4080000000000000, 0x6e19476504ba852e), (0x4080000000000001, 0x6e19476504ba8857),
-    (0xc080000000000001, 0x11c44109edb206a9), (0xc080000000000000, 0x11c44109edb20931),
-    (0xc07fffffffffffff, 0x11c44109edb20a75), (0x408fffffffffffff, 0x7ff0000000000000),
-    (0x4090000000000000, 0x7ff0000000000000), (0x4090000000000001, 0x7ff0000000000000),
-    (0xc090000000000001, 0x0000000000000000), (0xc090000000000000, 0x0000000000000000),
-    (0xc08fffffffffffff, 0x0000000000000000), (0x40862e42fefa39ee, 0x7feffffffffffb2a),
-    (0x40862e42fefa39ef, 0x7fefffffffffff2a), (0x40862e42fefa39f0, 0x7ff0000000000000),
-    (0xc0862e42fefa39f0, 0x0003ffffffffff9b), (0xc0862e42fefa39ef, 0x000400000000001b),
-    (0xc0862e42fefa39ee, 0x000400000000009b), (0xc086232bdd7abcd3, 0x000ffffffffffe7c),
-    (0xc086232bdd7abcd2, 0x001000000000007c), (0xc086232bdd7abcd1, 0x001000000000027c),
-    (0x4086232bdd7abcd1, 0x7fcffffffffffb09), (0x4086232bdd7abcd2, 0x7fcfffffffffff09),
-    (0x4086232bdd7abcd3, 0x7fd0000000000184), (0xc0874385446d71c4, 0x0000000000000001),
-    (0xc0874385446d71c3, 0x0000000000000001), (0xc0874385446d71c2, 0x0000000000000001),
-    (0x40874385446d71c2, 0x7ff0000000000000), (0x40874385446d71c3, 0x7ff0000000000000),
-    (0x40874385446d71c4, 0x7ff0000000000000), (0xc0874910d52d3052, 0x0000000000000000),
-    (0xc0874910d52d3051, 0x0000000000000001), (0xc0874910d52d3050, 0x0000000000000001),
-    (0x40874910d52d3050, 0x7ff0000000000000), (0x40874910d52d3051, 0x7ff0000000000000),
-    (0x40874910d52d3052, 0x7ff0000000000000), (0xc043400000000001, 0x3c75f38ed3eb9baf),
+    (0xc07fffffffffffff, 0x11c44109edb20a75), (0xc043400000000001, 0x3c75f38ed3eb9baf),
     (0xc043400000000000, 0x3c75f38ed3eb9bdb), (0xc0433fffffffffff, 0x3c75f38ed3eb9c07),
     (0x40433fffffffffff, 0x436753025a61bfb6), (0x4043400000000000, 0x436753025a61bfe5),
     (0x4043400000000001, 0x436753025a61c013), (0xc042b70a3d70a3d8, 0x3c8fff926d5adcf4),

@@ -27,7 +27,7 @@
 //!   `f64::mul_add`s, one for one.
 
 use crate::scalar::{
-    ERF_A, ERF_P, ERF_SATURATION, EXP2_TABLE, EXP_C, EXP_F64_C, EXP_F64_INV_LN2_N, EXP_F64_LARGE,
+    ERF_A, ERF_P, ERF_SATURATION, EXP2_TABLE, EXP_C, EXP_F64_C, EXP_F64_INV_LN2_N,
     EXP_F64_NEG_LN2_HI_N, EXP_F64_NEG_LN2_LO_N, EXP_F64_TABLE, EXP_INV_LN2_N, EXP_OVERFLOW,
     EXP_SHIFT, EXP_UNDERFLOW, LIFT, LIFTED_MIN_NORMAL, LIFTED_ROUNDER, LIFTED_SPACING,
 };
@@ -931,37 +931,16 @@ const SUBNORMAL_UNITS: f64 = scalar::pow2(149);
 unsafe fn exp_f64_avx2(xs: &mut [f64]) {
     let mut fours = xs.chunks_exact_mut(4);
     for chunk in &mut fours {
-        exp4_in_place_avx2(chunk.try_into().expect("chunks of four"));
+        let e = exp4_f64_avx2(_mm256_loadu_pd(chunk.as_ptr()));
+        _mm256_storeu_pd(chunk.as_mut_ptr(), e);
     }
     let tail = fours.into_remainder();
     if !tail.is_empty() {
-        let mut lanes = [-1.0f64; 4];
+        let mut lanes = [0.0f64; 4];
         lanes[..tail.len()].copy_from_slice(tail);
-        exp4_in_place_avx2(&mut lanes);
+        let e = exp4_f64_avx2(_mm256_loadu_pd(lanes.as_ptr()));
+        _mm256_storeu_pd(lanes.as_mut_ptr(), e);
         tail.copy_from_slice(&lanes[..tail.len()]);
-    }
-}
-
-/// `scalar::exp` on four lanes in place.  Lanes at or above 512 in
-/// magnitude, and NaN, are redone by the scalar replica.
-///
-/// # Safety
-/// The CPU must support AVX2 and FMA.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn exp4_in_place_avx2(lanes: &mut [f64; 4]) {
-    let inputs = *lanes;
-    let x = _mm256_loadu_pd(inputs.as_ptr());
-    let abs = _mm256_andnot_pd(_mm256_set1_pd(-0.0), x);
-    let main = _mm256_cmp_pd::<_CMP_LT_OQ>(abs, _mm256_set1_pd(EXP_F64_LARGE));
-    _mm256_storeu_pd(lanes.as_mut_ptr(), exp4_f64_avx2(x));
-    let special = !_mm256_movemask_pd(main) & 0b1111;
-    if special != 0 {
-        for (i, (lane, x)) in lanes.iter_mut().zip(inputs).enumerate() {
-            if special & (1 << i) != 0 {
-                *lane = scalar::exp(x);
-            }
-        }
     }
 }
 
@@ -1022,10 +1001,10 @@ unsafe fn erf4_avx2(x: __m256d) -> __m256d {
 
 /// `scalar::exp`'s main path on four lanes, the same fused multiply-adds
 /// in the same order.  It is right for every `|x| < 512`: below `2⁻⁵⁴`,
-/// where glibc returns `1 + x` instead, `k` rounds to 0, the table entry is
-/// `(0, 1.0)` and `r = x`, and `x²·C2` is under half an ulp of `x`, so the
-/// path ends in `fma(1, x, 1)`, the same rounding of the same sum.  Lanes
-/// at or above 512, and NaN, get a value but not the right one.
+/// where `scalar::exp` returns `1 + x` instead, `k` rounds to 0, the table
+/// entry is `(0, 1.0)` and `r = x`, and `x²·C2` is under half an ulp of
+/// `x`, so the path ends in `fma(1, x, 1)`, the same rounding of the same
+/// sum.  Elsewhere both compute the same unspecified value.
 ///
 /// # Safety
 /// The CPU must support AVX2 and FMA.
