@@ -29,7 +29,6 @@ use gld_entropy::{write_section, ByteReader, HistogramModel, ReadError};
 use gld_tensor::{Tensor, TensorRng};
 use gld_vae::codec::FrameNorm;
 use gld_vae::{LatentCodec, Vae, VaeConfig, VaeTrainer};
-use rayon::prelude::*;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -367,41 +366,29 @@ impl GldCompressor {
     /// Builds normalised latent training blocks from full-resolution
     /// variables: each temporal window of N frames is encoded frame-by-frame
     /// with the frozen VAE, quantised and min-max normalised to `[-1, 1]`
-    /// (Algorithm 1, lines 3–5).  Windows are encoded in parallel; the
-    /// returned order is deterministic (variable order, then temporal order)
-    /// regardless of worker scheduling.
+    /// (Algorithm 1, lines 3–5), in variable order, then temporal order.
     pub fn latent_training_blocks(
         config: &GldConfig,
         vae: &Vae,
         variables: &[Variable],
     ) -> Vec<Tensor> {
-        let jobs: Vec<(usize, usize)> = variables
+        let blocks: Vec<Tensor> = variables
             .iter()
-            .enumerate()
-            .flat_map(|(vi, variable)| {
-                let count =
-                    gld_datasets::blocks::temporal_window_count(variable, config.block_frames);
-                (0..count).map(move |wi| (vi, wi))
+            .flat_map(|variable| {
+                gld_datasets::blocks::temporal_windows_iter(variable, config.block_frames)
             })
-            .collect();
-        assert!(
-            !jobs.is_empty(),
-            "no complete temporal windows available for training"
-        );
-        jobs.par_iter()
-            .with_min_len(1)
-            .map(|&(vi, wi)| {
-                let window = gld_datasets::blocks::temporal_window_at(
-                    &variables[vi],
-                    config.block_frames,
-                    wi,
-                );
+            .map(|window| {
                 let (normalized, _) = Self::normalize_frames(&window.data);
                 let y = vae.quantize_latent(&normalized);
                 let (y_norm, _, _) = y.normalize_minmax();
                 y_norm
             })
-            .collect()
+            .collect();
+        assert!(
+            !blocks.is_empty(),
+            "no complete temporal windows available for training"
+        );
+        blocks
     }
 
     fn normalize_frames(block: &Tensor) -> (Tensor, Vec<FrameNorm>) {

@@ -2,7 +2,6 @@
 
 use crate::ops::softmax_rows_inplace;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Attention of `[batch, len_q, channels]` queries over `[batch, len_k,
 /// channels]` keys and values whose channels are `heads` contiguous head
@@ -43,32 +42,30 @@ pub fn attention(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> Tensor {
     if out.is_empty() || lk == 0 {
         return Tensor::from_vec(out, q.dims());
     }
-    let inputs = q.data().par_chunks(lq * c).zip(k.data().par_chunks(lk * c));
-    out.par_chunks_mut(lq * c)
-        .zip(inputs.zip(v.data().par_chunks(lk * c)))
-        .for_each_init(
-            || [lq * dh, lk * dh, lk * dh, lq * dh, lq * lk].map(|len| vec![0.0f32; len]),
-            |[qh, kt, vh, ctx, scores], (out, ((q, k), v))| {
-                for head in (0..c).step_by(dh) {
-                    for i in 0..lq {
-                        qh[i * dh..][..dh].copy_from_slice(&q[i * c + head..][..dh]);
-                    }
-                    for i in 0..lk {
-                        let row = i * c + head..i * c + head + dh;
-                        vh[i * dh..][..dh].copy_from_slice(&v[row.clone()]);
-                        for (d, &kv) in k[row].iter().enumerate() {
-                            kt[d * lk + i] = kv;
-                        }
-                    }
-                    kernels.gemm_f32(qh, kt, scores, (lq, dh, lk), None);
-                    softmax_rows_inplace(scores, lk, scale);
-                    // Probabilities: the GEMM need not look for their bound.
-                    kernels.gemm_f32(scores, vh, ctx, (lq, lk, dh), Some(1.0));
-                    for (i, row) in ctx.chunks_exact(dh).enumerate() {
-                        out[i * c + head..][..dh].copy_from_slice(row);
-                    }
+    let [mut qh, mut kt, mut vh, mut ctx, mut scores] =
+        [lq * dh, lk * dh, lk * dh, lq * dh, lq * lk].map(|len| vec![0.0f32; len]);
+    let rows = out.chunks_mut(lq * c).zip(q.data().chunks(lq * c));
+    let keys = k.data().chunks(lk * c).zip(v.data().chunks(lk * c));
+    for ((out, q), (k, v)) in rows.zip(keys) {
+        for head in (0..c).step_by(dh) {
+            for i in 0..lq {
+                qh[i * dh..][..dh].copy_from_slice(&q[i * c + head..][..dh]);
+            }
+            for i in 0..lk {
+                let row = i * c + head..i * c + head + dh;
+                vh[i * dh..][..dh].copy_from_slice(&v[row.clone()]);
+                for (d, &kv) in k[row].iter().enumerate() {
+                    kt[d * lk + i] = kv;
                 }
-            },
-        );
+            }
+            kernels.gemm_f32(&qh, &kt, &mut scores, (lq, dh, lk), None);
+            softmax_rows_inplace(&mut scores, lk, scale);
+            // Probabilities: the GEMM need not look for their bound.
+            kernels.gemm_f32(&scores, &vh, &mut ctx, (lq, lk, dh), Some(1.0));
+            for (i, row) in ctx.chunks_exact(dh).enumerate() {
+                out[i * c + head..][..dh].copy_from_slice(row);
+            }
+        }
+    }
     Tensor::from_vec(out, q.dims())
 }

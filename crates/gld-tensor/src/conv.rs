@@ -1,10 +1,9 @@
-//! Convolution support: zero/reflection padding, `im2col`/`col2im` and a
-//! direct reference conv2d used by the `gld-nn` layers and their tests.
+//! Convolution support: `im2col`/`col2im` and the conv2d used by the
+//! `gld-nn` layers and their tests.
 //!
 //! Layout convention is NCHW: `[batch, channels, height, width]`.
 
 use crate::tensor::{matmul_block, Tensor};
-use rayon::prelude::*;
 
 /// Convolution geometry: kernel size, stride and symmetric zero padding.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,71 +37,6 @@ impl Conv2dGeometry {
     }
 }
 
-/// Pads an NCHW tensor with zeros by `pad` on each spatial side.
-pub fn pad2d_zero(x: &Tensor, pad: usize) -> Tensor {
-    if pad == 0 {
-        return x.clone();
-    }
-    let (b, c, h, w) = nchw(x);
-    let mut out = Tensor::zeros(&[b, c, h + 2 * pad, w + 2 * pad]);
-    let ow = w + 2 * pad;
-    let src = x.data();
-    let dst = out.data_mut();
-    for bi in 0..b {
-        for ci in 0..c {
-            for hi in 0..h {
-                let s = ((bi * c + ci) * h + hi) * w;
-                let d = ((bi * c + ci) * (h + 2 * pad) + hi + pad) * ow + pad;
-                dst[d..d + w].copy_from_slice(&src[s..s + w]);
-            }
-        }
-    }
-    out
-}
-
-/// Pads an NCHW tensor by reflection (mirror without repeating the edge),
-/// matching the paper's treatment of datasets whose spatial extent is smaller
-/// than the training patch.
-pub fn pad2d_reflect(x: &Tensor, pad: usize) -> Tensor {
-    if pad == 0 {
-        return x.clone();
-    }
-    let (b, c, h, w) = nchw(x);
-    assert!(
-        pad < h && pad < w,
-        "reflection pad {pad} must be smaller than the spatial extent {h}x{w}"
-    );
-    let oh = h + 2 * pad;
-    let ow = w + 2 * pad;
-    let mut out = Tensor::zeros(&[b, c, oh, ow]);
-    let reflect = |i: isize, n: usize| -> usize {
-        let n = n as isize;
-        let mut i = i;
-        if i < 0 {
-            i = -i;
-        }
-        if i >= n {
-            i = 2 * (n - 1) - i;
-        }
-        i as usize
-    };
-    let src = x.data();
-    let dst = out.data_mut();
-    for bi in 0..b {
-        for ci in 0..c {
-            for hi in 0..oh {
-                let sh = reflect(hi as isize - pad as isize, h);
-                for wi in 0..ow {
-                    let sw = reflect(wi as isize - pad as isize, w);
-                    dst[((bi * c + ci) * oh + hi) * ow + wi] =
-                        src[((bi * c + ci) * h + sh) * w + sw];
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Unfolds an NCHW tensor into column form for convolution-as-matmul.
 ///
 /// Output shape: `[b, c*kh*kw, oh*ow]`.
@@ -111,9 +45,10 @@ pub fn im2col(x: &Tensor, geom: Conv2dGeometry) -> Tensor {
     let (oh, ow) = geom.output_size(h, w);
     let cols = c * geom.kh * geom.kw;
     let mut out = vec![0.0f32; b * cols * oh * ow];
-    out.par_chunks_mut(cols * oh * ow)
-        .zip(x.data().par_chunks(c * h * w))
-        .for_each(|(chunk, image)| im2col_image(image, (h, w), geom, chunk));
+    let images = x.data().chunks(c * h * w);
+    for (chunk, image) in out.chunks_mut(cols * oh * ow).zip(images) {
+        im2col_image(image, (h, w), geom, chunk);
+    }
     Tensor::from_vec(out, &[b, cols, oh * ow])
 }
 
@@ -182,32 +117,30 @@ pub fn col2im(cols: &Tensor, geom: Conv2dGeometry, c: usize, h: usize, w: usize)
     let mut out = vec![0.0f32; b * c * h * w];
     let src = cols.data();
     let pad = geom.pad as isize;
-    out.par_chunks_mut(c * h * w)
-        .enumerate()
-        .for_each(|(bi, chunk)| {
-            let base = bi * (c * geom.kh * geom.kw) * oh * ow;
-            for ci in 0..c {
-                for khi in 0..geom.kh {
-                    for kwi in 0..geom.kw {
-                        let row = (ci * geom.kh + khi) * geom.kw + kwi;
-                        for ohi in 0..oh {
-                            let ih = (ohi * geom.stride) as isize + khi as isize - pad;
-                            if ih < 0 || ih as usize >= h {
+    for (bi, chunk) in out.chunks_mut(c * h * w).enumerate() {
+        let base = bi * (c * geom.kh * geom.kw) * oh * ow;
+        for ci in 0..c {
+            for khi in 0..geom.kh {
+                for kwi in 0..geom.kw {
+                    let row = (ci * geom.kh + khi) * geom.kw + kwi;
+                    for ohi in 0..oh {
+                        let ih = (ohi * geom.stride) as isize + khi as isize - pad;
+                        if ih < 0 || ih as usize >= h {
+                            continue;
+                        }
+                        for owi in 0..ow {
+                            let iw = (owi * geom.stride) as isize + kwi as isize - pad;
+                            if iw < 0 || iw as usize >= w {
                                 continue;
                             }
-                            for owi in 0..ow {
-                                let iw = (owi * geom.stride) as isize + kwi as isize - pad;
-                                if iw < 0 || iw as usize >= w {
-                                    continue;
-                                }
-                                chunk[(ci * h + ih as usize) * w + iw as usize] +=
-                                    src[base + row * oh * ow + ohi * ow + owi];
-                            }
+                            chunk[(ci * h + ih as usize) * w + iw as usize] +=
+                                src[base + row * oh * ow + ohi * ow + owi];
                         }
                     }
                 }
             }
-        });
+        }
+    }
     Tensor::from_vec(out, &[b, c, h, w])
 }
 
@@ -228,15 +161,11 @@ pub fn conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, geom: Conv2dGe
     let (oh, ow) = geom.output_size(h, w);
     let (k, n) = (c * geom.kh * geom.kw, oh * ow);
     let mut out = vec![0.0f32; b * out_c * n];
-    out.par_chunks_mut(out_c * n)
-        .zip(x.data().par_chunks(c * h * w))
-        .for_each_init(
-            || vec![0.0f32; k * n],
-            |cols, (chunk, image)| {
-                im2col_image(image, (h, w), geom, cols);
-                matmul_bias(weight.data(), cols, bias, chunk, (out_c, k, n));
-            },
-        );
+    let mut cols = vec![0.0f32; k * n];
+    for (chunk, image) in out.chunks_mut(out_c * n).zip(x.data().chunks(c * h * w)) {
+        im2col_image(image, (h, w), geom, &mut cols);
+        matmul_bias(weight.data(), &cols, bias, chunk, (out_c, k, n));
+    }
     Tensor::from_vec(out, &[b, out_c, oh, ow])
 }
 
@@ -254,9 +183,9 @@ pub fn conv2d_from_cols(
     assert_eq!(weight.numel(), out_c * k, "conv2d weight/columns mismatch");
     assert_eq!(out_hw.0 * out_hw.1, n, "conv2d output size mismatch");
     let mut out = vec![0.0f32; b * out_c * n];
-    out.par_chunks_mut(out_c * n)
-        .zip(cols.data().par_chunks(k * n))
-        .for_each(|(chunk, colb)| matmul_bias(weight.data(), colb, bias, chunk, (out_c, k, n)));
+    for (chunk, colb) in out.chunks_mut(out_c * n).zip(cols.data().chunks(k * n)) {
+        matmul_bias(weight.data(), colb, bias, chunk, (out_c, k, n));
+    }
     Tensor::from_vec(out, &[b, out_c, out_hw.0, out_hw.1])
 }
 
@@ -338,33 +267,6 @@ mod tests {
         assert_eq!(g.output_size(8, 8), (4, 4));
         let g = Conv2dGeometry::new(4, 2, 1);
         assert_eq!(g.output_size(8, 8), (4, 4));
-    }
-
-    #[test]
-    fn pad_zero_places_values() {
-        let x = Tensor::ones(&[1, 1, 2, 2]);
-        let p = pad2d_zero(&x, 1);
-        assert_eq!(p.dims(), &[1, 1, 4, 4]);
-        assert_eq!(p.at(&[0, 0, 0, 0]), 0.0);
-        assert_eq!(p.at(&[0, 0, 1, 1]), 1.0);
-        assert_eq!(p.at(&[0, 0, 2, 2]), 1.0);
-        assert_eq!(p.at(&[0, 0, 3, 3]), 0.0);
-    }
-
-    #[test]
-    fn pad_reflect_mirrors() {
-        let x = Tensor::from_vec(
-            vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0],
-            &[1, 1, 3, 3],
-        );
-        let p = pad2d_reflect(&x, 1);
-        assert_eq!(p.dims(), &[1, 1, 5, 5]);
-        // Corner reflects both axes: the element at (1,1) of the original.
-        assert_eq!(p.at(&[0, 0, 0, 0]), 5.0);
-        // Top edge reflects row 1.
-        assert_eq!(p.at(&[0, 0, 0, 1]), 4.0);
-        // Interior untouched.
-        assert_eq!(p.at(&[0, 0, 1, 1]), 1.0);
     }
 
     #[test]

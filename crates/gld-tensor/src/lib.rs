@@ -13,12 +13,11 @@
 //! Design notes (see `DESIGN.md` at the workspace root):
 //!
 //! * Storage is always contiguous row-major `Vec<f32>`; strided views are not
-//!   exposed.  This keeps the autograd layer in `gld-nn` simple and makes
-//!   every op trivially parallelisable with rayon.  Hot ops (`map`, `zip`,
-//!   matmul, conv) dispatch onto rayon's persistent work-stealing pool —
-//!   long-lived workers, no thread spawn/join per op — and inherit its
-//!   `RAYON_NUM_THREADS` sizing; sub-threshold workloads stay inline on the
-//!   calling thread.
+//!   exposed.  This keeps the autograd layer in `gld-nn` simple.
+//! * Every op runs on the thread that calls it, so its result never depends
+//!   on a worker count.  Parallelism lives one level up: `gld-core`'s block
+//!   executor hands whole temporal blocks to the thread pool, and each
+//!   block's tensor ops run inside its job.
 //! * Shape errors panic with a descriptive message.  The compression stack
 //!   constructs all shapes statically from configuration structs, so a shape
 //!   mismatch is always a programming error, never a data error.

@@ -5,7 +5,6 @@
 //! backward rules.
 
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 impl Tensor {
     /// Element-wise exponential.
@@ -66,22 +65,7 @@ impl Tensor {
     /// `self.round()` followed by an element-wise `as i32` cast; this is
     /// the symbolisation step of the learned codecs' inference path.
     pub fn quantized_symbols(&self) -> Vec<i32> {
-        let mut out = vec![0i32; self.numel()];
-        out.par_iter_mut()
-            .zip(self.data().par_iter())
-            .for_each(|(o, &x)| *o = x.round() as i32);
-        out
-    }
-
-    /// Fused clamp-round-quantize: clamps into `[lo, hi]`, rounds, and
-    /// casts to `i32` symbols in a single pass.
-    pub fn quantized_symbols_clamped(&self, lo: f32, hi: f32) -> Vec<i32> {
-        assert!(lo <= hi, "clamp requires lo <= hi");
-        let mut out = vec![0i32; self.numel()];
-        out.par_iter_mut()
-            .zip(self.data().par_iter())
-            .for_each(|(o, &x)| *o = x.clamp(lo, hi).round() as i32);
-        out
+        self.data().iter().map(|&x| x.round() as i32).collect()
     }
 
     /// Element-wise logistic sigmoid, `1 / (1 + e⁻ˣ)`.
@@ -109,21 +93,19 @@ impl Tensor {
     /// [`exp_f32`](gld_kernels::KernelBackend::exp_f32).  Each chunk of the
     /// result holds `-x`, then `e⁻ˣ`, then `f`: no scratch besides the
     /// result itself.
-    fn map_with_exp_neg(&self, f: impl Fn(f32, f32) -> f32 + Sync + Send) -> Tensor {
+    fn map_with_exp_neg(&self, f: impl Fn(f32, f32) -> f32) -> Tensor {
         const CHUNK: usize = 1024;
         let kernels = gld_kernels::kernels();
         let mut out = vec![0.0f32; self.numel()];
-        out.par_chunks_mut(CHUNK)
-            .zip(self.data().par_chunks(CHUNK))
-            .for_each(|(out, x)| {
-                for (o, &x) in out.iter_mut().zip(x) {
-                    *o = -x;
-                }
-                kernels.exp_f32(out);
-                for (o, &x) in out.iter_mut().zip(x) {
-                    *o = f(x, *o);
-                }
-            });
+        for (out, x) in out.chunks_mut(CHUNK).zip(self.data().chunks(CHUNK)) {
+            for (o, &x) in out.iter_mut().zip(x) {
+                *o = -x;
+            }
+            kernels.exp_f32(out);
+            for (o, &x) in out.iter_mut().zip(x) {
+                *o = f(x, *o);
+            }
+        }
         Tensor::from_vec(out, self.dims())
     }
 
@@ -139,26 +121,10 @@ impl Tensor {
     pub fn softmax_last(&self) -> Tensor {
         let row = *self.dims().last().expect("softmax requires rank >= 1");
         let mut out = self.data().to_vec();
-        out.par_chunks_mut(row * SOFTMAX_ROWS)
-            .for_each(|rows| softmax_rows_inplace(rows, row, 1.0));
+        for rows in out.chunks_mut(row * SOFTMAX_ROWS) {
+            softmax_rows_inplace(rows, row, 1.0);
+        }
         Tensor::from_vec(out, self.dims())
-    }
-
-    /// Log-softmax along the last axis.
-    pub fn log_softmax_last(&self) -> Tensor {
-        let dims = self.dims().to_vec();
-        let row = *dims.last().unwrap();
-        let mut out = vec![0.0f32; self.numel()];
-        out.par_chunks_mut(row)
-            .zip(self.data().par_chunks(row))
-            .for_each(|(o, x)| {
-                let m = x.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-                let lse = x.iter().map(|&xi| (xi - m).exp()).sum::<f32>().ln() + m;
-                for (oi, &xi) in o.iter_mut().zip(x.iter()) {
-                    *oi = xi - lse;
-                }
-            });
-        Tensor::from_vec(out, &dims)
     }
 
     /// Min-max normalisation to `[-1, 1]`, returning the normalised tensor
@@ -351,14 +317,6 @@ mod tests {
         let t = Tensor::from_vec(vec![-2.6, -0.5, 0.49, 1.5, 7.2, -9.9], &[6]);
         let composed: Vec<i32> = t.round().data().iter().map(|&v| v as i32).collect();
         assert_eq!(t.quantized_symbols(), composed);
-        let composed_clamped: Vec<i32> = t
-            .clamp(-3.0, 2.0)
-            .round()
-            .data()
-            .iter()
-            .map(|&v| v as i32)
-            .collect();
-        assert_eq!(t.quantized_symbols_clamped(-3.0, 2.0), composed_clamped);
     }
 
     #[test]
@@ -403,16 +361,6 @@ mod tests {
         let s = t.softmax_last();
         assert!(s.data().iter().all(|x| x.is_finite()));
         assert!((s.at(&[0, 0]) + s.at(&[0, 1]) - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn log_softmax_matches_softmax_log() {
-        let t = Tensor::from_vec(vec![0.5, -1.0, 2.0], &[1, 3]);
-        let ls = t.log_softmax_last();
-        let s = t.softmax_last();
-        for i in 0..3 {
-            assert!((ls.at(&[0, i]) - s.at(&[0, i]).ln()).abs() < 1e-5);
-        }
     }
 
     #[test]

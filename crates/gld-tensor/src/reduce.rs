@@ -1,4 +1,5 @@
-//! Reductions: full-tensor and per-axis sums, means, extrema and variances.
+//! Reductions: full-tensor sums, means, extrema and variance, and per-axis
+//! sums and means.
 
 use crate::tensor::Tensor;
 
@@ -47,21 +48,6 @@ impl Tensor {
             / n as f64) as f32
     }
 
-    /// Index of the maximum element in the flat data.
-    pub fn argmax_flat(&self) -> usize {
-        self.data()
-            .iter()
-            .enumerate()
-            .fold((0usize, f32::NEG_INFINITY), |(bi, bv), (i, &v)| {
-                if v > bv {
-                    (i, v)
-                } else {
-                    (bi, bv)
-                }
-            })
-            .0
-    }
-
     /// Sum along `axis`.  When `keepdim` is true the reduced axis is kept
     /// with extent 1 (useful for broadcasting back).
     pub fn sum_axis(&self, axis: usize, keepdim: bool) -> Tensor {
@@ -95,55 +81,6 @@ impl Tensor {
         let n = self.dim(axis) as f32;
         self.sum_axis(axis, keepdim).scale(1.0 / n)
     }
-
-    /// Per-axis population variance.
-    pub fn var_axis(&self, axis: usize, keepdim: bool) -> Tensor {
-        let mean = self.mean_axis(axis, true);
-        let centered = self.sub(&mean);
-        centered.square().mean_axis(axis, keepdim)
-    }
-
-    /// Maximum along `axis`.
-    pub fn max_axis(&self, axis: usize, keepdim: bool) -> Tensor {
-        self.fold_axis(axis, keepdim, f32::NEG_INFINITY, f32::max)
-    }
-
-    /// Minimum along `axis`.
-    pub fn min_axis(&self, axis: usize, keepdim: bool) -> Tensor {
-        self.fold_axis(axis, keepdim, f32::INFINITY, f32::min)
-    }
-
-    fn fold_axis(
-        &self,
-        axis: usize,
-        keepdim: bool,
-        init: f32,
-        f: impl Fn(f32, f32) -> f32,
-    ) -> Tensor {
-        assert!(axis < self.rank(), "fold_axis axis out of range");
-        let dims = self.dims();
-        let outer: usize = dims[..axis].iter().product();
-        let a = dims[axis];
-        let inner: usize = dims[axis + 1..].iter().product();
-        let mut out = vec![init; outer * inner];
-        let data = self.data();
-        for o in 0..outer {
-            for k in 0..a {
-                let base = o * a * inner + k * inner;
-                let dst = o * inner;
-                for i in 0..inner {
-                    out[dst + i] = f(out[dst + i], data[base + i]);
-                }
-            }
-        }
-        let mut out_dims = dims.to_vec();
-        if keepdim {
-            out_dims[axis] = 1;
-        } else {
-            out_dims.remove(axis);
-        }
-        Tensor::from_vec(out, &out_dims)
-    }
 }
 
 #[cfg(test)]
@@ -158,7 +95,6 @@ mod tests {
         assert_eq!(t.max(), 4.0);
         assert_eq!(t.min(), 1.0);
         assert!((t.variance() - 1.25).abs() < 1e-6);
-        assert_eq!(t.argmax_flat(), 3);
     }
 
     #[test]
@@ -186,16 +122,9 @@ mod tests {
         let t = Tensor::from_vec(vec![1.0, 3.0, 2.0, 4.0], &[2, 2]);
         let m = t.mean_axis(0, false);
         assert_eq!(m.data(), &[1.5, 3.5]);
-        let v = t.var_axis(0, false);
-        assert_eq!(v.data(), &[0.25, 0.25]);
-    }
-
-    #[test]
-    fn max_min_axis() {
-        let t = Tensor::from_vec(vec![1.0, 5.0, -2.0, 3.0, 0.0, 4.0], &[2, 3]);
-        assert_eq!(t.max_axis(1, false).data(), &[5.0, 4.0]);
-        assert_eq!(t.min_axis(1, false).data(), &[-2.0, 0.0]);
-        assert_eq!(t.max_axis(0, false).data(), &[3.0, 5.0, 4.0]);
+        // Population variance per column, from the kept-dim mean.
+        let centered = t.sub(&t.mean_axis(0, true));
+        assert_eq!(centered.square().mean_axis(0, false).data(), &[0.25, 0.25]);
     }
 
     #[test]

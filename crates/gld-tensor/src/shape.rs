@@ -71,23 +71,6 @@ impl Shape {
         }
         off
     }
-
-    /// Converts a flat row-major offset back into a multi-dimensional index.
-    pub fn unravel(&self, mut offset: usize) -> Vec<usize> {
-        let mut index = vec![0usize; self.0.len()];
-        for axis in (0..self.0.len()).rev() {
-            let d = self.0[axis];
-            index[axis] = offset % d;
-            offset /= d;
-        }
-        index
-    }
-
-    /// Returns true when the two shapes are broadcast-compatible under
-    /// NumPy-style trailing alignment.
-    pub fn broadcastable_with(&self, other: &Shape) -> bool {
-        broadcast_shapes(self, other).is_some()
-    }
 }
 
 impl From<Vec<usize>> for Shape {
@@ -289,10 +272,9 @@ mod tests {
     }
 
     #[test]
-    fn offset_and_unravel_are_inverse() {
+    fn offset_counts_indices_in_row_major_order() {
         let s = Shape::new(&[3, 4, 5]);
-        for flat in 0..s.numel() {
-            let idx = s.unravel(flat);
+        for (flat, idx) in IndexIter::new(&s).enumerate() {
             assert_eq!(s.offset(&idx), flat);
         }
     }
@@ -330,7 +312,6 @@ mod tests {
         let a = Shape::new(&[3, 2]);
         let b = Shape::new(&[4, 2]);
         assert_eq!(broadcast_shapes(&a, &b), None);
-        assert!(!a.broadcastable_with(&b));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Error metrics shared by every compressor and benchmark: MSE, PSNR, NRMSE
-//! (the paper's primary reconstruction-quality metric, Eq. 12) and norms.
+//! Error metrics shared by every compressor and benchmark: MSE, NRMSE (the
+//! paper's primary reconstruction-quality metric, Eq. 12) and the ℓ2 norm.
 
 use crate::tensor::Tensor;
 
@@ -12,11 +12,6 @@ impl Tensor {
             .map(|&x| x as f64 * x as f64)
             .sum::<f64>())
         .sqrt() as f32
-    }
-
-    /// Maximum absolute value (ℓ∞ norm).
-    pub fn linf_norm(&self) -> f32 {
-        self.data().iter().fold(0.0f32, |m, &x| m.max(x.abs()))
     }
 }
 
@@ -52,18 +47,6 @@ pub fn nrmse(original: &Tensor, reconstruction: &Tensor) -> f32 {
     rmse(original, reconstruction) / denom
 }
 
-/// Peak signal-to-noise ratio in dB, using the range of the original data as
-/// the peak value.
-pub fn psnr(original: &Tensor, reconstruction: &Tensor) -> f32 {
-    let range = original.max() - original.min();
-    let peak = if range > 0.0 { range } else { 1.0 };
-    let m = mse(original, reconstruction);
-    if m == 0.0 {
-        return f32::INFINITY;
-    }
-    10.0 * ((peak as f64 * peak as f64) / m as f64).log10() as f32
-}
-
 /// Maximum absolute point-wise error.
 pub fn max_abs_error(a: &Tensor, b: &Tensor) -> f32 {
     assert_eq!(a.shape(), b.shape(), "max_abs_error shape mismatch");
@@ -83,7 +66,6 @@ mod tests {
         assert_eq!(mse(&a, &a), 0.0);
         assert_eq!(nrmse(&a, &a), 0.0);
         assert_eq!(max_abs_error(&a, &a), 0.0);
-        assert!(psnr(&a, &a).is_infinite());
     }
 
     #[test]
@@ -105,18 +87,9 @@ mod tests {
     }
 
     #[test]
-    fn psnr_decreases_with_error() {
-        let a = Tensor::linspace(0.0, 1.0, 100);
-        let small = a.add_scalar(1e-3);
-        let large = a.add_scalar(1e-1);
-        assert!(psnr(&a, &small) > psnr(&a, &large));
-    }
-
-    #[test]
     fn norms() {
         let a = Tensor::from_vec(vec![3.0, -4.0], &[2]);
         assert!((a.l2_norm() - 5.0).abs() < 1e-6);
-        assert_eq!(a.linf_norm(), 4.0);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! slicing and concatenation).
 
 use crate::shape::{broadcast_shapes, broadcast_strides, RunWalk, Shape};
-use rayon::prelude::*;
 
 /// A dense, contiguous, row-major `f32` tensor.
 ///
@@ -384,31 +383,30 @@ impl Tensor {
     // ------------------------------------------------------------------
 
     /// Applies `f` to every element, returning a new tensor.
-    pub fn map(&self, f: impl Fn(f32) -> f32 + Sync + Send) -> Tensor {
-        let mut data = vec![0.0f32; self.numel()];
-        data.par_iter_mut()
-            .zip(self.data.par_iter())
-            .for_each(|(o, &x)| *o = f(x));
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
-            data,
+            data: self.data.iter().map(|&x| f(x)).collect(),
         }
     }
 
     /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32 + Sync + Send) {
-        self.data.par_iter_mut().for_each(|x| *x = f(*x));
+    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
+        for x in &mut self.data {
+            *x = f(*x);
+        }
     }
 
-    fn binary_op(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32 + Sync + Send) -> Tensor {
+    fn binary_op(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
         if self.shape == other.shape {
-            let mut data = vec![0.0f32; self.numel()];
-            data.par_iter_mut()
-                .zip(self.data.par_iter().zip(other.data.par_iter()))
-                .for_each(|(o, (&a, &b))| *o = f(a, b));
             return Tensor {
                 shape: self.shape.clone(),
-                data,
+                data: self
+                    .data
+                    .iter()
+                    .zip(&other.data)
+                    .map(|(&a, &b)| f(a, b))
+                    .collect(),
             };
         }
         let out_shape = broadcast_shapes(&self.shape, &other.shape).unwrap_or_else(|| {
@@ -503,19 +501,17 @@ impl Tensor {
     /// In-place `self += other` (shapes must match exactly).
     pub fn add_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "add_assign shape mismatch");
-        self.data
-            .par_iter_mut()
-            .zip(other.data.par_iter())
-            .for_each(|(a, &b)| *a += b);
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a += b;
+        }
     }
 
     /// In-place `self += alpha * other` (shapes must match exactly).
     pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
         assert_eq!(self.shape, other.shape, "axpy shape mismatch");
-        self.data
-            .par_iter_mut()
-            .zip(other.data.par_iter())
-            .for_each(|(a, &b)| *a += alpha * b);
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a += alpha * b;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -550,15 +546,13 @@ impl Tensor {
                 );
                 let b = ba.max(bb);
                 let mut out = vec![0.0f32; b * m * n];
-                out.par_chunks_mut(m * n)
-                    .enumerate()
-                    .for_each(|(bi, chunk)| {
-                        let ai = if ba == 1 { 0 } else { bi };
-                        let bi2 = if bb == 1 { 0 } else { bi };
-                        let a = &self.data[ai * m * k..(ai + 1) * m * k];
-                        let bmat = &other.data[bi2 * k * n..(bi2 + 1) * k * n];
-                        matmul_block(a, bmat, chunk, m, k, n);
-                    });
+                for (bi, chunk) in out.chunks_mut(m * n).enumerate() {
+                    let ai = if ba == 1 { 0 } else { bi };
+                    let bi2 = if bb == 1 { 0 } else { bi };
+                    let a = &self.data[ai * m * k..(ai + 1) * m * k];
+                    let bmat = &other.data[bi2 * k * n..(bi2 + 1) * k * n];
+                    matmul_block(a, bmat, chunk, m, k, n);
+                }
                 Tensor::from_vec(out, &[b, m, n])
             }
             (ra, rb) => panic!("matmul supports rank 2×2 or 3×3, got {ra}×{rb}"),
@@ -569,8 +563,8 @@ impl Tensor {
     pub fn dot(&self, other: &Tensor) -> f32 {
         assert_eq!(self.shape, other.shape, "dot shape mismatch");
         self.data
-            .par_iter()
-            .zip(other.data.par_iter())
+            .iter()
+            .zip(&other.data)
             .map(|(&a, &b)| a as f64 * b as f64)
             .sum::<f64>() as f32
     }

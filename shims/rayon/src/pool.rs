@@ -1,9 +1,9 @@
-//! The persistent work-stealing thread pool behind every terminal op.
+//! The persistent work-stealing thread pool behind [`join_all`].
 //!
 //! One global pool is lazily initialised on first use (honouring
 //! `RAYON_NUM_THREADS`, exactly like real rayon's global pool) and lives for
-//! the rest of the process, so parallel terminal ops dispatch onto long-lived
-//! workers instead of spawning and joining OS threads per call.
+//! the rest of the process, so every batch runs on long-lived workers
+//! instead of spawning and joining OS threads per call.
 //!
 //! Architecture:
 //!
@@ -14,17 +14,17 @@
 //!   only a participation ticket — the jobs themselves live in the batch's
 //!   own queue, so any number of workers can chip away at one batch and a
 //!   drained handle is skipped in O(1).
-//! * **Chunked task splitting.**  Callers split work into more pieces than
-//!   workers (see `split_for_drive` in the crate root): a batch is a bag of
-//!   independent jobs, and whichever worker is free next takes the next job,
-//!   so skewed per-piece costs even out instead of idling workers.
+//! * **Shared batch queue.**  A batch is a bag of independent jobs (one per
+//!   temporal block, for `gld_core`'s executor), and whichever thread is
+//!   free next takes the next job, so skewed per-job costs even out instead
+//!   of idling workers.
 //! * **Park / unpark.**  A worker that finds every deque empty parks on a
 //!   condvar; submissions bump a generation counter under the same lock
 //!   before notifying, which makes the lost-wakeup race impossible (the
 //!   worker re-checks the generation before sleeping).
 //! * **Caller helping.**  [`join_all`] submits its batch, then the caller
 //!   drains the batch's remaining jobs itself before blocking.  Two
-//!   consequences: a terminal op completes even if every pool worker is
+//!   consequences: a batch completes even if every pool worker is
 //!   busy (no starvation deadlock — the submitter can always finish its own
 //!   batch), and nested parallelism from inside a worker job is safe for
 //!   the same reason.
@@ -268,8 +268,8 @@ unsafe fn erase_lifetime<'env>(job: Box<dyn FnOnce() + Send + 'env>) -> Job {
     std::mem::transmute::<Box<dyn FnOnce() + Send + 'env>, Job>(job)
 }
 
-/// Fork-join entry used by the terminal ops and `gld-core`'s block executor:
-/// runs every closure in `jobs` (potentially borrowing) to completion across
+/// The pool's one entry point, used by `gld-core`'s block executor: runs
+/// every closure in `jobs` (potentially borrowing) to completion across
 /// the pool as one batch, helping from the calling thread.  A job panic is
 /// re-thrown here with its original payload once every job has finished.
 pub fn join_all<'env>(jobs: Vec<Box<dyn FnOnce() + Send + 'env>>) {

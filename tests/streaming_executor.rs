@@ -134,9 +134,9 @@ fn peak_resident_blocks_stay_within_the_queue_depth() {
 
 #[test]
 fn a_variable_is_one_pool_batch_per_queue_depth_windows() {
-    // 16 four-frame windows at depth 4: four batches of four.  Blocks this
-    // small keep every tensor op under the pool's inline threshold, so the
-    // executor's batches are the only submissions this thread makes.
+    // 16 four-frame windows at depth 4: four batches of four.  Tensor ops
+    // run on their caller, so the executor's batches are the only
+    // submissions this thread makes.
     let ds = generate(DatasetKind::S3d, &FieldSpec::new(1, 64, 16, 16), 97);
     let variable = &ds.variables[0];
     let sz = SzCompressor::new();
